@@ -44,6 +44,7 @@ from .mellin import (
     mellin_morlet_time,
 )
 from .expansion import (
+    ExpansionPlan,
     ExpansionResult,
     RemainderKind,
     expand_frequency,
@@ -51,6 +52,7 @@ from .expansion import (
     expand_time,
     expand_morlet_time,
     convergence_order,
+    expansion_plan,
 )
 from .checks import available_checks, run_all, run_check
 
@@ -90,6 +92,7 @@ __all__ = [
     "MellinValue",
     "mellin_transform",
     "mellin_morlet_time",
+    "ExpansionPlan",
     "ExpansionResult",
     "RemainderKind",
     "expand_frequency",
@@ -97,6 +100,7 @@ __all__ = [
     "expand_time",
     "expand_morlet_time",
     "convergence_order",
+    "expansion_plan",
     "available_checks",
     "run_all",
     "run_check",

@@ -17,7 +17,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expansion import convergence_order, expand_frequency, expand_morlet_time
+from .expansion import (
+    convergence_order,
+    expand_frequency,
+    expand_morlet_time,
+    expansion_plan,
+)
 from .mellin import MellinMethod, mellin_transform
 from .oracle import cwt_fourier, cwt_time
 from .quadrature import QuadratureConfig, integrate, power_gauss_cut
@@ -265,9 +270,10 @@ def _check_convergence_orders():
     lines = []
     ok = True
     for wav, b, n, expected, tol_frac in cases:
+        plan = expansion_plan(sig, wav, b, n, config=cfg)
         errors = []
         for a in a_values:
-            res = expand_frequency(sig, wav, float(a), b, n, config=cfg)
+            res = plan.at(float(a))
             oracle = cwt_fourier(sig, wav, float(a), b, cfg)
             errors.append(abs(oracle.value - res.partial_sum))
         order = convergence_order(a_values, errors)

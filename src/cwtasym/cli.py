@@ -9,15 +9,23 @@ Subcommands::
     sweep      expansion-vs-oracle error table over a dilation grid
     validate   run the built-in numerical validation checks
 
+``sweep`` computes the expansion's coefficients and moments once (an
+``ExpansionPlan``) and evaluates them at every grid point, so its cost per
+point is the oracle plus any remainder.
+
 Options may come from flags or from a JSON config file (``--config``);
 flags win over the file, the file wins over defaults.  Unknown config
-keys are rejected.  Exit codes: 0 success, 1 runtime/validation failure,
-2 invalid arguments, 3 sweep produced non-converged quadrature results.
+keys are rejected, and so are, from either source, a non-finite ``a``,
+``b``, ``u0``, ``a_min``, ``a_max``, ``tol``, ``amplitude``,
+``time_scale`` or ``z`` and a ``jobs`` below 1.  Exit codes: 0 success,
+1 runtime/validation failure, 2 invalid arguments, 3 sweep produced
+non-converged quadrature results.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -28,12 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .checks import available_checks, run_all
-from .expansion import (
-    convergence_order,
-    expand_frequency,
-    expand_morlet_time,
-    expand_time,
-)
+from .expansion import convergence_order, expansion_plan
 from .mellin import MellinError, MellinMethod, mellin_transform
 from .oracle import cwt_fourier, cwt_time
 from .quadrature import QuadratureConfig, QuadratureError
@@ -97,6 +100,23 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if key in known and value is not None:
             setattr(cfg, key, value)
     return cfg
+
+
+_FINITE_FIELDS = ("a", "b", "u0", "a_min", "a_max", "tol", "amplitude",
+                  "time_scale")
+
+
+def _check_inputs(rc: RunConfig) -> None:
+    """Reject non-finite numbers and worker counts below one."""
+    for name in _FINITE_FIELDS:
+        value = getattr(rc, name)
+        if value is not None and not math.isfinite(value):
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be finite, got {value!r}")
+    if not cmath.isfinite(complex(rc.z)):
+        raise ValueError(f"--z must be finite, got {rc.z!r}")
+    if rc.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {rc.jobs!r}")
 
 
 def _quad_config(rc: RunConfig) -> QuadratureConfig:
@@ -220,32 +240,19 @@ def _cmd_mellin(rc: RunConfig) -> int:
     return 0
 
 
-def _expand_once(rc: RunConfig, sig, wav, a: float, qcfg: QuadratureConfig):
+def _expansion_plan(rc: RunConfig, sig, wav, qcfg: QuadratureConfig):
     if rc.domain == "time":
-        if wav.kind == WaveletKind.Morlet:
-            return expand_morlet_time(
-                sig, wav, a, rc.b, rc.n, remainder=rc.remainder, config=qcfg
-            )
-        return expand_time(
-            sig, wav, a, rc.b, rc.n, remainder=rc.remainder, config=qcfg
-        )
-    return expand_frequency(
-        sig,
-        wav,
-        a,
-        rc.b,
-        rc.n,
-        remainder=rc.remainder,
-        config=qcfg,
-        mellin_method=_MELLIN_METHODS[rc.mellin_method],
-    )
+        return expansion_plan(sig, wav, rc.b, rc.n, "time", qcfg,
+                              closed_form=wav.kind == WaveletKind.Morlet)
+    return expansion_plan(sig, wav, rc.b, rc.n, config=qcfg,
+                          mellin_method=_MELLIN_METHODS[rc.mellin_method])
 
 
 def _cmd_expand(rc: RunConfig) -> int:
     sig = _build_signal(rc)
     wav = _build_wavelet(rc)
     qcfg = _quad_config(rc)
-    res = _expand_once(rc, sig, wav, rc.a, qcfg)
+    res = _expansion_plan(rc, sig, wav, qcfg).at(rc.a, rc.remainder)
     rows = [
         (f"term_{s}", _g(t.real), _g(t.imag), _g(e))
         for s, (t, e) in enumerate(zip(res.terms, res.term_error_estimates))
@@ -314,11 +321,13 @@ def _cmd_sweep(rc: RunConfig) -> int:
     wav = _build_wavelet(rc)
     qcfg = _quad_config(rc)
     a_values = _sweep_grid(rc)
+    # Nothing in the plan depends on a; the worker threads only read it.
+    plan = _expansion_plan(rc, sig, wav, qcfg)
+    oracle_fn = cwt_time if rc.oracle == "time" else cwt_fourier
 
     def work(a: float):
-        oracle_fn = cwt_time if rc.oracle == "time" else cwt_fourier
         oracle = oracle_fn(sig, wav, float(a), rc.b, qcfg)
-        res = _expand_once(rc, sig, wav, float(a), qcfg)
+        res = plan.at(float(a), rc.remainder)
         abs_err = abs(oracle.value - res.partial_sum)
         rel_err = abs_err / abs(oracle.value) if oracle.value != 0.0 else math.nan
         return oracle, res, abs_err, rel_err
@@ -479,7 +488,8 @@ def main(argv=None) -> int:
 
     try:
         rc = _merge_config(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        _check_inputs(rc)
+    except (OSError, TypeError, ValueError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -8,6 +8,10 @@ coefficient with a one-sided moment of the wavelet.  Both carry an exact
 integral remainder, so the truncated sum plus remainder reproduces the
 transform identically (up to quadrature error), and the remainder can also
 be estimated empirically against the brute-force oracle.
+
+None of the coefficients or moments depends on the dilation a, so
+``expansion_plan`` computes them once and ``ExpansionPlan.at`` evaluates the
+expansion at any dilation; the ``expand_*`` functions do both for one a.
 """
 
 from __future__ import annotations
@@ -59,6 +63,24 @@ def _as_remainder_kind(value: Union[str, RemainderKind]) -> RemainderKind:
         raise ValueError(
             f"unknown remainder kind {value!r} (choices: {choices})"
         ) from None
+
+
+def _check_dilation(a: float) -> None:
+    if not a > 0.0:
+        raise ValueError("the dilation parameter must be positive")
+
+
+def _check_terms(n: int) -> None:
+    if n < 1:
+        raise ValueError("need at least one expansion term")
+
+
+def _check_closed_form(wavelet: WaveletSpec) -> None:
+    if wavelet.kind != WaveletKind.Morlet:
+        raise ValueError(
+            "closed-form time moments exist only for the modulated-Gaussian "
+            f"wavelet, not {wavelet.kind.value!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -145,8 +167,7 @@ def remainder_frequency(
     only algebraically the conditionally convergent integrals are damped and
     extrapolated to the undamped limit.
     """
-    if not a > 0.0:
-        raise ValueError("the dilation parameter must be positive")
+    _check_dilation(a)
     cfg = config if config is not None else QuadratureConfig()
     h = make_h(signal, b)
     table = small_u_coefficients(wavelet, n)
@@ -213,74 +234,6 @@ def remainder_frequency(
             err += res.abs_error_estimate
     root_a = math.sqrt(a)
     return root_a * total, root_a * err
-
-
-def expand_frequency(
-    signal: SignalSpec,
-    wavelet: WaveletSpec,
-    a: float,
-    b: float,
-    n: int,
-    remainder: Union[str, RemainderKind] = "none",
-    config: Optional[QuadratureConfig] = None,
-    mellin_method: Union[str, object] = "auto",
-) -> ExpansionResult:
-    """Frequency-domain expansion of W(b, a) to n terms."""
-    if not a > 0.0:
-        raise ValueError("the dilation parameter must be positive")
-    if n < 1:
-        raise ValueError("need at least one expansion term")
-    cfg = config if config is not None else QuadratureConfig()
-    kind = _as_remainder_kind(remainder)
-    lam = wavelet.lam
-    table = small_u_coefficients(wavelet, n)
-    cs = table.coefficients
-    h = make_h(signal, b)
-
-    terms = np.zeros(n, dtype=complex)
-    term_errs = np.zeros(n)
-    for s in range(n):
-        c = cs[s]
-        if c == 0.0:
-            continue
-        z = s + lam
-        m_plus = mellin_transform(h, z, mellin_method, cfg)
-        m_minus = mellin_transform(h, z, mellin_method, cfg, mirror=True)
-        msign = mirror_sign(s, lam)
-        apow = a ** (s + lam - 0.5)
-        terms[s] = c * (m_plus.value + msign * m_minus.value) * apow / _TWO_PI
-        term_errs[s] = (
-            abs(c)
-            * (m_plus.abs_error_estimate + abs(msign) * m_minus.abs_error_estimate)
-            * apow
-            / _TWO_PI
-        )
-    partial = complex(terms.sum())
-    part_err = float(term_errs.sum())
-
-    rem_val, rem_err = 0.0 + 0.0j, 0.0
-    if kind == RemainderKind.IntegralM0:
-        rem_val, rem_err = remainder_frequency(signal, wavelet, a, b, n, cfg)
-    elif kind == RemainderKind.Empirical:
-        oracle = cwt_fourier(signal, wavelet, a, b, cfg)
-        rem_val = (oracle.value - partial) * _TWO_PI
-        rem_err = (oracle.abs_error_estimate + part_err) * _TWO_PI
-
-    return ExpansionResult(
-        domain="frequency",
-        a=float(a),
-        b=float(b),
-        n=n,
-        lam=lam,
-        terms=terms,
-        term_error_estimates=term_errs,
-        partial_sum=partial,
-        abs_error_estimate=part_err,
-        remainder_kind=kind,
-        remainder_estimate=rem_val,
-        remainder_error_estimate=rem_err,
-        remainder_scale=1.0 / _TWO_PI,
-    )
 
 
 def _time_moment_quadrature(
@@ -433,57 +386,184 @@ def _remainder_time(
     return root_a * total, root_a * err
 
 
-def _expand_time_impl(
+@dataclass(frozen=True)
+class ExpansionPlan:
+    """The dilation-independent part of an n-term expansion of W(b, a).
+
+    Term s at dilation a is ``products[s] * a**(s + power_offset)``, divided
+    by 2*pi on the frequency route.  ``products[s]`` is the coefficient times
+    its moment pair, c_s (M+_s + sigma_s M-_s), and ``product_errors[s]``
+    bounds its numerical error by |c_s| (e+_s + |sigma_s| e-_s).  Neither
+    depends on a, so :meth:`at` evaluates the expansion at any dilation
+    without recomputing a moment.  The arrays are read-only, so threads can
+    share one plan.
+    """
+
+    domain: str
+    signal: SignalSpec
+    wavelet: WaveletSpec
+    b: float
+    n: int
+    lam: int
+    coefficients: np.ndarray
+    products: np.ndarray
+    product_errors: np.ndarray
+    power_offset: float
+    remainder_scale: float
+    config: QuadratureConfig
+
+    def at(
+        self, a: float, remainder: Union[str, RemainderKind] = "none"
+    ) -> ExpansionResult:
+        """The expansion at dilation a, with an optional remainder."""
+        _check_dilation(a)
+        kind = _as_remainder_kind(remainder)
+        frequency = self.domain == "frequency"
+        terms = np.zeros(self.n, dtype=complex)
+        term_errs = np.zeros(self.n)
+        for s in range(self.n):
+            if self.coefficients[s] == 0.0:
+                continue
+            # Scalar power and left-to-right products: the same bits as
+            # multiplying coefficient, moments and power in one expression.
+            apow = a ** (s + self.power_offset)
+            if frequency:
+                terms[s] = self.products[s] * apow / _TWO_PI
+                term_errs[s] = self.product_errors[s] * apow / _TWO_PI
+            else:
+                terms[s] = self.products[s] * apow
+                term_errs[s] = self.product_errors[s] * apow
+        partial = complex(terms.sum())
+        part_err = float(term_errs.sum())
+
+        rem_val, rem_err = 0.0 + 0.0j, 0.0
+        if kind == RemainderKind.IntegralM0:
+            remainder_fn = remainder_frequency if frequency else _remainder_time
+            rem_val, rem_err = remainder_fn(
+                self.signal, self.wavelet, a, self.b, self.n, self.config
+            )
+        elif kind == RemainderKind.Empirical:
+            oracle_fn = cwt_fourier if frequency else cwt_time
+            oracle = oracle_fn(self.signal, self.wavelet, a, self.b, self.config)
+            rem_val = oracle.value - partial
+            rem_err = oracle.abs_error_estimate + part_err
+            if frequency:
+                rem_val *= _TWO_PI
+                rem_err *= _TWO_PI
+
+        return ExpansionResult(
+            domain=self.domain,
+            a=float(a),
+            b=float(self.b),
+            n=self.n,
+            lam=self.lam,
+            terms=terms,
+            term_error_estimates=term_errs,
+            partial_sum=partial,
+            abs_error_estimate=part_err,
+            remainder_kind=kind,
+            remainder_estimate=rem_val,
+            remainder_error_estimate=rem_err,
+            remainder_scale=self.remainder_scale,
+        )
+
+
+def expansion_plan(
+    signal: SignalSpec,
+    wavelet: WaveletSpec,
+    b: float,
+    n: int,
+    domain: str = "frequency",
+    config: Optional[QuadratureConfig] = None,
+    mellin_method: Union[str, object] = "auto",
+    closed_form: bool = False,
+) -> ExpansionPlan:
+    """Compute the coefficients and moments of an n-term expansion once.
+
+    ``domain="frequency"`` pairs the wavelet's small-argument coefficients
+    with regularized Mellin moments of h(u) = e^{ibu} f_hat(u), computed by
+    ``mellin_method``.  ``domain="time"`` pairs the signal's Taylor
+    coefficients at b with one-sided wavelet moments, by quadrature or, with
+    ``closed_form=True`` (modulated Gaussian only), in closed form.
+    """
+    if closed_form:
+        _check_closed_form(wavelet)
+    _check_terms(n)
+    cfg = config if config is not None else QuadratureConfig()
+    lam = wavelet.lam
+    if domain == "frequency":
+        if closed_form:
+            raise ValueError("closed-form moments apply only to the time route")
+        cs = small_u_coefficients(wavelet, n).coefficients
+        h = make_h(signal, b)
+
+        def moment(s, mirror):
+            m = mellin_transform(h, s + lam, mellin_method, cfg, mirror=mirror)
+            return m.value, m.abs_error_estimate
+
+        power_offset, remainder_scale = lam - 0.5, 1.0 / _TWO_PI
+    elif domain == "time":
+        cs = time_coefficients(signal, b, n)
+
+        def moment(s, mirror):
+            if closed_form:
+                return _time_moment_closed(wavelet, float(s + 1), mirror)
+            return _time_moment_quadrature(wavelet, float(s + 1), mirror, cfg)
+
+        power_offset, remainder_scale = 0.5, 1.0
+    else:
+        raise ValueError(
+            f"unknown expansion domain {domain!r} (choices: frequency, time)"
+        )
+
+    products = np.zeros(n, dtype=complex)
+    product_errors = np.zeros(n)
+    for s in range(n):
+        c = cs[s]
+        if c == 0.0:
+            continue
+        m_plus, e_plus = moment(s, False)
+        m_minus, e_minus = moment(s, True)
+        # on the time route this equals (-1)**(s+lam-1), the same factor
+        msign = mirror_sign(s, lam)
+        products[s] = c * (m_plus + msign * m_minus)
+        product_errors[s] = abs(c) * (e_plus + abs(msign) * e_minus)
+    for arr in (cs, products, product_errors):
+        arr.flags.writeable = False
+    return ExpansionPlan(
+        domain=domain,
+        signal=signal,
+        wavelet=wavelet,
+        b=b,
+        n=n,
+        lam=lam,
+        coefficients=cs,
+        products=products,
+        product_errors=product_errors,
+        power_offset=power_offset,
+        remainder_scale=remainder_scale,
+        config=cfg,
+    )
+
+
+def expand_frequency(
     signal: SignalSpec,
     wavelet: WaveletSpec,
     a: float,
     b: float,
     n: int,
-    remainder: Union[str, RemainderKind],
-    cfg: QuadratureConfig,
-    moment_fn,
+    remainder: Union[str, RemainderKind] = "none",
+    config: Optional[QuadratureConfig] = None,
+    mellin_method: Union[str, object] = "auto",
 ) -> ExpansionResult:
+    """Frequency-domain expansion of W(b, a) to n terms."""
+    _check_dilation(a)
+    _check_terms(n)
     kind = _as_remainder_kind(remainder)
-    cs = time_coefficients(signal, b, n)
-    terms = np.zeros(n, dtype=complex)
-    term_errs = np.zeros(n)
-    lam = wavelet.lam
-    for s in range(n):
-        c = cs[s]
-        if c == 0.0:
-            continue
-        m_plus, e_plus = moment_fn(wavelet, float(s + 1), False, cfg)
-        m_minus, e_minus = moment_fn(wavelet, float(s + 1), True, cfg)
-        msign = mirror_sign(s, lam)  # equals (-1)**(s+lam-1) on the principal branch
-        apow = a ** (s + 0.5)
-        terms[s] = c * (m_plus + msign * m_minus) * apow
-        term_errs[s] = abs(c) * (e_plus + e_minus) * apow
-    partial = complex(terms.sum())
-    part_err = float(term_errs.sum())
-
-    rem_val, rem_err = 0.0 + 0.0j, 0.0
-    if kind == RemainderKind.IntegralM0:
-        rem_val, rem_err = _remainder_time(signal, wavelet, a, b, n, cfg)
-    elif kind == RemainderKind.Empirical:
-        oracle = cwt_time(signal, wavelet, a, b, cfg)
-        rem_val = oracle.value - partial
-        rem_err = oracle.abs_error_estimate + part_err
-
-    return ExpansionResult(
-        domain="time",
-        a=float(a),
-        b=float(b),
-        n=n,
-        lam=lam,
-        terms=terms,
-        term_error_estimates=term_errs,
-        partial_sum=partial,
-        abs_error_estimate=part_err,
-        remainder_kind=kind,
-        remainder_estimate=rem_val,
-        remainder_error_estimate=rem_err,
-        remainder_scale=1.0,
+    plan = expansion_plan(
+        signal, wavelet, b, n, config=config, mellin_method=mellin_method
     )
+    return plan.at(a, kind)
 
 
 def expand_time(
@@ -496,14 +576,10 @@ def expand_time(
     config: Optional[QuadratureConfig] = None,
 ) -> ExpansionResult:
     """Time-domain expansion with wavelet moments computed by quadrature."""
-    if not a > 0.0:
-        raise ValueError("the dilation parameter must be positive")
-    if n < 1:
-        raise ValueError("need at least one expansion term")
-    cfg = config if config is not None else QuadratureConfig()
-    return _expand_time_impl(
-        signal, wavelet, a, b, n, remainder, cfg, _time_moment_quadrature
-    )
+    _check_dilation(a)
+    _check_terms(n)
+    kind = _as_remainder_kind(remainder)
+    return expansion_plan(signal, wavelet, b, n, "time", config).at(a, kind)
 
 
 def expand_morlet_time(
@@ -516,21 +592,12 @@ def expand_morlet_time(
     config: Optional[QuadratureConfig] = None,
 ) -> ExpansionResult:
     """Time-domain expansion with closed-form modulated-Gaussian moments."""
-    if wavelet.kind != WaveletKind.Morlet:
-        raise ValueError(
-            "closed-form time moments exist only for the modulated-Gaussian "
-            f"wavelet, not {wavelet.kind.value!r}"
-        )
-    if not a > 0.0:
-        raise ValueError("the dilation parameter must be positive")
-    if n < 1:
-        raise ValueError("need at least one expansion term")
-    cfg = config if config is not None else QuadratureConfig()
-
-    def moment_fn(w, nu, mirror, _cfg):
-        return _time_moment_closed(w, nu, mirror)
-
-    return _expand_time_impl(signal, wavelet, a, b, n, remainder, cfg, moment_fn)
+    _check_closed_form(wavelet)
+    _check_dilation(a)
+    _check_terms(n)
+    kind = _as_remainder_kind(remainder)
+    plan = expansion_plan(signal, wavelet, b, n, "time", config, closed_form=True)
+    return plan.at(a, kind)
 
 
 def convergence_order(a_values, errors) -> float:

@@ -78,17 +78,18 @@ class QuadratureConfig:
     eps_levels: int = 4
 
     def __post_init__(self):
-        if self.rel_tol < 100.0 * _EPS:
+        # Each test is written so that NaN fails it.
+        if not self.rel_tol >= 100.0 * _EPS:
             raise ValueError(
-                f"rel_tol={self.rel_tol:g} is below 100*machine epsilon"
+                f"rel_tol={self.rel_tol:g} must be at least 100*machine epsilon"
             )
-        if self.abs_tol < 0.0:
+        if not self.abs_tol >= 0.0:
             raise ValueError("abs_tol must be nonnegative")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be positive")
-        if self.truncation_radius <= 0.0:
+        if not self.truncation_radius > 0.0:
             raise ValueError("truncation_radius must be positive")
-        if self.eps0 <= 0.0:
+        if not self.eps0 > 0.0:
             raise ValueError("eps0 must be positive")
         if self.eps_levels < 2:
             raise ValueError("eps_levels must be at least 2")

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import cwtasym.expansion as expansion
 from cwtasym.cli import main
+from cwtasym.signals import SignalKind, make_signal, time_coefficients
 from cwtasym.wavelets import WaveletKind, make_wavelet, small_u_coefficients
 
 
@@ -146,11 +148,52 @@ def test_validate_unknown_check(capsys):
     assert "nonexistent_check" in capsys.readouterr().err
 
 
-def test_invalid_flag_values_exit_2(capsys):
-    assert main(["cwt", "--wavelet", "spline"]) == 2
-    capsys.readouterr()
-    assert main(["mellin", "--z", "abc"]) == 2
-    assert "malformed" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv,config,message",
+    [
+        pytest.param(["cwt", "--wavelet", "spline"], None, "invalid choice",
+                     id="cwt-wavelet-choice"),
+        pytest.param(["mellin", "--z", "abc"], None, "malformed",
+                     id="mellin-z-malformed"),
+        pytest.param(["cwt", "--b", "nan"], None, "--b must be finite",
+                     id="cwt-b-nan"),
+        pytest.param(["cwt", "--a", "inf"], None, "--a must be finite",
+                     id="cwt-a-inf"),
+        pytest.param(["cwt", "--tol", "nan"], None, "--tol must be finite",
+                     id="cwt-tol-nan"),
+        pytest.param(["mellin", "--z", "nan"], None, "--z must be finite",
+                     id="mellin-z-nan"),
+        pytest.param(["mellin", "--z", "1+infj"], None, "--z must be finite",
+                     id="mellin-z-imag-inf"),
+        pytest.param(["expand", "--b", "inf"], None, "--b must be finite",
+                     id="expand-b-inf"),
+        pytest.param(["sweep", "--jobs", "0"], None,
+                     "--jobs must be at least 1", id="sweep-jobs-0"),
+        pytest.param(["sweep", "--jobs", "-1"], None,
+                     "--jobs must be at least 1", id="sweep-jobs-negative"),
+        pytest.param(["sweep", "--a-max", "inf", "--log"], None,
+                     "--a-max must be finite", id="sweep-a-max-inf"),
+        pytest.param(["expand"], {"u0": math.inf}, "--u0 must be finite",
+                     id="config-u0-inf"),
+        pytest.param(["cwt"], {"amplitude": math.nan},
+                     "--amplitude must be finite", id="config-amplitude-nan"),
+        pytest.param(["cwt"], {"time_scale": -math.inf},
+                     "--time-scale must be finite", id="config-time-scale-inf"),
+        pytest.param(["sweep"], {"a_min": math.nan}, "--a-min must be finite",
+                     id="config-a-min-nan"),
+        pytest.param(["sweep"], {"jobs": 0}, "--jobs must be at least 1",
+                     id="config-jobs-0"),
+        pytest.param(["cwt"], {"b": "1"}, "must be real number",
+                     id="config-b-string"),
+    ],
+)
+def test_invalid_flag_values_exit_2(argv, config, message, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))  # writes NaN/Infinity literals
+        argv = argv + ["--config", str(path)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_divergent_moment_exits_1(capsys):
@@ -168,3 +211,39 @@ def test_mutated_mirror_factor_is_caught(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL convergence_orders" in out
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(expansion, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(expansion, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "domain,wavelet,moment_fn",
+    [("frequency", "morlet", "mellin_transform"),
+     ("time", "mexhat", "_time_moment_quadrature")],
+)
+def test_sweep_computes_each_moment_once(domain, wavelet, moment_fn,
+                                         monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, moment_fn)
+    code = main([
+        "sweep", "--signal", "lorentzian", "--wavelet", wavelet, "--u0", "5",
+        "--b", "0.5", "--a-min", "0.001", "--a-max", "0.3", "--a-count", "16",
+        "--log", "--n", "3", "--domain", domain,
+    ])
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 18
+    if domain == "frequency":
+        wav = make_wavelet(WaveletKind.Morlet, u0=5.0)
+        cs = small_u_coefficients(wav, 3).coefficients
+    else:
+        cs = time_coefficients(make_signal(SignalKind.Lorentzian), 0.5, 3)
+    # one moment and its mirror per nonzero coefficient, for all 16 dilations
+    assert len(calls) == 2 * np.count_nonzero(cs)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from cwtasym.expansion import (
     expand_frequency,
     expand_morlet_time,
     expand_time,
+    expansion_plan,
     mirror_sign,
 )
+from cwtasym.mellin import MellinMethod, mellin_transform
 from cwtasym.oracle import cwt_fourier, cwt_time
 from cwtasym.quadrature import QuadratureConfig
-from cwtasym.signals import SignalKind, make_signal
-from cwtasym.wavelets import WaveletKind, make_wavelet
+from cwtasym.signals import SignalKind, make_h, make_signal
+from cwtasym.wavelets import WaveletKind, make_wavelet, small_u_coefficients
 
 
 def test_mirror_sign_integer_orders():
@@ -201,3 +204,92 @@ def test_result_metadata():
     t = expand_time(sig, wav, 0.1, 0.5, 2)
     assert t.domain == "time"
     assert t.remainder_scale == 1.0
+
+
+@pytest.mark.parametrize(
+    "kind,wav_kind,u0,b,expand,plan_kwargs",
+    [
+        (SignalKind.TwoSidedExp, WaveletKind.Morlet, 5.0, 0.7, expand_frequency,
+         {}),
+        (SignalKind.Gaussian, WaveletKind.Morlet, 5.0, 0.7, expand_frequency,
+         {}),
+        (SignalKind.Lorentzian, WaveletKind.MexicanHat, 0.0, 0.7, expand_time,
+         {"domain": "time"}),
+        (SignalKind.Lorentzian, WaveletKind.Morlet, 2.0, 0.7,
+         expand_morlet_time, {"domain": "time", "closed_form": True}),
+    ],
+    ids=["split-tail-frequency", "quadrature-frequency", "quadrature-time",
+         "closed-form-time"],
+)
+def test_plan_at_equals_expand(kind, wav_kind, u0, b, expand, plan_kwargs):
+    sig = make_signal(kind)
+    wav = make_wavelet(wav_kind, u0=u0) if u0 else make_wavelet(wav_kind)
+    n = 4
+    plan = expansion_plan(sig, wav, b, n, **plan_kwargs)
+    for a in (0.3, 0.02, 0.001):
+        got, want = plan.at(a), expand(sig, wav, a, b, n)
+        for field in fields(ExpansionResult):
+            g, w = getattr(got, field.name), getattr(want, field.name)
+            assert type(g) is type(w), field.name
+            if isinstance(w, np.ndarray):
+                assert g.dtype == w.dtype and (g == w).all(), field.name
+            else:
+                assert g == w, field.name
+
+
+def test_plan_uses_the_expected_mellin_strategies():
+    h_split = make_h(make_signal(SignalKind.TwoSidedExp), 0.7)
+    h_quad = make_h(make_signal(SignalKind.Gaussian), 0.7)
+    assert mellin_transform(h_split, 1).method == MellinMethod.SplitTailAnalytic
+    assert mellin_transform(h_quad, 1).method == MellinMethod.PureQuadrature
+
+
+def test_plan_terms_match_the_one_expression_form():
+    """Forming c_s (M+ + sigma M-) first and then multiplying by the power
+    and dividing by 2*pi, left to right, gives the bits of the whole product
+    written as one expression per dilation."""
+    sig = make_signal(SignalKind.Lorentzian)
+    wav = make_wavelet(WaveletKind.Morlet, u0=5.0)
+    b, n = 0.7, 4
+    cfg = QuadratureConfig()
+    h = make_h(sig, b)
+    cs = small_u_coefficients(wav, n).coefficients
+    pairs = [
+        (mellin_transform(h, s + 1, "auto", cfg).value,
+         mellin_transform(h, s + 1, "auto", cfg, mirror=True).value)
+        for s in range(n)
+    ]
+    plan = expansion_plan(sig, wav, b, n, config=cfg)
+    for a in np.geomspace(1e-3, 0.3, 16):
+        a = float(a)
+        terms = plan.at(a).terms
+        for s, (m_plus, m_minus) in enumerate(pairs):
+            want = (cs[s] * (m_plus + mirror_sign(s, 1) * m_minus)
+                    * a ** (s + 1 - 0.5) / (2.0 * math.pi))
+            assert terms[s] == want
+
+
+def test_plan_is_read_only():
+    plan = expansion_plan(make_signal(SignalKind.Lorentzian),
+                          make_wavelet(WaveletKind.Morlet, u0=5.0), 0.0, 3)
+    with pytest.raises(ValueError):
+        plan.products[0] = 0.0
+
+
+def test_plan_parameter_validation():
+    sig = make_signal(SignalKind.Lorentzian)
+    wav = make_wavelet(WaveletKind.Morlet, u0=5.0)
+    with pytest.raises(ValueError, match="expansion term"):
+        expansion_plan(sig, wav, 0.0, 0)
+    with pytest.raises(ValueError, match="domain"):
+        expansion_plan(sig, wav, 0.0, 2, domain="laplace")
+    with pytest.raises(ValueError, match="time route"):
+        expansion_plan(sig, wav, 0.0, 2, closed_form=True)
+    with pytest.raises(ValueError, match="modulated-Gaussian"):
+        expansion_plan(sig, make_wavelet(WaveletKind.Haar), 0.0, 2, "time",
+                       closed_form=True)
+    plan = expansion_plan(sig, wav, 0.0, 2)
+    with pytest.raises(ValueError, match="dilation"):
+        plan.at(0.0)
+    with pytest.raises(ValueError, match="remainder"):
+        plan.at(0.1, remainder="exact")

@@ -27,6 +27,13 @@ def test_config_validation():
     assert cfg.rel_tol == 1e-8
 
 
+@pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "truncation_radius",
+                                   "eps0"])
+def test_config_rejects_nan(field):
+    with pytest.raises(ValueError, match=field):
+        QuadratureConfig(**{field: math.nan})
+
+
 @pytest.mark.parametrize(
     "f,domain,ref",
     [
