@@ -18,8 +18,12 @@ flags win over the file, the file wins over defaults.  Unknown config
 keys are rejected, and so are, from either source, a non-finite ``a``,
 ``b``, ``u0``, ``a_min``, ``a_max``, ``tol``, ``amplitude``,
 ``time_scale`` or ``z`` and a ``jobs`` below 1.  Exit codes: 0 success,
-1 runtime/validation failure, 2 invalid arguments, 3 sweep produced
-non-converged quadrature results.
+1 runtime/validation failure, 2 invalid arguments, 3 ``cwt`` or ``sweep``
+produced non-converged quadrature results.
+
+On the time route (``--domain time``) the wavelet moments are taken in
+closed form for every built-in wavelet; quadrature of the same moments
+(``expand_time``) is kept as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -178,9 +182,11 @@ def _cmd_cwt(rc: RunConfig) -> int:
     routes = ("time", "fourier") if rc.oracle == "both" else (rc.oracle,)
     rows = []
     obj = {"a": rc.a, "b": rc.b, "routes": {}}
+    all_converged = True
     for route in routes:
         fn = cwt_time if route == "time" else cwt_fourier
         res = fn(sig, wav, rc.a, rc.b, qcfg)
+        all_converged = all_converged and res.converged
         rows.append(
             (
                 route,
@@ -201,7 +207,7 @@ def _cmd_cwt(rc: RunConfig) -> int:
         rows,
         obj,
     )
-    return 0
+    return 0 if all_converged else 3
 
 
 def _cmd_mellin(rc: RunConfig) -> int:
@@ -243,7 +249,7 @@ def _cmd_mellin(rc: RunConfig) -> int:
 def _expansion_plan(rc: RunConfig, sig, wav, qcfg: QuadratureConfig):
     if rc.domain == "time":
         return expansion_plan(sig, wav, rc.b, rc.n, "time", qcfg,
-                              closed_form=wav.kind == WaveletKind.Morlet)
+                              closed_form=True)
     return expansion_plan(sig, wav, rc.b, rc.n, config=qcfg,
                           mellin_method=_MELLIN_METHODS[rc.mellin_method])
 

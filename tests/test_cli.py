@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import cwtasym.cli as cli
 import cwtasym.expansion as expansion
 from cwtasym.cli import main
+from cwtasym.oracle import cwt_fourier
+from cwtasym.quadrature import QuadratureResult
 from cwtasym.signals import SignalKind, make_signal, time_coefficients
 from cwtasym.wavelets import WaveletKind, make_wavelet, small_u_coefficients
 
@@ -56,6 +59,21 @@ def test_cwt_both_routes(tmp_path, capsys):
     assert routes == {"time", "fourier"}
     vals = {row[0]: complex(float(row[1]), float(row[2])) for row in body}
     assert abs(vals["time"] - vals["fourier"]) < 1e-9 * abs(vals["time"])
+
+
+def test_cwt_unconverged_route_exits_3(monkeypatch, capsys):
+    def unconverged(*args, **kwargs):
+        return QuadratureResult(value=1.0 + 0.0j, abs_error_estimate=1e-3,
+                                n_evaluations=61, n_panels=2000,
+                                converged=False)
+
+    monkeypatch.setattr(cli, "cwt_time", unconverged)
+    code = main(["cwt", "--a", "0.5", "--oracle", "both"])
+    assert code == 3
+    rows = {ln.split(",")[0]: ln.split(",")
+            for ln in capsys.readouterr().out.strip().splitlines()[1:]}
+    assert rows["time"][4] == "false" and rows["fourier"][4] == "true"
+    assert main(["cwt", "--a", "0.5", "--oracle", "fourier"]) == 0
 
 
 def test_mellin_known_value(capsys):
@@ -228,11 +246,12 @@ def _count_calls(monkeypatch, name):
 @pytest.mark.parametrize(
     "domain,wavelet,moment_fn",
     [("frequency", "morlet", "mellin_transform"),
-     ("time", "mexhat", "_time_moment_quadrature")],
+     ("time", "mexhat", "_time_moment_closed")],
 )
 def test_sweep_computes_each_moment_once(domain, wavelet, moment_fn,
                                          monkeypatch, capsys):
     calls = _count_calls(monkeypatch, moment_fn)
+    quadrature_calls = _count_calls(monkeypatch, "_time_moment_quadrature")
     code = main([
         "sweep", "--signal", "lorentzian", "--wavelet", wavelet, "--u0", "5",
         "--b", "0.5", "--a-min", "0.001", "--a-max", "0.3", "--a-count", "16",
@@ -247,3 +266,22 @@ def test_sweep_computes_each_moment_once(domain, wavelet, moment_fn,
         cs = time_coefficients(make_signal(SignalKind.Lorentzian), 0.5, 3)
     # one moment and its mirror per nonzero coefficient, for all 16 dilations
     assert len(calls) == 2 * np.count_nonzero(cs)
+    # the time route's moments come from closed forms, not quadrature
+    assert quadrature_calls == []
+
+
+def test_time_remainder_within_printed_budget(capsys):
+    """The Taylor-tail series below the cutover is summed to full precision;
+    a fixed series length left a 4.3e-10 error here against a claimed
+    6.7e-15."""
+    b, a = 0.34861763532192774, 0.14427185700077563
+    code = main(["expand", "--signal", "lorentzian", "--wavelet", "mexhat",
+                 "--b", repr(b), "--a", repr(a), "--n", "2",
+                 "--domain", "time", "--remainder", "integral_m0"])
+    assert code == 0
+    rows = {ln.split(",")[0]: ln.split(",")[1:]
+            for ln in capsys.readouterr().out.strip().splitlines()[1:]}
+    re_, im, budget = map(float, rows["prediction"])
+    orc = cwt_fourier(make_signal(SignalKind.Lorentzian),
+                      make_wavelet(WaveletKind.MexicanHat), a, b)
+    assert abs(complex(re_, im) - orc.value) <= budget + orc.abs_error_estimate

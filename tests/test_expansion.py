@@ -11,6 +11,8 @@ from numpy.testing import assert_allclose
 from cwtasym.expansion import (
     ExpansionResult,
     RemainderKind,
+    _time_moment_closed,
+    _time_moment_quadrature,
     convergence_order,
     expand_frequency,
     expand_morlet_time,
@@ -21,7 +23,7 @@ from cwtasym.expansion import (
 from cwtasym.mellin import MellinMethod, mellin_transform
 from cwtasym.oracle import cwt_fourier, cwt_time
 from cwtasym.quadrature import QuadratureConfig
-from cwtasym.signals import SignalKind, make_h, make_signal
+from cwtasym.signals import SignalKind, make_h, make_signal, time_coefficients
 from cwtasym.wavelets import WaveletKind, make_wavelet, small_u_coefficients
 
 
@@ -116,6 +118,19 @@ def test_closed_and_quadrature_time_moments_agree():
     rc = expand_morlet_time(sig, wav, 0.05, 0.0, 4)
     assert_allclose(rc.terms, rq.terms, rtol=1e-11, atol=1e-18)
     assert abs(rc.partial_sum - rq.partial_sum) < 1e-11 * abs(rc.partial_sum)
+
+
+@pytest.mark.parametrize("wav_kind", [WaveletKind.MexicanHat, WaveletKind.Haar])
+@pytest.mark.parametrize("mirror", [False, True], ids=["plus", "mirror"])
+def test_elementary_time_moments_match_quadrature(wav_kind, mirror):
+    wav = make_wavelet(wav_kind)
+    cfg = QuadratureConfig()
+    # admissibility: the first moment vanishes, exactly and with no error
+    assert _time_moment_closed(wav, 1.0, mirror) == (0.0, 0.0)
+    for nu in range(1, 7):
+        closed, closed_err = _time_moment_closed(wav, float(nu), mirror)
+        quad, quad_err = _time_moment_quadrature(wav, float(nu), mirror, cfg)
+        assert abs(closed - quad) <= quad_err + closed_err, nu
 
 
 def test_empirical_remainder_closes_the_gap():
@@ -285,9 +300,20 @@ def test_plan_parameter_validation():
         expansion_plan(sig, wav, 0.0, 2, domain="laplace")
     with pytest.raises(ValueError, match="time route"):
         expansion_plan(sig, wav, 0.0, 2, closed_form=True)
-    with pytest.raises(ValueError, match="modulated-Gaussian"):
-        expansion_plan(sig, make_wavelet(WaveletKind.Haar), 0.0, 2, "time",
-                       closed_form=True)
+    # closed forms cover every built-in wavelet: the products are the
+    # Taylor coefficients times the elementary moment pairs, nu = s + 1,
+    # with the mirror moment entering as (-1)**s
+    b, n = 0.3, 5
+    cs = time_coefficients(sig, b, n)
+    nus = np.arange(1.0, n + 1.0)
+    haar = (2.0 ** (1.0 - nus) - 1.0) / nus  # nothing on t < 0
+    mexhat = np.array([2.0 ** (0.5 * nu - 1.0) * math.gamma(0.5 * nu)
+                       * (1.0 - nu) for nu in nus]) * (1.0 + (-1.0) ** (nus - 1))
+    for wav_kind, pairs in ((WaveletKind.Haar, haar),
+                            (WaveletKind.MexicanHat, mexhat)):
+        plan = expansion_plan(sig, make_wavelet(wav_kind), b, n, "time",
+                              closed_form=True)
+        assert_allclose(plan.products, cs * pairs, rtol=1e-15, atol=0.0)
     plan = expansion_plan(sig, wav, 0.0, 2)
     with pytest.raises(ValueError, match="dilation"):
         plan.at(0.0)
