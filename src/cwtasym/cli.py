@@ -19,7 +19,8 @@ keys are rejected, and so are, from either source, a non-finite ``a``,
 ``b``, ``u0``, ``a_min``, ``a_max``, ``tol``, ``amplitude``,
 ``time_scale`` or ``z`` and a ``jobs`` below 1.  Exit codes: 0 success,
 1 runtime/validation failure, 2 invalid arguments, 3 ``cwt`` or ``sweep``
-produced non-converged quadrature results.
+produced non-converged quadrature results.  ``cwt --format json`` also
+reports why each route's quadrature stopped (``status``).
 
 On the time route (``--domain time``) the wavelet moments are taken in
 closed form for every built-in wavelet; quadrature of the same moments
@@ -200,6 +201,7 @@ def _cmd_cwt(rc: RunConfig) -> int:
             "value": [res.value.real, res.value.imag],
             "abs_error_estimate": res.abs_error_estimate,
             "converged": res.converged,
+            "status": res.status,
         }
     _emit(
         rc,

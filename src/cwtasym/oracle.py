@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .backends import cwt_fourier_descriptor, cwt_time_descriptor
-from .quadrature import QuadratureConfig, QuadratureResult, integrate
+from .quadrature import QuadratureConfig, QuadratureResult, integrate, worst_status
 from .signals import SignalSpec, f_hat
 from .specfun import oscillatory_power_tail
 from .wavelets import WaveletKind, WaveletSpec, psi_hat_conj
@@ -47,6 +47,7 @@ def _scaled(result: QuadratureResult, factor: float) -> QuadratureResult:
         n_evaluations=result.n_evaluations,
         n_panels=result.n_panels,
         converged=result.converged,
+        status=result.status,
     )
 
 
@@ -271,6 +272,7 @@ def _fourier_side_alg_tail(
         n_evaluations=head.n_evaluations,
         n_panels=head.n_panels,
         converged=head.converged,
+        status=head.status,
     )
 
 
@@ -295,4 +297,5 @@ def cwt_fourier(
         n_evaluations=plus.n_evaluations + minus.n_evaluations,
         n_panels=plus.n_panels + minus.n_panels,
         converged=plus.converged and minus.converged,
+        status=worst_status(plus.status, minus.status),
     )

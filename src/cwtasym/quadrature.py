@@ -8,6 +8,19 @@ from a caller-supplied decay envelope and extended until the truncation
 bound meets the requested tolerance or hits the truncation radius cap.
 Integrable endpoint singularities at the left edge are softened with the
 x = y**2 substitution.
+
+No panel's error estimate goes below its roundoff floor 50*eps*integral(|f|)
+(QUADPACK's rule), and refinement bisects only panels above their floor, so
+it stops at the first of these, named in ``QuadratureResult.status``:
+
+* ``"tolerance"``: the summed error estimate meets max(abs_tol, rel_tol*|I|);
+* ``"roundoff"``: every panel is at its roundoff floor, so no bisection can
+  lower the estimate (QUADPACK QAGS ``ier=2``);
+* ``"unsplittable"``: the worst panels are at rounding width;
+* ``"budget"``: the ``max_subdivisions`` bisections are used up.
+
+Panel values are summed exactly rounded (``math.fsum``), so the result does
+not pick up the rounding of a long floating-point sum.
 """
 
 from __future__ import annotations
@@ -24,33 +37,37 @@ from .backends import KernelDescriptor
 _EPS = 2.220446049250313e-16
 
 # 15-point Kronrod nodes (positive half) and weights; the embedded 7-point
-# Gauss rule lives on the odd-index nodes.
+# Gauss rule lives on the odd-index nodes.  Full-precision values of QUADPACK's
+# qk15: Python rounds each literal to the nearest double.
 _XGK = (
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
     0.0,
 )
 _WGK = (
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
 )
 _WG = (
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
-    0.417959183673469,
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
 )
+
+# Termination statuses from best to worst; a combined result takes the worst.
+STATUSES = ("tolerance", "roundoff", "unsplittable", "budget")
 
 _NODES = np.array([-x for x in _XGK[:7]] + [0.0] + [x for x in reversed(_XGK[:7])])
 _WK15 = np.array(list(_WGK[:7]) + [_WGK[7]] + list(reversed(_WGK[:7])))
@@ -102,6 +119,12 @@ class QuadratureResult:
     n_evaluations: int
     n_panels: int
     converged: bool
+    status: str = "tolerance"
+
+
+def worst_status(*statuses: str) -> str:
+    """The least favourable of the given termination statuses."""
+    return max(statuses, key=STATUSES.index)
 
 
 Integrand = Union[KernelDescriptor, Callable[[np.ndarray], np.ndarray]]
@@ -117,7 +140,8 @@ def _as_callable(integrand: Integrand) -> Callable[[np.ndarray], np.ndarray]:
 def _panel_eval(evalf, lo: np.ndarray, hi: np.ndarray):
     """Evaluate the GK15 rule on a batch of panels.
 
-    Returns (values, errors, evaluation count).
+    Returns (values, errors, roundoff floors, evaluation count); each
+    error is at least its panel's floor 50*eps*integral(|f|).
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
@@ -136,44 +160,58 @@ def _panel_eval(evalf, lo: np.ndarray, hi: np.ndarray):
     err[mask] = resasc_s[mask] * np.minimum(
         1.0, (200.0 * raw[mask] / resasc_s[mask]) ** 1.5
     )
-    err = np.maximum(err, 50.0 * _EPS * resabs_s)
-    return resk * h, err, nodes.size
+    floor = 50.0 * _EPS * resabs_s
+    return resk * h, np.maximum(err, floor), floor, nodes.size
 
 
 def _refine(evalf, edges: np.ndarray, config: QuadratureConfig, budget: int):
     """Adaptively bisect the worst panels until the tolerance target is met.
 
-    Returns (value, error, n_evaluations, n_panels, bisections_used).
+    Only panels whose error estimate is above their roundoff floor are
+    bisected: the floors of a panel's halves add back up to its own, so
+    splitting a floor-limited panel cannot lower the total.
+
+    Returns (value, error, n_evaluations, n_panels, bisections_used, status)
+    with the value summed exactly rounded and status one of ``STATUSES``.
     """
     lo = edges[:-1].astype(float)
     hi = edges[1:].astype(float)
     vals = np.empty(lo.size, dtype=complex)
     errs = np.empty(lo.size, dtype=float)
+    floors = np.empty(lo.size, dtype=float)
     neval = 0
     chunk = 65536
     for start in range(0, lo.size, chunk):
         sl = slice(start, start + chunk)
-        vals[sl], errs[sl], ne = _panel_eval(evalf, lo[sl], hi[sl])
+        vals[sl], errs[sl], floors[sl], ne = _panel_eval(evalf, lo[sl], hi[sl])
         neval += ne
     used = 0
     while True:
-        total = vals.sum()
         err_total = errs.sum()
-        target = max(config.abs_tol, config.rel_tol * abs(total))
-        if err_total <= target or used >= budget:
-            return total, err_total, neval, lo.size, used
-        nsplit = min(_BISECT_BLOCK, budget - used, lo.size)
-        worst = np.argsort(-errs, kind="stable")[:nsplit]
+        target = max(config.abs_tol, config.rel_tol * abs(vals.sum()))
+        if err_total <= target:
+            status = "tolerance"
+            break
+        above = np.flatnonzero(errs > floors)
+        if above.size == 0:
+            status = "roundoff"
+            break
+        if used >= budget:
+            status = "budget"
+            break
+        nsplit = min(_BISECT_BLOCK, budget - used)
+        worst = above[np.argsort(-errs[above], kind="stable")[:nsplit]]
         mid = 0.5 * (lo[worst] + hi[worst])
         # Panels at rounding width cannot be split further; retire them.
         splittable = (mid > lo[worst]) & (mid < hi[worst])
         if not np.any(splittable):
-            return total, err_total, neval, lo.size, used
+            status = "unsplittable"
+            break
         worst = worst[splittable]
         mid = mid[splittable]
         new_lo = np.concatenate([lo[worst], mid])
         new_hi = np.concatenate([mid, hi[worst]])
-        new_vals, new_errs, ne = _panel_eval(evalf, new_lo, new_hi)
+        new_vals, new_errs, new_floors, ne = _panel_eval(evalf, new_lo, new_hi)
         neval += ne
         keep = np.ones(lo.size, dtype=bool)
         keep[worst] = False
@@ -181,7 +219,10 @@ def _refine(evalf, edges: np.ndarray, config: QuadratureConfig, budget: int):
         hi = np.concatenate([hi[keep], new_hi])
         vals = np.concatenate([vals[keep], new_vals])
         errs = np.concatenate([errs[keep], new_errs])
+        floors = np.concatenate([floors[keep], new_floors])
         used += worst.size
+    total = complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
+    return total, err_total, neval, lo.size, used, status
 
 
 def _initial_edges(
@@ -370,6 +411,14 @@ def integrate(
     x = y**2 substitution, ``geometric_from`` switches to doubling panels
     beyond the given radius (slowly decaying tails), and ``tail_bound`` is
     added to the reported error for truncations performed by the caller.
+
+    Each piece (the substituted singular edge, the body, each truncation
+    extension) is refined on its own until its error meets the tolerance,
+    every panel sits at its roundoff floor, its worst panels cannot be split,
+    or the ``max_subdivisions`` bisections shared by all pieces run out.  The
+    result's ``status`` is the worst of the pieces' stops (see ``STATUSES``).
+    ``converged`` means the total error estimate, truncation included, is
+    within 10x max(abs_tol, rel_tol*|value|) and the budget did not run out.
     """
     cfg = config if config is not None else QuadratureConfig()
     lo, hi = float(domain[0]), float(domain[1])
@@ -397,6 +446,7 @@ def integrate(
     neval = 0
     npanels = 0
     budget = cfg.max_subdivisions
+    status = "tolerance"
 
     sing_hi = cut_lo
     if left_singularity is not None:
@@ -410,23 +460,25 @@ def integrate(
             base = cut_lo
             sub_evalf = lambda y: 2.0 * y * evalf(base + y * y)
         edges = _initial_edges(0.0, ylim, (), None, None)
-        v, e, ne, npan, used = _refine(sub_evalf, edges, cfg, budget)
+        v, e, ne, npan, used, st = _refine(sub_evalf, edges, cfg, budget)
         value += v
         err += e
         neval += ne
         npanels += npan
         budget -= used
+        status = worst_status(status, st)
 
     if sing_hi < cut_hi:
         edges = _initial_edges(
             sing_hi, cut_hi, breakpoints, period_hint, geometric_from
         )
-        v, e, ne, npan, used = _refine(evalf, edges, cfg, budget)
+        v, e, ne, npan, used, st = _refine(evalf, edges, cfg, budget)
         value += v
         err += e
         neval += ne
         npanels += npan
         budget -= used
+        status = worst_status(status, st)
 
     # Extend the truncation radius until the tail bound is small relative to
     # the value actually found (the initial cut only targeted abs_tol).
@@ -445,12 +497,13 @@ def integrate(
                 seg_lo, seg_hi, breakpoints, period_hint,
                 geometric_from if sign > 0 else None,
             )
-            v, e, ne, npan, used = _refine(evalf, edges, cfg, max(budget, 64))
+            v, e, ne, npan, used, st = _refine(evalf, edges, cfg, budget)
             value += v
             err += e
             neval += ne
             npanels += npan
-            budget = max(budget - used, 0)
+            budget -= used
+            status = worst_status(status, st)
         radius = radius_new
         sides = (1 if math.isinf(lo) else 0) + (1 if math.isinf(hi) else 0)
         trunc = sides * _envelope_tail_bound(envelope, radius)
@@ -462,5 +515,6 @@ def integrate(
         abs_error_estimate=float(total_err),
         n_evaluations=neval,
         n_panels=npanels,
-        converged=bool(total_err <= 10.0 * target),
+        converged=bool(total_err <= 10.0 * target) and status != "budget",
+        status=status,
     )

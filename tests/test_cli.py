@@ -76,6 +76,18 @@ def test_cwt_unconverged_route_exits_3(monkeypatch, capsys):
     assert main(["cwt", "--a", "0.5", "--oracle", "fourier"]) == 0
 
 
+def test_cwt_json_reports_status(capsys):
+    code = main(["cwt", "--signal", "lorentzian", "--wavelet", "morlet",
+                 "--u0", "5", "--a", "0.01", "--oracle", "both",
+                 "--format", "json"])
+    assert code == 0
+    routes = json.loads(capsys.readouterr().out)["routes"]
+    # the time route's estimate stops at the panels' roundoff floor
+    assert routes["time"]["status"] == "roundoff"
+    assert routes["fourier"]["status"] == "tolerance"
+    assert all(r["converged"] for r in routes.values())
+
+
 def test_mellin_known_value(capsys):
     code = main(["mellin", "--signal", "lorentzian", "--b", "1", "--z", "2"])
     assert code == 0

@@ -103,6 +103,46 @@ def test_error_estimates_and_counters():
     assert res.n_evaluations >= 15 * res.n_panels
 
 
+def test_time_route_stops_at_the_roundoff_floor():
+    # The error estimate reaches the panels' roundoff floor (50 eps int|f|)
+    # above the 1e-14 target; bisecting to the budget's end would cost
+    # 61,080 evaluations without lowering it.
+    sig = make_signal(SignalKind.Lorentzian)
+    wav = make_wavelet(WaveletKind.Morlet, u0=5.0)
+    a = 0.01
+    res = cwt_time(sig, wav, a, 0.0)
+    assert res.status == "roundoff" and res.converged
+    assert res.n_evaluations <= 5000
+    with mp.workdps(30):
+        am = mp.mpf(a)
+        ref = mp.sqrt(am) * mp.quad(
+            lambda s: mp.exp(-5j * s - s * s / 2) / (1 + (am * s) ** 2),
+            mp.linspace(-14, 14, 29),
+        )
+    assert abs(res.value - complex(ref)) <= res.abs_error_estimate
+
+
+# Both routes over every built-in signal x wavelet at three small dilations
+# take 146,550 evaluations; refining panels already at their roundoff floor
+# took 1,089,060.  The ceiling leaves about 20% of headroom.
+_EVALUATION_CEILING = 176_000
+
+
+def test_oracle_evaluation_count_ceiling():
+    wavelets = (make_wavelet(WaveletKind.Morlet, u0=5.0),
+                make_wavelet(WaveletKind.MexicanHat),
+                make_wavelet(WaveletKind.Haar))
+    total = 0
+    for kind in (SignalKind.Lorentzian, SignalKind.TwoSidedExp,
+                 SignalKind.Gaussian):
+        sig = make_signal(kind)
+        for wav in wavelets:
+            for a in (1e-3, 1e-2, 0.1):
+                total += cwt_time(sig, wav, a, 0.5).n_evaluations
+                total += cwt_fourier(sig, wav, a, 0.5).n_evaluations
+    assert total <= _EVALUATION_CEILING
+
+
 def test_scale_must_be_positive():
     sig = make_signal(SignalKind.Lorentzian)
     wav = make_wavelet(WaveletKind.Morlet, u0=5.0)

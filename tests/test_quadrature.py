@@ -4,14 +4,26 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cwtasym.expansion import _time_moment_quadrature
 from cwtasym.quadrature import (
+    _NODES,
+    _WG15,
+    _WK15,
     QuadratureConfig,
     QuadratureError,
     integrate,
     power_exp_cut,
     power_gauss_cut,
     richardson_epsilon,
+    worst_status,
 )
+from cwtasym.wavelets import WaveletKind, make_wavelet
+
+
+def _bisections(res):
+    # every panel costs 15 evaluations and each bisection adds one panel at
+    # the price of two: n_evaluations = 15 * (n_panels + bisections)
+    return res.n_evaluations // 15 - res.n_panels
 
 
 def test_config_validation():
@@ -115,6 +127,58 @@ def test_subdivision_budget_exhaustion_flags_nonconvergence():
         lambda x: np.cos(300.0 * x) * np.cos(7.0 * x), (0.0, 20.0), cfg
     )
     assert not res.converged
+
+
+def test_extension_refines_from_the_remaining_budget():
+    def f(x):
+        # a kink at x = 1 that uses up the budget, and a bump at x = 25 past
+        # the first cut (the envelope does not cover it), so the truncation
+        # extension has to refine
+        return (1e-6 * np.abs(x - 1.0) * np.exp(-x)
+                + 1e-9 * np.exp(-(((x - 25.0) / 0.3) ** 2)))
+
+    cfg = QuadratureConfig(max_subdivisions=5)
+    res = integrate(f, (0.0, np.inf), cfg, envelope=("exp", 1e-6, 1.0))
+    assert _bisections(res) <= cfg.max_subdivisions
+    assert res.status == "budget"
+    assert not res.converged
+
+
+def test_gk15_weights_sum_to_two():
+    assert abs(math.fsum(_WK15) - 2.0) <= 2.0 * math.ulp(2.0)
+    assert abs(math.fsum(_WG15) - 2.0) <= 2.0 * math.ulp(2.0)
+
+
+def test_gk15_polynomial_exactness():
+    # K15 is exact through degree 22, G7 through degree 13, on [-1, 1]
+    assert abs(_NODES ** 22 @ _WK15 - 2.0 / 23.0) < 2e-16
+    assert abs(_NODES ** 12 @ _WG15 - 2.0 / 13.0) < 2e-16
+
+
+def test_mexican_hat_moment_is_exact_to_rounding():
+    # int_0^inf t (1 - t^2) exp(-t^2/2) dt = 1 - 2 = -1
+    wav = make_wavelet(WaveletKind.MexicanHat)
+    value, _ = _time_moment_quadrature(wav, 2.0, False, QuadratureConfig())
+    assert abs(value - (-1.0)) <= 4.0 * math.ulp(1.0)
+
+
+def test_refinement_stops_at_the_roundoff_floor():
+    # the target 1e-13*|I| ~ 1e-18 is far below the summed roundoff floors
+    # 50*eps*int|f| ~ 1.8e-14: every panel reaches its floor first
+    cfg = QuadratureConfig(abs_tol=0.0, rel_tol=1e-13)
+    res = integrate(lambda x: np.exp(-0.5 * x * x) * np.cos(5.0 * x),
+                    (-20.0, 20.0), cfg)
+    exact = math.sqrt(2.0 * math.pi) * math.exp(-12.5)
+    assert res.status == "roundoff"
+    assert _bisections(res) < cfg.max_subdivisions
+    assert abs(res.value - exact) <= res.abs_error_estimate
+
+
+def test_status_of_a_converged_integral_and_ordering():
+    res = integrate(lambda x: np.exp(-x), (0.0, 5.0))
+    assert res.status == "tolerance" and res.converged
+    assert worst_status("tolerance", "roundoff") == "roundoff"
+    assert worst_status("budget", "unsplittable", "tolerance") == "budget"
 
 
 def test_complex_valued_integrand():
