@@ -9,6 +9,15 @@ integral remainder, so the truncated sum plus remainder reproduces the
 transform identically (up to quadrature error), and the remainder can also
 be estimated empirically against the brute-force oracle.
 
+The remainder is a conditionally convergent Mellin-convolution tail when
+the signal transform decays only algebraically (the two-sided exponential).
+``remainder_frequency`` then splits each half-line at a radius past which
+the transform's inverse-power series converges: quadrature below it,
+closed-form incomplete-gamma tails for the Taylor polynomial above it, and
+the wavelet's own tail in closed form (step wavelet) or by quadrature up to
+its Gaussian cut.  Faster-decaying signals take one truncated quadrature per
+half-line.
+
 None of the coefficients or moments depends on the dilation a, so
 ``expansion_plan`` computes them once and ``ExpansionPlan.at`` evaluates the
 expansion at any dilation; the ``expand_*`` functions do both for one a.
@@ -26,19 +35,33 @@ import numpy as np
 
 from .backends import psi_moment_descriptor
 from .mellin import MellinError, mellin_morlet_time, mellin_transform
-from .oracle import cwt_fourier, cwt_time
+from .oracle import (
+    _fourier_side_hints,
+    _gauss_wavelet_cut,
+    _haar_alg_tail,
+    cwt_fourier,
+    cwt_time,
+)
 from .quadrature import (
     QuadratureConfig,
     QuadratureError,
     integrate,
     power_exp_cut,
     power_gauss_cut,
-    richardson_epsilon,
 )
-from .signals import SignalSpec, SignalKind, h_eval, make_h, time_coefficients
+from .signals import (
+    HSpec,
+    SignalKind,
+    SignalSpec,
+    h_eval,
+    make_h,
+    time_coefficients,
+)
+from .specfun import SpecFunError, oscillatory_power_tail
 from .wavelets import (
     WaveletKind,
     WaveletSpec,
+    psi_hat_conj,
     psi_hat_tail,
     small_u_coefficients,
 )
@@ -146,18 +169,122 @@ def _poly_tail_cut(env: tuple, k_const: float, a: float, deg: int, delta: float)
     raise QuadratureError(f"unsupported envelope kind {kind!r} for a direct cut")
 
 
-def _freq_side_hints(wavelet: WaveletSpec, sign: int, a: float, b: float):
-    breakpoints = [_TAIL_CUTOVER / a]
-    if wavelet.kind == WaveletKind.Morlet and sign > 0:
-        u0 = wavelet.u0
-        breakpoints += [(u0 - 3.0) / a, u0 / a, (u0 + 3.0) / a]
-    elif wavelet.kind == WaveletKind.MexicanHat:
-        breakpoints += [math.sqrt(2.0) / a, 3.5 / a]
-    elif wavelet.kind == WaveletKind.Haar:
-        breakpoints += [4.66 / a]
-    osc = abs(b) + (a if wavelet.kind == WaveletKind.Haar else 0.0)
-    period = _TWO_PI / osc if osc > 0.0 else None
-    return breakpoints, period
+def _series_truncation(signal: SignalSpec, weights) -> tuple:
+    """Radius-dependent bound on truncating f_hat's inverse-power series.
+
+    With K = len(tail_coeffs) stored terms and the first nonzero one b_r0,
+    the stored terms fix an apparent convergence radius
+    q = max_r (|b_r|/|b_r0|)^(1/(r - r0)).  Assuming the omitted terms keep
+    |b_r| <= |b_r0| q^(r - r0), past v >= 2q they sum to at most
+    2 |b_r0| q^(K - r0) v^-(K + beta).  ``weights`` lists (w, s) pairs of
+    the powers w * v^s that multiply that error.  Returns q and a function
+    giving the bound on the integral of that product over (R, inf), valid
+    for R >= 2q.
+    """
+    coeffs = signal.tail_coeffs
+    nonzero = [r for r, c in enumerate(coeffs) if c != 0.0]
+    q, omitted = 0.0, 0.0  # an all-zero series (zero amplitude) is exact
+    if nonzero:
+        r0 = nonzero[0]
+        b0 = abs(coeffs[r0])
+        q = max(
+            ((abs(coeffs[r]) / b0) ** (1.0 / (r - r0)) for r in nonzero[1:]),
+            default=0.0,
+        )
+        omitted = 2.0 * b0 * q ** (len(coeffs) - r0)
+    decay = len(coeffs) + signal.tail_beta
+    for _, s in weights:
+        if decay - s - 1.0 <= 0.0:
+            raise MellinError(
+                f"the order-{s} remainder term needs more than the "
+                f"{len(coeffs)} stored tail coefficients of this signal"
+            )
+
+    def bound(radius: float) -> float:
+        return omitted * sum(
+            w * radius ** (s + 1.0 - decay) / (decay - s - 1.0)
+            for w, s in weights
+        )
+
+    return q, bound
+
+
+def _analytic_tail_side(
+    signal: SignalSpec,
+    wavelet: WaveletSpec,
+    h: HSpec,
+    cs: np.ndarray,
+    sign: int,
+    a: float,
+    b: float,
+    radius: float,
+    cfg: QuadratureConfig,
+) -> tuple[complex, float]:
+    """One half-line of the remainder, split at ``radius`` (see the caller).
+
+    Returns the head plus the wavelet tail, by quadrature or in closed form,
+    plus the closed-form polynomial tail, and the error of all three; the
+    series truncation is the caller's to add.
+    """
+    n = cs.size
+    mirror = sign < 0
+    delta = 0.5 * cfg.abs_tol
+
+    def integrand(v):
+        v = np.asarray(v, dtype=float)
+        u = sign * a * v
+        head = v < radius
+        psi = np.empty(v.shape, dtype=complex)
+        psi[head] = psi_hat_tail(wavelet, n, u[head])
+        psi[~head] = psi_hat_conj(wavelet, u[~head])
+        return psi * h_eval(h, v, mirror=mirror)
+
+    breakpoints, period = _fourier_side_hints(wavelet, sign, a, b)
+    breakpoints += [_TAIL_CUTOVER / a, radius]
+    if wavelet.kind == WaveletKind.Haar:
+        hi, tail_bound = radius, 0.0
+        value, err = _haar_alg_tail(
+            signal, sign, a, b, signal.tail_coeffs, radius
+        )
+    else:
+        u_w, t_w = _gauss_wavelet_cut(wavelet, sign, a, signal.sup_freq, delta)
+        hi = max(min(u_w, cfg.truncation_radius), radius)
+        tail_bound = t_w(hi)
+        value, err = 0.0 + 0.0j, 0.0
+    res = integrate(
+        integrand,
+        (0.0, hi),
+        cfg,
+        breakpoints=breakpoints,
+        period_hint=period,
+        tail_bound=tail_bound,
+    )
+    value += res.value
+    err += res.abs_error_estimate
+
+    # -sum_s c_s (sign*a)^s int_radius^inf v^s h(sign*v) dv, with h's tail
+    # e^{i*rate*v} sum_r b_r v^-(r+beta): the products share an exponent
+    # whenever s - r does, so each k = s - r costs one tail integral.
+    rate = sign * (b + signal.rho)
+    by_order: dict = {}
+    for s, c_s in enumerate(cs):
+        if c_s == 0.0:
+            continue
+        weight = c_s * (sign * a) ** s
+        for r, b_r in enumerate(signal.tail_coeffs):
+            if b_r != 0.0:
+                b_r = b_r if sign > 0 else complex(b_r).conjugate()
+                by_order[s - r] = by_order.get(s - r, 0.0) + weight * b_r
+    for k, coef in by_order.items():
+        try:
+            term, term_err = oscillatory_power_tail(
+                k + 1.0 - signal.tail_beta, rate, radius
+            )
+        except SpecFunError as exc:
+            raise MellinError(f"remainder tail term diverges: {exc}") from None
+        value -= coef * term
+        err += abs(coef) * term_err
+    return value, err
 
 
 def remainder_frequency(
@@ -170,76 +297,77 @@ def remainder_frequency(
 ) -> tuple[complex, float]:
     """The exact frequency-domain remainder delta_n(a) and its error estimate.
 
-    Computed after rescaling as sqrt(a) * [int_0^inf psi_tail(a v) h(v) dv +
-    int_0^inf psi_tail(-a v) h(-v) dv]; for signals whose transform decays
-    only algebraically the conditionally convergent integrals are damped and
-    extrapolated to the undamped limit.
+    delta_n(a) = sqrt(a) * sum over sign = +-1 of
+    int_0^inf psi_tail(sign*a*v) h(sign*v) dv, where psi_tail is the wavelet
+    transform less its first n Taylor terms c_s u^s.
+
+    When the signal transform decays faster than algebraically, each
+    half-line is one truncated quadrature.  When it decays algebraically,
+    the integrals converge only in the Abel sense, and each half-line is
+    split at a radius R >= cutover/a past which h's inverse-power series
+    converges:
+
+    * the head, int_0^R psi_tail(sign*a*v) h(sign*v) dv, by quadrature;
+    * the polynomial tail, -sum_s c_s (sign*a)^s int_R^inf v^s h(sign*v) dv,
+      from the series in closed-form oscillatory power integrals;
+    * the wavelet tail, int_R^inf conj(psi_hat)(sign*a*v) h(sign*v) dv, in
+      closed form for the step wavelet and by quadrature up to the oracle's
+      Gaussian cut for the others.
+
+    R is doubled from there until the bound on truncating the series is
+    below half the absolute tolerance; that bound is part of the returned
+    error estimate.
     """
     _check_dilation(a)
     cfg = config if config is not None else QuadratureConfig()
     h = make_h(signal, b)
-    table = small_u_coefficients(wavelet, n)
-    k_const = wavelet.hat_sup + float(np.sum(np.abs(table.coefficients)))
+    cs = small_u_coefficients(wavelet, n).coefficients
     delta = 0.5 * cfg.abs_tol
 
+    if math.isfinite(signal.tail_beta):
+        weights = [(abs(c) * a ** s, s) for s, c in enumerate(cs) if c != 0.0]
+        if wavelet.kind == WaveletKind.Haar:
+            weights.append((4.0 / a, -1))  # |conj(psi_hat)(u)| <= 4/|u|
+        q, truncation = _series_truncation(signal, weights)
+        radius = max(_TAIL_CUTOVER / a, 2.0 * q)
+        while truncation(radius) > delta and radius < cfg.truncation_radius:
+            radius = min(2.0 * radius, cfg.truncation_radius)
+        total, err = 0.0 + 0.0j, 0.0
+        for sign in (1, -1):
+            value, side_err = _analytic_tail_side(
+                signal, wavelet, h, cs, sign, a, b, radius, cfg
+            )
+            total += value
+            err += side_err + truncation(radius)
+        root_a = math.sqrt(a)
+        return root_a * total, root_a * err
+
+    k_const = wavelet.hat_sup + float(np.sum(np.abs(cs)))
+    cut, bound = _poly_tail_cut(signal.freq_envelope, k_const, a, n - 1, delta)
+    cut = min(cut, cfg.truncation_radius)
     total = 0.0 + 0.0j
     err = 0.0
     for sign in (1, -1):
         mirror = sign < 0
 
-        def side_integrand(v, eps=0.0, _mirror=mirror, _sign=sign):
+        def side_integrand(v, _mirror=mirror, _sign=sign):
             v = np.asarray(v, dtype=float)
             return psi_hat_tail(wavelet, n, _sign * a * v) * h_eval(
-                h, v, mirror=_mirror, eps=eps
+                h, v, mirror=_mirror
             )
 
-        breakpoints, period = _freq_side_hints(wavelet, sign, a, b)
-        if math.isfinite(signal.tail_beta):
-            values = []
-            quad_err = 0.0
-            c_env = signal.freq_envelope[1]
-            for k in range(cfg.eps_levels):
-                eps = cfg.eps0 / 2.0 ** k
-                deg = max(n - 1 - signal.tail_beta, 0.0)
-                u1, b1 = power_exp_cut(c_env * k_const, 0.0, eps, delta)
-                u2, b2 = power_exp_cut(
-                    c_env * k_const * a ** (n - 1), deg, eps, delta
-                )
-                cut, bound = max(u1, u2), b1 + b2
-                cut = min(cut, cfg.truncation_radius)
-                res = integrate(
-                    lambda v, _e=eps: side_integrand(v, eps=_e),
-                    (0.0, cut),
-                    cfg,
-                    breakpoints=breakpoints,
-                    period_hint=period,
-                    tail_bound=bound,
-                )
-                values.append(res.value)
-                quad_err = max(quad_err, res.abs_error_estimate)
-            try:
-                limit, corrections = richardson_epsilon(
-                    values, noise_floor=100.0 * quad_err
-                )
-            except QuadratureError as exc:
-                raise MellinError(str(exc)) from None
-            total += limit
-            err += (corrections[-1] if corrections else 0.0) + 3.0 * quad_err
-        else:
-            cut, bound = _poly_tail_cut(
-                signal.freq_envelope, k_const, a, n - 1, delta
-            )
-            cut = min(cut, cfg.truncation_radius)
-            res = integrate(
-                side_integrand,
-                (0.0, cut),
-                cfg,
-                breakpoints=breakpoints,
-                period_hint=period,
-                tail_bound=bound,
-            )
-            total += res.value
-            err += res.abs_error_estimate
+        breakpoints, period = _fourier_side_hints(wavelet, sign, a, b)
+        breakpoints.append(_TAIL_CUTOVER / a)
+        res = integrate(
+            side_integrand,
+            (0.0, cut),
+            cfg,
+            breakpoints=breakpoints,
+            period_hint=period,
+            tail_bound=bound,
+        )
+        total += res.value
+        err += res.abs_error_estimate
     root_a = math.sqrt(a)
     return root_a * total, root_a * err
 
@@ -403,9 +531,9 @@ def _remainder_time(
         if wavelet.time_support is not None:
             if sign < 0:
                 continue  # wavelet support lies on s >= 0
-            breakpoints = [0.5]
-            if 0.0 < cutover / a < 1.0:
-                breakpoints.append(cutover / a)
+            # integrate drops the breakpoints that fall outside (0, 1)
+            breakpoints = [0.5, cutover / a]
+            breakpoints += [(k - b) / a for k in signal.kinks]
             res = integrate(
                 side, (0.0, wavelet.time_support[1]), cfg, breakpoints=breakpoints
             )

@@ -111,6 +111,79 @@ def _gauss_cut_width(c_over_delta: float) -> float:
     return max(w, 1.0)
 
 
+def _fourier_side_hints(wavelet: WaveletSpec, sign: int, a: float, b: float):
+    """Panel breakpoints and oscillation period for one half-line integrand.
+
+    The breakpoints sit at the features of the wavelet transform at sign*a*w
+    (the modulated Gaussian's peak and its +-3 flanks, the Mexican hat's
+    inflection and decay points, the step wavelet's first lobe); the period
+    is that of e^{i*sign*b*w}, plus the step wavelet's own phase rate a.
+    Callers add their own extra breakpoints to the returned list.
+    """
+    breakpoints = []
+    if wavelet.kind == WaveletKind.Morlet and sign > 0:
+        u0 = wavelet.u0
+        breakpoints += [(u0 - 3.0) / a, u0 / a, (u0 + 3.0) / a]
+    elif wavelet.kind == WaveletKind.MexicanHat:
+        breakpoints += [math.sqrt(2.0) / a, 3.5 / a]
+    elif wavelet.kind == WaveletKind.Haar:
+        breakpoints += [4.66 / a]
+    osc = abs(b) + (a if wavelet.kind == WaveletKind.Haar else 0.0)
+    period = _TWO_PI / osc if osc > 0.0 else None
+    return breakpoints, period
+
+
+def _gauss_wavelet_cut(
+    wavelet: WaveletSpec, sign: int, a: float, sup_freq: float, delta: float
+):
+    """Cut radius for a Gaussian-decaying wavelet transform, and its tail bound.
+
+    For the modulated Gaussian and the Mexican hat, returns the radius past
+    which conj(psi_hat)(sign*a*w), against a signal transform bounded by
+    ``sup_freq``, leaves about ``delta`` of the half-line integral, and a
+    function giving the bound on that integral beyond any radius (infinite
+    where the Gaussian bound does not yet apply).
+    """
+    ratio = _SQRT_2PI * sup_freq / (a * delta)
+    if wavelet.kind == WaveletKind.Morlet:
+        u0 = wavelet.u0
+        w = _gauss_cut_width(ratio)
+        if sign > 0:
+            u_w = (u0 + w) / a
+        else:
+            u_w = max((w - u0) / a, 0.3 / a)
+
+        def t_w(u):
+            arg = a * u - u0 if sign > 0 else a * u + u0
+            if arg <= 0.5:
+                return math.inf
+            return (
+                sup_freq
+                * (_SQRT_2PI / a)
+                * math.exp(-0.5 * arg * arg)
+                / arg
+            )
+
+        return u_w, t_w
+    if wavelet.kind == WaveletKind.MexicanHat:
+        w = _gauss_cut_width(ratio) + 2.0
+        u_w = w / a
+
+        def t_w(u):
+            v = a * u
+            if v <= 0.5:
+                return math.inf
+            return (
+                sup_freq
+                * (_SQRT_2PI / a)
+                * (v + 1.0 / v)
+                * math.exp(-0.5 * v * v)
+            )
+
+        return u_w, t_w
+    raise ValueError(f"the {wavelet.kind.value!r} transform has no Gaussian cut")
+
+
 def _fourier_side(
     signal: SignalSpec,
     wavelet: WaveletSpec,
@@ -152,60 +225,18 @@ def _fourier_side(
     u_f = _cut_radius(env_f, delta, cfg.truncation_radius)
     candidates.append((u_f, t_f))
 
-    if wavelet.kind == WaveletKind.Morlet:
-        u0 = wavelet.u0
-        ratio = _SQRT_2PI * signal.sup_freq / (a * delta)
-        w = _gauss_cut_width(ratio)
-        if sign > 0:
-            u_w = (u0 + w) / a
-        else:
-            u_w = max((w - u0) / a, 0.3 / a)
-
-        def t_w(u):
-            arg = a * u - u0 if sign > 0 else a * u + u0
-            if arg <= 0.5:
-                return math.inf
-            return (
-                signal.sup_freq
-                * (_SQRT_2PI / a)
-                * math.exp(-0.5 * arg * arg)
-                / arg
-            )
-
-        candidates.append((u_w, t_w))
-    elif wavelet.kind == WaveletKind.MexicanHat:
-        ratio = _SQRT_2PI * signal.sup_freq / (a * delta)
-        w = _gauss_cut_width(ratio) + 2.0
-        u_w = w / a
-
-        def t_w(u):
-            v = a * u
-            if v <= 0.5:
-                return math.inf
-            return (
-                signal.sup_freq
-                * (_SQRT_2PI / a)
-                * (v + 1.0 / v)
-                * math.exp(-0.5 * v * v)
-            )
-
-        candidates.append((u_w, t_w))
+    if wavelet.kind != WaveletKind.Haar:
+        candidates.append(
+            _gauss_wavelet_cut(wavelet, sign, a, signal.sup_freq, delta)
+        )
 
     cut = min(c[0] for c in candidates)
     cut = min(cut, cfg.truncation_radius)
     tail = min(t(cut) for _, t in candidates)
 
-    breakpoints = []
-    if wavelet.kind == WaveletKind.Morlet and sign > 0:
-        u0 = wavelet.u0
-        breakpoints += [(u0 - 3.0) / a, u0 / a, (u0 + 3.0) / a]
-    elif wavelet.kind == WaveletKind.MexicanHat:
-        breakpoints += [0.5 / a, math.sqrt(2.0) / a, 3.5 / a]
-    elif wavelet.kind == WaveletKind.Haar:
-        breakpoints += [4.66 / a]
-
-    osc = abs(b) + (a if wavelet.kind == WaveletKind.Haar else 0.0)
-    period = _TWO_PI / osc if osc > 0.0 else None
+    breakpoints, period = _fourier_side_hints(wavelet, sign, a, b)
+    if wavelet.kind == WaveletKind.MexicanHat:
+        breakpoints.append(0.5 / a)
 
     return integrate(
         integrand,
@@ -215,6 +246,35 @@ def _fourier_side(
         period_hint=period,
         tail_bound=tail,
     )
+
+
+def _haar_alg_tail(
+    signal: SignalSpec, sign: int, a: float, b: float, coeffs, radius: float
+) -> tuple[complex, float]:
+    """int_radius^inf conj(psi_hat)(sign*a*w) e^{i*sign*b*w} f_hat(sign*w) dw.
+
+    The step wavelet's transform is (i/u)(1 - 2 e^{iu/2} + e^{iu}): three pure
+    phases over u.  Against the inverse-power series of the signal transform
+    (``coeffs``, the first terms of ``signal.tail_coeffs``) every product is
+    a closed-form oscillatory power integral.  Returns the value and the
+    error of those integrals; the error of truncating the series is the
+    caller's to bound.
+    """
+    beta = signal.tail_beta
+    rho = signal.rho
+    tail_val = 0.0 + 0.0j
+    tail_err = 0.0
+    for r, b_r in enumerate(coeffs):
+        if b_r == 0.0:
+            continue
+        c_r = b_r if sign > 0 else complex(b_r).conjugate()
+        for amp, mu in ((1.0, 0.0), (-2.0, 0.5), (1.0, 1.0)):
+            phase_rate = sign * (b + rho + mu * a)
+            coef = 1j * c_r * amp / (sign * a)
+            term, err = oscillatory_power_tail(-(r + beta), phase_rate, radius)
+            tail_val += coef * term
+            tail_err += abs(coef) * err
+    return tail_val, tail_err
 
 
 def _fourier_side_alg_tail(
@@ -234,27 +294,14 @@ def _fourier_side_alg_tail(
     """
     cut = _ALG_TAIL_RADIUS
     beta = signal.tail_beta
-    rho = signal.rho
     coeffs = signal.tail_coeffs[:_ALG_TAIL_TERMS]
 
-    osc = abs(b) + a
-    period = _TWO_PI / osc if osc > 0.0 else None
+    breakpoints, period = _fourier_side_hints(wavelet, sign, a, b)
     head = integrate(
-        integrand, (0.0, cut), cfg, breakpoints=[4.66 / a], period_hint=period
+        integrand, (0.0, cut), cfg, breakpoints=breakpoints, period_hint=period
     )
 
-    tail_val = 0.0 + 0.0j
-    tail_err = 0.0
-    for r, b_r in enumerate(coeffs):
-        if b_r == 0.0:
-            continue
-        c_r = b_r if sign > 0 else complex(b_r).conjugate()
-        for amp, mu in ((1.0, 0.0), (-2.0, 0.5), (1.0, 1.0)):
-            phase_rate = sign * (b + rho + mu * a)
-            coef = 1j * c_r * amp / (sign * a)
-            term, err = oscillatory_power_tail(-(r + beta), phase_rate, cut)
-            tail_val += coef * term
-            tail_err += abs(coef) * err
+    tail_val, tail_err = _haar_alg_tail(signal, sign, a, b, coeffs, cut)
     # Truncating the inverse-power expansion of the signal transform: the
     # first omitted order bounds the series remainder.
     r_cut = len(coeffs)

@@ -21,10 +21,15 @@ from cwtasym.expansion import (
     mirror_sign,
 )
 from cwtasym.mellin import MellinMethod, mellin_transform
-from cwtasym.oracle import cwt_fourier, cwt_time
-from cwtasym.quadrature import QuadratureConfig
+from cwtasym.oracle import _haar_alg_tail, cwt_fourier, cwt_time
+from cwtasym.quadrature import QuadratureConfig, integrate
 from cwtasym.signals import SignalKind, make_h, make_signal, time_coefficients
-from cwtasym.wavelets import WaveletKind, make_wavelet, small_u_coefficients
+from cwtasym.wavelets import (
+    WaveletKind,
+    make_wavelet,
+    psi_hat_conj,
+    small_u_coefficients,
+)
 
 
 def test_mirror_sign_integer_orders():
@@ -85,6 +90,69 @@ def test_frequency_remainder_reconstructs_transform(kind, wav_kind, u0, a, b, n)
         + orc.abs_error_estimate
     )
     assert diff <= budget
+
+
+@pytest.mark.parametrize("b", [0.05, -1.3, 1.95])
+@pytest.mark.parametrize("wav_kind", list(WaveletKind))
+def test_algebraic_tail_remainder_within_budget(wav_kind, b):
+    """The two-sided exponential's transform decays like 1/v^2, so its
+    remainder takes the analytic-tail split; at b = 0.05 the damped epsilon
+    ladder it replaced raised "unstable" for several of these."""
+    sig = make_signal(SignalKind.TwoSidedExp)
+    wav = make_wavelet(wav_kind)
+    plan = expansion_plan(sig, wav, b, 3)
+    for a in (0.01, 0.3):
+        res = plan.at(a, "integral_m0")
+        orc = cwt_fourier(sig, wav, a, b)
+        budget = (
+            res.abs_error_estimate
+            + res.remainder_scale * res.remainder_error_estimate
+            + orc.abs_error_estimate
+        )
+        assert abs(res.prediction - orc.value) <= budget, a
+        # every piece is bounded: no infinite or loose tail estimate
+        assert budget < 1e-10, a
+
+
+def test_algebraic_tail_remainder_evaluation_ceiling(monkeypatch):
+    """Morlet at a = 0.01, b = 1.95 took 87,705 evaluations with the damped
+    epsilon ladder; the split takes 16,200."""
+    import cwtasym.expansion as expansion
+
+    spent = []
+
+    def counting(*args, **kwargs):
+        res = integrate(*args, **kwargs)
+        spent.append(res.n_evaluations)
+        return res
+
+    monkeypatch.setattr(expansion, "integrate", counting)
+    expand_frequency(make_signal(SignalKind.TwoSidedExp),
+                     make_wavelet(WaveletKind.Morlet, u0=5.0), 0.01, 1.95, 2,
+                     remainder="integral_m0")
+    assert 0 < sum(spent) <= 25_000
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_haar_closed_form_tail_matches_quadrature(sign):
+    """The step wavelet's three phases against the signal's inverse-power
+    series, taken in closed form from two radii, differ by the integral
+    between them, which quadrature of the exact integrand gives directly."""
+    sig = make_signal(SignalKind.TwoSidedExp)
+    wav = make_wavelet(WaveletKind.Haar)
+    a, b, near, far = 0.1, 0.7, 40.0, 400.0
+    v_near, e_near = _haar_alg_tail(sig, sign, a, b, sig.tail_coeffs, near)
+    v_far, e_far = _haar_alg_tail(sig, sign, a, b, sig.tail_coeffs, far)
+
+    def integrand(v):
+        return (psi_hat_conj(wav, sign * a * v)
+                * np.exp(1j * sign * b * v) * sig.f_freq(sign * v))
+
+    res = integrate(integrand, (near, far), period_hint=2.0 * math.pi / b)
+    # the series omits 2 v^-14 / (1 + v^-2) past v = 40: below 1e-24 here
+    assert abs((v_near - v_far) - res.value) <= (
+        e_near + e_far + res.abs_error_estimate)
+    assert abs(v_near - v_far) > 1e-4
 
 
 def test_time_remainder_reconstructs_transform():
