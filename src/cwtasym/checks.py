@@ -234,6 +234,8 @@ def _check_remainder_identity():
     morlet = make_wavelet(WaveletKind.Morlet, u0=5.0)
     # The two-sided exponential's transform decays only algebraically, so its
     # remainder takes the analytic-tail split rather than one quadrature.
+    # That split shares its tail engine with cwt_fourier, so those cases are
+    # also held against cwt_time, which shares nothing with either.
     cases = [
         (SignalKind.Lorentzian, morlet, 0.5, 0.0),
         (SignalKind.Lorentzian, morlet, 0.1, 0.0),
@@ -246,17 +248,24 @@ def _check_remainder_identity():
         sig = make_signal(kind)
         res = expand_frequency(sig, wav, a, b, 3, remainder="integral_m0", config=cfg)
         oracle = cwt_fourier(sig, wav, a, b, cfg)
-        diff = abs(oracle.value - res.prediction)
-        budget = (
+        own = (
             res.abs_error_estimate
             + res.remainder_scale * res.remainder_error_estimate
-            + oracle.abs_error_estimate
         )
+        diff = abs(oracle.value - res.prediction)
+        budget = own + oracle.abs_error_estimate
         ok = ok and diff <= budget
-        lines.append(
+        line = (
             f"{kind.value} x {wav.kind.value} a={a} b={b}: "
             f"|oracle - reconstruction| = {diff:.3e} <= {budget:.3e}"
         )
+        if math.isfinite(sig.tail_beta):
+            timed = cwt_time(sig, wav, a, b, cfg)
+            diff = abs(timed.value - res.prediction)
+            budget = own + timed.abs_error_estimate
+            ok = ok and diff <= budget
+            line += f", |time - reconstruction| = {diff:.3e} <= {budget:.3e}"
+        lines.append(line)
     return ok, "; ".join(lines)
 
 

@@ -134,7 +134,7 @@ def _build_signal(rc: RunConfig):
     kind = SignalKind(rc.signal)
     base = make_signal(kind)
     if rc.amplitude != 1.0 or rc.time_scale != 1.0:
-        return custom_signal(base, amplitude=rc.amplitude, time_scale=rc.time_scale)
+        return custom_signal(kind, amplitude=rc.amplitude, time_scale=rc.time_scale)
     return base
 
 

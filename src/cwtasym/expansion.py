@@ -14,9 +14,9 @@ the signal transform decays only algebraically (the two-sided exponential).
 ``remainder_frequency`` then splits each half-line at a radius past which
 the transform's inverse-power series converges: quadrature below it,
 closed-form incomplete-gamma tails for the Taylor polynomial above it, and
-the wavelet's own tail in closed form (step wavelet) or by quadrature up to
-its Gaussian cut.  Faster-decaying signals take one truncated quadrature per
-half-line.
+the wavelet's own tail from the oracle's analytic-tail engine, the same one
+``cwt_fourier`` uses.  Faster-decaying signals take one truncated quadrature
+per half-line.
 
 None of the coefficients or moments depends on the dilation a, so
 ``expansion_plan`` computes them once and ``ExpansionPlan.at`` evaluates the
@@ -36,9 +36,10 @@ import numpy as np
 from .backends import psi_moment_descriptor
 from .mellin import MellinError, mellin_morlet_time, mellin_transform
 from .oracle import (
+    _alg_tail,
     _fourier_side_hints,
-    _gauss_wavelet_cut,
-    _haar_alg_tail,
+    _side_coeffs,
+    _split_radius,
     cwt_fourier,
     cwt_time,
 )
@@ -61,7 +62,6 @@ from .specfun import SpecFunError, oscillatory_power_tail
 from .wavelets import (
     WaveletKind,
     WaveletSpec,
-    psi_hat_conj,
     psi_hat_tail,
     small_u_coefficients,
 )
@@ -169,46 +169,6 @@ def _poly_tail_cut(env: tuple, k_const: float, a: float, deg: int, delta: float)
     raise QuadratureError(f"unsupported envelope kind {kind!r} for a direct cut")
 
 
-def _series_truncation(signal: SignalSpec, weights) -> tuple:
-    """Radius-dependent bound on truncating f_hat's inverse-power series.
-
-    With K = len(tail_coeffs) stored terms and the first nonzero one b_r0,
-    the stored terms fix an apparent convergence radius
-    q = max_r (|b_r|/|b_r0|)^(1/(r - r0)).  Assuming the omitted terms keep
-    |b_r| <= |b_r0| q^(r - r0), past v >= 2q they sum to at most
-    2 |b_r0| q^(K - r0) v^-(K + beta).  ``weights`` lists (w, s) pairs of
-    the powers w * v^s that multiply that error.  Returns q and a function
-    giving the bound on the integral of that product over (R, inf), valid
-    for R >= 2q.
-    """
-    coeffs = signal.tail_coeffs
-    nonzero = [r for r, c in enumerate(coeffs) if c != 0.0]
-    q, omitted = 0.0, 0.0  # an all-zero series (zero amplitude) is exact
-    if nonzero:
-        r0 = nonzero[0]
-        b0 = abs(coeffs[r0])
-        q = max(
-            ((abs(coeffs[r]) / b0) ** (1.0 / (r - r0)) for r in nonzero[1:]),
-            default=0.0,
-        )
-        omitted = 2.0 * b0 * q ** (len(coeffs) - r0)
-    decay = len(coeffs) + signal.tail_beta
-    for _, s in weights:
-        if decay - s - 1.0 <= 0.0:
-            raise MellinError(
-                f"the order-{s} remainder term needs more than the "
-                f"{len(coeffs)} stored tail coefficients of this signal"
-            )
-
-    def bound(radius: float) -> float:
-        return omitted * sum(
-            w * radius ** (s + 1.0 - decay) / (decay - s - 1.0)
-            for w, s in weights
-        )
-
-    return q, bound
-
-
 def _analytic_tail_side(
     signal: SignalSpec,
     wavelet: WaveletSpec,
@@ -222,58 +182,42 @@ def _analytic_tail_side(
 ) -> tuple[complex, float]:
     """One half-line of the remainder, split at ``radius`` (see the caller).
 
-    Returns the head plus the wavelet tail, by quadrature or in closed form,
-    plus the closed-form polynomial tail, and the error of all three; the
-    series truncation is the caller's to add.
+    Returns the head by quadrature, plus the wavelet tail from the oracle's
+    analytic-tail engine, plus the closed-form polynomial tail, and the
+    error of all three; the series truncation is the caller's to add.
     """
     n = cs.size
     mirror = sign < 0
-    delta = 0.5 * cfg.abs_tol
 
     def integrand(v):
         v = np.asarray(v, dtype=float)
-        u = sign * a * v
-        head = v < radius
-        psi = np.empty(v.shape, dtype=complex)
-        psi[head] = psi_hat_tail(wavelet, n, u[head])
-        psi[~head] = psi_hat_conj(wavelet, u[~head])
-        return psi * h_eval(h, v, mirror=mirror)
+        return psi_hat_tail(wavelet, n, sign * a * v) * h_eval(h, v, mirror=mirror)
 
     breakpoints, period = _fourier_side_hints(wavelet, sign, a, b)
-    breakpoints += [_TAIL_CUTOVER / a, radius]
-    if wavelet.kind == WaveletKind.Haar:
-        hi, tail_bound = radius, 0.0
-        value, err = _haar_alg_tail(
-            signal, sign, a, b, signal.tail_coeffs, radius
-        )
-    else:
-        u_w, t_w = _gauss_wavelet_cut(wavelet, sign, a, signal.sup_freq, delta)
-        hi = max(min(u_w, cfg.truncation_radius), radius)
-        tail_bound = t_w(hi)
-        value, err = 0.0 + 0.0j, 0.0
+    breakpoints.append(_TAIL_CUTOVER / a)
     res = integrate(
         integrand,
-        (0.0, hi),
+        (0.0, radius),
         cfg,
         breakpoints=breakpoints,
         period_hint=period,
-        tail_bound=tail_bound,
     )
-    value += res.value
-    err += res.abs_error_estimate
+    tail = _alg_tail(signal, wavelet, sign, a, b, radius, cfg)
+    value = res.value + tail.value
+    err = res.abs_error_estimate + tail.abs_error_estimate
 
     # -sum_s c_s (sign*a)^s int_radius^inf v^s h(sign*v) dv, with h's tail
     # e^{i*rate*v} sum_r b_r v^-(r+beta): the products share an exponent
     # whenever s - r does, so each k = s - r costs one tail integral.
     rate = sign * (b + signal.rho)
+    side_coeffs = _side_coeffs(signal, sign)
     by_order: dict = {}
     for s, c_s in enumerate(cs):
         if c_s == 0.0:
             continue
         weight = c_s * (sign * a) ** s
-        for r, b_r in enumerate(signal.tail_coeffs):
+        for r, b_r in enumerate(side_coeffs):
             if b_r != 0.0:
-                b_r = b_r if sign > 0 else complex(b_r).conjugate()
                 by_order[s - r] = by_order.get(s - r, 0.0) + weight * b_r
     for k, coef in by_order.items():
         try:
@@ -310,13 +254,14 @@ def remainder_frequency(
     * the head, int_0^R psi_tail(sign*a*v) h(sign*v) dv, by quadrature;
     * the polynomial tail, -sum_s c_s (sign*a)^s int_R^inf v^s h(sign*v) dv,
       from the series in closed-form oscillatory power integrals;
-    * the wavelet tail, int_R^inf conj(psi_hat)(sign*a*v) h(sign*v) dv, in
-      closed form for the step wavelet and by quadrature up to the oracle's
-      Gaussian cut for the others.
+    * the wavelet tail, int_R^inf conj(psi_hat)(sign*a*v) h(sign*v) dv,
+      from the series by the oracle's analytic-tail engine
+      (``oracle._alg_tail``): closed form for the step wavelet, a
+      steepest-descent ray for the Gaussian ones.
 
-    R is doubled from there until the bound on truncating the series is
-    below half the absolute tolerance; that bound is part of the returned
-    error estimate.
+    R is doubled from there until the bound on truncating the series (in
+    both tails) is below half the absolute tolerance; that bound is part of
+    the returned error estimate.
     """
     _check_dilation(a)
     cfg = config if config is not None else QuadratureConfig()
@@ -326,19 +271,15 @@ def remainder_frequency(
 
     if math.isfinite(signal.tail_beta):
         weights = [(abs(c) * a ** s, s) for s, c in enumerate(cs) if c != 0.0]
-        if wavelet.kind == WaveletKind.Haar:
-            weights.append((4.0 / a, -1))  # |conj(psi_hat)(u)| <= 4/|u|
-        q, truncation = _series_truncation(signal, weights)
-        radius = max(_TAIL_CUTOVER / a, 2.0 * q)
-        while truncation(radius) > delta and radius < cfg.truncation_radius:
-            radius = min(2.0 * radius, cfg.truncation_radius)
+        weights.append((wavelet.hat_sup, 0))  # the wavelet tail's series
+        radius, truncation = _split_radius(signal, weights, _TAIL_CUTOVER / a, cfg)
         total, err = 0.0 + 0.0j, 0.0
         for sign in (1, -1):
             value, side_err = _analytic_tail_side(
                 signal, wavelet, h, cs, sign, a, b, radius, cfg
             )
             total += value
-            err += side_err + truncation(radius)
+            err += side_err + truncation
         root_a = math.sqrt(a)
         return root_a * total, root_a * err
 

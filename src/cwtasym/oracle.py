@@ -4,28 +4,63 @@
 domain; ``cwt_fourier`` integrates the product of Fourier transforms over
 each half-line.  The two share no analytic ingredients beyond the transform
 pair definitions, so their agreement is a meaningful cross-check.
+
+When the signal transform decays only algebraically, f_hat(w) ~ e^{i rho w}
+sum_r b_r w^-(r + beta), each half-line is split at a radius R that starts
+at max(16, 2q) (q the series' apparent convergence radius) and doubles until
+the bound on truncating the series, valid for |w| >= 2q, is below half the
+absolute tolerance (``_split_radius``).  [0, R] is quadrature of the exact
+integrand; above R the analytic-tail engine ``_alg_tail`` integrates the
+series against the wavelet:
+
+* the step wavelet's tail is closed form, one incomplete Gamma per phase;
+* the Gaussian wavelets' tail e^{i rate w} series(w) conj(psi_hat)(+-a w),
+  rate = +-(b + rho), is analytic for Re w >= R >= 2q, which keeps the
+  poles of f_hat (|w| <= q) outside, so the path moves onto the
+  steepest-descent ray w = R + i sgn(rate) y and stops at the least height
+  whose closing horizontal line is bounded by a quarter of the absolute
+  tolerance (that bound is at most about e^{-rate^2/(2a^2)}, at height
+  |rate|/a^2).  Where no height meets it (|b + rho| of order a or less),
+  the series is integrated along the real axis up to the Gaussian cut
+  instead; where that cut is below R the side is one quadrature of the
+  exact integrand up to the cut.
+
+The truncation bound, the horizontal-line bound and every quadrature's
+estimate are added to the side's error estimate, and the quadratures'
+counts and worst status are carried into its result.  The frequency-domain
+remainder (``expansion.remainder_frequency``) uses the same split and engine.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Optional
 
 import numpy as np
 
 from .backends import cwt_fourier_descriptor, cwt_time_descriptor
-from .quadrature import QuadratureConfig, QuadratureResult, integrate, worst_status
+from .quadrature import (
+    QuadratureConfig,
+    QuadratureError,
+    QuadratureResult,
+    _cut_radius,
+    _envelope_tail_bound,
+    integrate,
+    worst_status,
+)
 from .signals import SignalSpec, f_hat
-from .specfun import oscillatory_power_tail
+from .specfun import oscillatory_power_tails
 from .wavelets import WaveletKind, WaveletSpec, psi_hat_conj
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
 
-# Radius and series depth for the analytic tail used when both the signal
-# transform and the wavelet transform decay only algebraically.
-_ALG_TAIL_RADIUS = 25.0
-_ALG_TAIL_TERMS = 10
+# Least split radius for signals whose transform decays algebraically.  The
+# step wavelet's three closed-form phases cancel to about (aR)^2 of their
+# size, so at small a their rounding sets the error: at a = 2e-3 it is
+# 1.5e-13 from R = 1 and 3e-16 from R = 16, past the tolerance at R = 1.
+_SPLIT_START = 16.0
 
 
 def _psi_time_conj(wavelet: WaveletSpec, s: np.ndarray) -> np.ndarray:
@@ -184,6 +219,238 @@ def _gauss_wavelet_cut(
     raise ValueError(f"the {wavelet.kind.value!r} transform has no Gaussian cut")
 
 
+def _series_truncation(signal: SignalSpec, weights) -> tuple:
+    """Radius-dependent bound on truncating f_hat's inverse-power series.
+
+    With K = len(tail_coeffs) stored terms and the first nonzero one b_r0,
+    the stored terms fix an apparent convergence radius
+    q = max_r (|b_r|/|b_r0|)^(1/(r - r0)).  Assuming the omitted terms keep
+    |b_r| <= |b_r0| q^(r - r0), past |v| >= 2q (complex v too) they sum to
+    at most 2 |b_r0| q^(K - r0) |v|^-(K + beta).  ``weights`` lists (w, s)
+    pairs of the powers w * v^s that multiply that error.  Returns q and a
+    function giving the bound on the integral of that product over
+    (R, inf), valid for R >= 2q.
+    """
+    coeffs = signal.tail_coeffs
+    nonzero = [r for r, c in enumerate(coeffs) if c != 0.0]
+    q, omitted = 0.0, 0.0  # an all-zero series (zero amplitude) is exact
+    if nonzero:
+        r0 = nonzero[0]
+        b0 = abs(coeffs[r0])
+        q = max(
+            ((abs(coeffs[r]) / b0) ** (1.0 / (r - r0)) for r in nonzero[1:]),
+            default=0.0,
+        )
+        omitted = 2.0 * b0 * q ** (len(coeffs) - r0)
+    decay = len(coeffs) + signal.tail_beta
+    for _, s in weights:
+        if decay - s - 1.0 <= 0.0:
+            raise QuadratureError(
+                f"a tail term of order {s} needs more than the "
+                f"{len(coeffs)} stored tail coefficients of this signal"
+            )
+
+    def bound(radius: float) -> float:
+        return omitted * sum(
+            w * radius ** (s + 1.0 - decay) / (decay - s - 1.0)
+            for w, s in weights
+        )
+
+    return q, bound
+
+
+def _split_radius(
+    signal: SignalSpec, weights, start: float, cfg: QuadratureConfig
+) -> tuple[float, float]:
+    """Radius past which f_hat is replaced by its inverse-power series.
+
+    Starts at max(start, 2q) (see ``_series_truncation``) and doubles until
+    the truncation bound for ``weights`` is below half the absolute
+    tolerance or the radius reaches the truncation cap.  Returns the radius
+    and that bound.
+    """
+    q, truncation = _series_truncation(signal, weights)
+    radius = max(start, 2.0 * q)
+    while truncation(radius) > 0.5 * cfg.abs_tol and radius < cfg.truncation_radius:
+        radius = min(2.0 * radius, cfg.truncation_radius)
+    return radius, truncation(radius)
+
+
+def _side_coeffs(signal: SignalSpec, sign: int) -> list:
+    """The tail series of f_hat(sign*v), v > 0 (conjugated on the mirror side)."""
+    if sign > 0:
+        return list(signal.tail_coeffs)
+    return [complex(c).conjugate() for c in signal.tail_coeffs]
+
+
+def _tail_series(coeffs, beta: float, w: np.ndarray) -> np.ndarray:
+    """sum_r coeffs[r] * w^-(r + beta) by Horner in 1/w (principal branch)."""
+    z = 1.0 / w
+    acc = np.zeros(w.shape, dtype=complex)
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc * np.exp(-beta * np.log(w))
+
+
+def _result(value, err, parts) -> QuadratureResult:
+    """A result made of ``parts``: the caller's value and error estimate,
+    the parts' summed counts, joint convergence and worst status."""
+    return QuadratureResult(
+        value=value,
+        abs_error_estimate=err,
+        n_evaluations=sum(p.n_evaluations for p in parts),
+        n_panels=sum(p.n_panels for p in parts),
+        converged=all(p.converged for p in parts),
+        status=worst_status("tolerance", *(p.status for p in parts)),
+    )
+
+
+def _haar_alg_tail(
+    signal: SignalSpec, sign: int, a: float, b: float, radius: float
+) -> tuple[complex, float]:
+    """int_radius^inf conj(psi_hat)(sign*a*w) e^{i*sign*b*w} f_hat(sign*w) dw.
+
+    The step wavelet's transform is (i/u)(1 - 2 e^{iu/2} + e^{iu}): three pure
+    phases over u.  Against the inverse-power series of the signal transform
+    (``signal.tail_coeffs``) every product is a closed-form oscillatory
+    power integral; the orders of one phase differ by integers, so each
+    phase takes one incomplete Gamma.  Returns the value and the error of
+    those integrals; the error of truncating the series is the caller's to
+    bound.
+    """
+    beta = signal.tail_beta
+    rho = signal.rho
+    cs = _side_coeffs(signal, sign)
+    tail_val = 0.0 + 0.0j
+    tail_err = 0.0
+    for amp, mu in ((1.0, 0.0), (-2.0, 0.5), (1.0, 1.0)):
+        phase_rate = sign * (b + rho + mu * a)
+        terms = oscillatory_power_tails(-beta, len(cs), phase_rate, radius)
+        for c_r, (term, err) in zip(cs, terms):
+            if c_r == 0.0:
+                continue
+            coef = 1j * c_r * amp / (sign * a)
+            tail_val += coef * term
+            tail_err += abs(coef) * err
+    return tail_val, tail_err
+
+
+def _ray_height(
+    wavelet: WaveletSpec, a: float, rate: float, size: float, delta: float
+) -> Optional[tuple[float, float]]:
+    """Height y of the ray w = R + i*sgn(rate)*y at which to close the contour.
+
+    The integral along the horizontal line Im w = sgn(rate)*y, Re w >= R,
+    is at most C * size * e^{a^2 y^2/2 - |rate| y}: ``size`` bounds the
+    series there, e^{-|rate| y} is the phase factor, and C e^{a^2 y^2/2}
+    bounds the line integral of the wavelet, C = 2 pi/a (modulated
+    Gaussian) or pi (1/a + a Y^2) (Mexican hat), for y up to
+    Y = |rate|/a^2, where the bound is least.  Returns the least y whose
+    bound is ``delta`` (0 if it already is at y = 0) and that bound, or
+    None if no y <= Y reaches it: there the ray cannot pay.
+    """
+    if wavelet.kind == WaveletKind.Morlet:
+        c_line = _TWO_PI / a
+    else:
+        c_line = math.pi * (1.0 / a + rate * rate / (a * a * a))
+    if c_line * size <= delta:
+        return 0.0, c_line * size
+    log_ratio = math.log(c_line * size / delta)
+    disc = rate * rate - 2.0 * a * a * log_ratio
+    if disc < 0.0:
+        return None
+    # Smaller root of a^2 y^2/2 - |rate| y + log_ratio, without cancellation.
+    height = 2.0 * log_ratio / (abs(rate) + math.sqrt(disc))
+    bound = c_line * size * math.exp(a * a * height * height / 2.0 - abs(rate) * height)
+    return height, bound
+
+
+def _alg_tail(
+    signal: SignalSpec,
+    wavelet: WaveletSpec,
+    sign: int,
+    a: float,
+    b: float,
+    radius: float,
+    cfg: QuadratureConfig,
+) -> QuadratureResult:
+    """int_R^inf conj(psi_hat)(sign*a*v) e^{i*sign*b*v} f_hat(sign*v) dv, R = radius.
+
+    f_hat is replaced by its inverse-power series e^{i*rho*v} sum_r b_r
+    v^-(r + beta) (``signal.tail_coeffs``); bounding that truncation is the
+    caller's (``_split_radius``).  The step wavelet's tail is closed form
+    (``_haar_alg_tail``).  For the Gaussian wavelets the integrand
+    e^{i*rate*w} * series(w) * conj(psi_hat)(sign*a*w), rate = sign*(b + rho),
+    is analytic for Re w > 0, so the path moves onto the ray
+    w = R + i*sgn(rate)*y, where e^{i*rate*w} decays instead of oscillating,
+    up to the height from ``_ray_height``; the horizontal line closing the
+    contour there is bounded, not integrated.  Where that bound cannot reach
+    the tolerance (|rate| of order a or less), the series is integrated
+    along the real axis up to the Gaussian cut instead.
+    """
+    if wavelet.kind == WaveletKind.Haar:
+        value, err = _haar_alg_tail(signal, sign, a, b, radius)
+        return QuadratureResult(value, err, 0, 0, True)
+
+    coeffs = _side_coeffs(signal, sign)
+    beta = signal.tail_beta
+    rate = sign * (b + signal.rho)
+    # |series(w)| for |w| >= R, the sup the Gaussian bounds need.
+    size = sum(abs(c) * radius ** -(r + beta) for r, c in enumerate(coeffs))
+    delta = 0.5 * cfg.abs_tol
+    cut, t_w = _gauss_wavelet_cut(wavelet, sign, a, size, delta)
+    if cut <= radius:
+        return QuadratureResult(0.0j, t_w(radius), 0, 0, True)
+
+    ray = _ray_height(wavelet, a, rate, size, 0.5 * delta)
+    if ray is None:
+
+        def on_axis(v):
+            v = np.asarray(v, dtype=float)
+            return (
+                np.exp(1j * rate * v)
+                * _tail_series(coeffs, beta, v.astype(complex))
+                * psi_hat_conj(wavelet, sign * a * v)
+            )
+
+        breakpoints, period = _fourier_side_hints(wavelet, sign, a, b)
+        return integrate(
+            on_axis,
+            (radius, cut),
+            cfg,
+            breakpoints=breakpoints,
+            period_hint=period,
+            tail_bound=t_w(cut),
+        )
+    height, line_bound = ray
+    if height == 0.0:
+        return QuadratureResult(0.0j, line_bound, 0, 0, True)
+
+    up = 1.0 if rate > 0.0 else -1.0
+    start = 1j * up * cmath.exp(1j * rate * radius)
+    # e^{i rate w} = e^{i rate R} e^{-|rate| y} on the ray.
+
+    def on_ray(y):
+        y = np.asarray(y, dtype=float)
+        w = radius + 1j * up * y
+        return (
+            start
+            * np.exp(-abs(rate) * y)
+            * _tail_series(coeffs, beta, w)
+            * psi_hat_conj(wavelet, sign * a * w)
+        )
+
+    # The wavelet's Gaussian turns along the ray at a*|sign*a*R - u0|.
+    turn = a * abs(sign * a * radius - wavelet.u0)
+    return integrate(
+        on_ray,
+        (0.0, height),
+        cfg,
+        period_hint=_TWO_PI / turn if turn > 0.0 else None,
+        tail_bound=line_bound,
+    )
+
+
 def _fourier_side(
     signal: SignalSpec,
     wavelet: WaveletSpec,
@@ -191,8 +458,16 @@ def _fourier_side(
     a: float,
     b: float,
     cfg: QuadratureConfig,
+    split: Optional[tuple] = None,
 ) -> QuadratureResult:
-    """One half-line factor integral of the frequency-domain route."""
+    """One half-line factor integral of the frequency-domain route.
+
+    The integrand is cut where the signal's or the wavelet's decay bound
+    leaves half the absolute tolerance.  ``split`` = (R, truncation bound)
+    from ``_split_radius`` is given for signals whose transform decays
+    algebraically; when R is below that cut, the side is quadrature on
+    [0, R] plus the analytic tail (``_alg_tail``) above it.
+    """
     if signal.kernel_id is not None:
         integrand = cwt_fourier_descriptor(
             signal.kernel_id, wavelet.wav_id, sign, a, b, wavelet.u0
@@ -207,20 +482,13 @@ def _fourier_side(
                 * psi_hat_conj(wavelet, sign * a * w)
             )
 
-    if wavelet.kind == WaveletKind.Haar and math.isfinite(signal.tail_beta):
-        return _fourier_side_alg_tail(signal, wavelet, sign, a, b, cfg, integrand)
-
     delta = 0.5 * cfg.abs_tol
     candidates = []
 
     env_f = _scale_envelope(signal.freq_envelope, wavelet.hat_sup)
 
     def t_f(u):
-        from .quadrature import _envelope_tail_bound
-
         return _envelope_tail_bound(env_f, u)
-
-    from .quadrature import _cut_radius
 
     u_f = _cut_radius(env_f, delta, cfg.truncation_radius)
     candidates.append((u_f, t_f))
@@ -238,6 +506,19 @@ def _fourier_side(
     if wavelet.kind == WaveletKind.MexicanHat:
         breakpoints.append(0.5 / a)
 
+    if split is not None and split[0] < cut:
+        radius, truncation = split
+        head = integrate(
+            integrand, (0.0, radius), cfg, breakpoints=breakpoints,
+            period_hint=period,
+        )
+        rest = _alg_tail(signal, wavelet, sign, a, b, radius, cfg)
+        return _result(
+            head.value + rest.value,
+            head.abs_error_estimate + rest.abs_error_estimate + truncation,
+            (head, rest),
+        )
+
     return integrate(
         integrand,
         (0.0, cut),
@@ -245,81 +526,6 @@ def _fourier_side(
         breakpoints=breakpoints,
         period_hint=period,
         tail_bound=tail,
-    )
-
-
-def _haar_alg_tail(
-    signal: SignalSpec, sign: int, a: float, b: float, coeffs, radius: float
-) -> tuple[complex, float]:
-    """int_radius^inf conj(psi_hat)(sign*a*w) e^{i*sign*b*w} f_hat(sign*w) dw.
-
-    The step wavelet's transform is (i/u)(1 - 2 e^{iu/2} + e^{iu}): three pure
-    phases over u.  Against the inverse-power series of the signal transform
-    (``coeffs``, the first terms of ``signal.tail_coeffs``) every product is
-    a closed-form oscillatory power integral.  Returns the value and the
-    error of those integrals; the error of truncating the series is the
-    caller's to bound.
-    """
-    beta = signal.tail_beta
-    rho = signal.rho
-    tail_val = 0.0 + 0.0j
-    tail_err = 0.0
-    for r, b_r in enumerate(coeffs):
-        if b_r == 0.0:
-            continue
-        c_r = b_r if sign > 0 else complex(b_r).conjugate()
-        for amp, mu in ((1.0, 0.0), (-2.0, 0.5), (1.0, 1.0)):
-            phase_rate = sign * (b + rho + mu * a)
-            coef = 1j * c_r * amp / (sign * a)
-            term, err = oscillatory_power_tail(-(r + beta), phase_rate, radius)
-            tail_val += coef * term
-            tail_err += abs(coef) * err
-    return tail_val, tail_err
-
-
-def _fourier_side_alg_tail(
-    signal: SignalSpec,
-    wavelet: WaveletSpec,
-    sign: int,
-    a: float,
-    b: float,
-    cfg: QuadratureConfig,
-    integrand,
-) -> QuadratureResult:
-    """Half-line factor integral when both transforms decay algebraically.
-
-    The head is integrated numerically; past the cut radius the wavelet
-    transform is expanded into its three pure phases and the signal tail into
-    inverse powers, leaving closed-form oscillatory power integrals.
-    """
-    cut = _ALG_TAIL_RADIUS
-    beta = signal.tail_beta
-    coeffs = signal.tail_coeffs[:_ALG_TAIL_TERMS]
-
-    breakpoints, period = _fourier_side_hints(wavelet, sign, a, b)
-    head = integrate(
-        integrand, (0.0, cut), cfg, breakpoints=breakpoints, period_hint=period
-    )
-
-    tail_val, tail_err = _haar_alg_tail(signal, sign, a, b, coeffs, cut)
-    # Truncating the inverse-power expansion of the signal transform: the
-    # first omitted order bounds the series remainder.
-    r_cut = len(coeffs)
-    omitted = (
-        abs(signal.sup_freq)
-        * cut ** (1.0 - (r_cut + beta))
-        / max(r_cut + beta - 1.0, 1.0)
-        * (4.0 / (a * cut))
-    )
-    tail_err += omitted
-
-    return QuadratureResult(
-        value=head.value + tail_val,
-        abs_error_estimate=head.abs_error_estimate + tail_err,
-        n_evaluations=head.n_evaluations,
-        n_panels=head.n_panels,
-        converged=head.converged,
-        status=head.status,
     )
 
 
@@ -334,15 +540,19 @@ def cwt_fourier(
     if not a > 0.0:
         raise ValueError("the dilation parameter must be positive")
     cfg = config if config is not None else QuadratureConfig()
-    plus = _fourier_side(signal, wavelet, 1, a, b, cfg)
-    minus = _fourier_side(signal, wavelet, -1, a, b, cfg)
+    split = None
+    if math.isfinite(signal.tail_beta):
+        split = _split_radius(
+            signal, [(wavelet.hat_sup, 0)], _SPLIT_START, cfg
+        )
+    plus = _fourier_side(signal, wavelet, 1, a, b, cfg, split)
+    minus = _fourier_side(signal, wavelet, -1, a, b, cfg, split)
     factor = math.sqrt(a) / _TWO_PI
-    return QuadratureResult(
-        value=(plus.value + minus.value) * factor,
-        abs_error_estimate=(plus.abs_error_estimate + minus.abs_error_estimate)
-        * factor,
-        n_evaluations=plus.n_evaluations + minus.n_evaluations,
-        n_panels=plus.n_panels + minus.n_panels,
-        converged=plus.converged and minus.converged,
-        status=worst_status(plus.status, minus.status),
+    return _scaled(
+        _result(
+            plus.value + minus.value,
+            plus.abs_error_estimate + minus.abs_error_estimate,
+            (plus, minus),
+        ),
+        factor,
     )

@@ -258,3 +258,66 @@ def oscillatory_power_tail(
     val = scale * g.value
     err = abs(scale) * g.abs_error_estimate + 4.0 * _EPS * abs(val)
     return val, err
+
+
+def oscillatory_power_tails(
+    sigma: complex, count: int, c: float, radius: float
+) -> list[tuple[complex, float]]:
+    """``oscillatory_power_tail(sigma - k, c, radius)`` for k = 0..count-1.
+
+    The orders differ by integers, so for c != 0 one incomplete Gamma
+    serves them all through Gamma(s+1, x) = s Gamma(s, x) + x^s e^{-x},
+    x = -ic*radius.  Upward in s the recurrence is stable where |s| < |x|,
+    downward where |s| > |x|, so it starts from the order with |s| nearest
+    |x| from below and runs outward both ways; each step carries the error
+    already made, times the recurrence's gain, plus the rounding of that
+    step.  Every exponential e^{s log x - x} is good only to eps times the
+    size of its argument (the product c*radius is itself rounded), which the
+    error estimates include.
+    """
+    sigma = complex(sigma)
+    if not radius > 0.0:
+        raise ValueError("radius must be positive")
+    if count <= 0:
+        return []
+    orders = [sigma - k for k in range(count)]
+    if abs(c) * radius < 1e-8:
+        return [oscillatory_power_tail(s, c, radius) for s in orders]
+    q = complex(0.0, -c)
+    x = q * radius
+    log_x = cmath.log(x)
+
+    def cond(s):  # relative error of e^{s log x - x}
+        return _EPS * (1.0 + abs(x) + abs(s * log_x))
+
+    def direct(s):
+        g = upper_incomplete_gamma(s, x)
+        return g.value, g.abs_error_estimate + cond(s) * abs(g.value)
+
+    # The anchor is the last order with |s| <= |x|, where the continued
+    # fraction converges; the orders before it (larger s) are reached
+    # upward, those after it downward.
+    start = max((k for k in range(count) if abs(orders[k]) <= abs(x)), default=0)
+    vals = [0j] * count
+    errs = [0.0] * count
+    vals[start], errs[start] = direct(orders[start])
+    for k in range(start, 0, -1):  # up: Gamma(s+1) from Gamma(s), s = orders[k]
+        s = orders[k]
+        step, p = s * vals[k], cmath.exp(s * log_x - x)
+        vals[k - 1] = step + p
+        errs[k - 1] = abs(s) * errs[k] + _EPS * abs(step) + cond(s) * abs(p)
+    for k in range(start + 1, count):  # down: Gamma(s) from Gamma(s+1)
+        s = orders[k]
+        if s == 0:  # the recurrence cannot divide by s = 0
+            vals[k], errs[k] = direct(s)
+            continue
+        p = cmath.exp(s * log_x - x)
+        vals[k] = (vals[k - 1] - p) / s
+        errs[k] = (errs[k - 1] + _EPS * abs(vals[k - 1]) + cond(s) * abs(p)) / abs(s)
+    log_q = cmath.log(q)
+    out = []
+    for s, v, e in zip(orders, vals, errs):
+        scale = cmath.exp(-s * log_q)
+        val = scale * v
+        out.append((val, abs(scale) * e + 4.0 * _EPS * abs(val)))
+    return out

@@ -88,6 +88,23 @@ def test_cwt_json_reports_status(capsys):
     assert all(r["converged"] for r in routes.values())
 
 
+@pytest.mark.parametrize("wavelet", ["haar", "morlet", "mexhat"])
+def test_cwt_scaled_signal_from_config(wavelet, tmp_path, capsys):
+    # A config with amplitude/time_scale builds a scaled copy of the base
+    # signal; its two oracle routes agree within their printed estimates.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"amplitude": -2, "time_scale": 0.2}))
+    code = main(["cwt", "--signal", "two_sided_exp", "--wavelet", wavelet,
+                 "--a", "0.05", "--b", "0.6", "--oracle", "both",
+                 "--config", str(cfg), "--format", "json"])
+    assert code == 0
+    routes = json.loads(capsys.readouterr().out)["routes"]
+    time, fourier = routes["time"], routes["fourier"]
+    diff = abs(complex(*time["value"]) - complex(*fourier["value"]))
+    assert diff <= time["abs_error_estimate"] + fourier["abs_error_estimate"]
+    assert abs(complex(*time["value"])) > 1e-8
+
+
 def test_mellin_known_value(capsys):
     code = main(["mellin", "--signal", "lorentzian", "--b", "1", "--z", "2"])
     assert code == 0

@@ -1,13 +1,16 @@
 """Reference transform values: the two quadrature routes and closed forms."""
 
+import json
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cwtasym.oracle import cwt_fourier, cwt_time
+import cwtasym.specfun as specfun
+from cwtasym.oracle import _haar_alg_tail, cwt_fourier, cwt_time
 from cwtasym.signals import SignalKind, custom_signal, make_signal
 from cwtasym.wavelets import WaveletKind, make_wavelet
 
@@ -123,9 +126,10 @@ def test_time_route_stops_at_the_roundoff_floor():
 
 
 # Both routes over every built-in signal x wavelet at three small dilations
-# take 146,550 evaluations; refining panels already at their roundoff floor
-# took 1,089,060.  The ceiling leaves about 20% of headroom.
-_EVALUATION_CEILING = 176_000
+# take 42,465 evaluations; filling the two-sided exponential's algebraic
+# tail with half-period panels took 146,550, and refining panels already at
+# their roundoff floor 1,089,060.  The ceiling leaves about 20% of headroom.
+_EVALUATION_CEILING = 51_000
 
 
 def test_oracle_evaluation_count_ceiling():
@@ -141,6 +145,92 @@ def test_oracle_evaluation_count_ceiling():
                 total += cwt_time(sig, wav, a, 0.5).n_evaluations
                 total += cwt_fourier(sig, wav, a, 0.5).n_evaluations
     assert total <= _EVALUATION_CEILING
+
+
+_WAVELETS = {
+    "morlet": make_wavelet(WaveletKind.Morlet, u0=5.0),
+    "mexhat": make_wavelet(WaveletKind.MexicanHat),
+    "haar": make_wavelet(WaveletKind.Haar),
+}
+
+
+@pytest.mark.parametrize("time_scale", [0.2, 0.05])
+@pytest.mark.parametrize("wavelet", sorted(_WAVELETS))
+@pytest.mark.parametrize("a,b", [(0.05, 0.6), (0.3, -1.1)])
+def test_scaled_two_sided_exp_routes_agree(wavelet, a, b, time_scale):
+    """The tail series of A f(t/s) converges only past |w| = 1/s, so a
+    split radius that ignores that (a fixed 25 against the step wavelet)
+    misses the time route by ~1e-10 (s = 0.2) or ~1e-4 (s = 0.05) while
+    claiming ~1e-15."""
+    sig = custom_signal(SignalKind.TwoSidedExp, amplitude=-2.0,
+                        time_scale=time_scale)
+    wav = _WAVELETS[wavelet]
+    rt = cwt_time(sig, wav, a, b)
+    rf = cwt_fourier(sig, wav, a, b)
+    assert rt.converged and rf.converged
+    assert abs(rt.value - rf.value) <= rt.abs_error_estimate + rf.abs_error_estimate
+
+
+@pytest.mark.parametrize("wavelet", ["morlet", "mexhat"])
+def test_gaussian_cut_below_split_radius(wavelet):
+    # With s = 0.02 the split radius is at least 2/s = 100, far past the
+    # Gaussian cut ~13/a at a = 4: the side stays one quadrature up to the
+    # cut, whose panels resolve the wavelet; splitting at R would stretch
+    # the last panel over [3.5/a, R] and miss it by ~1e-4.
+    sig = custom_signal(SignalKind.TwoSidedExp, amplitude=-2.0, time_scale=0.02)
+    wav = _WAVELETS[wavelet]
+    rt = cwt_time(sig, wav, 4.0, 0.0)
+    rf = cwt_fourier(sig, wav, 4.0, 0.0)
+    assert rt.converged and rf.converged
+    assert abs(rt.value - rf.value) <= rt.abs_error_estimate + rf.abs_error_estimate
+
+
+@pytest.mark.parametrize("wavelet", ["morlet", "mexhat"])
+def test_algebraic_tail_gaussian_wavelet_evaluation_ceiling(wavelet):
+    # The tail above the split radius runs along a steepest-descent ray
+    # (630 evaluations for either wavelet); half-period panels up to the
+    # Gaussian cut took 42,705 (Morlet) and 52,260 (Mexican hat).
+    sig = make_signal(SignalKind.TwoSidedExp)
+    wav = _WAVELETS[wavelet]
+    rf = cwt_fourier(sig, wav, 1e-3, 0.5)
+    rt = cwt_time(sig, wav, 1e-3, 0.5)
+    assert rf.converged and rf.n_evaluations <= 3_000
+    assert abs(rt.value - rf.value) <= rt.abs_error_estimate + rf.abs_error_estimate
+
+
+def test_fast_decay_signals_unchanged():
+    """Signals with faster-than-algebraic transforms keep the Gaussian-cut
+    quadrature: every field of the result is pinned (recorded with the
+    numpy backend on x86-64) so a change to the algebraic-tail sides cannot
+    move them."""
+    path = Path(__file__).parent / "data" / "cwt_fourier_fast_decay.json"
+    want = json.loads(path.read_text())
+    got = {}
+    for kind in (SignalKind.Lorentzian, SignalKind.Gaussian):
+        for wav in _WAVELETS.values():
+            for a in (1e-3, 1e-2, 0.1):
+                for b in (0.0, 0.5, -1.3):
+                    r = cwt_fourier(make_signal(kind), wav, a, b)
+                    got[f"{kind.value} {wav.kind.value} {a!r} {b!r}"] = [
+                        repr(r.value), repr(r.abs_error_estimate),
+                        repr(r.n_evaluations), repr(r.n_panels),
+                        repr(r.converged), repr(r.status),
+                    ]
+    assert got == want
+
+
+def test_haar_tail_takes_one_incomplete_gamma_per_phase(monkeypatch):
+    calls = []
+    original = specfun.upper_incomplete_gamma
+
+    def counting(s, x):
+        calls.append(s)
+        return original(s, x)
+
+    monkeypatch.setattr(specfun, "upper_incomplete_gamma", counting)
+    sig = make_signal(SignalKind.TwoSidedExp)
+    _haar_alg_tail(sig, 1, 0.05, 0.6, 16.0)
+    assert len(calls) == 3
 
 
 def test_scale_must_be_positive():

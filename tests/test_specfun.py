@@ -11,6 +11,7 @@ from cwtasym.specfun import (
     SpecFunMethod,
     gamma_complex,
     oscillatory_power_tail,
+    oscillatory_power_tails,
     parabolic_cylinder_D,
     upper_incomplete_gamma,
 )
@@ -150,3 +151,35 @@ def test_oscillatory_power_tail_zero_rate():
     assert_allclose(val, 5.0 ** (-2.0) / 2.0, rtol=1e-13)
     with pytest.raises(SpecFunError):
         oscillatory_power_tail(0.5, 0.0, 5.0)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("a,b", [(0.05, 0.6), (0.3, -1.1)])
+def test_oscillatory_power_tails_match_per_order(sign, mu, a, b):
+    """The step wavelet's phase rates sign*(b + mu*a) against the orders
+    -2, -3, ..., -13 of the two-sided exponential's tail at radius 16,
+    where |x| = |rate|*16 falls inside the order range: one incomplete
+    Gamma plus the recurrence against one incomplete Gamma per order."""
+    rate = sign * (b + mu * a)
+    tails = oscillatory_power_tails(-2.0, 12, rate, 16.0)
+    assert len(tails) == 12
+    for k, (val, err) in enumerate(tails):
+        ref, ref_err = oscillatory_power_tail(-2.0 - k, rate, 16.0)
+        assert abs(val - ref) <= err + ref_err
+        assert err <= 1e-12 * abs(val)
+
+
+def test_oscillatory_power_tails_against_reference():
+    with mp.workdps(30):
+        for sigma, c, radius in ((-2.0, 0.6, 16.0), (-0.5, -1.1, 80.0),
+                                 (-1.3 + 0.2j, 3.0, 2.0)):
+            for k, (val, err) in enumerate(
+                    oscillatory_power_tails(sigma, 6, c, radius)):
+                q = mp.mpc(0, -c)
+                s = mp.mpc(sigma) - k
+                ref = complex(q ** (-s) * mp.gammainc(s, q * radius))
+                assert abs(val - ref) <= err
+    zero = oscillatory_power_tails(-2.0, 3, 0.0, 5.0)
+    assert [v for v, _ in zero] == [
+        oscillatory_power_tail(-2.0 - k, 0.0, 5.0)[0] for k in range(3)]
