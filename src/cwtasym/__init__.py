@@ -30,6 +30,7 @@ from .wavelets import (
     WaveletSpec,
     CoefficientTable,
     make_wavelet,
+    psi_conj,
     psi_hat_conj,
     small_u_coefficients,
     small_u_coefficients_numeric,
@@ -81,6 +82,7 @@ __all__ = [
     "WaveletSpec",
     "CoefficientTable",
     "make_wavelet",
+    "psi_conj",
     "psi_hat_conj",
     "small_u_coefficients",
     "small_u_coefficients_numeric",

@@ -15,11 +15,12 @@ point is the oracle plus any remainder.
 
 Options may come from flags or from a JSON config file (``--config``);
 flags win over the file, the file wins over defaults.  Unknown config
-keys are rejected, and so are, from either source, a non-finite ``a``,
-``b``, ``u0``, ``a_min``, ``a_max``, ``tol``, ``amplitude``,
-``time_scale`` or ``z`` and a ``jobs`` below 1.  Exit codes: 0 success,
-1 runtime/validation failure, 2 invalid arguments, 3 ``cwt`` or ``sweep``
-produced non-converged quadrature results.  ``cwt --format json`` also
+keys are rejected, as are config entries of the wrong JSON type or outside
+the choices of the subcommand's matching flag, and, from either source, a
+non-finite ``a``, ``b``, ``u0``, ``a_min``, ``a_max``, ``tol``,
+``amplitude``, ``time_scale`` or ``z`` and a ``jobs`` below 1.  Exit codes:
+0 success, 1 runtime/validation failure, 2 invalid arguments, 3 ``cwt`` or
+``sweep`` produced non-converged quadrature results.  ``cwt --format json`` also
 reports why each route's quadrature stopped (``status``).
 
 On the time route (``--domain time``) the wavelet moments are taken in
@@ -86,23 +87,53 @@ class RunConfig:
     time_scale: float = 1.0
 
 
+# The JSON types a config-file entry may take, by its RunConfig field's type.
+_CONFIG_TYPES = {
+    "bool": ("boolean", (bool,)),
+    "int": ("integer", (int,)),
+    "float": ("real number", (int, float)),
+    "str": ("string", (str,)),
+}
+
+
+def _check_config_entry(field, value, choices) -> None:
+    """Reject a config-file value of the wrong type or outside ``choices``."""
+    if value is None and field.type.startswith("Optional["):
+        return
+    kind = field.type.removeprefix("Optional[").removesuffix("]")
+    name, types = _CONFIG_TYPES[kind]
+    # bool is a subclass of int, but true is not a number here
+    if not isinstance(value, types) or (isinstance(value, bool) and kind != "bool"):
+        raise ValueError(f"{field.name} must be {name}, got {value!r}")
+    if choices is not None and value not in choices:
+        raise ValueError(
+            f"{field.name} must be one of {', '.join(choices)}, got {value!r}"
+        )
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    """Apply precedence: command-line flags > config file > defaults."""
+    """Apply precedence: command-line flags > config file > defaults.
+
+    Each config-file entry must have its field's type and, where the
+    subcommand's matching flag has choices, be one of them.
+    """
     cfg = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
+    by_name = {f.name: f for f in fields(RunConfig)}
     path = getattr(args, "config", None)
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - set(by_name))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        flag_choices = getattr(args, "flag_choices", {})
         for key, value in data.items():
+            _check_config_entry(by_name[key], value, flag_choices.get(key))
             setattr(cfg, key, value)
     for key, value in vars(args).items():
-        if key in known and value is not None:
+        if key in by_name and value is not None:
             setattr(cfg, key, value)
     return cfg
 
@@ -132,10 +163,9 @@ def _quad_config(rc: RunConfig) -> QuadratureConfig:
 
 def _build_signal(rc: RunConfig):
     kind = SignalKind(rc.signal)
-    base = make_signal(kind)
     if rc.amplitude != 1.0 or rc.time_scale != 1.0:
         return custom_signal(kind, amplitude=rc.amplitude, time_scale=rc.time_scale)
-    return base
+    return make_signal(kind)
 
 
 def _build_wavelet(rc: RunConfig):
@@ -476,6 +506,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mellin-method", dest="mellin_method",
                    choices=sorted(_MELLIN_METHODS))
     p.add_argument("--jobs", type=int)
+
+    for p in sub.choices.values():
+        # The choices a config-file entry is held to (see _merge_config).
+        p.set_defaults(flag_choices={
+            a.dest: a.choices for a in p._actions if a.choices is not None
+        })
 
     p = sub.add_parser("validate", help="run numerical validation checks")
     p.add_argument("--list", action="store_true")

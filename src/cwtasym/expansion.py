@@ -33,8 +33,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .backends import psi_moment_descriptor
-from .mellin import MellinError, mellin_morlet_time, mellin_transform
+from .mellin import MellinError, _cpow, mellin_morlet_time, mellin_transform
 from .oracle import (
     _alg_tail,
     _fourier_side_hints,
@@ -62,6 +61,7 @@ from .specfun import SpecFunError, oscillatory_power_tail
 from .wavelets import (
     WaveletKind,
     WaveletSpec,
+    psi_conj,
     psi_hat_tail,
     small_u_coefficients,
 )
@@ -158,15 +158,42 @@ def mirror_sign(s: int, lam: float) -> complex:
 def _poly_tail_cut(env: tuple, k_const: float, a: float, deg: int, delta: float):
     """Cut radius and bound for env(v) * K * (1 + (a*v)**deg) style integrands."""
     kind, c, p = env
-    if kind == "exp":
-        u1, b1 = power_exp_cut(c * k_const, 0.0, p, delta)
-        u2, b2 = power_exp_cut(c * k_const * a ** deg, float(deg), p, delta)
-        return max(u1, u2), b1 + b2
-    if kind == "gauss":
-        u1, b1 = power_gauss_cut(c * k_const, 0.0, p, delta)
-        u2, b2 = power_gauss_cut(c * k_const * a ** deg, float(deg), p, delta)
-        return max(u1, u2), b1 + b2
-    raise QuadratureError(f"unsupported envelope kind {kind!r} for a direct cut")
+    cut_fn = {"exp": power_exp_cut, "gauss": power_gauss_cut}.get(kind)
+    if cut_fn is None:
+        raise QuadratureError(f"unsupported envelope kind {kind!r} for a direct cut")
+    u1, b1 = cut_fn(c * k_const, 0.0, p, delta)
+    u2, b2 = cut_fn(c * k_const * a ** deg, float(deg), p, delta)
+    return max(u1, u2), b1 + b2
+
+
+def _remainder_head(
+    wavelet: WaveletSpec,
+    h: HSpec,
+    n: int,
+    sign: int,
+    a: float,
+    upper: float,
+    cfg: QuadratureConfig,
+    tail_bound: float = 0.0,
+):
+    """int_0^upper psi_tail(sign*a*v) h(sign*v) dv by quadrature, where
+    psi_tail is the wavelet transform less its first n Taylor terms."""
+    mirror = sign < 0
+
+    def integrand(v):
+        v = np.asarray(v, dtype=float)
+        return psi_hat_tail(wavelet, n, sign * a * v) * h_eval(h, v, mirror=mirror)
+
+    breakpoints, period = _fourier_side_hints(wavelet, sign, a, h.b)
+    breakpoints.append(_TAIL_CUTOVER / a)
+    return integrate(
+        integrand,
+        (0.0, upper),
+        cfg,
+        breakpoints=breakpoints,
+        period_hint=period,
+        tail_bound=tail_bound,
+    )
 
 
 def _analytic_tail_side(
@@ -186,22 +213,7 @@ def _analytic_tail_side(
     analytic-tail engine, plus the closed-form polynomial tail, and the
     error of all three; the series truncation is the caller's to add.
     """
-    n = cs.size
-    mirror = sign < 0
-
-    def integrand(v):
-        v = np.asarray(v, dtype=float)
-        return psi_hat_tail(wavelet, n, sign * a * v) * h_eval(h, v, mirror=mirror)
-
-    breakpoints, period = _fourier_side_hints(wavelet, sign, a, b)
-    breakpoints.append(_TAIL_CUTOVER / a)
-    res = integrate(
-        integrand,
-        (0.0, radius),
-        cfg,
-        breakpoints=breakpoints,
-        period_hint=period,
-    )
+    res = _remainder_head(wavelet, h, cs.size, sign, a, radius, cfg)
     tail = _alg_tail(signal, wavelet, sign, a, b, radius, cfg)
     value = res.value + tail.value
     err = res.abs_error_estimate + tail.abs_error_estimate
@@ -289,24 +301,7 @@ def remainder_frequency(
     total = 0.0 + 0.0j
     err = 0.0
     for sign in (1, -1):
-        mirror = sign < 0
-
-        def side_integrand(v, _mirror=mirror, _sign=sign):
-            v = np.asarray(v, dtype=float)
-            return psi_hat_tail(wavelet, n, _sign * a * v) * h_eval(
-                h, v, mirror=_mirror
-            )
-
-        breakpoints, period = _fourier_side_hints(wavelet, sign, a, b)
-        breakpoints.append(_TAIL_CUTOVER / a)
-        res = integrate(
-            side_integrand,
-            (0.0, cut),
-            cfg,
-            breakpoints=breakpoints,
-            period_hint=period,
-            tail_bound=bound,
-        )
+        res = _remainder_head(wavelet, h, n, sign, a, cut, cfg, bound)
         total += res.value
         err += res.abs_error_estimate
     root_a = math.sqrt(a)
@@ -317,31 +312,28 @@ def _time_moment_quadrature(
     wavelet: WaveletSpec, nu: float, mirror: bool, cfg: QuadratureConfig
 ) -> tuple[complex, float]:
     """One-sided wavelet moment int_0^inf t^(nu-1) conj(psi)(+-t) dt."""
-    sign = -1 if mirror else 1
+    sign = -1.0 if mirror else 1.0
+    zm1 = complex(nu) - 1.0
+
+    def integrand(t):
+        return _cpow(t, zm1) * psi_conj(wavelet, sign * t)
+
     if wavelet.time_support is not None:
         if mirror:
             return 0.0 + 0.0j, 0.0  # the support lies entirely on t >= 0
-        desc = psi_moment_descriptor(wavelet.wav_id, sign, wavelet.u0, complex(nu))
-        res = integrate(
-            desc,
-            (0.0, wavelet.time_support[1]),
-            cfg,
-            breakpoints=[0.5],
-            left_singularity=(nu - 1.0) if nu < 1.0 else None,
-        )
-        return res.value, res.abs_error_estimate
-    desc = psi_moment_descriptor(wavelet.wav_id, sign, wavelet.u0, complex(nu))
-    _, c_w, rate = wavelet.time_envelope
-    cut, bound = power_gauss_cut(c_w, nu - 1.0, rate, 0.5 * cfg.abs_tol)
-    cut = min(cut, cfg.truncation_radius)
-    period = _TWO_PI / wavelet.u0 if wavelet.kind == WaveletKind.Morlet else None
+        upper, hints = wavelet.time_support[1], {"breakpoints": [0.5]}
+    else:
+        _, c_w, rate = wavelet.time_envelope
+        cut, bound = power_gauss_cut(c_w, nu - 1.0, rate, 0.5 * cfg.abs_tol)
+        upper = min(cut, cfg.truncation_radius)
+        period = _TWO_PI / wavelet.u0 if wavelet.kind == WaveletKind.Morlet else None
+        hints = {"period_hint": period, "tail_bound": bound}
     res = integrate(
-        desc,
-        (0.0, cut),
+        integrand,
+        (0.0, upper),
         cfg,
-        period_hint=period,
         left_singularity=(nu - 1.0) if nu < 1.0 else None,
-        tail_bound=bound,
+        **hints,
     )
     return res.value, res.abs_error_estimate
 
@@ -449,25 +441,13 @@ def _remainder_time(
     cs_abs = float(np.sum(np.abs(time_coefficients(signal, b, n))))
     k_const = signal.sup_time + cs_abs
 
-    def psi_conj(s, sign):
-        s = np.asarray(s, dtype=float)
-        t = sign * s
-        if wavelet.kind == WaveletKind.Morlet:
-            return np.exp(-1j * wavelet.u0 * t - 0.5 * t * t)
-        if wavelet.kind == WaveletKind.MexicanHat:
-            return ((1.0 - t * t) * np.exp(-0.5 * t * t)).astype(complex)
-        out = np.zeros(s.shape, dtype=complex)
-        out[(t >= 0.0) & (t < 0.5)] = 1.0
-        out[(t >= 0.5) & (t < 1.0)] = -1.0
-        return out
-
     total = 0.0 + 0.0j
     err = 0.0
     for sign in (1, -1):
 
         def side(s, _sign=sign):
             s = np.asarray(s, dtype=float)
-            return f_tail(_sign * a * s) * psi_conj(s, _sign)
+            return f_tail(_sign * a * s) * psi_conj(wavelet, _sign * s)
 
         if wavelet.time_support is not None:
             if sign < 0:
@@ -479,12 +459,10 @@ def _remainder_time(
                 side, (0.0, wavelet.time_support[1]), cfg, breakpoints=breakpoints
             )
         else:
-            _, c_w, rate = wavelet.time_envelope
-            u1, b1 = power_gauss_cut(c_w * k_const, 0.0, rate, 0.5 * cfg.abs_tol)
-            u2, b2 = power_gauss_cut(
-                c_w * k_const * a ** (n - 1), float(n - 1), rate, 0.5 * cfg.abs_tol
+            cut, bound = _poly_tail_cut(
+                wavelet.time_envelope, k_const, a, n - 1, 0.5 * cfg.abs_tol
             )
-            cut = min(max(u1, u2), cfg.truncation_radius)
+            cut = min(cut, cfg.truncation_radius)
             period = (
                 _TWO_PI / wavelet.u0 if wavelet.kind == WaveletKind.Morlet else None
             )
@@ -497,7 +475,7 @@ def _remainder_time(
                 cfg,
                 breakpoints=breakpoints,
                 period_hint=period,
-                tail_bound=b1 + b2,
+                tail_bound=bound,
             )
         total += res.value
         err += res.abs_error_estimate

@@ -23,7 +23,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .backends import mellin_h_descriptor
 from .quadrature import (
     QuadratureConfig,
     QuadratureError,
@@ -32,7 +31,7 @@ from .quadrature import (
     power_gauss_cut,
     richardson_epsilon,
 )
-from .signals import HSpec, SignalKind, h_eval
+from .signals import HSpec, SignalKind
 from .specfun import (
     SpecFunError,
     gamma_complex,
@@ -68,16 +67,24 @@ def _phase_rate(h: HSpec, mirror: bool) -> float:
     return sgn * (h.b + h.signal.rho)
 
 
+def _cpow(x: np.ndarray, zm1: complex) -> np.ndarray:
+    """x**zm1 for x > 0 with complex exponent, vectorized."""
+    if zm1 == 0:
+        return np.ones(x.shape, dtype=complex)
+    return np.exp(zm1 * np.log(x))
+
+
 def _integrand(h: HSpec, z: complex, mirror: bool, eps: float):
-    sig = h.signal
-    if sig.kernel_id is not None:
-        return mellin_h_descriptor(
-            sig.kernel_id, -1 if mirror else 1, h.b, z, eps
-        )
+    """u^{z-1} h(+-u) e^{-eps u} on u > 0, evaluated in that order."""
+    zm1 = z - 1.0
+    sign = -1.0 if mirror else 1.0
 
     def f(u):
         u = np.asarray(u, dtype=float)
-        return np.exp((z - 1.0) * np.log(u)) * h_eval(h, u, mirror=mirror, eps=eps)
+        out = _cpow(u, zm1) * np.exp(1j * (sign * h.b) * u) * h.signal.f_freq(sign * u)
+        if eps != 0.0:
+            out = out * np.exp(-eps * u)
+        return out
 
     return f
 

@@ -39,7 +39,6 @@ from typing import Optional
 
 import numpy as np
 
-from .backends import cwt_fourier_descriptor, cwt_time_descriptor
 from .quadrature import (
     QuadratureConfig,
     QuadratureError,
@@ -49,9 +48,9 @@ from .quadrature import (
     integrate,
     worst_status,
 )
-from .signals import SignalSpec, f_hat
+from .signals import SignalSpec
 from .specfun import oscillatory_power_tails
-from .wavelets import WaveletKind, WaveletSpec, psi_hat_conj
+from .wavelets import WaveletKind, WaveletSpec, psi_conj, psi_hat_conj
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
@@ -63,26 +62,16 @@ _TWO_PI = 2.0 * math.pi
 _SPLIT_START = 16.0
 
 
-def _psi_time_conj(wavelet: WaveletSpec, s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    if wavelet.kind == WaveletKind.Morlet:
-        return np.exp(-1j * wavelet.u0 * s - 0.5 * s * s)
-    if wavelet.kind == WaveletKind.MexicanHat:
-        return ((1.0 - s * s) * np.exp(-0.5 * s * s)).astype(complex)
-    out = np.zeros(s.shape, dtype=complex)
-    out[(s >= 0.0) & (s < 0.5)] = 1.0
-    out[(s >= 0.5) & (s < 1.0)] = -1.0
-    return out
-
-
-def _scaled(result: QuadratureResult, factor: float) -> QuadratureResult:
+def _result(value, err, parts) -> QuadratureResult:
+    """A result made of ``parts``: the caller's value and error estimate,
+    the parts' summed counts, joint convergence and worst status."""
     return QuadratureResult(
-        value=result.value * factor,
-        abs_error_estimate=result.abs_error_estimate * abs(factor),
-        n_evaluations=result.n_evaluations,
-        n_panels=result.n_panels,
-        converged=result.converged,
-        status=result.status,
+        value=value,
+        abs_error_estimate=err,
+        n_evaluations=sum(p.n_evaluations for p in parts),
+        n_panels=sum(p.n_panels for p in parts),
+        converged=all(p.converged for p in parts),
+        status=worst_status("tolerance", *(p.status for p in parts)),
     )
 
 
@@ -98,15 +87,10 @@ def cwt_time(
         raise ValueError("the dilation parameter must be positive")
     cfg = config if config is not None else QuadratureConfig()
 
-    if signal.kernel_id is not None:
-        integrand = cwt_time_descriptor(
-            signal.kernel_id, wavelet.wav_id, a, b, wavelet.u0
-        )
-    else:
-        f = signal.f_time
+    f = signal.f_time
 
-        def integrand(s):
-            return f(b + a * s) * _psi_time_conj(wavelet, s)
+    def integrand(s):
+        return f(b + a * s) * psi_conj(wavelet, s)
 
     breakpoints = [(k - b) / a for k in signal.kinks]
     if signal.kind.value == "lorentzian" or signal.base is not None:
@@ -130,12 +114,8 @@ def cwt_time(
             period_hint=period,
             envelope=envelope,
         )
-    return _scaled(res, math.sqrt(a))
-
-
-def _scale_envelope(env: tuple, factor: float) -> tuple:
-    kind, c, p = env
-    return (kind, c * factor, p)
+    root_a = math.sqrt(a)
+    return _result(res.value * root_a, res.abs_error_estimate * root_a, (res,))
 
 
 def _gauss_cut_width(c_over_delta: float) -> float:
@@ -290,19 +270,6 @@ def _tail_series(coeffs, beta: float, w: np.ndarray) -> np.ndarray:
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc * np.exp(-beta * np.log(w))
-
-
-def _result(value, err, parts) -> QuadratureResult:
-    """A result made of ``parts``: the caller's value and error estimate,
-    the parts' summed counts, joint convergence and worst status."""
-    return QuadratureResult(
-        value=value,
-        abs_error_estimate=err,
-        n_evaluations=sum(p.n_evaluations for p in parts),
-        n_panels=sum(p.n_panels for p in parts),
-        converged=all(p.converged for p in parts),
-        status=worst_status("tolerance", *(p.status for p in parts)),
-    )
 
 
 def _haar_alg_tail(
@@ -468,39 +435,24 @@ def _fourier_side(
     algebraically; when R is below that cut, the side is quadrature on
     [0, R] plus the analytic tail (``_alg_tail``) above it.
     """
-    if signal.kernel_id is not None:
-        integrand = cwt_fourier_descriptor(
-            signal.kernel_id, wavelet.wav_id, sign, a, b, wavelet.u0
-        )
-    else:
+    f_freq = signal.f_freq
 
-        def integrand(w):
-            w = np.asarray(w, dtype=float)
-            return (
-                np.exp(1j * sign * b * w)
-                * f_hat(signal, sign * w)
-                * psi_hat_conj(wavelet, sign * a * w)
-            )
+    def integrand(x):
+        w = sign * np.asarray(x, dtype=float)
+        return np.exp(1j * b * w) * f_freq(w) * psi_hat_conj(wavelet, a * w)
 
+    # (cut radius, tail bound beyond any radius) from each decay bound
     delta = 0.5 * cfg.abs_tol
-    candidates = []
-
-    env_f = _scale_envelope(signal.freq_envelope, wavelet.hat_sup)
-
-    def t_f(u):
-        return _envelope_tail_bound(env_f, u)
-
-    u_f = _cut_radius(env_f, delta, cfg.truncation_radius)
-    candidates.append((u_f, t_f))
-
+    kind, c_f, p_f = signal.freq_envelope
+    env_f = (kind, c_f * wavelet.hat_sup, p_f)
+    cuts = [(
+        _cut_radius(env_f, delta, cfg.truncation_radius),
+        lambda u: _envelope_tail_bound(env_f, u),
+    )]
     if wavelet.kind != WaveletKind.Haar:
-        candidates.append(
-            _gauss_wavelet_cut(wavelet, sign, a, signal.sup_freq, delta)
-        )
-
-    cut = min(c[0] for c in candidates)
-    cut = min(cut, cfg.truncation_radius)
-    tail = min(t(cut) for _, t in candidates)
+        cuts.append(_gauss_wavelet_cut(wavelet, sign, a, signal.sup_freq, delta))
+    cut = min(min(c for c, _ in cuts), cfg.truncation_radius)
+    tail = min(t(cut) for _, t in cuts)
 
     breakpoints, period = _fourier_side_hints(wavelet, sign, a, b)
     if wavelet.kind == WaveletKind.MexicanHat:
@@ -548,11 +500,8 @@ def cwt_fourier(
     plus = _fourier_side(signal, wavelet, 1, a, b, cfg, split)
     minus = _fourier_side(signal, wavelet, -1, a, b, cfg, split)
     factor = math.sqrt(a) / _TWO_PI
-    return _scaled(
-        _result(
-            plus.value + minus.value,
-            plus.abs_error_estimate + minus.abs_error_estimate,
-            (plus, minus),
-        ),
-        factor,
+    return _result(
+        (plus.value + minus.value) * factor,
+        (plus.abs_error_estimate + minus.abs_error_estimate) * factor,
+        (plus, minus),
     )

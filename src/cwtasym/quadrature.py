@@ -1,7 +1,7 @@
 """Adaptive Gauss-Kronrod quadrature for complex integrands.
 
-Panels are evaluated in batches (one P x 15 node matrix per round trip to the
-kernel backend), per-panel errors follow the classical Kronrod rescaling of
+Panels are evaluated in batches (one P x 15 node matrix per call of the
+vectorized integrand), per-panel errors follow the classical Kronrod rescaling of
 |GK15 - G7| against the panel's oscillation measure, and refinement bisects
 the worst panels in blocks.  Infinite domains are cut at a radius derived
 from a caller-supplied decay envelope and extended until the truncation
@@ -27,12 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-from . import backends
-from .backends import KernelDescriptor
 
 _EPS = 2.220446049250313e-16
 
@@ -127,14 +124,8 @@ def worst_status(*statuses: str) -> str:
     return max(statuses, key=STATUSES.index)
 
 
-Integrand = Union[KernelDescriptor, Callable[[np.ndarray], np.ndarray]]
+Integrand = Callable[[np.ndarray], np.ndarray]
 Envelope = tuple  # ("exp", C, rate) | ("gauss", C, rate) | ("alg", C, power)
-
-
-def _as_callable(integrand: Integrand) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(integrand, KernelDescriptor):
-        return lambda x: backends.eval_kernel(integrand, x)
-    return integrand
 
 
 def _panel_eval(evalf, lo: np.ndarray, hi: np.ndarray):
@@ -401,8 +392,8 @@ def integrate(
 ) -> QuadratureResult:
     """Integrate a complex integrand over ``domain = (lo, hi)``.
 
-    ``integrand`` is either a backend kernel descriptor or a vectorized
-    callable mapping a real node array to complex values.  Infinite endpoints
+    ``integrand`` is a vectorized callable mapping a real node array to
+    complex values.  Infinite endpoints
     require ``envelope``, a bound ``("exp", C, r)``, ``("gauss", C, r)`` or
     ``("alg", C, p)`` on |integrand| valid for large |x|.  ``breakpoints``
     seed panel edges at known kinks or features, ``period_hint`` keeps
@@ -424,7 +415,6 @@ def integrate(
     lo, hi = float(domain[0]), float(domain[1])
     if math.isnan(lo) or math.isnan(hi) or lo >= hi:
         raise QuadratureError(f"invalid domain ({lo!r}, {hi!r})")
-    evalf = _as_callable(integrand)
 
     trunc = 0.0
     cut_lo, cut_hi = lo, hi
@@ -448,19 +438,10 @@ def integrate(
     budget = cfg.max_subdivisions
     status = "tolerance"
 
-    sing_hi = cut_lo
-    if left_singularity is not None:
-        if math.isinf(lo):
-            raise QuadratureError("left_singularity requires a finite left endpoint")
-        sing_hi = min(cut_lo + 1.0, cut_hi)
-        ylim = math.sqrt(sing_hi - cut_lo)
-        if isinstance(integrand, KernelDescriptor) and cut_lo == 0.0:
-            sub_evalf = _as_callable(integrand.squared())
-        else:
-            base = cut_lo
-            sub_evalf = lambda y: 2.0 * y * evalf(base + y * y)
-        edges = _initial_edges(0.0, ylim, (), None, None)
-        v, e, ne, npan, used, st = _refine(sub_evalf, edges, cfg, budget)
+    def add_piece(f, edges):
+        """Refine one piece with the bisections left and add it to the totals."""
+        nonlocal value, err, neval, npanels, budget, status
+        v, e, ne, npan, used, st = _refine(f, edges, cfg, budget)
         value += v
         err += e
         neval += ne
@@ -468,17 +449,23 @@ def integrate(
         budget -= used
         status = worst_status(status, st)
 
+    sing_hi = cut_lo
+    if left_singularity is not None:
+        if math.isinf(lo):
+            raise QuadratureError("left_singularity requires a finite left endpoint")
+        sing_hi = min(cut_lo + 1.0, cut_hi)
+        ylim = math.sqrt(sing_hi - cut_lo)
+        # x = cut_lo + y^2 softens the singularity at x = cut_lo
+        add_piece(
+            lambda y: 2.0 * y * integrand(cut_lo + y * y),
+            _initial_edges(0.0, ylim, (), None, None),
+        )
+
     if sing_hi < cut_hi:
         edges = _initial_edges(
             sing_hi, cut_hi, breakpoints, period_hint, geometric_from
         )
-        v, e, ne, npan, used, st = _refine(evalf, edges, cfg, budget)
-        value += v
-        err += e
-        neval += ne
-        npanels += npan
-        budget -= used
-        status = worst_status(status, st)
+        add_piece(integrand, edges)
 
     # Extend the truncation radius until the tail bound is small relative to
     # the value actually found (the initial cut only targeted abs_tol).
@@ -497,13 +484,7 @@ def integrate(
                 seg_lo, seg_hi, breakpoints, period_hint,
                 geometric_from if sign > 0 else None,
             )
-            v, e, ne, npan, used, st = _refine(evalf, edges, cfg, budget)
-            value += v
-            err += e
-            neval += ne
-            npanels += npan
-            budget -= used
-            status = worst_status(status, st)
+            add_piece(integrand, edges)
         radius = radius_new
         sides = (1 if math.isinf(lo) else 0) + (1 if math.isinf(hi) else 0)
         trunc = sides * _envelope_tail_bound(envelope, radius)

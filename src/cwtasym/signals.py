@@ -5,6 +5,8 @@ custom signal is a scaled/weighted copy of one of those with user-supplied
 large-frequency tail data.  Frequency-domain tails are recorded as
   f_hat(w) ~ e^{i*rho*w} * sum_r tail_coeffs[r] * w**-(r + tail_beta)
 for w -> +inf; an infinite tail_beta marks faster-than-algebraic decay.
+A signal's time and frequency formulas are defined once, as the vectorized
+``f_time``/``f_freq`` of its SignalSpec, and every integrand closes over them.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-
-from .backends import SIG_GAUSSIAN, SIG_LORENTZIAN, SIG_TWO_SIDED_EXP
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -34,7 +34,6 @@ class SignalSpec:
     tail_beta: float
     tail_coeffs: tuple
     rho: float
-    kernel_id: Optional[int]
     f_time: Callable[[np.ndarray], np.ndarray]
     f_freq: Callable[[np.ndarray], np.ndarray]
     sup_time: float
@@ -55,34 +54,18 @@ class HSpec:
     b: float
 
 
-def _lorentzian_time(t):
-    t = np.asarray(t, dtype=float)
-    return 1.0 / (1.0 + t * t)
+def _on_reals(formula):
+    """The vectorized formula, applied to its argument as a float array."""
+    return lambda x: formula(np.asarray(x, dtype=float))
 
 
-def _lorentzian_freq(w):
-    w = np.asarray(w, dtype=float)
-    return np.pi * np.exp(-np.abs(w))
-
-
-def _two_sided_exp_time(t):
-    t = np.asarray(t, dtype=float)
-    return np.exp(-np.abs(t))
-
-
-def _two_sided_exp_freq(w):
-    w = np.asarray(w, dtype=float)
-    return 2.0 / (1.0 + w * w)
-
-
-def _gaussian_time(t):
-    t = np.asarray(t, dtype=float)
-    return np.exp(-0.5 * t * t)
-
-
-def _gaussian_freq(w):
-    w = np.asarray(w, dtype=float)
-    return _SQRT_2PI * np.exp(-0.5 * w * w)
+# The one time- and frequency-domain formula of each built-in signal.
+_lorentzian_time = _on_reals(lambda t: 1.0 / (1.0 + t * t))
+_lorentzian_freq = _on_reals(lambda w: np.pi * np.exp(-np.abs(w)))
+_two_sided_exp_time = _on_reals(lambda t: np.exp(-np.abs(t)))
+_two_sided_exp_freq = _on_reals(lambda w: 2.0 / (1.0 + w * w))
+_gaussian_time = _on_reals(lambda t: np.exp(-0.5 * t * t))
+_gaussian_freq = _on_reals(lambda w: _SQRT_2PI * np.exp(-0.5 * w * w))
 
 
 _TWO_SIDED_TAIL_LEN = 12
@@ -95,7 +78,6 @@ def _builtin(kind: SignalKind) -> SignalSpec:
             tail_beta=math.inf,
             tail_coeffs=(),
             rho=0.0,
-            kernel_id=SIG_LORENTZIAN,
             f_time=_lorentzian_time,
             f_freq=_lorentzian_freq,
             sup_time=1.0,
@@ -114,7 +96,6 @@ def _builtin(kind: SignalKind) -> SignalSpec:
             tail_beta=2.0,
             tail_coeffs=coeffs,
             rho=0.0,
-            kernel_id=SIG_TWO_SIDED_EXP,
             f_time=_two_sided_exp_time,
             f_freq=_two_sided_exp_freq,
             sup_time=1.0,
@@ -129,7 +110,6 @@ def _builtin(kind: SignalKind) -> SignalSpec:
             tail_beta=math.inf,
             tail_coeffs=(),
             rho=0.0,
-            kernel_id=SIG_GAUSSIAN,
             f_time=_gaussian_time,
             f_freq=_gaussian_freq,
             sup_time=1.0,
@@ -202,7 +182,6 @@ def custom_signal(
         tail_beta=float(tail_beta),
         tail_coeffs=tuple(tail_coeffs),
         rho=float(rho),
-        kernel_id=None,
         f_time=f_time,
         f_freq=f_freq,
         sup_time=abs(a) * b.sup_time,

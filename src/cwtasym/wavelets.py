@@ -1,9 +1,11 @@
 """Built-in analyzing wavelets and their small-argument expansion data.
 
-Each wavelet carries its conjugated Fourier transform, the Taylor
-coefficients of that transform about zero (closed form and an independent
-numeric extractor based on contour moments), and the exact tail left after
-removing a truncated Taylor polynomial.
+Each wavelet carries its conjugated time-domain form (``psi_conj``) and
+Fourier transform (``psi_hat_conj``), the one definition of each that every
+integrand in the package evaluates; the Taylor coefficients of that
+transform about zero (closed form and an independent numeric extractor
+based on contour moments); and the exact tail left after removing a
+truncated Taylor polynomial.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-
-from .backends import WAV_HAAR, WAV_MEXICAN_HAT, WAV_MORLET
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _EPS = 2.220446049250313e-16
@@ -46,7 +46,6 @@ class WaveletSpec:
     kind: WaveletKind
     u0: float
     lam: int
-    wav_id: int
     hat_sup: float
     time_envelope: Optional[tuple]
     time_support: Optional[tuple]
@@ -70,7 +69,6 @@ def make_wavelet(kind: WaveletKind, u0: float = 5.0) -> WaveletSpec:
             kind=kind,
             u0=float(u0),
             lam=1,
-            wav_id=WAV_MORLET,
             hat_sup=_SQRT_2PI,
             time_envelope=("gauss", 1.0, 0.25),
             time_support=None,
@@ -80,7 +78,6 @@ def make_wavelet(kind: WaveletKind, u0: float = 5.0) -> WaveletSpec:
             kind=kind,
             u0=0.0,
             lam=1,
-            wav_id=WAV_MEXICAN_HAT,
             hat_sup=_SQRT_2PI * 2.0 / math.e,
             time_envelope=("gauss", 2.0, 0.25),
             time_support=None,
@@ -90,7 +87,6 @@ def make_wavelet(kind: WaveletKind, u0: float = 5.0) -> WaveletSpec:
             kind=kind,
             u0=0.0,
             lam=1,
-            wav_id=WAV_HAAR,
             hat_sup=0.7246113537767084,
             time_envelope=None,
             time_support=(0.0, 1.0),
@@ -105,9 +101,31 @@ def _haar_series_coefficients(n: int) -> np.ndarray:
     return out
 
 
+# The step wavelet's transform below the series cutover, where the closed
+# form cancels 0/0.
+_HAAR_HAT_SERIES = _haar_series_coefficients(8)
+
+
+def psi_conj(spec: WaveletSpec, s) -> np.ndarray:
+    """Conjugated time-domain wavelet at real s (complex output)."""
+    s = np.asarray(s, dtype=float)
+    if spec.kind == WaveletKind.Morlet:
+        return np.exp(-1j * spec.u0 * s - 0.5 * s * s)
+    if spec.kind == WaveletKind.MexicanHat:
+        return ((1.0 - s * s) * np.exp(-0.5 * s * s)).astype(complex)
+    out = np.zeros(s.shape, dtype=complex)
+    out[(s >= 0.0) & (s < 0.5)] = 1.0
+    out[(s >= 0.5) & (s < 1.0)] = -1.0
+    return out
+
+
 def psi_hat_conj(spec: WaveletSpec, u) -> np.ndarray:
-    """Conjugated Fourier transform of the wavelet, complex-argument capable."""
-    u = np.asarray(u, dtype=complex)
+    """Conjugated Fourier transform of the wavelet, complex-argument capable.
+
+    Real arguments stay in real arithmetic: the Gaussian wavelets then give
+    a float array, the step wavelet (complex on the real line) a complex one.
+    """
+    u = np.asarray(u, dtype=complex if np.iscomplexobj(u) else float)
     if spec.kind == WaveletKind.Morlet:
         d = u - spec.u0
         return _SQRT_2PI * np.exp(-0.5 * d * d)
@@ -115,10 +133,10 @@ def psi_hat_conj(spec: WaveletSpec, u) -> np.ndarray:
         return _SQRT_2PI * u * u * np.exp(-0.5 * u * u)
     out = np.empty(u.shape, dtype=complex)
     small = np.abs(u) < _HAAR_SERIES_CUT
-    cs = _haar_series_coefficients(8)
-    acc = np.zeros(np.count_nonzero(small), dtype=complex)
-    for c in cs[::-1]:
-        acc = acc * u[small] + c
+    us = u[small]
+    acc = np.zeros(us.shape, dtype=complex)
+    for c in _HAAR_HAT_SERIES[::-1]:
+        acc = acc * us + c
     out[small] = acc
     ub = u[~small]
     q = np.sin(0.25 * ub)

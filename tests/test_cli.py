@@ -136,6 +136,36 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "wavelett" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,entry",
+    [
+        pytest.param("expand", {"n": "3"}, id="int-from-string"),
+        pytest.param("sweep", {"a_count": 2.5}, id="int-from-float"),
+        pytest.param("cwt", {"a": True}, id="float-from-bool"),
+        pytest.param("sweep", {"log": 1}, id="bool-from-int"),
+        pytest.param("mellin", {"mirror": "yes"}, id="bool-from-string"),
+        pytest.param("cwt", {"format": "xml"}, id="format-choice"),
+        pytest.param("sweep", {"oracle": "both"}, id="sweep-oracle-choice"),
+        pytest.param("expand", {"domain": "space"}, id="domain-choice"),
+    ],
+)
+def test_config_entry_type_and_choice_exit_2(command, entry, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(entry))
+    assert main([command, "--config", str(cfg)]) == 2
+    (key,) = entry
+    assert f"error: {key} " in capsys.readouterr().err
+
+
+def test_config_entry_of_the_field_type_is_accepted(tmp_path, capsys):
+    # an int where a float is expected, a null where the field is optional,
+    # and a choice that the subcommand's flag offers
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"a": 1, "tol": None, "oracle": "both"}))
+    assert main(["cwt", "--config", str(cfg)]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
+
 def test_sweep_csv_schema(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main([

@@ -200,9 +200,8 @@ def test_algebraic_tail_gaussian_wavelet_evaluation_ceiling(wavelet):
 
 def test_fast_decay_signals_unchanged():
     """Signals with faster-than-algebraic transforms keep the Gaussian-cut
-    quadrature: every field of the result is pinned (recorded with the
-    numpy backend on x86-64) so a change to the algebraic-tail sides cannot
-    move them."""
+    quadrature: every field of the result is pinned (recorded with numpy
+    on x86-64) so a change to the algebraic-tail sides cannot move them."""
     path = Path(__file__).parent / "data" / "cwt_fourier_fast_decay.json"
     want = json.loads(path.read_text())
     got = {}

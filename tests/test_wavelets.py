@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from cwtasym.wavelets import (
     WaveletKind,
     make_wavelet,
+    psi_conj,
     psi_hat_conj,
     psi_hat_tail,
     small_u_coefficients,
@@ -93,6 +94,23 @@ def test_transform_point_values():
     vals = psi_hat_conj(haar, np.array([0.0, 2.0 * math.pi]))
     assert vals[0] == 0.0
     assert_allclose(vals[1], 2j / math.pi, rtol=1e-14)
+
+
+@pytest.mark.parametrize("spec", _specs(), ids=lambda s: f"{s.kind.value}-u0={s.u0:g}")
+def test_transform_of_real_arguments_in_real_arithmetic(spec):
+    # nodes on both sides of the step wavelet's series cutover as well
+    u = np.concatenate([np.linspace(-12.0, 12.0, 241), [-9.99e-4, 1.001e-3]])
+    got = psi_hat_conj(spec, u)
+    if spec.kind != WaveletKind.Haar:
+        assert got.dtype == np.float64
+    reference = psi_hat_conj(spec, u.astype(complex))
+    assert np.max(np.abs(got - reference)) <= 2.0 * np.spacing(spec.hat_sup)
+
+
+def test_step_wavelet_time_values():
+    haar = make_wavelet(WaveletKind.Haar)
+    got = psi_conj(haar, np.array([0.0, 0.5, 1.0, -0.1]))
+    assert np.array_equal(got, [1.0, -1.0, 0.0, 0.0])
 
 
 def test_haar_series_cutover_continuity():
