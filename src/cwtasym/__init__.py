@@ -51,7 +51,6 @@ from .expansion import (
     expand_frequency,
     remainder_frequency,
     expand_time,
-    expand_morlet_time,
     convergence_order,
     expansion_plan,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "expand_frequency",
     "remainder_frequency",
     "expand_time",
-    "expand_morlet_time",
     "convergence_order",
     "expansion_plan",
     "available_checks",

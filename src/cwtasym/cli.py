@@ -14,8 +14,10 @@ Subcommands::
 point is the oracle plus any remainder.
 
 Options may come from flags or from a JSON config file (``--config``);
-flags win over the file, the file wins over defaults.  Unknown config
-keys are rejected, as are config entries of the wrong JSON type or outside
+flags win over the file, the file wins over defaults.  Config keys that
+the subcommand does not read are rejected (a key is read if the subcommand
+has that flag, and ``amplitude``/``time_scale`` by every subcommand that
+builds a signal), as are config entries of the wrong JSON type or outside
 the choices of the subcommand's matching flag, and, from either source, a
 non-finite ``a``, ``b``, ``u0``, ``a_min``, ``a_max``, ``tol``,
 ``amplitude``, ``time_scale`` or ``z`` and a ``jobs`` below 1.  Exit codes:
@@ -114,8 +116,9 @@ def _check_config_entry(field, value, choices) -> None:
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     """Apply precedence: command-line flags > config file > defaults.
 
-    Each config-file entry must have its field's type and, where the
-    subcommand's matching flag has choices, be one of them.
+    Each config-file entry must be one the subcommand reads (see
+    ``build_parser``), have its field's type and, where the subcommand's
+    matching flag has choices, be one of them.
     """
     cfg = RunConfig()
     by_name = {f.name: f for f in fields(RunConfig)}
@@ -130,6 +133,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         flag_choices = getattr(args, "flag_choices", {})
         for key, value in data.items():
+            if key not in args.config_keys:
+                raise ValueError(f"{key} is not read by {args.command}")
             _check_config_entry(by_name[key], value, flag_choices.get(key))
             setattr(cfg, key, value)
     for key, value in vars(args).items():
@@ -507,9 +512,14 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(_MELLIN_METHODS))
     p.add_argument("--jobs", type=int)
 
-    for p in sub.choices.values():
-        # The choices a config-file entry is held to (see _merge_config).
-        p.set_defaults(flag_choices={
+    for name, p in sub.choices.items():
+        # The keys a config file may give (the subcommand's flags, plus the
+        # signal's scaling where it builds a signal) and the choices an
+        # entry is held to (see _merge_config).
+        keys = {a.dest for a in p._actions}
+        if name != "coeffs":
+            keys |= {"amplitude", "time_scale"}
+        p.set_defaults(config_keys=keys, flag_choices={
             a.dest: a.choices for a in p._actions if a.choices is not None
         })
 

@@ -20,7 +20,8 @@ per half-line.
 
 None of the coefficients or moments depends on the dilation a, so
 ``expansion_plan`` computes them once and ``ExpansionPlan.at`` evaluates the
-expansion at any dilation; the ``expand_*`` functions do both for one a.
+expansion at any dilation; ``expand_frequency`` and ``expand_time`` (with
+quadrature moments) do both for one a.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .signals import (
     make_h,
     time_coefficients,
 )
-from .specfun import SpecFunError, oscillatory_power_tail
+from .specfun import SpecFunError, oscillatory_power_tails
 from .wavelets import (
     WaveletKind,
     WaveletSpec,
@@ -104,14 +105,6 @@ def _check_dilation(a: float) -> None:
 def _check_terms(n: int) -> None:
     if n < 1:
         raise ValueError("need at least one expansion term")
-
-
-def _check_closed_form(wavelet: WaveletSpec) -> None:
-    if wavelet.kind != WaveletKind.Morlet:
-        raise ValueError(
-            "closed-form time moments exist only for the modulated-Gaussian "
-            f"wavelet, not {wavelet.kind.value!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -220,7 +213,8 @@ def _analytic_tail_side(
 
     # -sum_s c_s (sign*a)^s int_radius^inf v^s h(sign*v) dv, with h's tail
     # e^{i*rate*v} sum_r b_r v^-(r+beta): the products share an exponent
-    # whenever s - r does, so each k = s - r costs one tail integral.
+    # whenever s - r does, and the orders k + 1 - beta, k = s - r, are one
+    # integer ladder from the top k down, so the side takes one batched call.
     rate = sign * (b + signal.rho)
     side_coeffs = _side_coeffs(signal, sign)
     by_order: dict = {}
@@ -231,13 +225,17 @@ def _analytic_tail_side(
         for r, b_r in enumerate(side_coeffs):
             if b_r != 0.0:
                 by_order[s - r] = by_order.get(s - r, 0.0) + weight * b_r
+    if not by_order:
+        return value, err
+    top = max(by_order)
+    try:
+        tails = oscillatory_power_tails(
+            top + 1.0 - signal.tail_beta, top - min(by_order) + 1, rate, radius
+        )
+    except SpecFunError as exc:
+        raise MellinError(f"remainder tail term diverges: {exc}") from None
     for k, coef in by_order.items():
-        try:
-            term, term_err = oscillatory_power_tail(
-                k + 1.0 - signal.tail_beta, rate, radius
-            )
-        except SpecFunError as exc:
-            raise MellinError(f"remainder tail term diverges: {exc}") from None
+        term, term_err = tails[top - k]
         value -= coef * term
         err += abs(coef) * term_err
     return value, err
@@ -677,24 +675,6 @@ def expand_time(
     _check_terms(n)
     kind = _as_remainder_kind(remainder)
     return expansion_plan(signal, wavelet, b, n, "time", config).at(a, kind)
-
-
-def expand_morlet_time(
-    signal: SignalSpec,
-    wavelet: WaveletSpec,
-    a: float,
-    b: float,
-    n: int,
-    remainder: Union[str, RemainderKind] = "none",
-    config: Optional[QuadratureConfig] = None,
-) -> ExpansionResult:
-    """Time-domain expansion with closed-form modulated-Gaussian moments."""
-    _check_closed_form(wavelet)
-    _check_dilation(a)
-    _check_terms(n)
-    kind = _as_remainder_kind(remainder)
-    plan = expansion_plan(signal, wavelet, b, n, "time", config, closed_form=True)
-    return plan.at(a, kind)
 
 
 def convergence_order(a_values, errors) -> float:

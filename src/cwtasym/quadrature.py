@@ -221,7 +221,6 @@ def _initial_edges(
     hi: float,
     breakpoints: Sequence[float],
     period_hint: Optional[float],
-    geometric_from: Optional[float],
 ) -> np.ndarray:
     pts = [lo, hi]
     for p in breakpoints:
@@ -231,17 +230,7 @@ def _initial_edges(
     edges = []
     for left, right in zip(pts[:-1], pts[1:]):
         edges.append(left)
-        if geometric_from is not None and right > geometric_from > max(left, 0.0):
-            g = max(left, geometric_from)
-            if g > left:
-                edges.extend(_linear_fill(left, g, period_hint))
-                edges.append(g)
-            x = g
-            while x * 2.0 < right:
-                x *= 2.0
-                edges.append(x)
-        else:
-            edges.extend(_linear_fill(left, right, period_hint))
+        edges.extend(_linear_fill(left, right, period_hint))
     edges.append(pts[-1])
     edges = np.array(sorted(set(edges)))
     if edges.size - 1 < _MIN_INITIAL_PANELS:
@@ -388,7 +377,6 @@ def integrate(
     envelope: Optional[Envelope] = None,
     left_singularity: Optional[float] = None,
     tail_bound: float = 0.0,
-    geometric_from: Optional[float] = None,
 ) -> QuadratureResult:
     """Integrate a complex integrand over ``domain = (lo, hi)``.
 
@@ -399,9 +387,8 @@ def integrate(
     seed panel edges at known kinks or features, ``period_hint`` keeps
     initial panels at most half an oscillation wide, ``left_singularity``
     softens an integrable singularity at a finite left endpoint via the
-    x = y**2 substitution, ``geometric_from`` switches to doubling panels
-    beyond the given radius (slowly decaying tails), and ``tail_bound`` is
-    added to the reported error for truncations performed by the caller.
+    x = y**2 substitution, and ``tail_bound`` is added to the reported error
+    for truncations performed by the caller.
 
     Each piece (the substituted singular edge, the body, each truncation
     extension) is refined on its own until its error meets the tolerance,
@@ -458,13 +445,11 @@ def integrate(
         # x = cut_lo + y^2 softens the singularity at x = cut_lo
         add_piece(
             lambda y: 2.0 * y * integrand(cut_lo + y * y),
-            _initial_edges(0.0, ylim, (), None, None),
+            _initial_edges(0.0, ylim, (), None),
         )
 
     if sing_hi < cut_hi:
-        edges = _initial_edges(
-            sing_hi, cut_hi, breakpoints, period_hint, geometric_from
-        )
+        edges = _initial_edges(sing_hi, cut_hi, breakpoints, period_hint)
         add_piece(integrand, edges)
 
     # Extend the truncation radius until the tail bound is small relative to
@@ -480,10 +465,7 @@ def integrate(
             if not infinite:
                 continue
             seg_lo, seg_hi = sorted((sign * radius, sign * radius_new))
-            edges = _initial_edges(
-                seg_lo, seg_hi, breakpoints, period_hint,
-                geometric_from if sign > 0 else None,
-            )
+            edges = _initial_edges(seg_lo, seg_hi, breakpoints, period_hint)
             add_piece(integrand, edges)
         radius = radius_new
         sides = (1 if math.isinf(lo) else 0) + (1 if math.isinf(hi) else 0)

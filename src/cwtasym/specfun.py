@@ -3,6 +3,9 @@
 Everything here is self-contained double-precision code.  Each routine returns
 a SpecFunResult carrying the value, a (heuristic but conservative) absolute
 error estimate, and the evaluation method that was used.
+``oscillatory_power_tails`` is the one routine that integrates an
+inverse-power series against a phase beyond a radius: a run of orders that
+differ by integers, from one incomplete Gamma and its recurrence.
 """
 
 from __future__ import annotations
@@ -145,11 +148,18 @@ def _upper_gamma_cf(s: complex, x: complex) -> tuple[complex, float, int]:
     )
 
 
+def _exp_cond(s: complex, x: complex, log_x: complex) -> float:
+    """Relative error of e^{s log x - x}: eps times the size of its argument,
+    since x itself comes rounded from the caller."""
+    return _EPS * (1.0 + abs(x) + abs(s * log_x))
+
+
 def upper_incomplete_gamma(s: complex, x: complex) -> SpecFunResult:
     """Gamma(s, x) with the principal branch of x^s.
 
     Continued fraction for large |x|, series plus downward recurrence
-    otherwise; supports purely imaginary x.
+    otherwise; supports purely imaginary x.  The error estimate includes
+    the conditioning of every e^{s log x - x} the route evaluates.
     """
     s = complex(s)
     x = complex(x)
@@ -158,8 +168,10 @@ def upper_incomplete_gamma(s: complex, x: complex) -> SpecFunResult:
             g = gamma_complex(s)
             return SpecFunResult(g.value, g.abs_error_estimate, SpecFunMethod.Series)
         raise SpecFunError("Gamma(s, 0) requires Re s > 0")
+    log_x = cmath.log(x)
     if abs(x) >= max(4.0, abs(s)) and abs(cmath.phase(x)) <= 0.9 * math.pi:
         val, est, _ = _upper_gamma_cf(s, x)
+        est += _exp_cond(s, x, log_x) * abs(val)
         return SpecFunResult(val, est, SpecFunMethod.ContinuedFraction)
 
     # Series route: raise Re s above 1/2, then recur back down.
@@ -171,13 +183,14 @@ def upper_incomplete_gamma(s: complex, x: complex) -> SpecFunResult:
     est = g.abs_error_estimate + low_err + _EPS * (abs(g.value) + abs(low))
     for j in range(m - 1, -1, -1):
         sj = s + j
-        piece = cmath.exp(sj * cmath.log(x) - x)
+        piece = cmath.exp(sj * log_x - x)
         if sj == 0:
             # The recurrence cannot cross s = 0; restart from Gamma(0, x) = E1(x).
             val, est = _e1_series(x)
             continue
         val = (val - piece) / sj
         est = (est + _EPS * abs(piece)) / abs(sj)
+    est += _exp_cond(s, x, log_x) * abs(val)
     return SpecFunResult(val, est, SpecFunMethod.Series)
 
 
@@ -230,50 +243,22 @@ def parabolic_cylinder_D(nu: complex, z: complex) -> SpecFunResult:
     return SpecFunResult(val, est, SpecFunMethod.Series)
 
 
-def oscillatory_power_tail(
-    sigma: complex, c: float, radius: float
-) -> tuple[complex, float]:
-    """The Abel-regularized integral of t**(sigma-1) * e^{ict} over (radius, inf).
-
-    For c != 0 this rotates onto the incomplete-Gamma function,
-    (-ic)**(-sigma) * Gamma(sigma, -ic*radius); for c = 0 it reduces to the
-    elementary power tail, which requires Re(sigma) < 0 to converge.
-    Returns (value, absolute error estimate).
-    """
-    sigma = complex(sigma)
-    if not radius > 0.0:
-        raise ValueError("radius must be positive")
-    if abs(c) * radius < 1e-8:
-        if sigma.real >= 0.0:
-            raise SpecFunError(
-                f"power tail with Re(sigma)={sigma.real:g} >= 0 diverges at c=0"
-            )
-        val = -cmath.exp(sigma * math.log(radius)) / sigma
-        # First-order sensitivity to the dropped phase.
-        err = abs(c) * radius * abs(val) + 4.0 * _EPS * abs(val)
-        return val, err
-    q = complex(0.0, -c)
-    g = upper_incomplete_gamma(sigma, q * radius)
-    scale = cmath.exp(-sigma * cmath.log(q))
-    val = scale * g.value
-    err = abs(scale) * g.abs_error_estimate + 4.0 * _EPS * abs(val)
-    return val, err
-
-
 def oscillatory_power_tails(
     sigma: complex, count: int, c: float, radius: float
 ) -> list[tuple[complex, float]]:
-    """``oscillatory_power_tail(sigma - k, c, radius)`` for k = 0..count-1.
+    """The Abel-regularized integrals of t**(s-1) * e^{ict} over (radius, inf)
+    for the orders s = sigma - k, k = 0..count-1: (value, error) pairs.
 
-    The orders differ by integers, so for c != 0 one incomplete Gamma
-    serves them all through Gamma(s+1, x) = s Gamma(s, x) + x^s e^{-x},
-    x = -ic*radius.  Upward in s the recurrence is stable where |s| < |x|,
-    downward where |s| > |x|, so it starts from the order with |s| nearest
-    |x| from below and runs outward both ways; each step carries the error
-    already made, times the recurrence's gain, plus the rounding of that
-    step.  Every exponential e^{s log x - x} is good only to eps times the
-    size of its argument (the product c*radius is itself rounded), which the
-    error estimates include.
+    For c != 0 each rotates onto the incomplete Gamma function,
+    (-ic)**(-s) * Gamma(s, x) with x = -ic*radius, and the orders differ by
+    integers, so one incomplete Gamma serves them all through
+    Gamma(s+1, x) = s Gamma(s, x) + x^s e^{-x}.  Upward in s the recurrence
+    is stable where |s| < |x|, downward where |s| > |x|, so it starts from
+    the order with |s| nearest |x| from below and runs outward both ways;
+    each step carries the error already made, times the recurrence's gain,
+    plus the rounding of that step and the conditioning of its exponential
+    (see ``_exp_cond``).  For c*radius < 1e-8 the phase is dropped and each
+    tail is the elementary -radius**s / s, which needs Re(sigma) < 0.
     """
     sigma = complex(sigma)
     if not radius > 0.0:
@@ -282,38 +267,38 @@ def oscillatory_power_tails(
         return []
     orders = [sigma - k for k in range(count)]
     if abs(c) * radius < 1e-8:
-        return [oscillatory_power_tail(s, c, radius) for s in orders]
+        if sigma.real >= 0.0:
+            raise SpecFunError(
+                f"power tail with Re(sigma)={sigma.real:g} >= 0 diverges at c=0"
+            )
+        vals = [-cmath.exp(s * math.log(radius)) / s for s in orders]
+        # First-order sensitivity to the dropped phase.
+        return [(v, abs(c) * radius * abs(v) + 4.0 * _EPS * abs(v)) for v in vals]
     q = complex(0.0, -c)
     x = q * radius
     log_x = cmath.log(x)
 
-    def cond(s):  # relative error of e^{s log x - x}
-        return _EPS * (1.0 + abs(x) + abs(s * log_x))
-
-    def direct(s):
-        g = upper_incomplete_gamma(s, x)
-        return g.value, g.abs_error_estimate + cond(s) * abs(g.value)
-
     # The anchor is the last order with |s| <= |x|, where the continued
     # fraction converges; the orders before it (larger s) are reached
-    # upward, those after it downward.
+    # upward, those after it downward.  s = 0 satisfies |s| <= |x|, so the
+    # downward steps never divide by it.
     start = max((k for k in range(count) if abs(orders[k]) <= abs(x)), default=0)
     vals = [0j] * count
     errs = [0.0] * count
-    vals[start], errs[start] = direct(orders[start])
+    g = upper_incomplete_gamma(orders[start], x)
+    vals[start], errs[start] = g.value, g.abs_error_estimate
     for k in range(start, 0, -1):  # up: Gamma(s+1) from Gamma(s), s = orders[k]
         s = orders[k]
         step, p = s * vals[k], cmath.exp(s * log_x - x)
         vals[k - 1] = step + p
-        errs[k - 1] = abs(s) * errs[k] + _EPS * abs(step) + cond(s) * abs(p)
+        p_err = _exp_cond(s, x, log_x) * abs(p)
+        errs[k - 1] = abs(s) * errs[k] + _EPS * abs(step) + p_err
     for k in range(start + 1, count):  # down: Gamma(s) from Gamma(s+1)
         s = orders[k]
-        if s == 0:  # the recurrence cannot divide by s = 0
-            vals[k], errs[k] = direct(s)
-            continue
         p = cmath.exp(s * log_x - x)
         vals[k] = (vals[k - 1] - p) / s
-        errs[k] = (errs[k - 1] + _EPS * abs(vals[k - 1]) + cond(s) * abs(p)) / abs(s)
+        p_err = _exp_cond(s, x, log_x) * abs(p)
+        errs[k] = (errs[k - 1] + _EPS * abs(vals[k - 1]) + p_err) / abs(s)
     log_q = cmath.log(q)
     out = []
     for s, v, e in zip(orders, vals, errs):

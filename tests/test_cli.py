@@ -157,6 +157,23 @@ def test_config_entry_type_and_choice_exit_2(command, entry, tmp_path, capsys):
     assert f"error: {key} " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,entry",
+    [
+        pytest.param("expand", {"oracle": "both"}, id="expand-oracle"),
+        pytest.param("cwt", {"domain": "space"}, id="cwt-domain"),
+        pytest.param("coeffs", {"amplitude": 2}, id="coeffs-amplitude"),
+    ],
+)
+def test_config_key_the_subcommand_does_not_read_exits_2(
+        command, entry, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(entry))
+    assert main([command, "--config", str(cfg)]) == 2
+    (key,) = entry
+    assert f"error: {key} is not read by {command}" in capsys.readouterr().err
+
+
 def test_config_entry_of_the_field_type_is_accepted(tmp_path, capsys):
     # an int where a float is expected, a null where the field is optional,
     # and a choice that the subcommand's flag offers

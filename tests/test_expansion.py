@@ -15,10 +15,10 @@ from cwtasym.expansion import (
     _time_moment_quadrature,
     convergence_order,
     expand_frequency,
-    expand_morlet_time,
     expand_time,
     expansion_plan,
     mirror_sign,
+    remainder_frequency,
 )
 from cwtasym.mellin import MellinMethod, mellin_transform
 from cwtasym.oracle import _haar_alg_tail, cwt_fourier, cwt_time
@@ -137,6 +137,35 @@ def test_algebraic_tail_remainder_evaluation_ceiling(monkeypatch):
     assert 0 < sum(spent) <= 2_000
 
 
+@pytest.mark.parametrize("wav_kind,per_side", [
+    (WaveletKind.Morlet, 1), (WaveletKind.MexicanHat, 1), (WaveletKind.Haar, 4)])
+def test_polynomial_tail_takes_one_incomplete_gamma_per_side(
+        monkeypatch, wav_kind, per_side):
+    """The remainder's polynomial tail integrates all its orders k + 1 - beta
+    with one batched call per side; the step wavelet's own tail adds one
+    incomplete Gamma per phase (three)."""
+    import cwtasym.expansion as expansion
+    import cwtasym.specfun as specfun
+    from cwtasym.specfun import oscillatory_power_tails, upper_incomplete_gamma
+
+    gammas, batches = [], []
+
+    def counting_gamma(s, x):
+        gammas.append(s)
+        return upper_incomplete_gamma(s, x)
+
+    def counting_tails(*args):
+        batches.append(args)
+        return oscillatory_power_tails(*args)
+
+    monkeypatch.setattr(specfun, "upper_incomplete_gamma", counting_gamma)
+    monkeypatch.setattr(expansion, "oscillatory_power_tails", counting_tails)
+    remainder_frequency(make_signal(SignalKind.TwoSidedExp),
+                        make_wavelet(wav_kind), 0.05, 0.6, 4)
+    assert len(batches) == 2
+    assert len(gammas) == 2 * per_side
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_haar_closed_form_tail_matches_quadrature(sign):
     """The step wavelet's three phases against the signal's inverse-power
@@ -187,7 +216,7 @@ def test_closed_and_quadrature_time_moments_agree():
     sig = make_signal(SignalKind.Lorentzian)
     wav = make_wavelet(WaveletKind.Morlet, u0=2.0)
     rq = expand_time(sig, wav, 0.05, 0.0, 4)
-    rc = expand_morlet_time(sig, wav, 0.05, 0.0, 4)
+    rc = expansion_plan(sig, wav, 0.0, 4, "time", closed_form=True).at(0.05)
     assert_allclose(rc.terms, rq.terms, rtol=1e-11, atol=1e-18)
     assert abs(rc.partial_sum - rq.partial_sum) < 1e-11 * abs(rc.partial_sum)
 
@@ -272,8 +301,6 @@ def test_parameter_validation():
         expand_frequency(sig, wav, 0.1, 0.0, 0)
     with pytest.raises(ValueError):
         expand_time(sig, wav, 0.0, 0.0, 3)
-    with pytest.raises(ValueError, match="modulated-Gaussian"):
-        expand_morlet_time(sig, make_wavelet(WaveletKind.Haar), 0.1, 0.0, 2)
     with pytest.raises(ValueError):
         expand_frequency(sig, wav, 0.1, 0.0, 3, remainder="exact")
 
@@ -302,11 +329,8 @@ def test_result_metadata():
          {}),
         (SignalKind.Lorentzian, WaveletKind.MexicanHat, 0.0, 0.7, expand_time,
          {"domain": "time"}),
-        (SignalKind.Lorentzian, WaveletKind.Morlet, 2.0, 0.7,
-         expand_morlet_time, {"domain": "time", "closed_form": True}),
     ],
-    ids=["split-tail-frequency", "quadrature-frequency", "quadrature-time",
-         "closed-form-time"],
+    ids=["split-tail-frequency", "quadrature-frequency", "quadrature-time"],
 )
 def test_plan_at_equals_expand(kind, wav_kind, u0, b, expand, plan_kwargs):
     sig = make_signal(kind)

@@ -14,7 +14,8 @@ from cwtasym.mellin import (
     mellin_morlet_time,
     mellin_transform,
 )
-from cwtasym.signals import SignalKind, make_h, make_signal
+from cwtasym.signals import SignalKind, custom_signal, make_h, make_signal
+from cwtasym.specfun import oscillatory_power_tails, upper_incomplete_gamma
 
 
 def _h(kind, b):
@@ -93,6 +94,78 @@ def test_split_and_extrapolation_agree():
         tail = mellin_transform(h, z, MellinMethod.SplitTailAnalytic)
         eps = mellin_transform(h, z, MellinMethod.EpsExtrapolation)
         assert abs(tail.value - eps.value) < 1e-6 * abs(tail.value)
+
+
+def _two_sided_exp_moment(amplitude, scale, b, z, mirror):
+    """The Abel-regularized moment of h(u) = e^{ibu} A s 2/(1 + s^2 u^2).
+
+    With A s 2/(1 + s^2 u^2) = A s [(i/s)/(u + i/s) + (-i/s)/(u - i/s)],
+    each fraction is Gradshteyn-Ryzhik 3.383.10,
+    int_0^inf u^{z-1} e^{-mu u}/(u + beta) du
+    = beta^{z-1} e^{beta mu} Gamma(z) Gamma(1 - z, beta mu),
+    at mu = 1e-40 -+ ib: the damping e^{-eps u} of the Abel limit, which
+    also keeps beta*mu off Gamma's branch cut.
+    """
+    with mp.workdps(60):
+        mu = mp.mpf("1e-40") - 1j * mp.mpf(-b if mirror else b)
+        z = mp.mpc(z)
+        total = 0
+        for beta in (mp.mpc(0, 1) / scale, mp.mpc(0, -1) / scale):
+            total += (beta * beta ** (z - 1) * mp.exp(beta * mu) * mp.gamma(z)
+                      * mp.gammainc(1 - z, beta * mu))
+        return complex(amplitude * scale * total)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.2, 3.0])
+def test_split_tail_against_reference(scale):
+    """Split-tail moments of a scaled two-sided exponential against a
+    60-digit closed form, within their own error estimates; s = 0.2, z = 5
+    near b = 0 is the tightest case (about 0.99 of its estimate)."""
+    amplitude = 1.0 if scale == 1.0 else -2.0
+    if scale == 1.0:
+        sig = make_signal(SignalKind.TwoSidedExp)
+    else:
+        sig = custom_signal(SignalKind.TwoSidedExp, amplitude=amplitude,
+                            time_scale=scale)
+    for b in (-0.02, 0.7, -1.3):
+        for z in (1, 2, 3, 4, 5, 1.5 + 0.5j):
+            for mirror in (False, True):
+                got = mellin_transform(make_h(sig, b), z, mirror=mirror)
+                assert got.method == MellinMethod.SplitTailAnalytic
+                want = _two_sided_exp_moment(amplitude, scale, b, z, mirror)
+                assert abs(got.value - want) <= got.abs_error_estimate, (b, z, mirror)
+
+
+def test_split_tail_takes_one_incomplete_gamma_per_cut(monkeypatch):
+    """Each cut of the ladder integrates the whole series with one batched
+    call, which takes one incomplete Gamma (12 per moment, one per order,
+    before)."""
+    import cwtasym.mellin as mellin
+    import cwtasym.specfun as specfun
+
+    gammas, cuts = [], []
+
+    def counting_gamma(s, x):
+        gammas.append(s)
+        return upper_incomplete_gamma(s, x)
+
+    def recording_tails(sigma, count, c, radius):
+        cuts.append(radius)
+        return oscillatory_power_tails(sigma, count, c, radius)
+
+    monkeypatch.setattr(specfun, "upper_incomplete_gamma", counting_gamma)
+    monkeypatch.setattr(mellin, "oscillatory_power_tails", recording_tails)
+    steps = []
+    for z in (1.0, 3.0, 4.5 + 0.5j):
+        gammas.clear(), cuts.clear()
+        mellin_transform(_h(SignalKind.TwoSidedExp, 0.7), z)
+        assert len(gammas) == len(cuts), z
+        ladder = [max(10.0, 2.0 * abs(z))]
+        while len(ladder) < len(cuts):
+            ladder.append(ladder[-1] * 1.6)
+        assert cuts == ladder, z
+        steps.append(len(cuts))
+    assert min(steps) >= 1 and max(steps) >= 2
 
 
 def test_extrapolation_detects_divergence():

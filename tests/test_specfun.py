@@ -10,7 +10,6 @@ from cwtasym.specfun import (
     SpecFunError,
     SpecFunMethod,
     gamma_complex,
-    oscillatory_power_tail,
     oscillatory_power_tails,
     parabolic_cylinder_D,
     upper_incomplete_gamma,
@@ -139,7 +138,7 @@ def test_parabolic_cylinder_domain_guards():
 )
 def test_oscillatory_power_tail_against_reference(sigma, c, radius):
     """int_U^inf t^(sigma-1) e^(ict) dt via the incomplete gamma route."""
-    val, err = oscillatory_power_tail(sigma, c, radius)
+    ((val, err),) = oscillatory_power_tails(sigma, 1, c, radius)
     f = lambda t: t ** (sigma - 1) * mp.e ** (1j * c * t)
     ref = complex(mp.quadosc(f, [radius, mp.inf], omega=abs(c)))
     assert abs(val - ref) <= max(5e-13 * abs(ref), 1e-15)
@@ -147,10 +146,13 @@ def test_oscillatory_power_tail_against_reference(sigma, c, radius):
 
 
 def test_oscillatory_power_tail_zero_rate():
-    val, _ = oscillatory_power_tail(-2.0, 0.0, 5.0)
+    ((val, _),) = oscillatory_power_tails(-2.0, 1, 0.0, 5.0)
     assert_allclose(val, 5.0 ** (-2.0) / 2.0, rtol=1e-13)
     with pytest.raises(SpecFunError):
-        oscillatory_power_tail(0.5, 0.0, 5.0)
+        oscillatory_power_tails(0.5, 1, 0.0, 5.0)
+    # the first order has the largest real part, so it decides for the run
+    with pytest.raises(SpecFunError):
+        oscillatory_power_tails(0.5, 3, 0.0, 5.0)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -165,7 +167,7 @@ def test_oscillatory_power_tails_match_per_order(sign, mu, a, b):
     tails = oscillatory_power_tails(-2.0, 12, rate, 16.0)
     assert len(tails) == 12
     for k, (val, err) in enumerate(tails):
-        ref, ref_err = oscillatory_power_tail(-2.0 - k, rate, 16.0)
+        ((ref, ref_err),) = oscillatory_power_tails(-2.0 - k, 1, rate, 16.0)
         assert abs(val - ref) <= err + ref_err
         assert err <= 1e-12 * abs(val)
 
@@ -181,5 +183,17 @@ def test_oscillatory_power_tails_against_reference():
                 ref = complex(q ** (-s) * mp.gammainc(s, q * radius))
                 assert abs(val - ref) <= err
     zero = oscillatory_power_tails(-2.0, 3, 0.0, 5.0)
-    assert [v for v, _ in zero] == [
-        oscillatory_power_tail(-2.0 - k, 0.0, 5.0)[0] for k in range(3)]
+    assert_allclose([v for v, _ in zero],
+                    [5.0 ** (-2.0 - k) / (2.0 + k) for k in range(3)], rtol=1e-15)
+
+
+def test_upper_incomplete_gamma_estimate_covers_conditioning():
+    """At |x| = 7,680 the rounding of x and of e^{s log x - x} costs about
+    eps*|x| relative, far above the continued fraction's own residual."""
+    x = 7680j
+    with mp.workdps(40):
+        for k in range(6):
+            s = -1.3 + 0.2j - k
+            got = upper_incomplete_gamma(s, x)
+            ref = complex(mp.gammainc(mp.mpc(s), mp.mpc(x)))
+            assert abs(got.value - ref) <= got.abs_error_estimate, k
