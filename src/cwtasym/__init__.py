@@ -48,9 +48,7 @@ from .expansion import (
     ExpansionPlan,
     ExpansionResult,
     RemainderKind,
-    expand_frequency,
     remainder_frequency,
-    expand_time,
     convergence_order,
     expansion_plan,
 )
@@ -96,9 +94,7 @@ __all__ = [
     "ExpansionPlan",
     "ExpansionResult",
     "RemainderKind",
-    "expand_frequency",
     "remainder_frequency",
-    "expand_time",
     "convergence_order",
     "expansion_plan",
     "available_checks",

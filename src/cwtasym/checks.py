@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expansion import convergence_order, expand_frequency, expansion_plan
+from .expansion import convergence_order, expansion_plan
 from .mellin import MellinMethod, mellin_transform
 from .oracle import cwt_fourier, cwt_time
 from .quadrature import QuadratureConfig, integrate, power_gauss_cut
@@ -241,7 +241,7 @@ def _check_remainder_identity():
     ok = True
     for kind, wav, a, b in cases:
         sig = make_signal(kind)
-        res = expand_frequency(sig, wav, a, b, 3, remainder="integral_m0", config=cfg)
+        res = expansion_plan(sig, wav, b, 3, config=cfg).at(a, "integral_m0")
         oracle = cwt_fourier(sig, wav, a, b, cfg)
         own = (
             res.abs_error_estimate
@@ -310,10 +310,8 @@ def _check_route_agreement():
     sig = make_signal(SignalKind.Lorentzian)
     wav = make_wavelet(WaveletKind.Morlet, u0=2.0)
     a, b, n = 0.05, 0.0, 4
-    ef = expand_frequency(sig, wav, a, b, n, remainder="integral_m0", config=cfg)
-    et = expansion_plan(sig, wav, b, n, "time", cfg, closed_form=True).at(
-        a, "integral_m0"
-    )
+    ef = expansion_plan(sig, wav, b, n, config=cfg).at(a, "integral_m0")
+    et = expansion_plan(sig, wav, b, n, "time", cfg).at(a, "integral_m0")
     mutual = abs(ef.partial_sum - et.partial_sum)
     budget = max(
         abs(ef.remainder_scale * ef.remainder_estimate), abs(et.remainder_estimate)

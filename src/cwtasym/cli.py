@@ -25,9 +25,12 @@ non-finite ``a``, ``b``, ``u0``, ``a_min``, ``a_max``, ``tol``,
 ``sweep`` produced non-converged quadrature results.  ``cwt --format json`` also
 reports why each route's quadrature stopped (``status``).
 
-On the time route (``--domain time``) the wavelet moments are taken in
-closed form for every built-in wavelet; quadrature of the same moments
-(``expand_time``) is kept as an independent cross-check.
+``expand`` and ``sweep`` build their expansion one way: the frequency
+route (the default) takes ``mellin_transform``'s automatic choice of Mellin
+strategy, and the time route (``--domain time``) takes the wavelet moments
+in closed form.  ``mellin --mellin-method`` names any one strategy, so the
+others can be checked against it.  The argument parser is built once per
+process, on the first ``main`` call.
 """
 
 from __future__ import annotations
@@ -283,19 +286,12 @@ def _cmd_mellin(rc: RunConfig) -> int:
     return 0
 
 
-def _expansion_plan(rc: RunConfig, sig, wav, qcfg: QuadratureConfig):
-    if rc.domain == "time":
-        return expansion_plan(sig, wav, rc.b, rc.n, "time", qcfg,
-                              closed_form=True)
-    return expansion_plan(sig, wav, rc.b, rc.n, config=qcfg,
-                          mellin_method=_MELLIN_METHODS[rc.mellin_method])
-
-
 def _cmd_expand(rc: RunConfig) -> int:
     sig = _build_signal(rc)
     wav = _build_wavelet(rc)
     qcfg = _quad_config(rc)
-    res = _expansion_plan(rc, sig, wav, qcfg).at(rc.a, rc.remainder)
+    res = expansion_plan(sig, wav, rc.b, rc.n, rc.domain, qcfg).at(
+        rc.a, rc.remainder)
     rows = [
         (f"term_{s}", _g(t.real), _g(t.imag), _g(e))
         for s, (t, e) in enumerate(zip(res.terms, res.term_error_estimates))
@@ -365,7 +361,7 @@ def _cmd_sweep(rc: RunConfig) -> int:
     qcfg = _quad_config(rc)
     a_values = _sweep_grid(rc)
     # Nothing in the plan depends on a; the worker threads only read it.
-    plan = _expansion_plan(rc, sig, wav, qcfg)
+    plan = expansion_plan(sig, wav, rc.b, rc.n, rc.domain, qcfg)
     oracle_fn = cwt_time if rc.oracle == "time" else cwt_fourier
 
     def work(a: float):
@@ -501,15 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--domain", choices=["frequency", "time"])
     p.add_argument("--remainder", choices=["none", "integral_m0", "empirical"])
-    p.add_argument("--mellin-method", dest="mellin_method",
-                   choices=sorted(_MELLIN_METHODS))
 
     p = sub.add_parser("sweep", help="error table over a dilation grid")
     add_common(p, grid=True, point=False)
     p.add_argument("--domain", choices=["frequency", "time"])
     p.add_argument("--oracle", choices=["time", "fourier"])
-    p.add_argument("--mellin-method", dest="mellin_method",
-                   choices=sorted(_MELLIN_METHODS))
     p.add_argument("--jobs", type=int)
 
     for name, p in sub.choices.items():
@@ -530,10 +522,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first main call and reused: building it costs more than a
+# whole one-point ``cwt`` command.
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 

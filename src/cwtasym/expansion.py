@@ -20,8 +20,11 @@ per half-line.
 
 None of the coefficients or moments depends on the dilation a, so
 ``expansion_plan`` computes them once and ``ExpansionPlan.at`` evaluates the
-expansion at any dilation; ``expand_frequency`` and ``expand_time`` (with
-quadrature moments) do both for one a.
+expansion at any dilation; that is the one way to build an expansion.  The
+frequency route takes its Mellin moments by ``mellin_transform``'s
+``"auto"`` choice, the time route its wavelet moments from the closed forms
+of ``_time_moment_closed``; ``_time_moment_quadrature`` stays as the tests'
+independent reference for the latter.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .oracle import (
 from .quadrature import (
     QuadratureConfig,
     QuadratureError,
+    TRUNCATION_RADIUS,
     integrate,
     power_exp_cut,
     power_gauss_cut,
@@ -100,11 +104,6 @@ def _as_remainder_kind(value: Union[str, RemainderKind]) -> RemainderKind:
 def _check_dilation(a: float) -> None:
     if not a > 0.0:
         raise ValueError("the dilation parameter must be positive")
-
-
-def _check_terms(n: int) -> None:
-    if n < 1:
-        raise ValueError("need at least one expansion term")
 
 
 @dataclass(frozen=True)
@@ -295,7 +294,7 @@ def remainder_frequency(
 
     k_const = wavelet.hat_sup + float(np.sum(np.abs(cs)))
     cut, bound = _poly_tail_cut(signal.freq_envelope, k_const, a, n - 1, delta)
-    cut = min(cut, cfg.truncation_radius)
+    cut = min(cut, TRUNCATION_RADIUS)
     total = 0.0 + 0.0j
     err = 0.0
     for sign in (1, -1):
@@ -323,7 +322,7 @@ def _time_moment_quadrature(
     else:
         _, c_w, rate = wavelet.time_envelope
         cut, bound = power_gauss_cut(c_w, nu - 1.0, rate, 0.5 * cfg.abs_tol)
-        upper = min(cut, cfg.truncation_radius)
+        upper = min(cut, TRUNCATION_RADIUS)
         period = _TWO_PI / wavelet.u0 if wavelet.kind == WaveletKind.Morlet else None
         hints = {"period_hint": period, "tail_bound": bound}
     res = integrate(
@@ -460,7 +459,7 @@ def _remainder_time(
             cut, bound = _poly_tail_cut(
                 wavelet.time_envelope, k_const, a, n - 1, 0.5 * cfg.abs_tol
             )
-            cut = min(cut, cfg.truncation_radius)
+            cut = min(cut, TRUNCATION_RADIUS)
             period = (
                 _TWO_PI / wavelet.u0 if wavelet.kind == WaveletKind.Morlet else None
             )
@@ -572,28 +571,25 @@ def expansion_plan(
     n: int,
     domain: str = "frequency",
     config: Optional[QuadratureConfig] = None,
-    mellin_method: Union[str, object] = "auto",
-    closed_form: bool = False,
 ) -> ExpansionPlan:
     """Compute the coefficients and moments of an n-term expansion once.
 
     ``domain="frequency"`` pairs the wavelet's small-argument coefficients
-    with regularized Mellin moments of h(u) = e^{ibu} f_hat(u), computed by
-    ``mellin_method``.  ``domain="time"`` pairs the signal's Taylor
-    coefficients at b with one-sided wavelet moments, by quadrature or, with
-    ``closed_form=True``, in closed form (every built-in wavelet has one).
+    with regularized Mellin moments of h(u) = e^{ibu} f_hat(u), by
+    ``mellin_transform``'s ``"auto"`` choice.  ``domain="time"`` pairs the
+    signal's Taylor coefficients at b with one-sided wavelet moments in
+    closed form (every built-in wavelet has one).
     """
-    _check_terms(n)
+    if n < 1:
+        raise ValueError("need at least one expansion term")
     cfg = config if config is not None else QuadratureConfig()
     lam = wavelet.lam
     if domain == "frequency":
-        if closed_form:
-            raise ValueError("closed-form moments apply only to the time route")
         cs = small_u_coefficients(wavelet, n).coefficients
         h = make_h(signal, b)
 
         def moment(s, mirror):
-            m = mellin_transform(h, s + lam, mellin_method, cfg, mirror=mirror)
+            m = mellin_transform(h, s + lam, "auto", cfg, mirror=mirror)
             return m.value, m.abs_error_estimate
 
         power_offset, remainder_scale = lam - 0.5, 1.0 / _TWO_PI
@@ -601,9 +597,7 @@ def expansion_plan(
         cs = time_coefficients(signal, b, n)
 
         def moment(s, mirror):
-            if closed_form:
-                return _time_moment_closed(wavelet, float(s + 1), mirror)
-            return _time_moment_quadrature(wavelet, float(s + 1), mirror, cfg)
+            return _time_moment_closed(wavelet, float(s + 1), mirror)
 
         power_offset, remainder_scale = 0.5, 1.0
     else:
@@ -639,42 +633,6 @@ def expansion_plan(
         remainder_scale=remainder_scale,
         config=cfg,
     )
-
-
-def expand_frequency(
-    signal: SignalSpec,
-    wavelet: WaveletSpec,
-    a: float,
-    b: float,
-    n: int,
-    remainder: Union[str, RemainderKind] = "none",
-    config: Optional[QuadratureConfig] = None,
-    mellin_method: Union[str, object] = "auto",
-) -> ExpansionResult:
-    """Frequency-domain expansion of W(b, a) to n terms."""
-    _check_dilation(a)
-    _check_terms(n)
-    kind = _as_remainder_kind(remainder)
-    plan = expansion_plan(
-        signal, wavelet, b, n, config=config, mellin_method=mellin_method
-    )
-    return plan.at(a, kind)
-
-
-def expand_time(
-    signal: SignalSpec,
-    wavelet: WaveletSpec,
-    a: float,
-    b: float,
-    n: int,
-    remainder: Union[str, RemainderKind] = "none",
-    config: Optional[QuadratureConfig] = None,
-) -> ExpansionResult:
-    """Time-domain expansion with wavelet moments computed by quadrature."""
-    _check_dilation(a)
-    _check_terms(n)
-    kind = _as_remainder_kind(remainder)
-    return expansion_plan(signal, wavelet, b, n, "time", config).at(a, kind)
 
 
 def convergence_order(a_values, errors) -> float:

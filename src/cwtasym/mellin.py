@@ -11,6 +11,11 @@ h(u) = e^{ibu} f_hat(u) and the mirror variant h(-u).  Four strategies:
   Richardson-extrapolated to epsilon = 0;
 * ClosedForm — exact values for the cases that admit them (used as the
   independent check against the numeric strategies).
+
+Expansions take the ``"auto"`` choice of ``mellin_transform`` (direct
+quadrature or the analytic-tail split, by the signal's tail); the other
+strategies are reached only by naming them, through ``method=`` or
+``cwtasym mellin --mellin-method``, as cross-checks.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .oracle import _side_coeffs
 from .quadrature import (
     QuadratureConfig,
     QuadratureError,
+    TRUNCATION_RADIUS,
     integrate,
     power_exp_cut,
     power_gauss_cut,
@@ -42,6 +48,9 @@ from .specfun import (
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
+# The damping ladder of EpsExtrapolation: eps = _EPS0 / 2**k, k < _EPS_LEVELS.
+_EPS0 = 0.125
+_EPS_LEVELS = 4
 
 
 class MellinMethod(Enum):
@@ -115,7 +124,7 @@ def _quadrature_piece(
                 "undamped quadrature of an algebraically decaying integrand "
                 f"with net power {sig_net:g} >= -1 does not converge"
             )
-    cut = min(cut, cfg.truncation_radius)
+    cut = min(cut, TRUNCATION_RADIUS)
     rate = abs(_phase_rate(h, mirror))
     period = _TWO_PI / rate if rate > 0.0 else None
     return integrate(
@@ -184,7 +193,7 @@ def _split_tail_analytic(h, z, mirror, cfg) -> MellinValue:
         # Truncate the (possibly asymptotic) series at its smallest term.
         trunc_err, trunc_idx = min((abs(terms[r]), r) for r in nonzero)
         largest = max(abs(terms[r]) for r in nonzero)
-        if trunc_err < 1e-12 * max(largest, 1e-300) or cut >= 0.5 * cfg.truncation_radius:
+        if trunc_err < 1e-12 * max(largest, 1e-300) or cut >= 0.5 * TRUNCATION_RADIUS:
             break
     head = integrate(
         _integrand(h, z, mirror, 0.0),
@@ -203,11 +212,10 @@ def _split_tail_analytic(h, z, mirror, cfg) -> MellinValue:
 
 
 def _eps_extrapolation(h, z, mirror, cfg) -> MellinValue:
-    levels = cfg.eps_levels
     values = []
     quad_err = 0.0
-    for k in range(levels):
-        eps = cfg.eps0 / 2.0 ** k
+    for k in range(_EPS_LEVELS):
+        eps = _EPS0 / 2.0 ** k
         res = _quadrature_piece(h, z, mirror, eps, cfg)
         values.append(res.value)
         quad_err = max(quad_err, res.abs_error_estimate)
@@ -231,14 +239,12 @@ def _closed_form(h, z, mirror, cfg) -> MellinValue:
         err = math.pi * g.abs_error_estimate * abs(w) + 1e-15 * abs(val)
         return MellinValue(val, err, MellinMethod.ClosedForm)
     if sig.kind == SignalKind.Gaussian:
-        g = gamma_complex(z)
-        d = parabolic_cylinder_D(-z, complex(0.0, -b_eff))
-        pre = _SQRT_2PI * math.exp(-0.25 * b_eff * b_eff)
-        val = pre * g.value * d.value
-        err = pre * (
-            g.abs_error_estimate * abs(d.value) + abs(g.value) * d.abs_error_estimate
+        # h(u) = sqrt(2*pi) e^{i*b_eff*u - u^2/2}: the modulated-Gaussian moment
+        m = mellin_morlet_time(z, b_eff, 1)
+        return MellinValue(
+            _SQRT_2PI * m.value, _SQRT_2PI * m.abs_error_estimate,
+            MellinMethod.ClosedForm,
         )
-        return MellinValue(val, err + 1e-15 * abs(val), MellinMethod.ClosedForm)
     if sig.kind == SignalKind.TwoSidedExp and h.b == 0.0:
         if not 0.0 < z.real < 2.0:
             raise MellinError(

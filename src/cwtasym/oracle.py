@@ -43,6 +43,7 @@ from .quadrature import (
     QuadratureConfig,
     QuadratureError,
     QuadratureResult,
+    TRUNCATION_RADIUS,
     _cut_radius,
     _envelope_tail_bound,
     integrate,
@@ -251,8 +252,8 @@ def _split_radius(
     """
     q, truncation = _series_truncation(signal, weights)
     radius = max(start, 2.0 * q)
-    while truncation(radius) > 0.5 * cfg.abs_tol and radius < cfg.truncation_radius:
-        radius = min(2.0 * radius, cfg.truncation_radius)
+    while truncation(radius) > 0.5 * cfg.abs_tol and radius < TRUNCATION_RADIUS:
+        radius = min(2.0 * radius, TRUNCATION_RADIUS)
     return radius, truncation(radius)
 
 
@@ -446,12 +447,12 @@ def _fourier_side(
     kind, c_f, p_f = signal.freq_envelope
     env_f = (kind, c_f * wavelet.hat_sup, p_f)
     cuts = [(
-        _cut_radius(env_f, delta, cfg.truncation_radius),
+        _cut_radius(env_f, delta),
         lambda u: _envelope_tail_bound(env_f, u),
     )]
     if wavelet.kind != WaveletKind.Haar:
         cuts.append(_gauss_wavelet_cut(wavelet, sign, a, signal.sup_freq, delta))
-    cut = min(min(c for c, _ in cuts), cfg.truncation_radius)
+    cut = min(min(c for c, _ in cuts), TRUNCATION_RADIUS)
     tail = min(t(cut) for _, t in cuts)
 
     breakpoints, period = _fourier_side_hints(wavelet, sign, a, b)

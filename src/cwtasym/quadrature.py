@@ -74,6 +74,8 @@ _WG15[[13, 11, 9]] = _WG[:3]
 _WG15[7] = _WG[3]
 
 _BISECT_BLOCK = 64
+# No truncated domain extends past this radius.
+TRUNCATION_RADIUS = 1e12
 _MIN_INITIAL_PANELS = 8
 _MAX_PANELS_PER_PIECE = 16384
 
@@ -87,9 +89,6 @@ class QuadratureConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_subdivisions: int = 2000
-    truncation_radius: float = 1e12
-    eps0: float = 0.125
-    eps_levels: int = 4
 
     def __post_init__(self):
         # Each test is written so that NaN fails it.
@@ -101,12 +100,6 @@ class QuadratureConfig:
             raise ValueError("abs_tol must be nonnegative")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be positive")
-        if not self.truncation_radius > 0.0:
-            raise ValueError("truncation_radius must be positive")
-        if not self.eps0 > 0.0:
-            raise ValueError("eps0 must be positive")
-        if self.eps_levels < 2:
-            raise ValueError("eps_levels must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -270,7 +263,7 @@ def _envelope_tail_bound(envelope: Envelope, radius: float) -> float:
     raise QuadratureError(f"unknown envelope kind {kind!r}")
 
 
-def _cut_radius(envelope: Envelope, tol: float, cap: float) -> float:
+def _cut_radius(envelope: Envelope, tol: float) -> float:
     kind, c, p = envelope
     tol = max(tol, 1e-300)
     if kind == "exp":
@@ -290,7 +283,7 @@ def _cut_radius(envelope: Envelope, tol: float, cap: float) -> float:
         u = (c / ((p - 1.0) * tol)) ** (1.0 / (p - 1.0))
     else:
         raise QuadratureError(f"unknown envelope kind {kind!r}")
-    return min(max(u, 1.0), cap)
+    return min(max(u, 1.0), TRUNCATION_RADIUS)
 
 
 def power_exp_cut(c: float, sigma: float, rate: float, delta: float) -> tuple:
@@ -408,7 +401,7 @@ def integrate(
     if math.isinf(lo) or math.isinf(hi):
         if envelope is None:
             raise QuadratureError("infinite domain requires a decay envelope")
-        radius = _cut_radius(envelope, cfg.abs_tol, cfg.truncation_radius)
+        radius = _cut_radius(envelope, cfg.abs_tol)
         if math.isinf(lo):
             cut_lo = -radius
         if math.isinf(hi):
@@ -458,7 +451,7 @@ def integrate(
         target = 0.5 * max(cfg.abs_tol, cfg.rel_tol * abs(value))
         if trunc <= target:
             break
-        radius_new = min(2.0 * radius, cfg.truncation_radius)
+        radius_new = min(2.0 * radius, TRUNCATION_RADIUS)
         if radius_new <= radius:
             break
         for sign, infinite in ((1.0, math.isinf(hi)), (-1.0, math.isinf(lo))):

@@ -18,6 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .specfun import hermite_he
+
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -204,14 +206,11 @@ def make_h(signal: SignalSpec, b: float) -> HSpec:
     return HSpec(signal=signal, b=float(b))
 
 
-def h_eval(h: HSpec, u, mirror: bool = False, eps: float = 0.0) -> np.ndarray:
-    """Evaluate h(u) or its reflection h(-u) on u > 0, optionally damped."""
+def h_eval(h: HSpec, u, mirror: bool = False) -> np.ndarray:
+    """Evaluate h(u) or its reflection h(-u) on u > 0."""
     u = np.asarray(u, dtype=float)
     sgn = -1.0 if mirror else 1.0
-    out = np.exp(1j * sgn * h.b * u) * f_hat(h.signal, sgn * u)
-    if eps != 0.0:
-        out = out * np.exp(-eps * u)
-    return out
+    return np.exp(1j * sgn * h.b * u) * f_hat(h.signal, sgn * u)
 
 
 def _chebyshev_like_fit(f, b: float, h: float, degree: int) -> np.ndarray:
@@ -233,12 +232,7 @@ def time_coefficients(signal: SignalSpec, b: float, n: int) -> np.ndarray:
             out[s] = ((-1.0) ** s / 2j) * (zm ** (-s - 1) - zp ** (-s - 1))
         return out
     if signal.kind == SignalKind.Gaussian:
-        he = np.zeros(n)
-        he[0] = 1.0
-        if n > 1:
-            he[1] = b
-        for s in range(2, n):
-            he[s] = b * he[s - 1] - (s - 1) * he[s - 2]
+        he = hermite_he(b, n)
         pre = math.exp(-0.5 * b * b)
         for s in range(n):
             out[s] = (-1.0) ** s * he[s] * pre / math.factorial(s)

@@ -6,6 +6,8 @@ error estimate, and the evaluation method that was used.
 ``oscillatory_power_tails`` is the one routine that integrates an
 inverse-power series against a phase beyond a radius: a run of orders that
 differ by integers, from one incomplete Gamma and its recurrence.
+``hermite_he`` gives the probabilists' Hermite polynomials behind the
+Gaussian wavelet's and the Gaussian signal's Taylor coefficients.
 """
 
 from __future__ import annotations
@@ -306,3 +308,14 @@ def oscillatory_power_tails(
         val = scale * v
         out.append((val, abs(scale) * e + 4.0 * _EPS * abs(val)))
     return out
+
+
+def hermite_he(x: float, n: int) -> list[float]:
+    """He_0(x), ..., He_{n-1}(x) by He_s = x He_{s-1} - (s-1) He_{s-2}."""
+    he = [0.0] * n
+    he[0] = 1.0
+    if n > 1:
+        he[1] = x
+    for s in range(2, n):
+        he[s] = x * he[s - 1] - (s - 1) * he[s - 2]
+    return he

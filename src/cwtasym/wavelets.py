@@ -17,6 +17,8 @@ from typing import Optional
 
 import numpy as np
 
+from .specfun import hermite_he
+
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _EPS = 2.220446049250313e-16
 _I_POW = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
@@ -154,12 +156,7 @@ def small_u_coefficients(spec: WaveletSpec, n: int) -> CoefficientTable:
         # probabilists' Hermite polynomials by their three-term recurrence.
         x = spec.u0
         pre = _SQRT_2PI * math.exp(-0.5 * x * x)
-        he = np.zeros(n)
-        he[0] = 1.0
-        if n > 1:
-            he[1] = x
-        for s in range(2, n):
-            he[s] = x * he[s - 1] - (s - 1) * he[s - 2]
+        he = hermite_he(x, n)
         for s in range(n):
             cs[s] = pre * he[s] / math.factorial(s)
     elif spec.kind == WaveletKind.MexicanHat:

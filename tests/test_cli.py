@@ -163,6 +163,10 @@ def test_config_entry_type_and_choice_exit_2(command, entry, tmp_path, capsys):
         pytest.param("expand", {"oracle": "both"}, id="expand-oracle"),
         pytest.param("cwt", {"domain": "space"}, id="cwt-domain"),
         pytest.param("coeffs", {"amplitude": 2}, id="coeffs-amplitude"),
+        pytest.param("expand", {"mellin_method": "eps"},
+                     id="expand-mellin-method"),
+        pytest.param("sweep", {"mellin_method": "eps"},
+                     id="sweep-mellin-method"),
     ],
 )
 def test_config_key_the_subcommand_does_not_read_exits_2(
@@ -172,6 +176,28 @@ def test_config_key_the_subcommand_does_not_read_exits_2(
     assert main([command, "--config", str(cfg)]) == 2
     (key,) = entry
     assert f"error: {key} is not read by {command}" in capsys.readouterr().err
+
+
+def test_expand_has_no_mellin_method_flag(capsys):
+    # expansions take the automatic Mellin strategy; only mellin names one
+    assert main(["expand", "--mellin-method", "tail"]) == 2
+    assert "--mellin-method" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    original = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_PARSER", None, raising=False)
+    assert main(["coeffs", "--wavelet", "haar", "--n", "2"]) == 0
+    assert main(["coeffs", "--wavelet", "mexhat", "--n", "3"]) == 0
+    assert len(built) <= 1
+    assert len(capsys.readouterr().out.strip().splitlines()) == 3 + 4
 
 
 def test_config_entry_of_the_field_type_is_accepted(tmp_path, capsys):

@@ -2,7 +2,6 @@
 
 import cmath
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,8 +13,6 @@ from cwtasym.expansion import (
     _time_moment_closed,
     _time_moment_quadrature,
     convergence_order,
-    expand_frequency,
-    expand_time,
     expansion_plan,
     mirror_sign,
     remainder_frequency,
@@ -49,7 +46,7 @@ def test_mirror_sign_general_exponent():
 def test_zero_coefficient_terms_are_exact_zeros():
     sig = make_signal(SignalKind.Lorentzian)
     wav = make_wavelet(WaveletKind.MexicanHat)
-    res = expand_frequency(sig, wav, 0.1, 0.0, 4)
+    res = expansion_plan(sig, wav, 0.0, 4).at(0.1)
     # the transform starts at the quadratic order: terms 0 and 1 are absent
     assert res.terms[0] == 0.0 and res.terms[1] == 0.0
     assert res.terms[2] != 0.0
@@ -61,7 +58,7 @@ def test_odd_terms_vanish_at_zero_offset():
     mirror combination cancels identically."""
     sig = make_signal(SignalKind.Lorentzian)
     wav = make_wavelet(WaveletKind.Morlet, u0=5.0)
-    res = expand_frequency(sig, wav, 0.1, 0.0, 6)
+    res = expansion_plan(sig, wav, 0.0, 6).at(0.1)
     for s in (1, 3, 5):
         assert abs(res.terms[s]) < 1e-20
     for s in (0, 2, 4):
@@ -80,7 +77,7 @@ def test_frequency_remainder_reconstructs_transform(kind, wav_kind, u0, a, b, n)
     """Truncation plus the exact remainder integral equals the transform."""
     sig = make_signal(kind)
     wav = make_wavelet(wav_kind, u0=u0) if u0 else make_wavelet(wav_kind)
-    res = expand_frequency(sig, wav, a, b, n, remainder="integral_m0")
+    res = expansion_plan(sig, wav, b, n).at(a, "integral_m0")
     orc = cwt_fourier(sig, wav, a, b)
     assert res.remainder_kind == RemainderKind.IntegralM0
     diff = abs(res.prediction - orc.value)
@@ -131,9 +128,9 @@ def test_algebraic_tail_remainder_evaluation_ceiling(monkeypatch):
     # the head is integrated in expansion, the wavelet tail in the oracle
     monkeypatch.setattr(expansion, "integrate", counting)
     monkeypatch.setattr(oracle, "integrate", counting)
-    expand_frequency(make_signal(SignalKind.TwoSidedExp),
-                     make_wavelet(WaveletKind.Morlet, u0=5.0), 0.01, 1.95, 2,
-                     remainder="integral_m0")
+    expansion_plan(make_signal(SignalKind.TwoSidedExp),
+                   make_wavelet(WaveletKind.Morlet, u0=5.0), 1.95, 2).at(
+        0.01, "integral_m0")
     assert 0 < sum(spent) <= 2_000
 
 
@@ -191,7 +188,7 @@ def test_haar_closed_form_tail_matches_quadrature(sign):
 def test_time_remainder_reconstructs_transform():
     sig = make_signal(SignalKind.Gaussian)
     wav = make_wavelet(WaveletKind.MexicanHat)
-    res = expand_time(sig, wav, 0.3, 0.0, 4, remainder="integral_m0")
+    res = expansion_plan(sig, wav, 0.0, 4, "time").at(0.3, "integral_m0")
     orc = cwt_time(sig, wav, 0.3, 0.0)
     diff = abs(res.prediction - orc.value)
     budget = (
@@ -207,18 +204,25 @@ def test_step_wavelet_identity_at_unit_scale():
     # every piece is computable at a = 1, so the identity is fully testable
     sig = make_signal(SignalKind.Lorentzian)
     wav = make_wavelet(WaveletKind.Haar)
-    res = expand_time(sig, wav, 1.0, 0.0, 6, remainder="integral_m0")
+    res = expansion_plan(sig, wav, 0.0, 6, "time").at(1.0, "integral_m0")
     orc = cwt_time(sig, wav, 1.0, 0.0)
     assert abs(res.prediction - orc.value) < 1e-10 * abs(orc.value)
 
 
 def test_closed_and_quadrature_time_moments_agree():
-    sig = make_signal(SignalKind.Lorentzian)
-    wav = make_wavelet(WaveletKind.Morlet, u0=2.0)
-    rq = expand_time(sig, wav, 0.05, 0.0, 4)
-    rc = expansion_plan(sig, wav, 0.0, 4, "time", closed_form=True).at(0.05)
-    assert_allclose(rc.terms, rq.terms, rtol=1e-11, atol=1e-18)
-    assert abs(rc.partial_sum - rq.partial_sum) < 1e-11 * abs(rc.partial_sum)
+    """The modulated Gaussian's closed-form moments (a parabolic cylinder
+    function) against quadrature, on both sides.  Unlike the elementary
+    wavelets' (below), its nu = 1 moment is not zero."""
+    cfg = QuadratureConfig()
+    for u0 in (2.0, 5.0):
+        wav = make_wavelet(WaveletKind.Morlet, u0=u0)
+        for mirror in (False, True):
+            for nu in range(1, 7):
+                closed, closed_err = _time_moment_closed(wav, float(nu), mirror)
+                quad, quad_err = _time_moment_quadrature(wav, float(nu), mirror,
+                                                         cfg)
+                assert abs(closed - quad) <= quad_err + closed_err, (u0, mirror, nu)
+                assert abs(closed) > 0.0
 
 
 @pytest.mark.parametrize("wav_kind", [WaveletKind.MexicanHat, WaveletKind.Haar])
@@ -237,7 +241,7 @@ def test_elementary_time_moments_match_quadrature(wav_kind, mirror):
 def test_empirical_remainder_closes_the_gap():
     sig = make_signal(SignalKind.Lorentzian)
     wav = make_wavelet(WaveletKind.Morlet, u0=5.0)
-    res = expand_frequency(sig, wav, 0.1, 0.0, 3, remainder="empirical")
+    res = expansion_plan(sig, wav, 0.0, 3).at(0.1, "empirical")
     orc = cwt_fourier(sig, wav, 0.1, 0.0)
     assert res.remainder_kind == RemainderKind.Empirical
     # by construction the prediction then matches the reference value
@@ -248,13 +252,14 @@ def test_frequency_prediction_accuracy_small_scale():
     sig = make_signal(SignalKind.Lorentzian)
     wav = make_wavelet(WaveletKind.Morlet, u0=5.0)
     a = 0.05
-    res = expand_frequency(sig, wav, a, 0.0, 3)
+    plan = expansion_plan(sig, wav, 0.0, 3)
+    res = plan.at(a)
     orc = cwt_fourier(sig, wav, a, 0.0)
     rel = abs(res.partial_sum - orc.value) / abs(orc.value)
     # relative truncation error is O(a^4), but the first omitted
     # coefficient-moment product is large at this modulation frequency
     assert rel < 1e-2
-    res2 = expand_frequency(sig, wav, a / 2.0, 0.0, 3)
+    res2 = plan.at(a / 2.0)
     orc2 = cwt_fourier(sig, wav, a / 2.0, 0.0)
     rel2 = abs(res2.partial_sum - orc2.value) / abs(orc2.value)
     assert rel2 < 0.1 * rel  # halving a should cut the error ~16x
@@ -264,9 +269,10 @@ def test_measured_order_matches_first_omitted_term():
     sig = make_signal(SignalKind.Lorentzian)
     wav = make_wavelet(WaveletKind.Morlet, u0=5.0)
     a_grid = np.geomspace(0.1, 0.01, 6)
+    plan = expansion_plan(sig, wav, 0.0, 2)
     errs = []
     for a in a_grid:
-        res = expand_frequency(sig, wav, a, 0.0, 2)
+        res = plan.at(a)
         orc = cwt_fourier(sig, wav, a, 0.0)
         errs.append(abs(res.partial_sum - orc.value))
     # b = 0 kills the odd orders, so truncating after s = 1 leaves s = 2:
@@ -296,56 +302,28 @@ def test_parameter_validation():
     sig = make_signal(SignalKind.Lorentzian)
     wav = make_wavelet(WaveletKind.Morlet, u0=5.0)
     with pytest.raises(ValueError):
-        expand_frequency(sig, wav, -0.1, 0.0, 3)
+        expansion_plan(sig, wav, 0.0, 3).at(-0.1)
     with pytest.raises(ValueError):
-        expand_frequency(sig, wav, 0.1, 0.0, 0)
+        expansion_plan(sig, wav, 0.0, 0)
     with pytest.raises(ValueError):
-        expand_time(sig, wav, 0.0, 0.0, 3)
+        expansion_plan(sig, wav, 0.0, 3, "time").at(0.0)
     with pytest.raises(ValueError):
-        expand_frequency(sig, wav, 0.1, 0.0, 3, remainder="exact")
+        expansion_plan(sig, wav, 0.0, 3).at(0.1, remainder="exact")
 
 
 def test_result_metadata():
     sig = make_signal(SignalKind.Lorentzian)
     wav = make_wavelet(WaveletKind.Morlet, u0=5.0)
-    res = expand_frequency(sig, wav, 0.1, 0.5, 3)
+    res = expansion_plan(sig, wav, 0.5, 3).at(0.1)
     assert isinstance(res, ExpansionResult)
     assert res.domain == "frequency"
     assert (res.a, res.b, res.n, res.lam) == (0.1, 0.5, 3, 1)
     assert res.remainder_kind == RemainderKind.NONE
     assert res.remainder_estimate == 0.0
     assert res.prediction == res.partial_sum
-    t = expand_time(sig, wav, 0.1, 0.5, 2)
+    t = expansion_plan(sig, wav, 0.5, 2, "time").at(0.1)
     assert t.domain == "time"
     assert t.remainder_scale == 1.0
-
-
-@pytest.mark.parametrize(
-    "kind,wav_kind,u0,b,expand,plan_kwargs",
-    [
-        (SignalKind.TwoSidedExp, WaveletKind.Morlet, 5.0, 0.7, expand_frequency,
-         {}),
-        (SignalKind.Gaussian, WaveletKind.Morlet, 5.0, 0.7, expand_frequency,
-         {}),
-        (SignalKind.Lorentzian, WaveletKind.MexicanHat, 0.0, 0.7, expand_time,
-         {"domain": "time"}),
-    ],
-    ids=["split-tail-frequency", "quadrature-frequency", "quadrature-time"],
-)
-def test_plan_at_equals_expand(kind, wav_kind, u0, b, expand, plan_kwargs):
-    sig = make_signal(kind)
-    wav = make_wavelet(wav_kind, u0=u0) if u0 else make_wavelet(wav_kind)
-    n = 4
-    plan = expansion_plan(sig, wav, b, n, **plan_kwargs)
-    for a in (0.3, 0.02, 0.001):
-        got, want = plan.at(a), expand(sig, wav, a, b, n)
-        for field in fields(ExpansionResult):
-            g, w = getattr(got, field.name), getattr(want, field.name)
-            assert type(g) is type(w), field.name
-            if isinstance(w, np.ndarray):
-                assert g.dtype == w.dtype and (g == w).all(), field.name
-            else:
-                assert g == w, field.name
 
 
 def test_plan_uses_the_expected_mellin_strategies():
@@ -394,8 +372,6 @@ def test_plan_parameter_validation():
         expansion_plan(sig, wav, 0.0, 0)
     with pytest.raises(ValueError, match="domain"):
         expansion_plan(sig, wav, 0.0, 2, domain="laplace")
-    with pytest.raises(ValueError, match="time route"):
-        expansion_plan(sig, wav, 0.0, 2, closed_form=True)
     # closed forms cover every built-in wavelet: the products are the
     # Taylor coefficients times the elementary moment pairs, nu = s + 1,
     # with the mirror moment entering as (-1)**s
@@ -407,8 +383,7 @@ def test_plan_parameter_validation():
                        * (1.0 - nu) for nu in nus]) * (1.0 + (-1.0) ** (nus - 1))
     for wav_kind, pairs in ((WaveletKind.Haar, haar),
                             (WaveletKind.MexicanHat, mexhat)):
-        plan = expansion_plan(sig, make_wavelet(wav_kind), b, n, "time",
-                              closed_form=True)
+        plan = expansion_plan(sig, make_wavelet(wav_kind), b, n, "time")
         assert_allclose(plan.products, cs * pairs, rtol=1e-15, atol=0.0)
     plan = expansion_plan(sig, wav, 0.0, 2)
     with pytest.raises(ValueError, match="dilation"):

@@ -141,9 +141,6 @@ def test_h_eval_matches_definition(b):
     # reflected argument flips both the phase and the transform argument
     assert_allclose(h_eval(h, u, mirror=True),
                     np.exp(-1j * b * u) * np.pi * np.exp(-u), rtol=1e-14)
-    # the damping factor is plain exponential in u
-    assert_allclose(h_eval(h, u, eps=0.3),
-                    h_eval(h, u) * np.exp(-0.3 * u), rtol=1e-14)
 
 
 def test_envelopes_bound_the_functions():

@@ -10,6 +10,7 @@ from cwtasym.specfun import (
     SpecFunError,
     SpecFunMethod,
     gamma_complex,
+    hermite_he,
     oscillatory_power_tails,
     parabolic_cylinder_D,
     upper_incomplete_gamma,
@@ -197,3 +198,12 @@ def test_upper_incomplete_gamma_estimate_covers_conditioning():
             got = upper_incomplete_gamma(s, x)
             ref = complex(mp.gammainc(mp.mpc(s), mp.mpc(x)))
             assert abs(got.value - ref) <= got.abs_error_estimate, k
+
+
+@pytest.mark.parametrize("x", [-2.5, 0.0, 0.7, 5.0])
+def test_hermite_he_matches_numpy(x):
+    got = hermite_he(x, 12)
+    want = [np.polynomial.hermite_e.hermeval(x, [0.0] * s + [1.0])
+            for s in range(12)]
+    assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert hermite_he(x, 1) == [1.0]
