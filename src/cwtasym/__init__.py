@@ -12,7 +12,6 @@ from .signals import (
     SignalSpec,
     HSpec,
     make_signal,
-    custom_signal,
     make_h,
     f_hat,
     h_eval,
@@ -65,7 +64,6 @@ __all__ = [
     "SignalSpec",
     "HSpec",
     "make_signal",
-    "custom_signal",
     "make_h",
     "f_hat",
     "h_eval",

@@ -51,7 +51,7 @@ from .expansion import convergence_order, expansion_plan
 from .mellin import MellinError, MellinMethod, mellin_transform
 from .oracle import cwt_fourier, cwt_time
 from .quadrature import QuadratureConfig, QuadratureError
-from .signals import SignalKind, custom_signal, make_h, make_signal
+from .signals import SignalKind, make_h, make_signal
 from .specfun import SpecFunError
 from .wavelets import WaveletKind, make_wavelet, small_u_coefficients
 
@@ -170,10 +170,9 @@ def _quad_config(rc: RunConfig) -> QuadratureConfig:
 
 
 def _build_signal(rc: RunConfig):
-    kind = SignalKind(rc.signal)
-    if rc.amplitude != 1.0 or rc.time_scale != 1.0:
-        return custom_signal(kind, amplitude=rc.amplitude, time_scale=rc.time_scale)
-    return make_signal(kind)
+    return make_signal(
+        SignalKind(rc.signal), amplitude=rc.amplitude, time_scale=rc.time_scale
+    )
 
 
 def _build_wavelet(rc: RunConfig):
@@ -461,8 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, *, grid=False, point=True):
-        p.add_argument("--signal", choices=[k.value for k in SignalKind
-                                            if k != SignalKind.Custom])
+        p.add_argument("--signal", choices=[k.value for k in SignalKind])
         p.add_argument("--wavelet", choices=[k.value for k in WaveletKind])
         p.add_argument("--u0", type=float)
         p.add_argument("--b", type=float)

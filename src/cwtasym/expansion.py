@@ -29,7 +29,6 @@ independent reference for the latter.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -56,7 +55,6 @@ from .quadrature import (
 )
 from .signals import (
     HSpec,
-    SignalKind,
     SignalSpec,
     h_eval,
     make_h,
@@ -69,6 +67,7 @@ from .wavelets import (
     psi_conj,
     psi_hat_tail,
     small_u_coefficients,
+    time_period,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -139,12 +138,9 @@ class ExpansionResult:
         return self.partial_sum + self.remainder_scale * self.remainder_estimate
 
 
-def mirror_sign(s: int, lam: float) -> complex:
-    """The reflection factor (-1)**(s + lam + 1) on the principal branch."""
-    e = s + lam + 1.0
-    if abs(e - round(e)) < 1e-12:
-        return -1.0 + 0.0j if round(e) % 2 else 1.0 + 0.0j
-    return cmath.exp(1j * math.pi * e)
+def mirror_sign(s: int, lam: int) -> complex:
+    """The reflection factor (-1)**(s + lam + 1)."""
+    return -1.0 + 0.0j if (s + lam + 1) % 2 else 1.0 + 0.0j
 
 
 def _poly_tail_cut(env: tuple, k_const: float, a: float, deg: int, delta: float):
@@ -214,7 +210,7 @@ def _analytic_tail_side(
     # e^{i*rate*v} sum_r b_r v^-(r+beta): the products share an exponent
     # whenever s - r does, and the orders k + 1 - beta, k = s - r, are one
     # integer ladder from the top k down, so the side takes one batched call.
-    rate = sign * (b + signal.rho)
+    rate = sign * b
     side_coeffs = _side_coeffs(signal, sign)
     by_order: dict = {}
     for s, c_s in enumerate(cs):
@@ -323,8 +319,7 @@ def _time_moment_quadrature(
         _, c_w, rate = wavelet.time_envelope
         cut, bound = power_gauss_cut(c_w, nu - 1.0, rate, 0.5 * cfg.abs_tol)
         upper = min(cut, TRUNCATION_RADIUS)
-        period = _TWO_PI / wavelet.u0 if wavelet.kind == WaveletKind.Morlet else None
-        hints = {"period_hint": period, "tail_bound": bound}
+        hints = {"period_hint": time_period(wavelet), "tail_bound": bound}
     res = integrate(
         integrand,
         (0.0, upper),
@@ -367,32 +362,30 @@ def _taylor_remainder_factory(signal: SignalSpec, b: float, n: int):
     |c_k| cutover^k, add up to less than eps times the kept ones.  Returns
     the evaluator, the cutover and that sum of omitted terms, which bounds
     the series' truncation error anywhere below the cutover.  Terms beyond
-    the first _SERIES_MAX_TERMS are not counted; for the built-in signals
-    they are negligible, since the Lorentzian's shrink by a factor of four
-    or more per order below the cutover and the others' like 1/k!.
+    the first _SERIES_MAX_TERMS are not counted; they are negligible, since
+    the Lorentzian's shrink by a factor of four or more per order below the
+    cutover and the others' like 1/k!.  The cutover scales with the signal's
+    time scale, as the series' radius does.
     """
-    cutover = _TAIL_CUTOVER
+    cutover = _TAIL_CUTOVER * signal.time_scale
     for k in signal.kinks:
         gap = abs(b - k)
         if gap > 0.0:
             cutover = min(cutover, 0.45 * gap)
     cs = time_coefficients(signal, b, n)
     extended, omitted = None, 0.0
-    if signal.kind != SignalKind.Custom:
-        # Numerically extracted coefficients beyond n are too noisy to sum,
-        # so custom signals subtract directly everywhere.
-        try:
-            tail = time_coefficients(signal, b, n + _SERIES_MAX_TERMS)[n:]
-        except ValueError:
-            tail = None
-        if tail is not None:
-            sizes = np.abs(tail) * cutover ** np.arange(n, n + tail.size)
-            kept = np.cumsum(sizes)
-            rest = np.append(np.cumsum(sizes[::-1])[-2::-1], 0.0)
-            stop = np.flatnonzero(rest <= _EPS * kept)
-            count = int(stop[0]) + 1 if stop.size else tail.size
-            extended = tail[:count]
-            omitted = float(sizes[count:].sum())
+    try:
+        tail = time_coefficients(signal, b, n + _SERIES_MAX_TERMS)[n:]
+    except ValueError:
+        tail = None
+    if tail is not None:
+        sizes = np.abs(tail) * cutover ** np.arange(n, n + tail.size)
+        kept = np.cumsum(sizes)
+        rest = np.append(np.cumsum(sizes[::-1])[-2::-1], 0.0)
+        stop = np.flatnonzero(rest <= _EPS * kept)
+        count = int(stop[0]) + 1 if stop.size else tail.size
+        extended = tail[:count]
+        omitted = float(sizes[count:].sum())
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
@@ -460,9 +453,6 @@ def _remainder_time(
                 wavelet.time_envelope, k_const, a, n - 1, 0.5 * cfg.abs_tol
             )
             cut = min(cut, TRUNCATION_RADIUS)
-            period = (
-                _TWO_PI / wavelet.u0 if wavelet.kind == WaveletKind.Morlet else None
-            )
             breakpoints = [cutover / a]
             for k in signal.kinks:
                 breakpoints.append(sign * (k - b) / a)
@@ -471,7 +461,7 @@ def _remainder_time(
                 (0.0, cut),
                 cfg,
                 breakpoints=breakpoints,
-                period_hint=period,
+                period_hint=time_period(wavelet),
                 tail_bound=bound,
             )
         total += res.value

@@ -74,7 +74,7 @@ class MellinValue:
 def _phase_rate(h: HSpec, mirror: bool) -> float:
     """Oscillation rate of u^{1-z} * (the integrand) for large u."""
     sgn = -1.0 if mirror else 1.0
-    return sgn * (h.b + h.signal.rho)
+    return sgn * h.b
 
 
 def _cpow(x: np.ndarray, zm1: complex) -> np.ndarray:
@@ -230,33 +230,35 @@ def _eps_extrapolation(h, z, mirror, cfg) -> MellinValue:
 
 
 def _closed_form(h, z, mirror, cfg) -> MellinValue:
+    """Exact moments.  A scaled signal A*f(t/sigma) has A*sigma^(1-z) times
+    the built-in's moment at offset b/sigma (substitute v = sigma*u)."""
     sig = h.signal
-    b_eff = -h.b if mirror else h.b
+    b_eff = (-h.b if mirror else h.b) / sig.time_scale
     if sig.kind == SignalKind.Lorentzian:
         g = gamma_complex(z)
         w = cmath.exp(-z * cmath.log(complex(1.0, -b_eff)))
         val = math.pi * g.value * w
         err = math.pi * g.abs_error_estimate * abs(w) + 1e-15 * abs(val)
-        return MellinValue(val, err, MellinMethod.ClosedForm)
-    if sig.kind == SignalKind.Gaussian:
+    elif sig.kind == SignalKind.Gaussian:
         # h(u) = sqrt(2*pi) e^{i*b_eff*u - u^2/2}: the modulated-Gaussian moment
         m = mellin_morlet_time(z, b_eff, 1)
-        return MellinValue(
-            _SQRT_2PI * m.value, _SQRT_2PI * m.abs_error_estimate,
-            MellinMethod.ClosedForm,
-        )
-    if sig.kind == SignalKind.TwoSidedExp and h.b == 0.0:
+        val, err = _SQRT_2PI * m.value, _SQRT_2PI * m.abs_error_estimate
+    elif h.b == 0.0:  # the two-sided exponential
         if not 0.0 < z.real < 2.0:
             raise MellinError(
                 "the undamped transform of this signal only converges for "
                 "0 < Re(z) < 2 at zero offset"
             )
-        s = cmath.sin(0.5 * math.pi * z)
-        val = math.pi / s
-        return MellinValue(val, 1e-14 * abs(val), MellinMethod.ClosedForm)
-    raise MellinError(
-        f"no closed form for signal kind {sig.kind.value!r} at b={h.b:g}"
-    )
+        val = math.pi / cmath.sin(0.5 * math.pi * z)
+        err = 1e-14 * abs(val)
+    else:
+        raise MellinError(
+            f"no closed form for signal kind {sig.kind.value!r} at b={h.b:g}"
+        )
+    if sig.amplitude != 1.0 or sig.time_scale != 1.0:
+        factor = sig.amplitude * cmath.exp((1.0 - z) * math.log(sig.time_scale))
+        val, err = factor * val, abs(factor) * err
+    return MellinValue(val, err, MellinMethod.ClosedForm)
 
 
 _STRATEGIES = {

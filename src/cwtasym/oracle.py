@@ -5,9 +5,9 @@ domain; ``cwt_fourier`` integrates the product of Fourier transforms over
 each half-line.  The two share no analytic ingredients beyond the transform
 pair definitions, so their agreement is a meaningful cross-check.
 
-When the signal transform decays only algebraically, f_hat(w) ~ e^{i rho w}
-sum_r b_r w^-(r + beta), each half-line is split at a radius R that starts
-at max(16, 2q) (q the series' apparent convergence radius) and doubles until
+When the signal transform decays only algebraically, f_hat(w) ~ sum_r b_r
+w^-(r + beta), each half-line is split at a radius R that starts at
+max(16, 2q) (q the series' apparent convergence radius) and doubles until
 the bound on truncating the series, valid for |w| >= 2q, is below half the
 absolute tolerance (``_split_radius``).  [0, R] is quadrature of the exact
 integrand; above R the analytic-tail engine ``_alg_tail`` integrates the
@@ -15,15 +15,14 @@ series against the wavelet:
 
 * the step wavelet's tail is closed form, one incomplete Gamma per phase;
 * the Gaussian wavelets' tail e^{i rate w} series(w) conj(psi_hat)(+-a w),
-  rate = +-(b + rho), is analytic for Re w >= R >= 2q, which keeps the
-  poles of f_hat (|w| <= q) outside, so the path moves onto the
-  steepest-descent ray w = R + i sgn(rate) y and stops at the least height
-  whose closing horizontal line is bounded by a quarter of the absolute
-  tolerance (that bound is at most about e^{-rate^2/(2a^2)}, at height
-  |rate|/a^2).  Where no height meets it (|b + rho| of order a or less),
-  the series is integrated along the real axis up to the Gaussian cut
-  instead; where that cut is below R the side is one quadrature of the
-  exact integrand up to the cut.
+  rate = +-b, is analytic for Re w >= R >= 2q, which keeps the poles of
+  f_hat (|w| <= q) outside, so the path moves onto the steepest-descent ray
+  w = R + i sgn(rate) y and stops at the least height whose closing
+  horizontal line is bounded by a quarter of the absolute tolerance (that
+  bound is at most about e^{-rate^2/(2a^2)}, at height |rate|/a^2).  Where
+  no height meets it (|b| of order a or less), the series is integrated
+  along the real axis up to the Gaussian cut instead; where that cut is
+  below R the side is one quadrature of the exact integrand up to the cut.
 
 The truncation bound, the horizontal-line bound and every quadrature's
 estimate are added to the side's error estimate, and the quadratures'
@@ -49,9 +48,9 @@ from .quadrature import (
     integrate,
     worst_status,
 )
-from .signals import SignalSpec
+from .signals import SignalKind, SignalSpec
 from .specfun import oscillatory_power_tails
-from .wavelets import WaveletKind, WaveletSpec, psi_conj, psi_hat_conj
+from .wavelets import WaveletKind, WaveletSpec, psi_conj, psi_hat_conj, time_period
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
@@ -94,7 +93,7 @@ def cwt_time(
         return f(b + a * s) * psi_conj(wavelet, s)
 
     breakpoints = [(k - b) / a for k in signal.kinks]
-    if signal.kind.value == "lorentzian" or signal.base is not None:
+    if signal.kind == SignalKind.Lorentzian:
         breakpoints.append(-b / a)  # the signal's peak in wavelet coordinates
 
     if wavelet.time_support is not None:
@@ -106,13 +105,12 @@ def cwt_time(
     else:
         kind, c_w, rate = wavelet.time_envelope
         envelope = (kind, c_w * signal.sup_time, rate)
-        period = _TWO_PI / wavelet.u0 if wavelet.kind == WaveletKind.Morlet else None
         res = integrate(
             integrand,
             (-math.inf, math.inf),
             cfg,
             breakpoints=breakpoints,
-            period_hint=period,
+            period_hint=time_period(wavelet),
             envelope=envelope,
         )
     root_a = math.sqrt(a)
@@ -287,12 +285,11 @@ def _haar_alg_tail(
     bound.
     """
     beta = signal.tail_beta
-    rho = signal.rho
     cs = _side_coeffs(signal, sign)
     tail_val = 0.0 + 0.0j
     tail_err = 0.0
     for amp, mu in ((1.0, 0.0), (-2.0, 0.5), (1.0, 1.0)):
-        phase_rate = sign * (b + rho + mu * a)
+        phase_rate = sign * (b + mu * a)
         terms = oscillatory_power_tails(-beta, len(cs), phase_rate, radius)
         for c_r, (term, err) in zip(cs, terms):
             if c_r == 0.0:
@@ -344,11 +341,11 @@ def _alg_tail(
 ) -> QuadratureResult:
     """int_R^inf conj(psi_hat)(sign*a*v) e^{i*sign*b*v} f_hat(sign*v) dv, R = radius.
 
-    f_hat is replaced by its inverse-power series e^{i*rho*v} sum_r b_r
-    v^-(r + beta) (``signal.tail_coeffs``); bounding that truncation is the
-    caller's (``_split_radius``).  The step wavelet's tail is closed form
+    f_hat is replaced by its inverse-power series sum_r b_r v^-(r + beta)
+    (``signal.tail_coeffs``); bounding that truncation is the caller's
+    (``_split_radius``).  The step wavelet's tail is closed form
     (``_haar_alg_tail``).  For the Gaussian wavelets the integrand
-    e^{i*rate*w} * series(w) * conj(psi_hat)(sign*a*w), rate = sign*(b + rho),
+    e^{i*rate*w} * series(w) * conj(psi_hat)(sign*a*w), rate = sign*b,
     is analytic for Re w > 0, so the path moves onto the ray
     w = R + i*sgn(rate)*y, where e^{i*rate*w} decays instead of oscillating,
     up to the height from ``_ray_height``; the horizontal line closing the
@@ -362,7 +359,7 @@ def _alg_tail(
 
     coeffs = _side_coeffs(signal, sign)
     beta = signal.tail_beta
-    rate = sign * (b + signal.rho)
+    rate = sign * b
     # |series(w)| for |w| >= R, the sup the Gaussian bounds need.
     size = sum(abs(c) * radius ** -(r + beta) for r, c in enumerate(coeffs))
     delta = 0.5 * cfg.abs_tol

@@ -20,6 +20,7 @@ import numpy as np
 from .specfun import hermite_he
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_TWO_PI = 2.0 * math.pi
 _EPS = 2.220446049250313e-16
 _I_POW = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
 
@@ -94,6 +95,12 @@ def make_wavelet(kind: WaveletKind, u0: float = 5.0) -> WaveletSpec:
             time_support=(0.0, 1.0),
         )
     raise ValueError(f"unknown wavelet kind {kind!r}")
+
+
+def time_period(spec: WaveletSpec) -> Optional[float]:
+    """The time-domain oscillation period, 2*pi/u0 for the modulated
+    Gaussian; None for the wavelets that do not oscillate."""
+    return _TWO_PI / spec.u0 if spec.kind == WaveletKind.Morlet else None
 
 
 def _haar_series_coefficients(n: int) -> np.ndarray:

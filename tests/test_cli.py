@@ -105,6 +105,28 @@ def test_cwt_scaled_signal_from_config(wavelet, tmp_path, capsys):
     assert abs(complex(*time["value"])) > 1e-8
 
 
+def test_expand_scaled_signal_time_route(tmp_path, capsys):
+    # A scaled Lorentzian's Taylor coefficients are the built-in's under the
+    # change of variables, so its time route runs from the entry point, and
+    # the prediction matches the time-domain oracle.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"time_scale": 0.2}))
+    common = ["--signal", "lorentzian", "--wavelet", "morlet", "--a", "0.01",
+              "--b", "0.3", "--config", str(cfg)]
+    code = main(["expand", *common, "--n", "4", "--domain", "time",
+                 "--remainder", "integral_m0"])
+    assert code == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    rows = {r[0]: r[1:] for r in (line.split(",") for line in lines[1:])}
+    pred = complex(float(rows["prediction"][0]), float(rows["prediction"][1]))
+    pred_err = float(rows["prediction"][2])
+    code = main(["cwt", *common, "--oracle", "time", "--format", "json"])
+    assert code == 0
+    route = json.loads(capsys.readouterr().out)["routes"]["time"]
+    diff = abs(pred - complex(*route["value"]))
+    assert diff <= pred_err + route["abs_error_estimate"]
+
+
 def test_mellin_known_value(capsys):
     code = main(["mellin", "--signal", "lorentzian", "--b", "1", "--z", "2"])
     assert code == 0

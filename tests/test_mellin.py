@@ -14,7 +14,7 @@ from cwtasym.mellin import (
     mellin_morlet_time,
     mellin_transform,
 )
-from cwtasym.signals import SignalKind, custom_signal, make_h, make_signal
+from cwtasym.signals import SignalKind, make_h, make_signal
 from cwtasym.specfun import oscillatory_power_tails, upper_incomplete_gamma
 
 
@@ -125,8 +125,8 @@ def test_split_tail_against_reference(scale):
     if scale == 1.0:
         sig = make_signal(SignalKind.TwoSidedExp)
     else:
-        sig = custom_signal(SignalKind.TwoSidedExp, amplitude=amplitude,
-                            time_scale=scale)
+        sig = make_signal(SignalKind.TwoSidedExp, amplitude=amplitude,
+                          time_scale=scale)
     for b in (-0.02, 0.7, -1.3):
         for z in (1, 2, 3, 4, 5, 1.5 + 0.5j):
             for mirror in (False, True):
@@ -134,6 +134,37 @@ def test_split_tail_against_reference(scale):
                 assert got.method == MellinMethod.SplitTailAnalytic
                 want = _two_sided_exp_moment(amplitude, scale, b, z, mirror)
                 assert abs(got.value - want) <= got.abs_error_estimate, (b, z, mirror)
+
+
+@pytest.mark.parametrize("amplitude,scale", [(-2.0, 0.2), (3.0, 3.0)])
+def test_scaled_two_sided_exp_closed_form(amplitude, scale):
+    """A*f(t/s) at b = 0: A s^(1-z) times the built-in's closed form."""
+    sig = make_signal(SignalKind.TwoSidedExp, amplitude, scale)
+    for z in (0.5, 1.5, 1.2 + 0.3j):
+        for mirror in (False, True):
+            got = mellin_transform(make_h(sig, 0.0), z, MellinMethod.ClosedForm,
+                                   mirror=mirror)
+            want = _two_sided_exp_moment(amplitude, scale, 0.0, z, mirror)
+            assert abs(got.value - want) <= got.abs_error_estimate, (z, mirror)
+
+
+@pytest.mark.parametrize("amplitude,scale", [(-2.0, 0.2), (3.0, 3.0)])
+@pytest.mark.parametrize("kind", [SignalKind.Lorentzian, SignalKind.Gaussian])
+def test_scaled_closed_form_matches_quadrature(kind, amplitude, scale):
+    """The change of variables in the closed forms against direct
+    quadrature of the scaled transform, on both sides."""
+    sig = make_signal(kind, amplitude, scale)
+    for b in (0.0, 0.7):
+        h = make_h(sig, b)
+        for z in (1.0, 2.5, 1.5 + 0.5j):
+            for mirror in (False, True):
+                closed = mellin_transform(h, z, MellinMethod.ClosedForm,
+                                          mirror=mirror)
+                quad = mellin_transform(h, z, MellinMethod.PureQuadrature,
+                                        mirror=mirror)
+                assert closed.method == MellinMethod.ClosedForm
+                budget = closed.abs_error_estimate + quad.abs_error_estimate
+                assert abs(closed.value - quad.value) <= budget, (b, z, mirror)
 
 
 def test_split_tail_takes_one_incomplete_gamma_per_cut(monkeypatch):

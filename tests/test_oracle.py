@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 import cwtasym.specfun as specfun
 from cwtasym.oracle import _haar_alg_tail, cwt_fourier, cwt_time
-from cwtasym.signals import SignalKind, custom_signal, make_signal
+from cwtasym.signals import SignalKind, make_signal
 from cwtasym.wavelets import WaveletKind, make_wavelet
 
 
@@ -88,12 +88,12 @@ def test_scaled_copy_identity():
     # W for A*f(t/s) equals A*sqrt(s) times W of f at (b/s, a/s)
     A, s = 2.0, 0.5
     base = make_signal(SignalKind.Lorentzian)
-    cus = custom_signal(SignalKind.Lorentzian, amplitude=A, time_scale=s)
+    scaled = make_signal(SignalKind.Lorentzian, amplitude=A, time_scale=s)
     wav = make_wavelet(WaveletKind.Morlet, u0=5.0)
     a, b = 0.2, 0.6
     want = A * math.sqrt(s) * cwt_time(base, wav, a / s, b / s).value
-    assert_allclose(cwt_time(cus, wav, a, b).value, want, rtol=1e-10)
-    assert_allclose(cwt_fourier(cus, wav, a, b).value, want, rtol=1e-9)
+    assert_allclose(cwt_time(scaled, wav, a, b).value, want, rtol=1e-10)
+    assert_allclose(cwt_fourier(scaled, wav, a, b).value, want, rtol=1e-9)
 
 
 def test_error_estimates_and_counters():
@@ -162,8 +162,8 @@ def test_scaled_two_sided_exp_routes_agree(wavelet, a, b, time_scale):
     split radius that ignores that (a fixed 25 against the step wavelet)
     misses the time route by ~1e-10 (s = 0.2) or ~1e-4 (s = 0.05) while
     claiming ~1e-15."""
-    sig = custom_signal(SignalKind.TwoSidedExp, amplitude=-2.0,
-                        time_scale=time_scale)
+    sig = make_signal(SignalKind.TwoSidedExp, amplitude=-2.0,
+                      time_scale=time_scale)
     wav = _WAVELETS[wavelet]
     rt = cwt_time(sig, wav, a, b)
     rf = cwt_fourier(sig, wav, a, b)
@@ -177,7 +177,7 @@ def test_gaussian_cut_below_split_radius(wavelet):
     # Gaussian cut ~13/a at a = 4: the side stays one quadrature up to the
     # cut, whose panels resolve the wavelet; splitting at R would stretch
     # the last panel over [3.5/a, R] and miss it by ~1e-4.
-    sig = custom_signal(SignalKind.TwoSidedExp, amplitude=-2.0, time_scale=0.02)
+    sig = make_signal(SignalKind.TwoSidedExp, amplitude=-2.0, time_scale=0.02)
     wav = _WAVELETS[wavelet]
     rt = cwt_time(sig, wav, 4.0, 0.0)
     rf = cwt_fourier(sig, wav, 4.0, 0.0)
