@@ -21,10 +21,12 @@ per half-line.
 None of the coefficients or moments depends on the dilation a, so
 ``expansion_plan`` computes them once and ``ExpansionPlan.at`` evaluates the
 expansion at any dilation; that is the one way to build an expansion.  The
-frequency route takes its Mellin moments by ``mellin_transform``'s
-``"auto"`` choice, the time route its wavelet moments from the closed forms
-of ``_time_moment_closed``; ``_time_moment_quadrature`` stays as the tests'
-independent reference for the latter.
+frequency route takes its Mellin moments in closed form, falling back to
+``mellin_transform``'s ``"auto"`` choice (quadrature or the split tail)
+where the closed form does not apply or its own estimate misses the
+quadrature target; the time route takes its wavelet moments from the
+closed forms of ``_time_moment_closed``.  ``_time_moment_quadrature`` and
+``"auto"`` stay as the tests' independent references.
 """
 
 from __future__ import annotations
@@ -36,7 +38,13 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .mellin import MellinError, _cpow, mellin_morlet_time, mellin_transform
+from .mellin import (
+    MellinError,
+    MellinMethod,
+    _cpow,
+    mellin_morlet_time,
+    mellin_transform,
+)
 from .oracle import (
     _alg_tail,
     _fourier_side_hints,
@@ -56,6 +64,7 @@ from .quadrature import (
 from .signals import (
     HSpec,
     SignalSpec,
+    f_time_conditioning,
     h_eval,
     make_h,
     time_coefficients,
@@ -418,6 +427,15 @@ def _abs_integral_bound(wavelet: WaveletSpec) -> float:
     return c_w * math.sqrt(math.pi / rate)
 
 
+def _steep_conditioning(signal: SignalSpec, b: float, step: float, upper: float):
+    """f's conditioning at b + step*s as a function of s, for ``integrate``,
+    or None where it stays within the default floor of 50 on 0 <= s <= upper
+    (it grows with |t|, so its largest value there is at an end)."""
+    if f_time_conditioning(signal, max(abs(b), abs(b + step * upper))) <= 50.0:
+        return None
+    return lambda s: f_time_conditioning(signal, b + step * np.asarray(s))
+
+
 def _remainder_time(
     signal: SignalSpec,
     wavelet: WaveletSpec,
@@ -426,7 +444,12 @@ def _remainder_time(
     n: int,
     cfg: QuadratureConfig,
 ) -> tuple[complex, float]:
-    """Exact time-domain remainder: the Taylor tail of f against the wavelet."""
+    """Exact time-domain remainder: the Taylor tail of f against the wavelet.
+
+    Each evaluation of f at a rounded argument carries the relative error
+    of ``f_time_conditioning``, which the quadrature counts in its roundoff
+    floors; it matters where f is steep in units of its time scale.
+    """
     f_tail, cutover, series_err = _taylor_remainder_factory(signal, b, n)
     cs_abs = float(np.sum(np.abs(time_coefficients(signal, b, n))))
     k_const = signal.sup_time + cs_abs
@@ -445,8 +468,13 @@ def _remainder_time(
             # integrate drops the breakpoints that fall outside (0, 1)
             breakpoints = [0.5, cutover / a]
             breakpoints += [(k - b) / a for k in signal.kinks]
+            upper = wavelet.time_support[1]
             res = integrate(
-                side, (0.0, wavelet.time_support[1]), cfg, breakpoints=breakpoints
+                side,
+                (0.0, upper),
+                cfg,
+                breakpoints=breakpoints,
+                conditioning=_steep_conditioning(signal, b, sign * a, upper),
             )
         else:
             cut, bound = _poly_tail_cut(
@@ -463,6 +491,7 @@ def _remainder_time(
                 breakpoints=breakpoints,
                 period_hint=time_period(wavelet),
                 tail_bound=bound,
+                conditioning=_steep_conditioning(signal, b, sign * a, cut),
             )
         total += res.value
         err += res.abs_error_estimate
@@ -565,8 +594,13 @@ def expansion_plan(
     """Compute the coefficients and moments of an n-term expansion once.
 
     ``domain="frequency"`` pairs the wavelet's small-argument coefficients
-    with regularized Mellin moments of h(u) = e^{ibu} f_hat(u), by
-    ``mellin_transform``'s ``"auto"`` choice.  ``domain="time"`` pairs the
+    with regularized Mellin moments of h(u) = e^{ibu} f_hat(u).  Each moment
+    is the closed form (``MellinMethod.ClosedForm``) unless that raises
+    ``MellinError`` or its estimate exceeds max(abs_tol, rel_tol*|value|);
+    then it is ``mellin_transform``'s ``"auto"`` choice.  That happens for
+    the two-sided exponential near b = 0, where the closed form's two
+    incomplete Gammas cancel, and for a Gaussian whose |b|/sigma exceeds
+    the parabolic cylinder series' range.  ``domain="time"`` pairs the
     signal's Taylor coefficients at b with one-sided wavelet moments in
     closed form (every built-in wavelet has one).
     """
@@ -579,7 +613,17 @@ def expansion_plan(
         h = make_h(signal, b)
 
         def moment(s, mirror):
-            m = mellin_transform(h, s + lam, "auto", cfg, mirror=mirror)
+            try:
+                m = mellin_transform(
+                    h, s + lam, MellinMethod.ClosedForm, cfg, mirror=mirror
+                )
+            except MellinError:
+                m = None
+            # written so that a NaN estimate also falls back
+            if m is None or not m.abs_error_estimate <= max(
+                cfg.abs_tol, cfg.rel_tol * abs(m.value)
+            ):
+                m = mellin_transform(h, s + lam, "auto", cfg, mirror=mirror)
             return m.value, m.abs_error_estimate
 
         power_offset, remainder_scale = lam - 0.5, 1.0 / _TWO_PI

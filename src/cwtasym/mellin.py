@@ -9,13 +9,16 @@ h(u) = e^{ibu} f_hat(u) and the mirror variant h(-u).  Four strategies:
   oscillatory power tails from the signal's inverse-power expansion;
 * EpsExtrapolation — damped quadrature on a geometric epsilon ladder,
   Richardson-extrapolated to epsilon = 0;
-* ClosedForm — exact values for the cases that admit them (used as the
-  independent check against the numeric strategies).
+* ClosedForm — exact values for every built-in and scaled signal: the
+  Lorentzian and the Gaussian at any offset, the two-sided exponential at
+  b = 0 and, by Gradshteyn-Ryzhik 3.383.10, at b != 0.
 
-Expansions take the ``"auto"`` choice of ``mellin_transform`` (direct
-quadrature or the analytic-tail split, by the signal's tail); the other
-strategies are reached only by naming them, through ``method=`` or
-``cwtasym mellin --mellin-method``, as cross-checks.
+Expansions take each moment from ClosedForm and fall back to the
+``"auto"`` choice of ``mellin_transform`` (direct quadrature or the
+analytic-tail split, by the signal's tail) where the closed form raises
+``MellinError`` or its estimate misses the quadrature target.  ``"auto"``
+itself never picks ClosedForm, so ``cwtasym mellin`` and the validation
+checks still compare the numeric strategies against it.
 """
 
 from __future__ import annotations
@@ -44,8 +47,10 @@ from .specfun import (
     gamma_complex,
     oscillatory_power_tails,
     parabolic_cylinder_D,
+    upper_incomplete_gamma,
 )
 
+_EPS = 2.220446049250313e-16
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
 # The damping ladder of EpsExtrapolation: eps = _EPS0 / 2**k, k < _EPS_LEVELS.
@@ -231,34 +236,72 @@ def _eps_extrapolation(h, z, mirror, cfg) -> MellinValue:
 
 def _closed_form(h, z, mirror, cfg) -> MellinValue:
     """Exact moments.  A scaled signal A*f(t/sigma) has A*sigma^(1-z) times
-    the built-in's moment at offset b/sigma (substitute v = sigma*u)."""
+    the built-in's moment at offset b/sigma (substitute v = sigma*u).
+
+    Raises ``MellinError`` where no closed form applies, including where a
+    special function leaves its supported range."""
     sig = h.signal
     b_eff = (-h.b if mirror else h.b) / sig.time_scale
-    if sig.kind == SignalKind.Lorentzian:
+    try:
+        val, err = _builtin_closed_form(sig.kind, z, b_eff)
+    except SpecFunError as exc:
+        raise MellinError(
+            f"no closed form for signal kind {sig.kind.value!r} at b={h.b:g}, "
+            f"z={z}: {exc}"
+        ) from None
+    if sig.amplitude != 1.0 or sig.time_scale != 1.0:
+        factor = sig.amplitude * cmath.exp((1.0 - z) * math.log(sig.time_scale))
+        val, err = factor * val, abs(factor) * err
+    return MellinValue(val, err, MellinMethod.ClosedForm)
+
+
+def _builtin_closed_form(kind: SignalKind, z: complex, b: float):
+    """The built-in signal's moment at offset b and its error estimate."""
+    if kind == SignalKind.Lorentzian:
         g = gamma_complex(z)
-        w = cmath.exp(-z * cmath.log(complex(1.0, -b_eff)))
+        w = cmath.exp(-z * cmath.log(complex(1.0, -b)))
         val = math.pi * g.value * w
-        err = math.pi * g.abs_error_estimate * abs(w) + 1e-15 * abs(val)
-    elif sig.kind == SignalKind.Gaussian:
-        # h(u) = sqrt(2*pi) e^{i*b_eff*u - u^2/2}: the modulated-Gaussian moment
-        m = mellin_morlet_time(z, b_eff, 1)
-        val, err = _SQRT_2PI * m.value, _SQRT_2PI * m.abs_error_estimate
-    elif h.b == 0.0:  # the two-sided exponential
+        return val, math.pi * g.abs_error_estimate * abs(w) + 1e-15 * abs(val)
+    if kind == SignalKind.Gaussian:
+        # h(u) = sqrt(2*pi) e^{i*b*u - u^2/2}: the modulated-Gaussian moment
+        m = mellin_morlet_time(z, b, 1)
+        return _SQRT_2PI * m.value, _SQRT_2PI * m.abs_error_estimate
+    if b == 0.0:  # the two-sided exponential
         if not 0.0 < z.real < 2.0:
             raise MellinError(
                 "the undamped transform of this signal only converges for "
                 "0 < Re(z) < 2 at zero offset"
             )
         val = math.pi / cmath.sin(0.5 * math.pi * z)
-        err = 1e-14 * abs(val)
-    else:
-        raise MellinError(
-            f"no closed form for signal kind {sig.kind.value!r} at b={h.b:g}"
-        )
-    if sig.amplitude != 1.0 or sig.time_scale != 1.0:
-        factor = sig.amplitude * cmath.exp((1.0 - z) * math.log(sig.time_scale))
-        val, err = factor * val, abs(factor) * err
-    return MellinValue(val, err, MellinMethod.ClosedForm)
+        return val, 1e-14 * abs(val)
+    return _two_sided_exp_closed_form(z, b)
+
+
+def _two_sided_exp_closed_form(z: complex, b: float):
+    """M[e^{ibu} 2/(1+u^2); z] at b != 0, by Gradshteyn-Ryzhik 3.383.10.
+
+    2/(1+u^2) = -i [1/(u-i) - 1/(u+i)], and with the Abel damping,
+    int_0^inf u^{z-1} e^{-mu u}/(u + beta) du
+    = beta^{z-1} e^{beta mu} Gamma(z) Gamma(1-z, beta mu),  mu = eps - ib,
+    for beta = -i and +i.  Then beta*mu = -b - i*eps and b + i*eps: on
+    Gamma's branch cut when that is negative, approached from below for
+    beta = -i and from above for beta = +i (DLMF 8.2(ii)), which the signed
+    zero passes to the principal logarithm.  The error estimate counts both
+    incomplete Gammas, Gamma(z), and the rounding of the exponential
+    prefactors; near b = 0 the two terms cancel and it grows accordingly.
+    """
+    g = gamma_complex(z)
+    cond = _EPS * (4.0 + abs(b) + 2.0 * abs(z - 1.0))
+    total, err_inc, size = 0j, 0.0, 0.0
+    for beta, x, sign in ((-1j, complex(-b, -0.0), 1.0), (1j, complex(b, 0.0), -1.0)):
+        pre = cmath.exp((z - 1.0) * cmath.log(beta) + x)  # beta^(z-1) e^(beta mu)
+        inc = upper_incomplete_gamma(1.0 - z, x)
+        term = pre * inc.value
+        total += sign * term
+        err_inc += abs(pre) * inc.abs_error_estimate + cond * abs(term)
+        size += abs(term)
+    val = -1j * g.value * total
+    return val, abs(g.value) * err_inc + g.abs_error_estimate * size
 
 
 _STRATEGIES = {

@@ -121,11 +121,12 @@ Integrand = Callable[[np.ndarray], np.ndarray]
 Envelope = tuple  # ("exp", C, rate) | ("gauss", C, rate) | ("alg", C, power)
 
 
-def _panel_eval(evalf, lo: np.ndarray, hi: np.ndarray):
+def _panel_eval(evalf, lo: np.ndarray, hi: np.ndarray, conditioning=None):
     """Evaluate the GK15 rule on a batch of panels.
 
     Returns (values, errors, roundoff floors, evaluation count); each
-    error is at least its panel's floor 50*eps*integral(|f|).
+    error is at least its panel's floor 50*eps*integral(|f|), or
+    eps*integral(max(50, conditioning)*|f|) given a conditioning.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
@@ -145,10 +146,18 @@ def _panel_eval(evalf, lo: np.ndarray, hi: np.ndarray):
         1.0, (200.0 * raw[mask] / resasc_s[mask]) ** 1.5
     )
     floor = 50.0 * _EPS * resabs_s
+    if conditioning is not None:
+        # Only the conditioning above 50 adds to the floor, so where it
+        # stays below, every bit is the same as without it.
+        kappa = np.asarray(conditioning(nodes.ravel()), dtype=float)
+        excess = np.maximum(kappa.reshape(nodes.shape) - 50.0, 0.0)
+        floor = floor + _EPS * ((excess * np.abs(fv)) @ _WK15) * h
     return resk * h, np.maximum(err, floor), floor, nodes.size
 
 
-def _refine(evalf, edges: np.ndarray, config: QuadratureConfig, budget: int):
+def _refine(
+    evalf, edges: np.ndarray, config: QuadratureConfig, budget: int, conditioning
+):
     """Adaptively bisect the worst panels until the tolerance target is met.
 
     Only panels whose error estimate is above their roundoff floor are
@@ -167,7 +176,9 @@ def _refine(evalf, edges: np.ndarray, config: QuadratureConfig, budget: int):
     chunk = 65536
     for start in range(0, lo.size, chunk):
         sl = slice(start, start + chunk)
-        vals[sl], errs[sl], floors[sl], ne = _panel_eval(evalf, lo[sl], hi[sl])
+        vals[sl], errs[sl], floors[sl], ne = _panel_eval(
+            evalf, lo[sl], hi[sl], conditioning
+        )
         neval += ne
     used = 0
     while True:
@@ -195,7 +206,9 @@ def _refine(evalf, edges: np.ndarray, config: QuadratureConfig, budget: int):
         mid = mid[splittable]
         new_lo = np.concatenate([lo[worst], mid])
         new_hi = np.concatenate([mid, hi[worst]])
-        new_vals, new_errs, new_floors, ne = _panel_eval(evalf, new_lo, new_hi)
+        new_vals, new_errs, new_floors, ne = _panel_eval(
+            evalf, new_lo, new_hi, conditioning
+        )
         neval += ne
         keep = np.ones(lo.size, dtype=bool)
         keep[worst] = False
@@ -370,6 +383,7 @@ def integrate(
     envelope: Optional[Envelope] = None,
     left_singularity: Optional[float] = None,
     tail_bound: float = 0.0,
+    conditioning: Optional[Integrand] = None,
 ) -> QuadratureResult:
     """Integrate a complex integrand over ``domain = (lo, hi)``.
 
@@ -381,7 +395,9 @@ def integrate(
     initial panels at most half an oscillation wide, ``left_singularity``
     softens an integrable singularity at a finite left endpoint via the
     x = y**2 substitution, and ``tail_bound`` is added to the reported error
-    for truncations performed by the caller.
+    for truncations performed by the caller.  ``conditioning`` maps nodes to
+    a bound on the integrand's relative evaluation error in units of eps;
+    where that exceeds 50 it raises the panels' roundoff floors.
 
     Each piece (the substituted singular edge, the body, each truncation
     extension) is refined on its own until its error meets the tolerance,
@@ -418,10 +434,10 @@ def integrate(
     budget = cfg.max_subdivisions
     status = "tolerance"
 
-    def add_piece(f, edges):
+    def add_piece(f, edges, cond=conditioning):
         """Refine one piece with the bisections left and add it to the totals."""
         nonlocal value, err, neval, npanels, budget, status
-        v, e, ne, npan, used, st = _refine(f, edges, cfg, budget)
+        v, e, ne, npan, used, st = _refine(f, edges, cfg, budget, cond)
         value += v
         err += e
         neval += ne
@@ -439,6 +455,9 @@ def integrate(
         add_piece(
             lambda y: 2.0 * y * integrand(cut_lo + y * y),
             _initial_edges(0.0, ylim, (), None),
+            None if conditioning is None else (
+                lambda y: conditioning(cut_lo + y * y)
+            ),
         )
 
     if sing_hi < cut_hi:

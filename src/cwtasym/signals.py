@@ -169,6 +169,25 @@ def f_hat(signal: SignalSpec, w) -> np.ndarray:
     return np.asarray(signal.f_freq(w), dtype=complex)
 
 
+def f_time_conditioning(signal: SignalSpec, t) -> np.ndarray:
+    """A bound, in units of eps, on the relative error of ``f_time(t)``
+    when t is itself rounded.
+
+    With u = t/sigma carrying 2 eps (t's rounding and the division), the
+    error is |u f'(u)/f(u)| * 2 plus the rounding of the formula: about
+    2.5 u^2 + 2 for the Gaussian, 2|u| + 2 for the two-sided exponential
+    and at most 8 for the Lorentzian.  Where f is steep in units of sigma,
+    this is far above the 50 eps that quadrature assumes by default.  Each
+    grows with |t|.
+    """
+    u = np.asarray(t, dtype=float) / signal.time_scale
+    if signal.kind == SignalKind.Gaussian:
+        return 2.5 * u * u + 2.0
+    if signal.kind == SignalKind.TwoSidedExp:
+        return 2.0 * np.abs(u) + 2.0
+    return np.full(u.shape, 8.0)
+
+
 def make_h(signal: SignalSpec, b: float) -> HSpec:
     return HSpec(signal=signal, b=float(b))
 
@@ -184,14 +203,26 @@ def time_coefficients(signal: SignalSpec, b: float, n: int) -> np.ndarray:
     """Taylor coefficients c_s = f^(s)(b)/s! for s = 0..n-1.
 
     For a scaled signal A*f(t/sigma) they are A*sigma**-s times the
-    built-in's coefficients at b/sigma.
+    built-in's coefficients at b/sigma.  That point is the rounded quotient
+    q = fl(b/sigma) plus the exact residual d of the division, and the
+    built-in's coefficients at q + d are those at q moved to first order,
+    c_s + (s+1) c_(s+1) d: where f is steep in units of sigma, expanding
+    about q alone would shift the whole expansion by f'(b) sigma d.
     """
     if n < 1:
         raise ValueError("need at least one coefficient")
     amplitude, scale = signal.amplitude, signal.time_scale
-    out = _builtin_time_coefficients(signal.kind, b / scale, n)
     if amplitude == 1.0 and scale == 1.0:
-        return out
+        return _builtin_time_coefficients(signal.kind, b, n)
+    from fractions import Fraction  # only scaled signals pay for the import
+
+    center = b / scale
+    residual = float(Fraction(b) / Fraction(scale) - Fraction(center))
+    if residual == 0.0:
+        out = _builtin_time_coefficients(signal.kind, center, n)
+    else:
+        ext = _builtin_time_coefficients(signal.kind, center, n + 1)
+        out = ext[:n] + np.arange(1, n + 1) * ext[1:] * residual
     return amplitude * out / scale ** np.arange(n)
 
 

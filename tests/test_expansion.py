@@ -26,6 +26,7 @@ from cwtasym.wavelets import (
     psi_hat_conj,
     small_u_coefficients,
 )
+from mellin_reference import two_sided_exp_moment as _two_sided_exp_moment
 
 
 def test_mirror_sign_integer_orders():
@@ -346,7 +347,14 @@ def test_result_metadata():
     assert t.remainder_scale == 1.0
 
 
-def test_plan_uses_the_expected_mellin_strategies():
+def test_plan_uses_the_expected_mellin_strategies(monkeypatch):
+    """Closed forms for every built-in away from b = 0; the fallback,
+    "auto", stays the split tail or direct quadrature by the signal's tail."""
+    seen = _record_moments(monkeypatch)
+    wav = make_wavelet(WaveletKind.Morlet, u0=5.0)
+    for kind in SignalKind:
+        expansion_plan(make_signal(kind), wav, 0.7, 3)
+    assert {name for *_, name, _ in seen} == {"closed_form"}
     h_split = make_h(make_signal(SignalKind.TwoSidedExp), 0.7)
     h_quad = make_h(make_signal(SignalKind.Gaussian), 0.7)
     assert mellin_transform(h_split, 1).method == MellinMethod.SplitTailAnalytic
@@ -363,9 +371,10 @@ def test_plan_terms_match_the_one_expression_form():
     cfg = QuadratureConfig()
     h = make_h(sig, b)
     cs = small_u_coefficients(wav, n).coefficients
+    closed = MellinMethod.ClosedForm  # the plan's route for this signal
     pairs = [
-        (mellin_transform(h, s + 1, "auto", cfg).value,
-         mellin_transform(h, s + 1, "auto", cfg, mirror=True).value)
+        (mellin_transform(h, s + 1, closed, cfg).value,
+         mellin_transform(h, s + 1, closed, cfg, mirror=True).value)
         for s in range(n)
     ]
     plan = expansion_plan(sig, wav, b, n, config=cfg)
@@ -410,3 +419,133 @@ def test_plan_parameter_validation():
         plan.at(0.0)
     with pytest.raises(ValueError, match="remainder"):
         plan.at(0.1, remainder="exact")
+
+
+_PLAN_OFFSETS = (0.37, -1.3, 2.0)
+
+
+def _record_moments(monkeypatch):
+    """Record (z, mirror, method name, result) of every moment the plan takes."""
+    import cwtasym.expansion as expansion
+
+    seen = []
+
+    def recording(h, z, method, config, mirror=False):
+        res = mellin_transform(h, z, method, config, mirror=mirror)
+        name = method if isinstance(method, str) else method.value
+        seen.append((z, mirror, name, res))
+        return res
+
+    monkeypatch.setattr(expansion, "mellin_transform", recording)
+    return seen
+
+
+@pytest.mark.parametrize("amplitude,scale", [(1.0, 1.0), (-2.0, 0.2)])
+def test_frequency_plan_integrates_no_moment(monkeypatch, amplitude, scale):
+    """Every moment of these plans is a closed form: not one quadrature."""
+    import cwtasym.expansion as expansion
+    import cwtasym.mellin as mellin
+    import cwtasym.oracle as oracle
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return integrate(*args, **kwargs)
+
+    for module in (expansion, mellin, oracle):
+        monkeypatch.setattr(module, "integrate", counting)
+    for kind in SignalKind:
+        sig = make_signal(kind, amplitude, scale)
+        for wav_kind in WaveletKind:
+            for b in _PLAN_OFFSETS:
+                expansion_plan(sig, make_wavelet(wav_kind), b, 4)
+    assert calls == []
+
+
+@pytest.mark.parametrize("amplitude,scale", [(1.0, 1.0), (-2.0, 0.2)])
+def test_frequency_plan_matches_quadrature_moments(amplitude, scale):
+    """The closed-form products against products of mellin_transform's
+    "auto" moments (quadrature, or the split tail for the two-sided
+    exponential), within their summed estimates."""
+    cfg = QuadratureConfig()
+    for kind in SignalKind:
+        sig = make_signal(kind, amplitude, scale)
+        for b in _PLAN_OFFSETS:
+            h = make_h(sig, b)
+            auto = {}
+            for wav_kind in WaveletKind:
+                wav = make_wavelet(wav_kind)
+                plan = expansion_plan(sig, wav, b, 4, config=cfg)
+                for s, c in enumerate(plan.coefficients):
+                    if c == 0.0:
+                        continue
+                    if s not in auto:
+                        auto[s] = [mellin_transform(h, s + wav.lam, "auto", cfg,
+                                                    mirror=m)
+                                   for m in (False, True)]
+                    plus, minus = auto[s]
+                    want = c * (plus.value + mirror_sign(s, wav.lam) * minus.value)
+                    budget = plan.product_errors[s] + abs(c) * (
+                        plus.abs_error_estimate + minus.abs_error_estimate)
+                    assert abs(plan.products[s] - want) <= budget, (
+                        kind, wav_kind, b, s)
+
+
+def test_plan_falls_back_where_the_closed_form_cancels(monkeypatch):
+    """Two-sided exponential at b = 1e-4: the two incomplete Gammas cancel,
+    the closed form's estimate misses the quadrature target at z = 3, and
+    the plan takes the split tail there; its products stay within their
+    estimates of the 60-digit reference."""
+    seen = _record_moments(monkeypatch)
+    sig = make_signal(SignalKind.TwoSidedExp)
+    wav = make_wavelet(WaveletKind.MexicanHat)
+    b, cfg = 1e-4, QuadratureConfig()
+    plan = expansion_plan(sig, wav, b, 4, config=cfg)
+    closed = [r for z, m, name, r in seen if name == "closed_form"]
+    auto = [(z, m) for z, m, name, _ in seen if name == "auto"]
+    assert auto == [(3, False), (3, True)]
+    for r in closed:
+        assert r.abs_error_estimate > max(cfg.abs_tol, cfg.rel_tol * abs(r.value))
+    for s, c in enumerate(plan.coefficients):
+        if c == 0.0:
+            continue
+        plus, minus = (_two_sided_exp_moment(1.0, 1.0, b, s + 1, m)
+                       for m in (False, True))
+        want = c * (plus + mirror_sign(s, 1) * minus)
+        assert abs(plan.products[s] - want) <= plan.product_errors[s], s
+
+
+def test_plan_falls_back_outside_the_closed_form_range(monkeypatch):
+    """A Gaussian of time scale 0.03 at b = 1.9 puts b/sigma past the
+    parabolic cylinder series' range: every moment falls back to direct
+    quadrature, and the products match PureQuadrature's."""
+    seen = _record_moments(monkeypatch)
+    sig = make_signal(SignalKind.Gaussian, 1.0, 0.03)
+    wav = make_wavelet(WaveletKind.Morlet)
+    b, cfg = 1.9, QuadratureConfig()
+    plan = expansion_plan(sig, wav, b, 4, config=cfg)
+    assert {name for *_, name, _ in seen} == {"auto"}
+    h = make_h(sig, b)
+    for s, c in enumerate(plan.coefficients):
+        plus, minus = (mellin_transform(h, s + 1, MellinMethod.PureQuadrature,
+                                        cfg, mirror=m) for m in (False, True))
+        want = c * (plus.value + mirror_sign(s, 1) * minus.value)
+        budget = plan.product_errors[s] + abs(c) * (
+            plus.abs_error_estimate + minus.abs_error_estimate)
+        assert abs(plan.products[s] - want) <= budget, s
+
+
+def test_steep_scaled_time_route_within_its_estimates():
+    """A Gaussian of time scale 0.05 at b = -1.1 (b/sigma = -22): each
+    evaluation of f at a rounded argument carries about 2.5 (b/sigma)^2 eps
+    relative, which the remainder's roundoff floors now count.  With the
+    default floor of 50 eps the prediction missed cwt_time by 1.04 times
+    the summed estimates."""
+    sig = make_signal(SignalKind.Gaussian, 0.5, 0.05)
+    wav = make_wavelet(WaveletKind.Haar)
+    res = expansion_plan(sig, wav, -1.1, 4, "time").at(0.05, "integral_m0")
+    orc = cwt_time(sig, wav, 0.05, -1.1)
+    budget = (res.abs_error_estimate + res.remainder_error_estimate
+              + orc.abs_error_estimate)
+    assert abs(res.prediction - orc.value) <= budget

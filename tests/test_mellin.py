@@ -16,6 +16,7 @@ from cwtasym.mellin import (
 )
 from cwtasym.signals import SignalKind, make_h, make_signal
 from cwtasym.specfun import oscillatory_power_tails, upper_incomplete_gamma
+from mellin_reference import two_sided_exp_moment as _two_sided_exp_moment
 
 
 def _h(kind, b):
@@ -96,26 +97,6 @@ def test_split_and_extrapolation_agree():
         assert abs(tail.value - eps.value) < 1e-6 * abs(tail.value)
 
 
-def _two_sided_exp_moment(amplitude, scale, b, z, mirror):
-    """The Abel-regularized moment of h(u) = e^{ibu} A s 2/(1 + s^2 u^2).
-
-    With A s 2/(1 + s^2 u^2) = A s [(i/s)/(u + i/s) + (-i/s)/(u - i/s)],
-    each fraction is Gradshteyn-Ryzhik 3.383.10,
-    int_0^inf u^{z-1} e^{-mu u}/(u + beta) du
-    = beta^{z-1} e^{beta mu} Gamma(z) Gamma(1 - z, beta mu),
-    at mu = 1e-40 -+ ib: the damping e^{-eps u} of the Abel limit, which
-    also keeps beta*mu off Gamma's branch cut.
-    """
-    with mp.workdps(60):
-        mu = mp.mpf("1e-40") - 1j * mp.mpf(-b if mirror else b)
-        z = mp.mpc(z)
-        total = 0
-        for beta in (mp.mpc(0, 1) / scale, mp.mpc(0, -1) / scale):
-            total += (beta * beta ** (z - 1) * mp.exp(beta * mu) * mp.gamma(z)
-                      * mp.gammainc(1 - z, beta * mu))
-        return complex(amplitude * scale * total)
-
-
 @pytest.mark.parametrize("scale", [1.0, 0.2, 3.0])
 def test_split_tail_against_reference(scale):
     """Split-tail moments of a scaled two-sided exponential against a
@@ -146,6 +127,47 @@ def test_scaled_two_sided_exp_closed_form(amplitude, scale):
                                    mirror=mirror)
             want = _two_sided_exp_moment(amplitude, scale, 0.0, z, mirror)
             assert abs(got.value - want) <= got.abs_error_estimate, (z, mirror)
+
+
+@pytest.mark.parametrize("amplitude,scale", [(-2.0, 0.2), (3.0, 3.0)])
+def test_two_sided_exp_offset_closed_form(amplitude, scale):
+    """The two-sided exponential at b != 0 by Gradshteyn-Ryzhik 3.383.10,
+    against the 60-digit reference within its own estimate, on both sides,
+    for |b| from 2 down to 1e-3, z up to 5 and complex z."""
+    sig = make_signal(SignalKind.TwoSidedExp, amplitude, scale)
+    for b in (2.0, -1.3, 0.37, -0.05, 0.01, -1e-3):
+        h = make_h(sig, b)
+        for z in (1, 1.5, 2, 3, 4, 5, 1.2 + 0.3j):
+            for mirror in (False, True):
+                got = mellin_transform(h, z, MellinMethod.ClosedForm,
+                                       mirror=mirror)
+                assert got.method == MellinMethod.ClosedForm
+                want = _two_sided_exp_moment(amplitude, scale, b, z, mirror)
+                assert abs(got.value - want) <= got.abs_error_estimate, (
+                    b, z, mirror)
+
+
+def test_two_sided_exp_closed_form_estimate_grows_near_zero_offset():
+    """The two incomplete Gammas cancel as b -> 0, and the estimate says
+    so: at z = 5 it is below 1e-10 relative at b = 0.01 and above it at
+    b = 1e-4, where the plan takes the split tail instead."""
+    sig = make_signal(SignalKind.TwoSidedExp)
+    rel = {}
+    for b in (0.01, 1e-4):
+        got = mellin_transform(make_h(sig, b), 5, MellinMethod.ClosedForm)
+        rel[b] = got.abs_error_estimate / abs(got.value)
+    assert rel[0.01] < 1e-10 < rel[1e-4]
+
+
+@pytest.mark.parametrize("b", [1.9, -1.1])
+def test_closed_form_out_of_range_raises_mellin_error(b):
+    """b/sigma beyond the parabolic cylinder series' range |z| <= 30 is a
+    MellinError ("no closed form"), not the special function's own error."""
+    h = make_h(make_signal(SignalKind.Gaussian, 1.0, 0.03), b)
+    for z in (1, 2, 3, 4):
+        for mirror in (False, True):
+            with pytest.raises(MellinError, match="no closed form"):
+                mellin_transform(h, z, MellinMethod.ClosedForm, mirror=mirror)
 
 
 @pytest.mark.parametrize("amplitude,scale", [(-2.0, 0.2), (3.0, 3.0)])

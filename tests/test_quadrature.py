@@ -171,6 +171,33 @@ def test_refinement_stops_at_the_roundoff_floor():
     assert abs(res.value - exact) <= res.abs_error_estimate
 
 
+def test_conditioning_raises_the_roundoff_floor():
+    """A conditioning of at most 50 leaves every bit as it was; above 50 it
+    becomes the floor, eps*int(conditioning*|f|), so the estimate covers
+    an integrand evaluated with that relative error."""
+    cfg = QuadratureConfig(abs_tol=0.0, rel_tol=1e-13)
+
+    def f(x):
+        return np.exp(-0.5 * x * x) * np.cos(5.0 * x)
+
+    plain = integrate(f, (-20.0, 20.0), cfg)
+    low = integrate(f, (-20.0, 20.0), cfg,
+                    conditioning=lambda x: np.full(np.shape(x), 50.0))
+    assert low == plain
+    kappa, eps = 1e6, np.finfo(float).eps
+    noisy = integrate(f, (-20.0, 20.0), cfg,
+                      conditioning=lambda x: np.full(np.shape(x), kappa))
+    int_abs = 1.5958  # int |exp(-x^2/2) cos 5x| dx, to 4 digits
+    assert noisy.abs_error_estimate >= 0.99 * kappa * eps * int_abs
+    assert noisy.status == "roundoff"
+    # the substituted piece of a left singularity counts it too:
+    # int_0^1 x^(-1/2) dx = 2
+    sing = integrate(lambda x: 1.0 / np.sqrt(x), (0.0, 1.0), cfg,
+                     left_singularity=-0.5,
+                     conditioning=lambda x: np.full(np.shape(x), kappa))
+    assert sing.abs_error_estimate >= 0.99 * kappa * eps * 2.0
+
+
 def test_status_of_a_converged_integral_and_ordering():
     res = integrate(lambda x: np.exp(-x), (0.0, 5.0))
     assert res.status == "tolerance" and res.converged

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from cwtasym.signals import (
     SignalKind,
     f_hat,
+    f_time_conditioning,
     h_eval,
     make_h,
     make_signal,
@@ -100,6 +101,44 @@ def test_time_coefficients_custom_route():
         for k in range(n):
             want = complex(ref[k])
             assert abs(got[k] - want) < 1e-13 * max(1.0, abs(want)), (kind, k)
+
+
+def test_scaled_coefficients_expand_about_the_exact_quotient():
+    """b/sigma = -1.1/0.05 rounds to -22 with a residual of -5.6e-16; the
+    Gaussian's coefficients there move by 22 times that relative, which
+    the first-order shift puts back (1.2e-14 relative off before)."""
+    A, s, b, n = 0.5, 0.05, -1.1, 6
+    got = time_coefficients(make_signal(SignalKind.Gaussian, A, s), b, n)
+    with mp.workdps(40):
+        u = mp.mpf(b) / mp.mpf(s)
+        he = [mp.mpf(1), u]
+        for k in range(2, n):
+            he.append(u * he[-1] - (k - 1) * he[-2])
+        for k in range(n):
+            want = (A * (-1) ** k * he[k] * mp.exp(-u * u / 2)
+                    / (mp.factorial(k) * mp.mpf(s) ** k))
+            assert abs(got[k] - complex(want)) <= 1e-15 * abs(complex(want)), k
+
+
+@pytest.mark.parametrize("kind", list(SignalKind))
+def test_time_conditioning_bounds_the_evaluation_error(kind):
+    """f_time at t = fl(b + x) against f(b + x) in 40 digits: the relative
+    error stays within f_time_conditioning(t) * eps, up to |b|/sigma = 22."""
+    A, s, b = 0.5, 0.05, -1.1
+    sig = make_signal(kind, A, s)
+    base = {
+        SignalKind.Lorentzian: lambda u: 1 / (1 + u * u),
+        SignalKind.TwoSidedExp: lambda u: mp.exp(-abs(u)),
+        SignalKind.Gaussian: lambda u: mp.exp(-u * u / 2),
+    }[kind]
+    xs = np.linspace(0.0, 0.05, 101)
+    t = b + xs
+    got = sig.f_time(t)
+    bound = f_time_conditioning(sig, t) * np.finfo(float).eps
+    with mp.workdps(40):
+        for x, g, e in zip(xs, got, bound):
+            want = A * base((mp.mpf(b) + mp.mpf(float(x))) / mp.mpf(s))
+            assert abs(g - want) <= e * abs(want), x
 
 
 def test_custom_route_rejects_kink():

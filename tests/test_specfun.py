@@ -128,20 +128,35 @@ def test_parabolic_cylinder_domain_guards():
 
 
 @pytest.mark.parametrize(
-    "sigma,c,radius",
+    "sigma,c,radius,ref",
     [
-        (-1.5, 1.0, 10.0),
-        (-0.5, -2.0, 25.0),
-        (-3.0, 0.5, 8.0),
-        (1.5, 1.0, 12.0),
-        (0.0, -1.0, 30.0),
+        (-1.5, 1.0, 10.0,
+         0.00101300852617018929888265584527
+         - 0.00284006830464921431430311704663j),
+        (-0.5, -2.0, 25.0,
+         0.00116332951930687989094331583189
+         - 0.00382273442936619840401678476517j),
+        (-3.0, 0.5, 8.0,
+         0.0000599559555521704825806327446015
+         - 0.000339247465464517735756835587775j),
+        (1.5, 1.0, 12.0,
+         1.74069471632951897766519583737 + 3.00521607045075464751094451033j),
+        (0.0, -1.0, 30.0,
+         0.033032417282071143779226440963
+         - 0.00403978676454550824759038263295j),
     ],
 )
-def test_oscillatory_power_tail_against_reference(sigma, c, radius):
-    """int_U^inf t^(sigma-1) e^(ict) dt via the incomplete gamma route."""
+def test_oscillatory_power_tail_against_reference(sigma, c, radius, ref):
+    """int_U^inf t^(sigma-1) e^(ict) dt via the incomplete gamma route.
+
+    Each reference is stored to 30 digits, as computed by oscillatory
+    quadrature, independently of the incomplete-gamma identity under test:
+
+        mp.mp.dps = 35
+        f = lambda t: t ** (sigma - 1) * mp.e ** (1j * c * t)
+        ref = mp.quadosc(f, [radius, mp.inf], omega=abs(c))
+    """
     ((val, err),) = oscillatory_power_tails(sigma, 1, c, radius)
-    f = lambda t: t ** (sigma - 1) * mp.e ** (1j * c * t)
-    ref = complex(mp.quadosc(f, [radius, mp.inf], omega=abs(c)))
     assert abs(val - ref) <= max(5e-13 * abs(ref), 1e-15)
     assert err >= 0.0
 
