@@ -6,7 +6,13 @@ truncated small-a expansion built from wavelet coefficient tables and
 regularized Mellin moments — and provides the diagnostics that compare them.
 """
 
-from .quadrature import QuadratureConfig, QuadratureError, QuadratureResult, integrate
+from .quadrature import (
+    QuadratureConfig,
+    QuadratureError,
+    QuadratureResult,
+    QuadratureResults,
+    integrate,
+)
 from .signals import (
     SignalKind,
     SignalSpec,
@@ -59,6 +65,7 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureError",
     "QuadratureResult",
+    "QuadratureResults",
     "integrate",
     "SignalKind",
     "SignalSpec",

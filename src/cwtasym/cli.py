@@ -10,8 +10,13 @@ Subcommands::
     validate   run the built-in numerical validation checks
 
 ``sweep`` computes the expansion's coefficients and moments once (an
-``ExpansionPlan``) and evaluates them at every grid point, so its cost per
-point is the oracle plus any remainder.
+``ExpansionPlan``) and evaluates them at every grid point.  Its default
+oracle, the time route, is one vector-valued quadrature over the whole grid
+(``cwt_time`` given the grid); ``--oracle fourier`` integrates each point
+on its own, and ``--jobs`` splits those per-point calls and the expansion's
+``plan.at`` over threads.  ``cwt`` and ``sweep`` both default to the time
+route: ``cwt_fourier`` shares its analytic tails with the frequency-route
+expansion it would judge, ``cwt_time`` only the transform's definition.
 
 Options may come from flags or from a JSON config file (``--config``);
 flags win over the file, the file wins over defaults.  Config keys that
@@ -79,7 +84,7 @@ class RunConfig:
     n: int = 3
     domain: str = "frequency"
     mellin_method: str = "auto"
-    oracle: str = "fourier"
+    oracle: str = "time"
     format: str = "csv"
     out: Optional[str] = None
     config: Optional[str] = None
@@ -361,20 +366,28 @@ def _cmd_sweep(rc: RunConfig) -> int:
     a_values = _sweep_grid(rc)
     # Nothing in the plan depends on a; the worker threads only read it.
     plan = expansion_plan(sig, wav, rc.b, rc.n, rc.domain, qcfg)
-    oracle_fn = cwt_time if rc.oracle == "time" else cwt_fourier
+    # The time route is one quadrature over the whole grid; the Fourier
+    # route integrates each point on its own, in the worker threads.
+    grid_oracle = (
+        cwt_time(sig, wav, a_values, rc.b, qcfg) if rc.oracle == "time" else None
+    )
 
-    def work(a: float):
-        oracle = oracle_fn(sig, wav, float(a), rc.b, qcfg)
-        res = plan.at(float(a), rc.remainder)
+    def work(i: int):
+        a = float(a_values[i])
+        if grid_oracle is None:
+            oracle = cwt_fourier(sig, wav, a, rc.b, qcfg)
+        else:
+            oracle = grid_oracle[i]
+        res = plan.at(a, rc.remainder)
         abs_err = abs(oracle.value - res.partial_sum)
         rel_err = abs_err / abs(oracle.value) if oracle.value != 0.0 else math.nan
         return oracle, res, abs_err, rel_err
 
     if rc.jobs > 1:
         with ThreadPoolExecutor(max_workers=rc.jobs) as pool:
-            results = list(pool.map(work, a_values))
+            results = list(pool.map(work, range(a_values.size)))
     else:
-        results = [work(a) for a in a_values]
+        results = [work(i) for i in range(a_values.size)]
 
     rows = []
     json_rows = []
@@ -482,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cwt", help="transform value from the oracles")
     add_common(p)
-    p.add_argument("--oracle", choices=["time", "fourier", "both"])
+    p.add_argument("--oracle", choices=["time", "fourier", "both"],
+                   help="quadrature route(s) to print (default: time)")
 
     p = sub.add_parser("mellin", help="regularized Mellin moment")
     add_common(p, point=False)
@@ -499,8 +513,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="error table over a dilation grid")
     add_common(p, grid=True, point=False)
     p.add_argument("--domain", choices=["frequency", "time"])
-    p.add_argument("--oracle", choices=["time", "fourier"])
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--oracle", choices=["time", "fourier"],
+                   help="reference route (default: time, one quadrature over "
+                   "the whole grid; fourier integrates each point on its own)")
+    p.add_argument("--jobs", type=int,
+                   help="worker threads for the per-point work: the expansion "
+                   "and, with --oracle fourier, the oracle (default: 1)")
 
     for name, p in sub.choices.items():
         # The keys a config file may give (the subcommand's flags, plus the

@@ -1,9 +1,10 @@
 """Ground-truth CWT evaluation by adaptive quadrature, two independent routes.
 
 ``cwt_time`` integrates the signal against the scaled wavelet in the time
-domain; ``cwt_fourier`` integrates the product of Fourier transforms over
-each half-line.  The two share no analytic ingredients beyond the transform
-pair definitions, so their agreement is a meaningful cross-check.
+domain, a whole grid of dilations on one shared mesh; ``cwt_fourier``
+integrates the product of Fourier transforms over each half-line, one
+dilation per call.  The two share no analytic ingredients beyond the
+transform pair definitions, so their agreement is a meaningful cross-check.
 
 When the signal transform decays only algebraically, f_hat(w) ~ sum_r b_r
 w^-(r + beta), each half-line is split at a radius R that starts at
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -61,6 +62,10 @@ _TWO_PI = 2.0 * math.pi
 # 1.5e-13 from R = 1 and 3e-16 from R = 16, past the tolerance at R = 1.
 _SPLIT_START = 16.0
 
+# Most dilations ``cwt_time`` puts on one mesh.  Its memory grows with the
+# dilations on it, and one bisection budget serves them all.
+_GRID_BLOCK = 32
+
 
 def _result(value, err, parts) -> QuadratureResult:
     """A result made of ``parts``: the caller's value and error estimate,
@@ -78,23 +83,50 @@ def _result(value, err, parts) -> QuadratureResult:
 def cwt_time(
     signal: SignalSpec,
     wavelet: WaveletSpec,
-    a: float,
+    a: Union[float, Sequence[float]],
     b: float,
     config: Optional[QuadratureConfig] = None,
-) -> QuadratureResult:
-    """Transform value W(b, a) from the time-domain definition."""
-    if not a > 0.0:
+) -> Union[QuadratureResult, list]:
+    """Transform value W(b, a) from the time-domain definition.
+
+    ``a`` is one dilation, giving one result, or a sequence of them, giving
+    one result per dilation in order.  In wavelet coordinates every
+    dilation integrates f(b + a*s) conj(psi)(s) over the same s, so a
+    sequence is one vector-valued quadrature on a shared mesh (at most
+    ``_GRID_BLOCK`` dilations per mesh), with breakpoints at every
+    dilation's kinks and peak.
+    """
+    grid = np.asarray(a, dtype=float)
+    if not (grid > 0.0).all():
         raise ValueError("the dilation parameter must be positive")
     cfg = config if config is not None else QuadratureConfig()
+    flat = grid.reshape(-1)
+    results = []
+    for start in range(0, flat.size, _GRID_BLOCK):
+        block = flat[start:start + _GRID_BLOCK]
+        results.extend(_cwt_time_block(signal, wavelet, block, b, cfg))
+    return results[0] if grid.ndim == 0 else results
 
+
+def _cwt_time_block(
+    signal: SignalSpec,
+    wavelet: WaveletSpec,
+    grid: np.ndarray,
+    b: float,
+    cfg: QuadratureConfig,
+) -> list:
+    """``cwt_time`` at each dilation of ``grid``, on one shared mesh."""
     f = signal.f_time
+    scales = grid[:, None]
+    dilations = grid.tolist()
 
     def integrand(s):
-        return f(b + a * s) * psi_conj(wavelet, s)
+        return f(b + scales * s) * psi_conj(wavelet, s)
 
-    breakpoints = [(k - b) / a for k in signal.kinks]
+    breakpoints = [(k - b) / a for a in dilations for k in signal.kinks]
     if signal.kind == SignalKind.Lorentzian:
-        breakpoints.append(-b / a)  # the signal's peak in wavelet coordinates
+        # the signal's peak in wavelet coordinates
+        breakpoints += [-b / a for a in dilations]
 
     if wavelet.time_support is not None:
         lo, hi = wavelet.time_support
@@ -113,8 +145,11 @@ def cwt_time(
             period_hint=time_period(wavelet),
             envelope=envelope,
         )
-    root_a = math.sqrt(a)
-    return _result(res.value * root_a, res.abs_error_estimate * root_a, (res,))
+    out = []
+    for a, r in zip(dilations, res):
+        root_a = math.sqrt(a)
+        out.append(_result(r.value * root_a, r.abs_error_estimate * root_a, (r,)))
+    return out
 
 
 def _gauss_cut_width(c_over_delta: float) -> float:

@@ -21,6 +21,15 @@ it stops at the first of these, named in ``QuadratureResult.status``:
 
 Panel values are summed exactly rounded (``math.fsum``), so the result does
 not pick up the rounding of a long floating-point sum.
+
+A vector-valued integrand returns an (m, N) array for N nodes: m integrals
+over one shared mesh, the vectorized adaptive quadrature of L. F. Shampine,
+J. Comput. Appl. Math. 211 (2008).  Every component keeps its own value,
+error estimate, target and status.  A component stops once it meets its
+tolerance; those still open when refinement stops take its reason.  A panel
+is ranked by max_j err_j/target_j over the open components in which it is
+above its floor, and one ``max_subdivisions`` budget serves the whole call.
+A one-dimensional integrand is the m = 1 case of the same code.
 """
 
 from __future__ import annotations
@@ -78,6 +87,8 @@ _BISECT_BLOCK = 64
 TRUNCATION_RADIUS = 1e12
 _MIN_INITIAL_PANELS = 8
 _MAX_PANELS_PER_PIECE = 16384
+# Panels per batch of the first evaluation of a piece.
+_CHUNK_PANELS = 65536
 
 
 class QuadratureError(RuntimeError):
@@ -112,6 +123,22 @@ class QuadratureResult:
     status: str = "tolerance"
 
 
+class QuadratureResults(tuple):
+    """One ``QuadratureResult`` per component of a vector-valued integrand.
+
+    The components share one mesh, so ``n_evaluations`` and ``n_panels``
+    (which each component also carries) count it once, and ``converged``
+    holds when every component's does.
+    """
+
+    def __new__(cls, results, n_evaluations: int, n_panels: int):
+        self = super().__new__(cls, results)
+        self.n_evaluations = n_evaluations
+        self.n_panels = n_panels
+        self.converged = all(r.converged for r in results)
+        return self
+
+
 def worst_status(*statuses: str) -> str:
     """The least favourable of the given termination statuses."""
     return max(statuses, key=STATUSES.index)
@@ -122,19 +149,25 @@ Envelope = tuple  # ("exp", C, rate) | ("gauss", C, rate) | ("alg", C, power)
 
 
 def _panel_eval(evalf, lo: np.ndarray, hi: np.ndarray, conditioning=None):
-    """Evaluate the GK15 rule on a batch of panels.
+    """Evaluate the GK15 rule on a batch of panels, for every component.
 
-    Returns (values, errors, roundoff floors, evaluation count); each
-    error is at least its panel's floor 50*eps*integral(|f|), or
-    eps*integral(max(50, conditioning)*|f|) given a conditioning.
+    ``evalf`` maps the P x 15 nodes, flattened, to P*15 values or an
+    (m, P*15) array.  Returns (values, errors, roundoff floors), each
+    (m, P), and the number of nodes; each error is at least its panel's
+    floor 50*eps*integral(|f|), or eps*integral(max(50, conditioning)*|f|)
+    given a conditioning.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     nodes = c[:, None] + h[:, None] * _NODES[None, :]
-    fv = np.asarray(evalf(nodes.ravel()), dtype=complex).reshape(nodes.shape)
+    # One row of 15 values per (component, panel), components outermost.
+    fv = np.asarray(evalf(nodes.ravel()), dtype=complex).reshape(-1, _NODES.size)
+    m = fv.shape[0] // lo.size
+    h = np.concatenate((h,) * m)
     resk = fv @ _WK15
     resg = fv @ _WG15
-    resabs = np.abs(fv) @ _WK15
+    absfv = np.abs(fv)
+    resabs = absfv @ _WK15
     mean = 0.5 * resk
     resasc = np.abs(fv - mean[:, None]) @ _WK15
     raw = np.abs(resk - resg) * h
@@ -151,56 +184,82 @@ def _panel_eval(evalf, lo: np.ndarray, hi: np.ndarray, conditioning=None):
         # stays below, every bit is the same as without it.
         kappa = np.asarray(conditioning(nodes.ravel()), dtype=float)
         excess = np.maximum(kappa.reshape(nodes.shape) - 50.0, 0.0)
-        floor = floor + _EPS * ((excess * np.abs(fv)) @ _WK15) * h
-    return resk * h, np.maximum(err, floor), floor, nodes.size
+        floor = floor + _EPS * ((np.concatenate((excess,) * m) * absfv) @ _WK15) * h
+    shape = (m, lo.size)
+    return (
+        (resk * h).reshape(shape),
+        np.maximum(err, floor).reshape(shape),
+        floor.reshape(shape),
+        nodes.size,
+    )
 
 
 def _refine(
     evalf, edges: np.ndarray, config: QuadratureConfig, budget: int, conditioning
 ):
-    """Adaptively bisect the worst panels until the tolerance target is met.
+    """Adaptively bisect the worst panels until every component meets its target.
 
-    Only panels whose error estimate is above their roundoff floor are
-    bisected: the floors of a panel's halves add back up to its own, so
-    splitting a floor-limited panel cannot lower the total.
+    A component is open while its summed error is above its target
+    max(abs_tol, rel_tol*|value|).  Only panels whose error is above their
+    roundoff floor in an open component are bisected (the floors of a
+    panel's halves add back up to its own, so splitting a floor-limited
+    panel cannot lower the total), worst first by max_j err_j/target_j over
+    those components.
 
-    Returns (value, error, n_evaluations, n_panels, bisections_used, status)
-    with the value summed exactly rounded and status one of ``STATUSES``.
+    Returns ([(value, error, status)] per component, n_evaluations,
+    n_panels, bisections_used): values summed exactly rounded, an open
+    component's status the loop's stop reason, one of ``STATUSES``.
     """
     lo = edges[:-1].astype(float)
     hi = edges[1:].astype(float)
-    vals = np.empty(lo.size, dtype=complex)
-    errs = np.empty(lo.size, dtype=float)
-    floors = np.empty(lo.size, dtype=float)
-    neval = 0
-    chunk = 65536
-    for start in range(0, lo.size, chunk):
-        sl = slice(start, start + chunk)
-        vals[sl], errs[sl], floors[sl], ne = _panel_eval(
-            evalf, lo[sl], hi[sl], conditioning
+    vals, errs, floors, neval = _panel_eval(
+        evalf, lo[:_CHUNK_PANELS], hi[:_CHUNK_PANELS], conditioning
+    )
+    for start in range(_CHUNK_PANELS, lo.size, _CHUNK_PANELS):
+        sl = slice(start, start + _CHUNK_PANELS)
+        more = _panel_eval(evalf, lo[sl], hi[sl], conditioning)
+        vals, errs, floors = (
+            np.concatenate([old, new], axis=1)
+            for old, new in zip((vals, errs, floors), more)
         )
-        neval += ne
+        neval += more[3]
     used = 0
     while True:
-        err_total = errs.sum()
-        target = max(config.abs_tol, config.rel_tol * abs(vals.sum()))
-        if err_total <= target:
-            status = "tolerance"
+        err_totals = errs.sum(axis=1).tolist()
+        targets = [
+            max(config.abs_tol, config.rel_tol * abs(v))
+            for v in vals.sum(axis=1).tolist()
+        ]
+        # Written so that a NaN error keeps its component open.
+        open_ = [
+            j for j, (e, t) in enumerate(zip(err_totals, targets)) if not e <= t
+        ]
+        if not open_:
+            stop = "tolerance"
             break
-        above = np.flatnonzero(errs > floors)
+        if len(open_) == 1:
+            errs_j = errs[open_[0]]
+            above = np.flatnonzero(errs_j > floors[open_[0]])
+            # One target does not change the order; skip the division.
+            score = errs_j[above]
+        else:
+            splits = errs[open_] > floors[open_]
+            above = np.flatnonzero(splits.any(axis=0))
+            ratios = errs[open_][:, above] / np.array(targets)[open_][:, None]
+            score = np.where(splits[:, above], ratios, 0.0).max(axis=0)
         if above.size == 0:
-            status = "roundoff"
+            stop = "roundoff"
             break
         if used >= budget:
-            status = "budget"
+            stop = "budget"
             break
         nsplit = min(_BISECT_BLOCK, budget - used)
-        worst = above[np.argsort(-errs[above], kind="stable")[:nsplit]]
+        worst = above[np.argsort(-score, kind="stable")[:nsplit]]
         mid = 0.5 * (lo[worst] + hi[worst])
         # Panels at rounding width cannot be split further; retire them.
         splittable = (mid > lo[worst]) & (mid < hi[worst])
         if not np.any(splittable):
-            status = "unsplittable"
+            stop = "unsplittable"
             break
         worst = worst[splittable]
         mid = mid[splittable]
@@ -212,14 +271,22 @@ def _refine(
         neval += ne
         keep = np.ones(lo.size, dtype=bool)
         keep[worst] = False
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
-        floors = np.concatenate([floors[keep], new_floors])
+        kept = np.flatnonzero(keep)
+        lo = np.concatenate([lo.take(kept), new_lo])
+        hi = np.concatenate([hi.take(kept), new_hi])
+        vals = np.concatenate([vals.take(kept, axis=1), new_vals], axis=1)
+        errs = np.concatenate([errs.take(kept, axis=1), new_errs], axis=1)
+        floors = np.concatenate([floors.take(kept, axis=1), new_floors], axis=1)
         used += worst.size
-    total = complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
-    return total, err_total, neval, lo.size, used, status
+    components = [
+        (
+            complex(math.fsum(row.real.tolist()), math.fsum(row.imag.tolist())),
+            err_totals[j],
+            stop if j in open_ else "tolerance",
+        )
+        for j, row in enumerate(vals)
+    ]
+    return components, neval, lo.size, used
 
 
 def _initial_edges(
@@ -384,13 +451,17 @@ def integrate(
     left_singularity: Optional[float] = None,
     tail_bound: float = 0.0,
     conditioning: Optional[Integrand] = None,
-) -> QuadratureResult:
+) -> "QuadratureResult | QuadratureResults":
     """Integrate a complex integrand over ``domain = (lo, hi)``.
 
-    ``integrand`` is a vectorized callable mapping a real node array to
-    complex values.  Infinite endpoints
+    ``integrand`` is a vectorized callable mapping a real node array of
+    length N to N complex values, or to an (m, N) array of m components;
+    the components are integrated on one shared mesh and the call returns
+    ``QuadratureResults``, one result per component, in place of one
+    ``QuadratureResult``.  Infinite endpoints
     require ``envelope``, a bound ``("exp", C, r)``, ``("gauss", C, r)`` or
-    ``("alg", C, p)`` on |integrand| valid for large |x|.  ``breakpoints``
+    ``("alg", C, p)`` on |integrand| (every component) valid for large |x|.
+    ``breakpoints``
     seed panel edges at known kinks or features, ``period_hint`` keeps
     initial panels at most half an oscillation wide, ``left_singularity``
     softens an integrable singularity at a finite left endpoint via the
@@ -400,12 +471,15 @@ def integrate(
     where that exceeds 50 it raises the panels' roundoff floors.
 
     Each piece (the substituted singular edge, the body, each truncation
-    extension) is refined on its own until its error meets the tolerance,
-    every panel sits at its roundoff floor, its worst panels cannot be split,
-    or the ``max_subdivisions`` bisections shared by all pieces run out.  The
-    result's ``status`` is the worst of the pieces' stops (see ``STATUSES``).
-    ``converged`` means the total error estimate, truncation included, is
-    within 10x max(abs_tol, rel_tol*|value|) and the budget did not run out.
+    extension) is refined on its own until each component's error meets the
+    tolerance, every panel sits at its roundoff floor, its worst panels
+    cannot be split, or the ``max_subdivisions`` bisections shared by all
+    pieces and components run out.  A component's ``status`` is the worst
+    of its stops over the pieces (see ``STATUSES``).  The truncation radius
+    is extended while its tail bound exceeds half the smallest component
+    target.  ``converged`` means the component's error estimate, truncation
+    included, is within 10x max(abs_tol, rel_tol*|value|) and the budget did
+    not run out.
     """
     cfg = config if config is not None else QuadratureConfig()
     lo, hi = float(domain[0]), float(domain[1])
@@ -427,23 +501,33 @@ def integrate(
         sides = (1 if math.isinf(lo) else 0) + (1 if math.isinf(hi) else 0)
         trunc = sides * _envelope_tail_bound(envelope, radius)
 
-    value = 0.0 + 0.0j
-    err = 0.0
+    # [value, error, status] per component, from the first piece on.
+    totals = []
     neval = 0
     npanels = 0
     budget = cfg.max_subdivisions
-    status = "tolerance"
+    ndim = []
+
+    def components(x):
+        """The integrand's values, noting whether it returns one per node."""
+        fx = integrand(x)
+        if not ndim:
+            ndim.append(np.ndim(fx))
+        return fx
 
     def add_piece(f, edges, cond=conditioning):
         """Refine one piece with the bisections left and add it to the totals."""
-        nonlocal value, err, neval, npanels, budget, status
-        v, e, ne, npan, used, st = _refine(f, edges, cfg, budget, cond)
-        value += v
-        err += e
+        nonlocal neval, npanels, budget
+        parts, ne, npan, used = _refine(f, edges, cfg, budget, cond)
+        if not totals:
+            totals.extend([0.0 + 0.0j, 0.0, "tolerance"] for _ in parts)
+        for total, (v, e, st) in zip(totals, parts):
+            total[0] += v
+            total[1] += e
+            total[2] = worst_status(total[2], st)
         neval += ne
         npanels += npan
         budget -= used
-        status = worst_status(status, st)
 
     sing_hi = cut_lo
     if left_singularity is not None:
@@ -453,7 +537,7 @@ def integrate(
         ylim = math.sqrt(sing_hi - cut_lo)
         # x = cut_lo + y^2 softens the singularity at x = cut_lo
         add_piece(
-            lambda y: 2.0 * y * integrand(cut_lo + y * y),
+            lambda y: 2.0 * y * components(cut_lo + y * y),
             _initial_edges(0.0, ylim, (), None),
             None if conditioning is None else (
                 lambda y: conditioning(cut_lo + y * y)
@@ -462,12 +546,15 @@ def integrate(
 
     if sing_hi < cut_hi:
         edges = _initial_edges(sing_hi, cut_hi, breakpoints, period_hint)
-        add_piece(integrand, edges)
+        add_piece(components, edges)
 
     # Extend the truncation radius until the tail bound is small relative to
-    # the value actually found (the initial cut only targeted abs_tol).
+    # the values actually found (the initial cut only targeted abs_tol); the
+    # envelope bounds every component, so the smallest target decides.
     while trunc > 0.0 and envelope is not None:
-        target = 0.5 * max(cfg.abs_tol, cfg.rel_tol * abs(value))
+        target = 0.5 * min(
+            max(cfg.abs_tol, cfg.rel_tol * abs(value)) for value, _, _ in totals
+        )
         if trunc <= target:
             break
         radius_new = min(2.0 * radius, TRUNCATION_RADIUS)
@@ -478,18 +565,23 @@ def integrate(
                 continue
             seg_lo, seg_hi = sorted((sign * radius, sign * radius_new))
             edges = _initial_edges(seg_lo, seg_hi, breakpoints, period_hint)
-            add_piece(integrand, edges)
+            add_piece(components, edges)
         radius = radius_new
         sides = (1 if math.isinf(lo) else 0) + (1 if math.isinf(hi) else 0)
         trunc = sides * _envelope_tail_bound(envelope, radius)
 
-    total_err = err + trunc + tail_bound
-    target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
-    return QuadratureResult(
-        value=complex(value),
-        abs_error_estimate=float(total_err),
-        n_evaluations=neval,
-        n_panels=npanels,
-        converged=bool(total_err <= 10.0 * target) and status != "budget",
-        status=status,
-    )
+    results = []
+    for value, err, status in totals:
+        total_err = err + trunc + tail_bound
+        target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+        results.append(QuadratureResult(
+            value=complex(value),
+            abs_error_estimate=float(total_err),
+            n_evaluations=neval,
+            n_panels=npanels,
+            converged=bool(total_err <= 10.0 * target) and status != "budget",
+            status=status,
+        ))
+    if ndim[0] == 1:
+        return results[0]
+    return QuadratureResults(results, neval, npanels)

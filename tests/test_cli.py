@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 import cwtasym.cli as cli
 import cwtasym.expansion as expansion
 from cwtasym.cli import main
-from cwtasym.oracle import cwt_fourier
+from cwtasym.oracle import cwt_fourier, cwt_time
 from cwtasym.quadrature import QuadratureResult
 from cwtasym.signals import SignalKind, make_signal, time_coefficients
 from cwtasym.wavelets import WaveletKind, make_wavelet, small_u_coefficients
@@ -264,6 +264,39 @@ def test_sweep_json(capsys):
     obj = json.loads(capsys.readouterr().out)
     assert len(obj["rows"]) == 3
     assert "order" in obj
+
+
+def test_default_sweep_oracle_matches_the_fourier_route(capsys):
+    """The default sweep takes the time route over the whole grid in one
+    quadrature; near the two-sided exponential's kink its oracle column
+    stays within the summed estimates of the independent Fourier route."""
+    argv = ["sweep", "--signal", "two_sided_exp", "--wavelet", "mexhat",
+            "--b", "0.03", "--a-min", "0.001", "--a-max", "0.3",
+            "--a-count", "16", "--log", "--n", "4"]
+    assert main(argv) == 0
+    rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:-1]]
+    grid = np.geomspace(1e-3, 0.3, 16)
+    sig = make_signal(SignalKind.TwoSidedExp)
+    wav = make_wavelet(WaveletKind.MexicanHat)
+    timed = cwt_time(sig, wav, grid, 0.03)
+    assert len(rows) == grid.size
+    for row, a, t in zip(rows, grid, timed):
+        printed = complex(float(row[1]), float(row[2]))
+        assert printed == t.value and row[8] == "true"
+        f = cwt_fourier(sig, wav, float(a), 0.03)
+        assert abs(printed - f.value) <= t.abs_error_estimate + f.abs_error_estimate
+    # --oracle fourier keeps the per-point route, threads and all
+    assert main(argv + ["--oracle", "fourier", "--jobs", "2"]) == 0
+    rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:-1]]
+    for row, a in zip(rows, grid):
+        f = cwt_fourier(sig, wav, float(a), 0.03)
+        assert complex(float(row[1]), float(row[2])) == f.value
+
+
+def test_cwt_defaults_to_the_time_route(capsys):
+    assert main(["cwt", "--a", "0.05", "--b", "0.4"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["time"]
 
 
 def test_validate_list_names_every_check(capsys):

@@ -34,14 +34,19 @@ def _integrands(monkeypatch, module, call):
 
 
 def test_time_integrand_matches_formula(monkeypatch):
+    # one row per dilation, the one-dilation call included
     sig = make_signal(SignalKind.Lorentzian)
     wav = make_wavelet(WaveletKind.Morlet, 5.0)
-    (integrand,) = _integrands(
-        monkeypatch, oracle, lambda: oracle.cwt_time(sig, wav, 0.25, 0.8)
-    )
-    x = _SIGNED
-    want = (1.0 / (1.0 + (0.8 + 0.25 * x) ** 2)) * np.exp(-5j * x - 0.5 * x * x)
-    assert_allclose(integrand(x), want, rtol=1e-14)
+    for grid in ([0.25], [0.25, 0.7]):
+        (integrand,) = _integrands(
+            monkeypatch, oracle, lambda: oracle.cwt_time(sig, wav, grid, 0.8)
+        )
+        x = _SIGNED
+        want = [
+            (1.0 / (1.0 + (0.8 + a * x) ** 2)) * np.exp(-5j * x - 0.5 * x * x)
+            for a in grid
+        ]
+        assert_allclose(integrand(x), want, rtol=1e-14)
 
 
 def test_fourier_integrand_mirror_sign(monkeypatch):

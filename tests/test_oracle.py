@@ -1,5 +1,6 @@
 """Reference transform values: the two quadrature routes and closed forms."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -239,3 +240,89 @@ def test_scale_must_be_positive():
         cwt_time(sig, wav, 0.0, 0.0)
     with pytest.raises(ValueError):
         cwt_fourier(sig, wav, -0.5, 0.0)
+
+
+# The benchmark's sweep grid.
+_SWEEP_GRID = np.geomspace(1e-3, 0.3, 16)
+
+
+@pytest.mark.parametrize("scale", [(1.0, 1.0), (-2.0, 0.2)])
+@pytest.mark.parametrize("b", [0.0, 0.37, -1.3])
+@pytest.mark.parametrize("wavelet", sorted(_WAVELETS))
+@pytest.mark.parametrize("kind", list(SignalKind))
+def test_grid_matches_one_dilation_calls(kind, wavelet, b, scale):
+    """One shared mesh over the whole grid gives each dilation's value
+    within the summed estimates of its own one-dilation call, with the same
+    convergence flag and stop reason."""
+    sig = make_signal(kind, amplitude=scale[0], time_scale=scale[1])
+    wav = _WAVELETS[wavelet]
+    grid = cwt_time(sig, wav, _SWEEP_GRID, b)
+    assert len(grid) == _SWEEP_GRID.size
+    for a, g in zip(_SWEEP_GRID, grid):
+        one = cwt_time(sig, wav, float(a), b)
+        assert abs(g.value - one.value) <= g.abs_error_estimate + one.abs_error_estimate
+        assert (g.converged, g.status) == (one.converged, one.status)
+
+
+def test_one_dilation_reproduces_the_scalar_results():
+    """A float dilation is the one-element grid; it reproduces every field
+    the scalar quadrature gave (recorded with numpy on x86-64) bit for bit."""
+    path = Path(__file__).parent / "data" / "cwt_time_scalar.json"
+    want = json.loads(path.read_text())
+    got = {}
+    for kind in (SignalKind.Lorentzian, SignalKind.TwoSidedExp,
+                 SignalKind.Gaussian):
+        for wav in _WAVELETS.values():
+            for a in (1e-3, 0.05, 1.0):
+                r = cwt_time(make_signal(kind), wav, a, 0.37)
+                got[f"{kind.value} {wav.kind.value} {a!r}"] = {
+                    "value": [r.value.real.hex(), r.value.imag.hex()],
+                    "abs_error_estimate": r.abs_error_estimate.hex(),
+                    "n_evaluations": r.n_evaluations,
+                    "n_panels": r.n_panels,
+                    "status": r.status,
+                    "converged": r.converged,
+                }
+    assert got == want
+
+
+# A grid call evaluates the signal once per batch of panels, for every
+# dilation at once (5 batches for the case below); one call per dilation
+# takes at least one batch each (71 here).
+_GRID_BATCH_CEILING = _SWEEP_GRID.size
+
+
+def test_grid_evaluates_the_signal_in_few_batches():
+    batches = []
+    base = make_signal(SignalKind.TwoSidedExp)
+
+    def counted(t):
+        batches.append(1)
+        return base.f_time(t)
+
+    sig = dataclasses.replace(base, f_time=counted)
+    wav = _WAVELETS["morlet"]
+    grid = cwt_time(sig, wav, _SWEEP_GRID, -0.383)
+    assert all(r.converged for r in grid)
+    assert len(batches) < _GRID_BATCH_CEILING
+    batches.clear()
+    for a in _SWEEP_GRID:
+        cwt_time(sig, wav, float(a), -0.383)
+    assert len(batches) > _GRID_BATCH_CEILING
+
+
+def test_grid_keeps_the_dilations_order_and_rejects_nonpositive():
+    sig = make_signal(SignalKind.Lorentzian)
+    wav = _WAVELETS["morlet"]
+    # unsorted, and longer than one mesh holds
+    grid = np.concatenate([[0.3, 0.01, 0.1], np.geomspace(1e-3, 1.0, 37)])
+    results = cwt_time(sig, wav, grid, 0.2)
+    assert len(results) == grid.size
+    for i in (0, 1, 2, 31, 32, 39):
+        one = cwt_time(sig, wav, float(grid[i]), 0.2)
+        r = results[i]
+        assert abs(r.value - one.value) <= r.abs_error_estimate + one.abs_error_estimate
+    assert cwt_time(sig, wav, [], 0.2) == []
+    for bad in ([0.1, 0.0], [0.1, math.nan], -1.0):
+        with pytest.raises(ValueError):
+            cwt_time(sig, wav, bad, 0.2)

@@ -256,3 +256,74 @@ def test_richardson_epsilon_noise_floor_suppresses_spurious_raise():
     values = [2.0, 2.0 + 1e-15, 2.0 + 3e-15, 2.0 + 7e-15]
     limit, _ = richardson_epsilon(values, noise_floor=1e-10)
     assert_allclose(limit, 2.0, atol=1e-12)
+
+
+def _one_row(f):
+    """f as the m = 1 case of a vector-valued integrand."""
+    return lambda x: np.asarray(f(x))[None, :]
+
+
+@pytest.mark.parametrize("case", ["finite", "infinite", "singular", "noisy",
+                                  "budget"])
+def test_one_component_integrand_gives_the_same_bits(case):
+    cfg = QuadratureConfig()
+    kw = {}
+    f = lambda x: np.exp(-0.5 * x * x) * np.cos(5.0 * x)  # noqa: E731
+    domain = (-20.0, 20.0)
+    if case == "infinite":
+        f = lambda x: np.exp(1j * x - np.abs(x))  # noqa: E731
+        domain = (-np.inf, np.inf)
+        kw = dict(envelope=("exp", 1.0, 1.0), breakpoints=[0.0])
+    elif case == "singular":
+        f = lambda x: np.cos(x) / np.sqrt(x)  # noqa: E731
+        domain = (0.0, 3.0)
+        kw = dict(left_singularity=-0.5)
+    elif case == "noisy":
+        kw = dict(conditioning=lambda x: 60.0 + x * x)
+        cfg = QuadratureConfig(abs_tol=0.0, rel_tol=1e-13)
+    elif case == "budget":
+        f = lambda x: np.cos(300.0 * x) * np.cos(7.0 * x)  # noqa: E731
+        cfg = QuadratureConfig(max_subdivisions=70)
+    scalar = integrate(f, domain, cfg, **kw)
+    (row,) = integrate(_one_row(f), domain, cfg, **kw)
+    assert row == scalar
+    assert row.value.real.hex() == scalar.value.real.hex()
+    assert row.value.imag.hex() == scalar.value.imag.hex()
+
+
+def test_each_component_meets_its_own_target():
+    # magnitudes 1 to 1e-12 and no absolute floor: the small components
+    # need their own relative target, not the large one's
+    cfg = QuadratureConfig(abs_tol=0.0, rel_tol=1e-10)
+    scales = np.array([1.0, 1e-6, 1e-12])[:, None]
+    freqs = np.array([0.5, 3.0, 6.0])[:, None]
+
+    def f(x):
+        return scales * np.exp(-x * x) * np.cos(freqs * x)
+
+    results = integrate(f, (-np.inf, np.inf), cfg, envelope=("gauss", 1.0, 1.0))
+    assert len(results) == 3
+    for r, c, k in zip(results, scales[:, 0], freqs[:, 0]):
+        exact = c * math.sqrt(math.pi) * math.exp(-k * k / 4.0)
+        assert r.converged and r.status in ("tolerance", "roundoff")
+        assert abs(r.value - exact) <= r.abs_error_estimate
+        assert abs(r.value - exact) <= 1e-9 * exact
+        # the shared mesh is counted once, on the whole and in each result
+        assert (r.n_evaluations, r.n_panels) == (
+            results.n_evaluations, results.n_panels)
+    assert results.converged
+
+
+def test_components_stop_for_their_own_reasons():
+    # a smooth component meets its target on the first mesh; an
+    # oscillatory one uses up the shared budget
+    cfg = QuadratureConfig(max_subdivisions=4)
+
+    def f(x):
+        return np.stack([np.exp(-x), np.cos(300.0 * x) * np.cos(7.0 * x)])
+
+    smooth, wild = integrate(f, (0.0, 20.0), cfg)
+    assert smooth.status == "tolerance" and smooth.converged
+    assert abs(smooth.value - (1.0 - math.exp(-20.0))) <= smooth.abs_error_estimate
+    assert wild.status == "budget" and not wild.converged
+    assert _bisections(wild) <= cfg.max_subdivisions
