@@ -13,10 +13,12 @@ Subcommands::
 ``ExpansionPlan``) and evaluates them at every grid point.  Its default
 oracle, the time route, is one vector-valued quadrature over the whole grid
 (``cwt_time`` given the grid); ``--oracle fourier`` integrates each point
-on its own, and ``--jobs`` splits those per-point calls and the expansion's
-``plan.at`` over threads.  ``cwt`` and ``sweep`` both default to the time
-route: ``cwt_fourier`` shares its analytic tails with the frequency-route
-expansion it would judge, ``cwt_time`` only the transform's definition.
+on its own, and ``--jobs`` splits those per-point calls, with the
+expansion's ``plan.at``, over threads; with the time oracle ``--jobs`` has
+no per-point work to split and the sweep runs on one thread.  ``cwt`` and
+``sweep`` both default to the time route: ``cwt_fourier`` shares its
+analytic tails with the frequency-route expansion it would judge,
+``cwt_time`` only the transform's definition.
 
 Options may come from flags or from a JSON config file (``--config``);
 flags win over the file, the file wins over defaults.  Config keys that
@@ -383,7 +385,9 @@ def _cmd_sweep(rc: RunConfig) -> int:
         rel_err = abs_err / abs(oracle.value) if oracle.value != 0.0 else math.nan
         return oracle, res, abs_err, rel_err
 
-    if rc.jobs > 1:
+    # Only the per-point oracle is worth a thread: plan.at alone costs less
+    # than the pool's start-up and hand-offs.
+    if rc.jobs > 1 and grid_oracle is None:
         with ThreadPoolExecutor(max_workers=rc.jobs) as pool:
             results = list(pool.map(work, range(a_values.size)))
     else:
@@ -517,8 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reference route (default: time, one quadrature over "
                    "the whole grid; fourier integrates each point on its own)")
     p.add_argument("--jobs", type=int,
-                   help="worker threads for the per-point work: the expansion "
-                   "and, with --oracle fourier, the oracle (default: 1)")
+                   help="worker threads for --oracle fourier's per-point "
+                   "oracle and expansion (default: 1; the time oracle's "
+                   "sweep runs on one thread)")
 
     for name, p in sub.choices.items():
         # The keys a config file may give (the subcommand's flags, plus the

@@ -9,14 +9,17 @@ integral remainder, so the truncated sum plus remainder reproduces the
 transform identically (up to quadrature error), and the remainder can also
 be estimated empirically against the brute-force oracle.
 
-The remainder is a conditionally convergent Mellin-convolution tail when
-the signal transform decays only algebraically (the two-sided exponential).
-``remainder_frequency`` then splits each half-line at a radius past which
-the transform's inverse-power series converges: quadrature below it,
-closed-form incomplete-gamma tails for the Taylor polynomial above it, and
-the wavelet's own tail from the oracle's analytic-tail engine, the same one
-``cwt_fourier`` uses.  Faster-decaying signals take one truncated quadrature
-per half-line.
+Each remainder integrates the Taylor tail of one factor (from
+``specfun.taylor_tail``) against the other in one whole-line quadrature:
+the time route over the wavelet's support or its truncated line, the
+frequency route over a truncated line.  When the signal transform decays
+only algebraically (the two-sided exponential), the frequency remainder is
+a conditionally convergent Mellin-convolution tail, so
+``remainder_frequency`` integrates only up to |w| = R, a radius past which
+the transform's inverse-power series converges, and adds on each side
+closed-form incomplete-gamma tails for the Taylor polynomial and the
+wavelet's own tail from the oracle's analytic-tail engine, the same one
+``cwt_fourier`` uses.
 
 None of the coefficients or moments depends on the dilation a, so
 ``expansion_plan`` computes them once and ``ExpansionPlan.at`` evaluates the
@@ -62,19 +65,18 @@ from .quadrature import (
     power_gauss_cut,
 )
 from .signals import (
-    HSpec,
     SignalSpec,
     f_time_conditioning,
     h_eval,
     make_h,
     time_coefficients,
 )
-from .specfun import SpecFunError, oscillatory_power_tails
+from .specfun import SpecFunError, oscillatory_power_tails, taylor_tail
 from .wavelets import (
     WaveletKind,
     WaveletSpec,
     psi_conj,
-    psi_hat_tail,
+    psi_hat_tail_evaluator,
     small_u_coefficients,
     time_period,
 )
@@ -86,9 +88,6 @@ _LN2 = math.log(2.0)
 # Measured against 40-digit references over 0 < nu <= 60, the elementary
 # time moments are within 4.3 ulp (Mexican hat) and 1.8 ulp (Haar).
 _CLOSED_ULPS = 8.0
-# Taylor coefficients drawn for the remainder's series branch; the series
-# keeps only as many as it needs (see _taylor_remainder_factory).
-_SERIES_MAX_TERMS = 40
 
 
 class RemainderKind(Enum):
@@ -163,40 +162,9 @@ def _poly_tail_cut(env: tuple, k_const: float, a: float, deg: int, delta: float)
     return max(u1, u2), b1 + b2
 
 
-def _remainder_head(
-    wavelet: WaveletSpec,
-    h: HSpec,
-    n: int,
-    sign: int,
-    a: float,
-    upper: float,
-    cfg: QuadratureConfig,
-    tail_bound: float = 0.0,
-):
-    """int_0^upper psi_tail(sign*a*v) h(sign*v) dv by quadrature, where
-    psi_tail is the wavelet transform less its first n Taylor terms."""
-    mirror = sign < 0
-
-    def integrand(v):
-        v = np.asarray(v, dtype=float)
-        return psi_hat_tail(wavelet, n, sign * a * v) * h_eval(h, v, mirror=mirror)
-
-    breakpoints, period = _fourier_side_hints(wavelet, sign, a, h.b)
-    breakpoints.append(_TAIL_CUTOVER / a)
-    return integrate(
-        integrand,
-        (0.0, upper),
-        cfg,
-        breakpoints=breakpoints,
-        period_hint=period,
-        tail_bound=tail_bound,
-    )
-
-
 def _analytic_tail_side(
     signal: SignalSpec,
     wavelet: WaveletSpec,
-    h: HSpec,
     cs: np.ndarray,
     sign: int,
     a: float,
@@ -204,16 +172,12 @@ def _analytic_tail_side(
     radius: float,
     cfg: QuadratureConfig,
 ) -> tuple[complex, float]:
-    """One half-line of the remainder, split at ``radius`` (see the caller).
-
-    Returns the head by quadrature, plus the wavelet tail from the oracle's
-    analytic-tail engine, plus the closed-form polynomial tail, and the
-    error of all three; the series truncation is the caller's to add.
-    """
-    res = _remainder_head(wavelet, h, cs.size, sign, a, radius, cfg)
+    """The remainder's two Abel tails past ``radius`` on one side (see the
+    caller): the wavelet tail from the oracle's analytic-tail engine plus
+    the closed-form polynomial tail, and their error; the series
+    truncation is the caller's to add."""
     tail = _alg_tail(signal, wavelet, sign, a, b, radius, cfg)
-    value = res.value + tail.value
-    err = res.abs_error_estimate + tail.abs_error_estimate
+    value, err = tail.value, tail.abs_error_estimate
 
     # -sum_s c_s (sign*a)^s int_radius^inf v^s h(sign*v) dv, with h's tail
     # e^{i*rate*v} sum_r b_r v^-(r+beta): the products share an exponent
@@ -255,59 +219,75 @@ def remainder_frequency(
 ) -> tuple[complex, float]:
     """The exact frequency-domain remainder delta_n(a) and its error estimate.
 
-    delta_n(a) = sqrt(a) * sum over sign = +-1 of
-    int_0^inf psi_tail(sign*a*v) h(sign*v) dv, where psi_tail is the wavelet
-    transform less its first n Taylor terms c_s u^s.
+    delta_n(a) = sqrt(a) * int psi_tail(a*w) h(w) dw over the real line,
+    where psi_tail is the wavelet transform less its first n Taylor terms
+    c_s u^s and h(w) = e^{ibw} f_hat(w).
 
-    When the signal transform decays faster than algebraically, each
-    half-line is one truncated quadrature.  When it decays algebraically,
-    the integrals converge only in the Abel sense, and each half-line is
-    split at a radius R >= cutover/a past which h's inverse-power series
-    converges:
+    When the signal transform decays faster than algebraically, that is one
+    quadrature over (-cut, cut), with the tail bound of both sides.  When it
+    decays algebraically, the integral converges only in the Abel sense, and
+    the line is split at |w| = R >= cutover/a, past which h's inverse-power
+    series converges:
 
-    * the head, int_0^R psi_tail(sign*a*v) h(sign*v) dv, by quadrature;
-    * the polynomial tail, -sum_s c_s (sign*a)^s int_R^inf v^s h(sign*v) dv,
-      from the series in closed-form oscillatory power integrals;
-    * the wavelet tail, int_R^inf conj(psi_hat)(sign*a*v) h(sign*v) dv,
-      from the series by the oracle's analytic-tail engine
-      (``oracle._alg_tail``): closed form for the step wavelet, a
-      steepest-descent ray for the Gaussian ones.
+    * the head, int_{-R}^{R} psi_tail(a*w) h(w) dw, by one quadrature;
+    * on each side sign = +-1, the polynomial tail,
+      -sum_s c_s (sign*a)^s int_R^inf v^s h(sign*v) dv, from the series in
+      closed-form oscillatory power integrals;
+    * on each side, the wavelet tail,
+      int_R^inf conj(psi_hat)(sign*a*v) h(sign*v) dv, from the series by
+      the oracle's analytic-tail engine (``oracle._alg_tail``): closed form
+      for the step wavelet, a steepest-descent ray for the Gaussian ones.
 
     R is doubled from there until the bound on truncating the series (in
     both tails) is below half the absolute tolerance; that bound is part of
-    the returned error estimate.
+    the returned error estimate, as is the bound on truncating psi_tail's
+    own series, against int |h| = 2*pi*|f(0)| (every built-in's transform
+    is nonnegative, so that is at most 2*pi*sup_time).
     """
     _check_dilation(a)
     cfg = config if config is not None else QuadratureConfig()
     h = make_h(signal, b)
     cs = small_u_coefficients(wavelet, n).coefficients
-    delta = 0.5 * cfg.abs_tol
+    psi_tail, cutover, series_err = psi_hat_tail_evaluator(wavelet, n)
+    tails, err = 0.0 + 0.0j, series_err * _TWO_PI * signal.sup_time
 
     if math.isfinite(signal.tail_beta):
         weights = [(abs(c) * a ** s, s) for s, c in enumerate(cs) if c != 0.0]
         weights.append((wavelet.hat_sup, 0))  # the wavelet tail's series
-        radius, truncation = _split_radius(signal, weights, _TAIL_CUTOVER / a, cfg)
-        total, err = 0.0 + 0.0j, 0.0
+        upper, truncation = _split_radius(signal, weights, cutover / a, cfg)
+        tail_bound = 0.0
         for sign in (1, -1):
             value, side_err = _analytic_tail_side(
-                signal, wavelet, h, cs, sign, a, b, radius, cfg
+                signal, wavelet, cs, sign, a, b, upper, cfg
             )
-            total += value
+            tails += value
             err += side_err + truncation
-        root_a = math.sqrt(a)
-        return root_a * total, root_a * err
+    else:
+        k_const = wavelet.hat_sup + float(np.sum(np.abs(cs)))
+        upper, per_side = _poly_tail_cut(
+            signal.freq_envelope, k_const, a, n - 1, 0.5 * cfg.abs_tol
+        )
+        upper = min(upper, TRUNCATION_RADIUS)
+        tail_bound = 2.0 * per_side
 
-    k_const = wavelet.hat_sup + float(np.sum(np.abs(cs)))
-    cut, bound = _poly_tail_cut(signal.freq_envelope, k_const, a, n - 1, delta)
-    cut = min(cut, TRUNCATION_RADIUS)
-    total = 0.0 + 0.0j
-    err = 0.0
-    for sign in (1, -1):
-        res = _remainder_head(wavelet, h, n, sign, a, cut, cfg, bound)
-        total += res.value
-        err += res.abs_error_estimate
+    def integrand(w):
+        w = np.asarray(w, dtype=float)
+        return psi_tail(a * w) * h_eval(h, w)
+
+    # each side's features, mirrored onto w < 0 for the minus side
+    breakpoints, period = _fourier_side_hints(wavelet, 1, a, b)
+    mirrored, _ = _fourier_side_hints(wavelet, -1, a, b)
+    breakpoints += [-p for p in mirrored] + [0.0, cutover / a, -cutover / a]
+    head = integrate(
+        integrand,
+        (-upper, upper),
+        cfg,
+        breakpoints=breakpoints,
+        period_hint=period,
+        tail_bound=tail_bound,
+    )
     root_a = math.sqrt(a)
-    return root_a * total, root_a * err
+    return root_a * (head.value + tails), root_a * (head.abs_error_estimate + err)
 
 
 def _time_moment_quadrature(
@@ -366,55 +346,25 @@ def _time_moment_closed(
 def _taylor_remainder_factory(signal: SignalSpec, b: float, n: int):
     """Evaluator for f(b+x) - (first n Taylor terms), stable near x = 0.
 
-    For |x| < cutover the tail is summed from the coefficients c_n, c_(n+1),
-    ..., stopping where the omitted terms, each at its largest
-    |c_k| cutover^k, add up to less than eps times the kept ones.  Returns
-    the evaluator, the cutover and that sum of omitted terms, which bounds
-    the series' truncation error anywhere below the cutover.  Terms beyond
-    the first _SERIES_MAX_TERMS are not counted; they are negligible, since
-    the Lorentzian's shrink by a factor of four or more per order below the
-    cutover and the others' like 1/k!.  The cutover scales with the signal's
-    time scale, as the series' radius does.
+    ``specfun.taylor_tail`` with the signal's Taylor coefficients at b:
+    below the cutover it sums the series, above it subtracts directly.
+    The cutover scales with the signal's time scale, as the series' radius
+    does, and stays below 0.45 of the distance to a kink; where the
+    coefficients past the n-th do not exist (at a kink), every argument
+    takes the direct subtraction.  Returns the evaluator, the cutover and
+    the bound on the series' truncation error below it.
     """
     cutover = _TAIL_CUTOVER * signal.time_scale
     for k in signal.kinks:
         gap = abs(b - k)
         if gap > 0.0:
             cutover = min(cutover, 0.45 * gap)
-    cs = time_coefficients(signal, b, n)
-    extended, omitted = None, 0.0
-    try:
-        tail = time_coefficients(signal, b, n + _SERIES_MAX_TERMS)[n:]
-    except ValueError:
-        tail = None
-    if tail is not None:
-        sizes = np.abs(tail) * cutover ** np.arange(n, n + tail.size)
-        kept = np.cumsum(sizes)
-        rest = np.append(np.cumsum(sizes[::-1])[-2::-1], 0.0)
-        stop = np.flatnonzero(rest <= _EPS * kept)
-        count = int(stop[0]) + 1 if stop.size else tail.size
-        extended = tail[:count]
-        omitted = float(sizes[count:].sum())
-
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape, dtype=complex)
-        small = np.abs(x) < cutover if extended is not None else np.zeros(
-            x.shape, dtype=bool
-        )
-        if extended is not None:
-            xs = x[small]
-            acc = np.zeros(xs.shape, dtype=complex)
-            for c in extended[::-1]:
-                acc = acc * xs + c
-            out[small] = acc * xs ** n
-        xb = x[~small]
-        poly = np.zeros(xb.shape, dtype=complex)
-        for c in cs[::-1]:
-            poly = poly * xb + c
-        out[~small] = signal.f_time(b + xb) - poly
-        return out
-
+    evaluate, omitted = taylor_tail(
+        lambda x: signal.f_time(b + x),
+        lambda m: time_coefficients(signal, b, m),
+        n,
+        cutover,
+    )
     return evaluate, cutover, omitted
 
 
@@ -427,11 +377,14 @@ def _abs_integral_bound(wavelet: WaveletSpec) -> float:
     return c_w * math.sqrt(math.pi / rate)
 
 
-def _steep_conditioning(signal: SignalSpec, b: float, step: float, upper: float):
+def _steep_conditioning(
+    signal: SignalSpec, b: float, step: float, lo: float, hi: float
+):
     """f's conditioning at b + step*s as a function of s, for ``integrate``,
-    or None where it stays within the default floor of 50 on 0 <= s <= upper
+    or None where it stays within the default floor of 50 on lo <= s <= hi
     (it grows with |t|, so its largest value there is at an end)."""
-    if f_time_conditioning(signal, max(abs(b), abs(b + step * upper))) <= 50.0:
+    ends = max(abs(b + step * lo), abs(b + step * hi))
+    if f_time_conditioning(signal, ends) <= 50.0:
         return None
     return lambda s: f_time_conditioning(signal, b + step * np.asarray(s))
 
@@ -446,59 +399,46 @@ def _remainder_time(
 ) -> tuple[complex, float]:
     """Exact time-domain remainder: the Taylor tail of f against the wavelet.
 
-    Each evaluation of f at a rounded argument carries the relative error
-    of ``f_time_conditioning``, which the quadrature counts in its roundoff
-    floors; it matters where f is steep in units of its time scale.
+    sqrt(a) * int f_tail(a*s) conj(psi)(s) ds, one quadrature over the
+    wavelet's support, or over (-cut, cut) with the tail bound of both
+    sides, with breakpoints where the series branch of f_tail ends and at
+    the signal's kinks.  Each evaluation of f at a rounded argument carries
+    the relative error of ``f_time_conditioning``, which the quadrature
+    counts in its roundoff floors; it matters where f is steep in units of
+    its time scale.
     """
     f_tail, cutover, series_err = _taylor_remainder_factory(signal, b, n)
-    cs_abs = float(np.sum(np.abs(time_coefficients(signal, b, n))))
-    k_const = signal.sup_time + cs_abs
 
-    total = 0.0 + 0.0j
-    err = 0.0
-    for sign in (1, -1):
+    def integrand(s):
+        s = np.asarray(s, dtype=float)
+        return f_tail(a * s) * psi_conj(wavelet, s)
 
-        def side(s, _sign=sign):
-            s = np.asarray(s, dtype=float)
-            return f_tail(_sign * a * s) * psi_conj(wavelet, _sign * s)
-
-        if wavelet.time_support is not None:
-            if sign < 0:
-                continue  # wavelet support lies on s >= 0
-            # integrate drops the breakpoints that fall outside (0, 1)
-            breakpoints = [0.5, cutover / a]
-            breakpoints += [(k - b) / a for k in signal.kinks]
-            upper = wavelet.time_support[1]
-            res = integrate(
-                side,
-                (0.0, upper),
-                cfg,
-                breakpoints=breakpoints,
-                conditioning=_steep_conditioning(signal, b, sign * a, upper),
-            )
-        else:
-            cut, bound = _poly_tail_cut(
-                wavelet.time_envelope, k_const, a, n - 1, 0.5 * cfg.abs_tol
-            )
-            cut = min(cut, TRUNCATION_RADIUS)
-            breakpoints = [cutover / a]
-            for k in signal.kinks:
-                breakpoints.append(sign * (k - b) / a)
-            res = integrate(
-                side,
-                (0.0, cut),
-                cfg,
-                breakpoints=breakpoints,
-                period_hint=time_period(wavelet),
-                tail_bound=bound,
-                conditioning=_steep_conditioning(signal, b, sign * a, cut),
-            )
-        total += res.value
-        err += res.abs_error_estimate
-    # the series branch's truncation error, against |psi| on both sides
-    err += series_err * _abs_integral_bound(wavelet)
+    breakpoints = [cutover / a, -cutover / a]
+    breakpoints += [(k - b) / a for k in signal.kinks]
+    if wavelet.time_support is not None:
+        (lo, hi), tail_bound = wavelet.time_support, 0.0
+        breakpoints.append(0.5)  # the step wavelet's jump
+    else:
+        cs_abs = float(np.sum(np.abs(time_coefficients(signal, b, n))))
+        cut, per_side = _poly_tail_cut(
+            wavelet.time_envelope, signal.sup_time + cs_abs, a, n - 1,
+            0.5 * cfg.abs_tol,
+        )
+        hi = min(cut, TRUNCATION_RADIUS)
+        lo, tail_bound = -hi, 2.0 * per_side
+    res = integrate(
+        integrand,
+        (lo, hi),
+        cfg,
+        breakpoints=breakpoints,
+        period_hint=time_period(wavelet),
+        tail_bound=tail_bound,
+        conditioning=_steep_conditioning(signal, b, a, lo, hi),
+    )
+    # the series branch's truncation error, against |psi| over the line
+    err = res.abs_error_estimate + series_err * _abs_integral_bound(wavelet)
     root_a = math.sqrt(a)
-    return root_a * total, root_a * err
+    return root_a * res.value, root_a * err
 
 
 @dataclass(frozen=True)

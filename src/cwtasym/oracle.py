@@ -28,7 +28,9 @@ series against the wavelet:
 The truncation bound, the horizontal-line bound and every quadrature's
 estimate are added to the side's error estimate, and the quadratures'
 counts and worst status are carried into its result.  The frequency-domain
-remainder (``expansion.remainder_frequency``) uses the same split and engine.
+remainder (``expansion.remainder_frequency``) takes its radius by the same
+rule and its tails from the same engine, with one head quadrature over
+(-R, R) for both sides.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .quadrature import (
     worst_status,
 )
 from .signals import SignalKind, SignalSpec
-from .specfun import oscillatory_power_tails
+from .specfun import horner, oscillatory_power_tails
 from .wavelets import WaveletKind, WaveletSpec, psi_conj, psi_hat_conj, time_period
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -299,11 +301,7 @@ def _side_coeffs(signal: SignalSpec, sign: int) -> list:
 
 def _tail_series(coeffs, beta: float, w: np.ndarray) -> np.ndarray:
     """sum_r coeffs[r] * w^-(r + beta) by Horner in 1/w (principal branch)."""
-    z = 1.0 / w
-    acc = np.zeros(w.shape, dtype=complex)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc * np.exp(-beta * np.log(w))
+    return horner(coeffs, 1.0 / w) * np.exp(-beta * np.log(w))
 
 
 def _haar_alg_tail(

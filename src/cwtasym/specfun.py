@@ -7,7 +7,9 @@ error estimate, and the evaluation method that was used.
 inverse-power series against a phase beyond a radius: a run of orders that
 differ by integers, from one incomplete Gamma and its recurrence.
 ``hermite_he`` gives the probabilists' Hermite polynomials behind the
-Gaussian wavelet's and the Gaussian signal's Taylor coefficients.
+Gaussian wavelet's and the Gaussian signal's Taylor coefficients, and
+``taylor_tail`` is the one evaluator of a function less its Taylor
+polynomial, behind both exact remainders.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 _EPS = 2.220446049250313e-16
 _SQRT_PI = math.sqrt(math.pi)
@@ -319,3 +323,59 @@ def hermite_he(x: float, n: int) -> list[float]:
     for s in range(2, n):
         he[s] = x * he[s - 1] - (s - 1) * he[s - 2]
     return he
+
+
+# Taylor coefficients past the n-th that ``taylor_tail`` draws for its series.
+_TAIL_TERMS = 40
+
+
+def horner(coeffs, x) -> np.ndarray:
+    """sum_k coeffs[k] * x**k by Horner's rule, complex, shaped like x."""
+    acc = np.zeros(np.shape(x), dtype=complex)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def taylor_tail(full, coefficients, n: int, cutover: float):
+    """Evaluator of full(x) less its first n Taylor terms, stable near x = 0.
+
+    ``coefficients(m)`` gives the Taylor coefficients c_0..c_(m-1) of full
+    at 0; it is asked for n + _TAIL_TERMS of them and may raise ValueError,
+    and then for n.  Below the cutover the tail is summed from c_n,
+    c_(n+1), ..., stopping where the omitted terms, each at its largest
+    |c_k| cutover^k, add up to less than eps times the kept ones; above it
+    (everywhere, without the extra coefficients) it is full(x) less the
+    polynomial.  Returns the evaluator and that sum of omitted terms, which
+    bounds the series' truncation error anywhere below the cutover.  Terms
+    past the ones drawn are not counted; callers choose the cutover well
+    inside the series' radius, so they are negligible.
+    """
+    try:
+        cs = np.asarray(coefficients(n + _TAIL_TERMS))
+    except ValueError:
+        cs = np.asarray(coefficients(n))
+    head, tail = cs[:n], cs[n:]
+    series, omitted = tail, 0.0
+    if tail.size == 0:
+        cutover = 0.0
+    else:
+        sizes = np.abs(tail) * cutover ** np.arange(n, n + tail.size)
+        kept = np.cumsum(sizes)
+        rest = np.append(np.cumsum(sizes[::-1])[-2::-1], 0.0)
+        stop = np.flatnonzero(rest <= _EPS * kept)
+        count = int(stop[0]) + 1 if stop.size else tail.size
+        series = tail[:count]
+        omitted = float(sizes[count:].sum())
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape, dtype=complex)
+        small = np.abs(x) < cutover
+        xs = x[small]
+        out[small] = horner(series, xs) * xs ** n
+        xb = x[~small]
+        out[~small] = full(xb) - horner(head, xb)
+        return out
+
+    return evaluate, omitted

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .specfun import hermite_he
+from .specfun import hermite_he, horner, taylor_tail
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
@@ -26,7 +26,6 @@ _I_POW = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
 
 _HAAR_SERIES_CUT = 1e-3
 _TAIL_SERIES_CUT = 0.25
-_TAIL_SERIES_TERMS = 14
 
 
 class WaveletKind(Enum):
@@ -142,11 +141,7 @@ def psi_hat_conj(spec: WaveletSpec, u) -> np.ndarray:
         return _SQRT_2PI * u * u * np.exp(-0.5 * u * u)
     out = np.empty(u.shape, dtype=complex)
     small = np.abs(u) < _HAAR_SERIES_CUT
-    us = u[small]
-    acc = np.zeros(us.shape, dtype=complex)
-    for c in _HAAR_HAT_SERIES[::-1]:
-        acc = acc * us + c
-    out[small] = acc
+    out[small] = horner(_HAAR_HAT_SERIES, u[small])
     ub = u[~small]
     q = np.sin(0.25 * ub)
     out[~small] = -4j * np.exp(0.5j * ub) * q * q / ub
@@ -222,25 +217,25 @@ def small_u_coefficients_numeric(
     )
 
 
+def psi_hat_tail_evaluator(spec: WaveletSpec, n: int):
+    """``psi_hat_tail(spec, n, .)`` with its coefficient table built once.
+
+    Returns the evaluator, its series cutover and the bound on the series'
+    truncation error below that cutover (see ``specfun.taylor_tail``).
+    """
+    evaluate, omitted = taylor_tail(
+        lambda u: psi_hat_conj(spec, u),
+        lambda m: small_u_coefficients(spec, m).coefficients,
+        n,
+        _TAIL_SERIES_CUT,
+    )
+    return evaluate, _TAIL_SERIES_CUT, omitted
+
+
 def psi_hat_tail(spec: WaveletSpec, n: int, u) -> np.ndarray:
     """The transform with its first n Taylor terms removed.
 
     For small arguments the direct subtraction cancels catastrophically, so
     the tail is summed from the higher-order coefficients instead.
     """
-    u = np.asarray(u, dtype=float)
-    out = np.empty(u.shape, dtype=complex)
-    table = small_u_coefficients(spec, n + _TAIL_SERIES_TERMS)
-    cs = table.coefficients
-    small = np.abs(u) < _TAIL_SERIES_CUT
-    us = u[small]
-    acc = np.zeros(us.shape, dtype=complex)
-    for c in cs[n:][::-1]:
-        acc = acc * us + c
-    out[small] = acc * us ** n
-    ub = u[~small]
-    poly = np.zeros(ub.shape, dtype=complex)
-    for c in cs[:n][::-1]:
-        poly = poly * ub + c
-    out[~small] = psi_hat_conj(spec, ub) - poly
-    return out
+    return psi_hat_tail_evaluator(spec, n)[0](u)

@@ -293,6 +293,33 @@ def test_default_sweep_oracle_matches_the_fourier_route(capsys):
         assert complex(float(row[1]), float(row[2])) == f.value
 
 
+def test_sweep_jobs_starts_a_pool_only_for_the_fourier_oracle(monkeypatch,
+                                                             capsys):
+    """With the default grid oracle only plan.at is left per point, which
+    costs less than a pool; --jobs then runs the sweep on one thread and
+    prints the same bytes as --jobs 1."""
+    import cwtasym.cli as cli
+
+    pools = []
+    real_pool = cli.ThreadPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", counting_pool)
+    argv = ["sweep", "--signal", "gaussian", "--wavelet", "haar", "--b", "0.4",
+            "--a-min", "0.01", "--a-max", "0.2", "--a-count", "6", "--log",
+            "--n", "3"]
+    assert main(argv + ["--jobs", "1"]) == 0
+    one = capsys.readouterr().out
+    assert main(argv + ["--jobs", "2"]) == 0
+    assert capsys.readouterr().out == one
+    assert pools == []
+    assert main(argv + ["--jobs", "2", "--oracle", "fourier"]) == 0
+    assert pools == [{"max_workers": 2}]
+
+
 def test_cwt_defaults_to_the_time_route(capsys):
     assert main(["cwt", "--a", "0.05", "--b", "0.4"]) == 0
     rows = capsys.readouterr().out.splitlines()

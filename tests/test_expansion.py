@@ -60,17 +60,27 @@ def test_odd_terms_vanish_at_zero_offset():
 
 
 @pytest.mark.parametrize(
-    "kind,wav_kind,u0,a,b,n",
+    "kind,wav_kind,amplitude,scale,a,b,n",
     [
-        (SignalKind.Lorentzian, WaveletKind.Morlet, 5.0, 0.1, 0.0, 3),
-        (SignalKind.Gaussian, WaveletKind.MexicanHat, 0.0, 0.2, 0.0, 4),
-        (SignalKind.TwoSidedExp, WaveletKind.Morlet, 5.0, 0.1, 2.0, 3),
+        (SignalKind.Lorentzian, WaveletKind.Morlet, 1.0, 1.0, 0.1, 0.0, 3),
+        (SignalKind.Gaussian, WaveletKind.MexicanHat, 1.0, 1.0, 0.2, 0.0, 4),
+        (SignalKind.TwoSidedExp, WaveletKind.Morlet, 1.0, 1.0, 0.1, 2.0, 3),
+    ] + [
+        # every signal x wavelet pair, fast-decay and split, unit and scaled
+        (kind, wav_kind, amplitude, scale, a, b, 4)
+        for kind in SignalKind
+        for wav_kind in WaveletKind
+        for b in (0.37, -1.3)
+        for amplitude, scale in ((1.0, 1.0), (-2.0, 0.2))
+        for a in (0.01, 0.3)
     ],
 )
-def test_frequency_remainder_reconstructs_transform(kind, wav_kind, u0, a, b, n):
+def test_frequency_remainder_reconstructs_transform(
+    kind, wav_kind, amplitude, scale, a, b, n
+):
     """Truncation plus the exact remainder integral equals the transform."""
-    sig = make_signal(kind)
-    wav = make_wavelet(wav_kind, u0=u0) if u0 else make_wavelet(wav_kind)
+    sig = make_signal(kind, amplitude, scale)
+    wav = make_wavelet(wav_kind)
     res = expansion_plan(sig, wav, b, n).at(a, "integral_m0")
     orc = cwt_fourier(sig, wav, a, b)
     assert res.remainder_kind == RemainderKind.IntegralM0
@@ -81,6 +91,36 @@ def test_frequency_remainder_reconstructs_transform(kind, wav_kind, u0, a, b, n)
         + orc.abs_error_estimate
     )
     assert diff <= budget
+
+
+@pytest.mark.parametrize("domain,kind", [
+    ("time", SignalKind.TwoSidedExp),
+    ("frequency", SignalKind.Lorentzian),  # one truncated quadrature
+    ("frequency", SignalKind.TwoSidedExp),  # the head below the split radius
+])
+@pytest.mark.parametrize("wav_kind", list(WaveletKind))
+def test_each_remainder_is_one_head_quadrature(monkeypatch, domain, kind,
+                                               wav_kind):
+    """The remainder integrates its Taylor tail over the whole line (or the
+    step wavelet's support) in one call, not once per half-line."""
+    import cwtasym.expansion as expansion
+
+    plan = expansion_plan(make_signal(kind), make_wavelet(wav_kind), 0.37, 4,
+                          domain)
+    domains = []
+
+    def counting(integrand, dom, *args, **kwargs):
+        domains.append(dom)
+        return integrate(integrand, dom, *args, **kwargs)
+
+    monkeypatch.setattr(expansion, "integrate", counting)
+    plan.at(0.05, "integral_m0")
+    assert len(domains) == 1
+    lo, hi = domains[0]
+    if domain == "time" and wav_kind == WaveletKind.Haar:
+        assert (lo, hi) == (0.0, 1.0)
+    else:
+        assert lo == -hi < 0.0
 
 
 @pytest.mark.parametrize("b", [0.05, -1.3, 1.95])

@@ -13,6 +13,7 @@ from cwtasym.specfun import (
     hermite_he,
     oscillatory_power_tails,
     parabolic_cylinder_D,
+    taylor_tail,
     upper_incomplete_gamma,
 )
 
@@ -222,3 +223,41 @@ def test_hermite_he_matches_numpy(x):
             for s in range(12)]
     assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     assert hermite_he(x, 1) == [1.0]
+
+
+def _exp_coefficients(m):
+    return np.array([1.0 / math.factorial(k) for k in range(m)])
+
+
+@pytest.mark.parametrize("x", [1e-6, -0.1, 0.2499, 0.2501, -2.0])
+def test_taylor_tail_on_both_branches(x):
+    """e^x less 1 + x + x^2/2: below the cutover the series, good to a few
+    ulp of the tail itself; above it the direct subtraction, good to a few
+    ulp of the terms it cancels."""
+    evaluate, omitted = taylor_tail(np.exp, _exp_coefficients, 3, 0.25)
+    with mp.workdps(40):
+        xm = mp.mpf(x)
+        ref = float(mp.exp(xm) - 1 - xm - xm ** 2 / 2)
+    got = evaluate(np.array([x]))[0]
+    if abs(x) < 0.25:
+        assert abs(got - ref) <= 1e-15 * abs(ref) + omitted
+    else:
+        cancelled = math.exp(x) + 1.0 + abs(x) + 0.5 * x * x
+        assert abs(got - ref) <= 4.0 * 2.3e-16 * cancelled
+    # the series stops where the omitted terms are below eps of the kept ones
+    at_cutover = math.exp(0.25) - 1.0 - 0.25 - 0.03125
+    assert 0.0 < omitted <= 2.3e-16 * at_cutover
+
+
+def test_taylor_tail_without_more_coefficients_subtracts_directly():
+    def only_three(m):
+        if m > 3:
+            raise ValueError("no coefficients past the third")
+        return _exp_coefficients(m)
+
+    evaluate, omitted = taylor_tail(np.exp, only_three, 3, 0.25)
+    x = np.array([-0.1, 1e-3, 0.5])
+    assert omitted == 0.0
+    # the polynomial by Horner's rule, so the bits match
+    assert_allclose(evaluate(x), np.exp(x) - ((0.5 * x + 1.0) * x + 1.0),
+                    rtol=0.0, atol=0.0)
