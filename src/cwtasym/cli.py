@@ -33,10 +33,12 @@ non-finite ``a``, ``b``, ``u0``, ``a_min``, ``a_max``, ``tol``,
 reports why each route's quadrature stopped (``status``).
 
 ``expand`` and ``sweep`` build their expansion one way: the frequency
-route (the default) takes ``mellin_transform``'s automatic choice of Mellin
-strategy, and the time route (``--domain time``) takes the wavelet moments
-in closed form.  ``mellin --mellin-method`` names any one strategy, so the
-others can be checked against it.  The argument parser is built once per
+route (the default) takes its Mellin moments in closed form and falls back
+to ``mellin_transform``'s ``"auto"`` choice (quadrature or the split tail)
+where the closed form does not apply or misses its target, and the time
+route (``--domain time``) takes the wavelet moments in closed form.
+``mellin --mellin-method`` names any one strategy, so the others can be
+checked against it.  The argument parser is built once per
 process, on the first ``main`` call.
 """
 

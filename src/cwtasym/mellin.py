@@ -118,17 +118,9 @@ def _quadrature_piece(
         # The mild extra exp(-eps u) damping is ignored in the bound.
         cut, bound = power_gauss_cut(c_env, sigma, p_env, delta)
     else:
-        sig_net = sigma - p_env
-        if eps > 0.0:
-            cut, bound = power_exp_cut(c_env, sig_net, eps, delta)
-        elif sig_net < -1.0:
-            cut = max(1.0, (c_env / (delta * (-sig_net - 1.0))) ** (-1.0 / (sig_net + 1.0)))
-            bound = c_env * cut ** (sig_net + 1.0) / (-sig_net - 1.0)
-        else:
-            raise MellinError(
-                "undamped quadrature of an algebraically decaying integrand "
-                f"with net power {sig_net:g} >= -1 does not converge"
-            )
+        # An algebraic tail is only ever damped: direct quadrature (eps = 0)
+        # rejects every signal whose transform decays algebraically.
+        cut, bound = power_exp_cut(c_env, sigma - p_env, eps, delta)
     cut = min(cut, TRUNCATION_RADIUS)
     rate = abs(_phase_rate(h, mirror))
     period = _TWO_PI / rate if rate > 0.0 else None

@@ -96,7 +96,10 @@ def cwt_time(
     dilation integrates f(b + a*s) conj(psi)(s) over the same s, so a
     sequence is one vector-valued quadrature on a shared mesh (at most
     ``_GRID_BLOCK`` dilations per mesh), with breakpoints at every
-    dilation's kinks and peak.
+    dilation's kinks and peak.  The step wavelet's integral is over its
+    support; the Gaussian wavelets' line is cut once, at the radius
+    ``_cut_radius`` gives for sup|f| times the wavelet's envelope at
+    abs_tol, and both sides' tail bounds join each error estimate.
     """
     grid = np.asarray(a, dtype=float)
     if not (grid > 0.0).all():
@@ -137,15 +140,18 @@ def _cwt_time_block(
             integrand, (lo, hi), cfg, breakpoints=inner, period_hint=None
         )
     else:
+        # abs_tol is at most every dilation's target, so one cut serves
+        # the whole grid.
         kind, c_w, rate = wavelet.time_envelope
         envelope = (kind, c_w * signal.sup_time, rate)
+        radius = _cut_radius(envelope, cfg.abs_tol)
         res = integrate(
             integrand,
-            (-math.inf, math.inf),
+            (-radius, radius),
             cfg,
             breakpoints=breakpoints,
             period_hint=time_period(wavelet),
-            envelope=envelope,
+            tail_bound=2.0 * _envelope_tail_bound(envelope, radius),
         )
     out = []
     for a, r in zip(dilations, res):

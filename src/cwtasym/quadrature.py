@@ -3,11 +3,11 @@
 Panels are evaluated in batches (one P x 15 node matrix per call of the
 vectorized integrand), per-panel errors follow the classical Kronrod rescaling of
 |GK15 - G7| against the panel's oscillation measure, and refinement bisects
-the worst panels in blocks.  Infinite domains are cut at a radius derived
-from a caller-supplied decay envelope and extended until the truncation
-bound meets the requested tolerance or hits the truncation radius cap.
-Integrable endpoint singularities at the left edge are softened with the
-x = y**2 substitution.
+the worst panels in blocks.  Domains are finite: a caller with an infinite
+range cuts it once, where its own decay bound (``_cut_radius``,
+``power_exp_cut``, ``power_gauss_cut``) leaves the tail below its
+tolerance, and passes that bound as ``tail_bound``.  Integrable endpoint
+singularities at the left edge are softened with the x = y**2 substitution.
 
 No panel's error estimate goes below its roundoff floor 50*eps*integral(|f|)
 (QUADPACK's rule), and refinement bisects only panels above their floor, so
@@ -447,21 +447,19 @@ def integrate(
     *,
     breakpoints: Sequence[float] = (),
     period_hint: Optional[float] = None,
-    envelope: Optional[Envelope] = None,
     left_singularity: Optional[float] = None,
     tail_bound: float = 0.0,
     conditioning: Optional[Integrand] = None,
 ) -> "QuadratureResult | QuadratureResults":
-    """Integrate a complex integrand over ``domain = (lo, hi)``.
+    """Integrate a complex integrand over the finite ``domain = (lo, hi)``.
 
     ``integrand`` is a vectorized callable mapping a real node array of
     length N to N complex values, or to an (m, N) array of m components;
     the components are integrated on one shared mesh and the call returns
     ``QuadratureResults``, one result per component, in place of one
-    ``QuadratureResult``.  Infinite endpoints
-    require ``envelope``, a bound ``("exp", C, r)``, ``("gauss", C, r)`` or
-    ``("alg", C, p)`` on |integrand| (every component) valid for large |x|.
-    ``breakpoints``
+    ``QuadratureResult``.  A non-finite endpoint raises ``QuadratureError``:
+    a caller integrating over an infinite range cuts it where its own decay
+    bound allows and passes that bound as ``tail_bound``.  ``breakpoints``
     seed panel edges at known kinks or features, ``period_hint`` keeps
     initial panels at most half an oscillation wide, ``left_singularity``
     softens an integrable singularity at a finite left endpoint via the
@@ -470,36 +468,20 @@ def integrate(
     a bound on the integrand's relative evaluation error in units of eps;
     where that exceeds 50 it raises the panels' roundoff floors.
 
-    Each piece (the substituted singular edge, the body, each truncation
-    extension) is refined on its own until each component's error meets the
-    tolerance, every panel sits at its roundoff floor, its worst panels
-    cannot be split, or the ``max_subdivisions`` bisections shared by all
-    pieces and components run out.  A component's ``status`` is the worst
-    of its stops over the pieces (see ``STATUSES``).  The truncation radius
-    is extended while its tail bound exceeds half the smallest component
-    target.  ``converged`` means the component's error estimate, truncation
-    included, is within 10x max(abs_tol, rel_tol*|value|) and the budget did
-    not run out.
+    Each piece (the substituted singular edge, then the body) is refined on
+    its own until each component's error meets the tolerance, every panel
+    sits at its roundoff floor, its worst panels cannot be split, or the
+    ``max_subdivisions`` bisections shared by both pieces and all components
+    run out.  A component's ``status`` is the worst of its stops over the
+    pieces (see ``STATUSES``).  ``converged`` means the component's error
+    estimate, ``tail_bound`` included, is within 10x
+    max(abs_tol, rel_tol*|value|) and the budget did not run out.
     """
     cfg = config if config is not None else QuadratureConfig()
     lo, hi = float(domain[0]), float(domain[1])
-    if math.isnan(lo) or math.isnan(hi) or lo >= hi:
+    # Written so that NaN fails it.
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise QuadratureError(f"invalid domain ({lo!r}, {hi!r})")
-
-    trunc = 0.0
-    cut_lo, cut_hi = lo, hi
-    if math.isinf(lo) or math.isinf(hi):
-        if envelope is None:
-            raise QuadratureError("infinite domain requires a decay envelope")
-        radius = _cut_radius(envelope, cfg.abs_tol)
-        if math.isinf(lo):
-            cut_lo = -radius
-        if math.isinf(hi):
-            cut_hi = radius
-        if cut_lo >= cut_hi:
-            cut_lo, cut_hi = min(cut_lo, -1.0), max(cut_hi, 1.0)
-        sides = (1 if math.isinf(lo) else 0) + (1 if math.isinf(hi) else 0)
-        trunc = sides * _envelope_tail_bound(envelope, radius)
 
     # [value, error, status] per component, from the first piece on.
     totals = []
@@ -529,50 +511,24 @@ def integrate(
         npanels += npan
         budget -= used
 
-    sing_hi = cut_lo
+    body_lo = lo
     if left_singularity is not None:
-        if math.isinf(lo):
-            raise QuadratureError("left_singularity requires a finite left endpoint")
-        sing_hi = min(cut_lo + 1.0, cut_hi)
-        ylim = math.sqrt(sing_hi - cut_lo)
-        # x = cut_lo + y^2 softens the singularity at x = cut_lo
+        body_lo = min(lo + 1.0, hi)
+        # x = lo + y^2 softens the singularity at x = lo
         add_piece(
-            lambda y: 2.0 * y * components(cut_lo + y * y),
-            _initial_edges(0.0, ylim, (), None),
+            lambda y: 2.0 * y * components(lo + y * y),
+            _initial_edges(0.0, math.sqrt(body_lo - lo), (), None),
             None if conditioning is None else (
-                lambda y: conditioning(cut_lo + y * y)
+                lambda y: conditioning(lo + y * y)
             ),
         )
 
-    if sing_hi < cut_hi:
-        edges = _initial_edges(sing_hi, cut_hi, breakpoints, period_hint)
-        add_piece(components, edges)
-
-    # Extend the truncation radius until the tail bound is small relative to
-    # the values actually found (the initial cut only targeted abs_tol); the
-    # envelope bounds every component, so the smallest target decides.
-    while trunc > 0.0 and envelope is not None:
-        target = 0.5 * min(
-            max(cfg.abs_tol, cfg.rel_tol * abs(value)) for value, _, _ in totals
-        )
-        if trunc <= target:
-            break
-        radius_new = min(2.0 * radius, TRUNCATION_RADIUS)
-        if radius_new <= radius:
-            break
-        for sign, infinite in ((1.0, math.isinf(hi)), (-1.0, math.isinf(lo))):
-            if not infinite:
-                continue
-            seg_lo, seg_hi = sorted((sign * radius, sign * radius_new))
-            edges = _initial_edges(seg_lo, seg_hi, breakpoints, period_hint)
-            add_piece(components, edges)
-        radius = radius_new
-        sides = (1 if math.isinf(lo) else 0) + (1 if math.isinf(hi) else 0)
-        trunc = sides * _envelope_tail_bound(envelope, radius)
+    if body_lo < hi:
+        add_piece(components, _initial_edges(body_lo, hi, breakpoints, period_hint))
 
     results = []
     for value, err, status in totals:
-        total_err = err + trunc + tail_bound
+        total_err = err + tail_bound
         target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
         results.append(QuadratureResult(
             value=complex(value),

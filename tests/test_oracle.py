@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 
 import cwtasym.specfun as specfun
 from cwtasym.oracle import _haar_alg_tail, cwt_fourier, cwt_time
+from cwtasym.quadrature import QuadratureConfig, _cut_radius
 from cwtasym.signals import SignalKind, make_signal
 from cwtasym.wavelets import WaveletKind, make_wavelet
 
@@ -326,3 +327,30 @@ def test_grid_keeps_the_dilations_order_and_rejects_nonpositive():
     for bad in ([0.1, 0.0], [0.1, math.nan], -1.0):
         with pytest.raises(ValueError):
             cwt_time(sig, wav, bad, 0.2)
+
+
+@pytest.mark.parametrize("grid", [1e-3, _SWEEP_GRID], ids=["one", "grid"])
+@pytest.mark.parametrize("wavelet", ["morlet", "mexhat"])
+def test_gaussian_wavelet_line_is_cut_once(wavelet, grid):
+    """The Gaussian wavelets' line is cut once, at the radius where the
+    bound sup|f| |psi| on each side's tail meets abs_tol: no node lies past
+    it (doubling that radius until the tail met half the smallest target
+    reached twice as far)."""
+    base = make_signal(SignalKind.Gaussian)
+    wav = _WAVELETS[wavelet]
+    b = 0.37
+    times = []
+
+    def recorded(t):
+        times.append(np.array(t))
+        return base.f_time(t)
+
+    sig = dataclasses.replace(base, f_time=recorded)
+    kind, c_w, rate = wav.time_envelope
+    radius = _cut_radius((kind, c_w * base.sup_time, rate),
+                         QuadratureConfig().abs_tol)
+    results = cwt_time(sig, wav, grid, b)
+    assert all(r.converged for r in np.atleast_1d(results))
+    scales = np.atleast_1d(grid)[:, None]
+    reach = max(np.abs((t - b) / scales).max() for t in times)
+    assert reach <= radius

@@ -61,35 +61,54 @@ def test_finite_interval_values(f, domain, ref):
     assert res.n_evaluations >= 15 * res.n_panels
 
 
+# Each integral over an infinite range below is cut where a bound on its
+# tail meets the absolute tolerance, and that bound joins the estimate.
+_ABS_TOL = QuadratureConfig().abs_tol
+
+
 def test_infinite_domain_gaussian():
+    cut, bound = power_gauss_cut(1.0, 0.0, 1.0, _ABS_TOL)
     res = integrate(
         lambda x: np.exp(-x * x),
-        (-np.inf, np.inf),
-        envelope=("gauss", 1.0, 1.0),
+        (-cut, cut),
+        tail_bound=2.0 * bound,
     )
     assert_allclose(res.value, math.sqrt(math.pi), rtol=1e-12)
+    assert abs(res.value - math.sqrt(math.pi)) <= res.abs_error_estimate
 
 
 def test_semi_infinite_oscillatory_with_period_hint():
     w = 37.0
+    cut, bound = power_exp_cut(1.0, 0.0, 1.0, _ABS_TOL)
     res = integrate(
         lambda x: np.cos(w * x) * np.exp(-x),
-        (0.0, np.inf),
+        (0.0, cut),
         period_hint=2.0 * math.pi / w,
-        envelope=("exp", 1.0, 1.0),
+        tail_bound=bound,
     )
     assert_allclose(res.value, 1.0 / (1.0 + w * w), rtol=1e-11, atol=1e-15)
 
 
 def test_left_singularity_substitution():
     # x^(-1/2) * exp(-x) over (0, inf) = sqrt(pi)
+    cut, bound = power_exp_cut(1.0, -0.5, 1.0, _ABS_TOL)
     res = integrate(
         lambda x: np.exp(-x) / np.sqrt(x),
-        (0.0, np.inf),
+        (0.0, cut),
         left_singularity=-0.5,
-        envelope=("exp", 1.0, 1.0),
+        tail_bound=bound,
     )
     assert_allclose(res.value, math.sqrt(math.pi), rtol=1e-11)
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [(math.nan, 1.0), (0.0, math.nan), (1.0, 0.0), (2.0, 2.0),
+     (-math.inf, 0.0), (0.0, math.inf), (-math.inf, math.inf)],
+)
+def test_domain_must_be_finite_and_increasing(domain):
+    with pytest.raises(QuadratureError, match="invalid domain"):
+        integrate(lambda x: np.exp(-x * x), domain)
 
 
 def test_breakpoints_resolve_kinks():
@@ -108,16 +127,6 @@ def test_tail_bound_enters_error_estimate():
     assert_allclose(res1.value, res0.value, rtol=1e-14)
 
 
-def test_envelope_extension_reaches_mass():
-    """A slowly decaying envelope must not truncate the integral early."""
-    res = integrate(
-        lambda x: np.exp(-0.01 * x),
-        (0.0, np.inf),
-        envelope=("exp", 1.0, 0.01),
-    )
-    assert_allclose(res.value, 100.0, rtol=1e-10)
-
-
 def test_subdivision_budget_exhaustion_flags_nonconvergence():
     cfg = QuadratureConfig(max_subdivisions=4)
     res = integrate(
@@ -126,17 +135,19 @@ def test_subdivision_budget_exhaustion_flags_nonconvergence():
     assert not res.converged
 
 
-def test_extension_refines_from_the_remaining_budget():
+def test_body_refines_from_the_budget_the_singular_edge_left():
     def f(x):
-        # a kink at x = 1 that uses up the budget, and a bump at x = 25 past
-        # the first cut (the envelope does not cover it), so the truncation
-        # extension has to refine
-        return (1e-6 * np.abs(x - 1.0) * np.exp(-x)
-                + 1e-9 * np.exp(-(((x - 25.0) / 0.3) ** 2)))
+        # an oscillating singular edge on (0, 1), and a kink at x = 2.5 in
+        # the body that needs more bisections than the edge leaves
+        return np.cos(40.0 * x) / np.sqrt(x) + 1e-3 * np.abs(x - 2.5)
 
-    cfg = QuadratureConfig(max_subdivisions=5)
-    res = integrate(f, (0.0, np.inf), cfg, envelope=("exp", 1e-6, 1.0))
-    assert _bisections(res) <= cfg.max_subdivisions
+    cfg = QuadratureConfig(max_subdivisions=20)
+    edge = integrate(f, (0.0, 1.0), cfg, left_singularity=-0.5)
+    body = integrate(f, (1.0, 4.0), cfg)
+    assert edge.converged and 0 < _bisections(edge) < cfg.max_subdivisions
+    assert body.status == "budget"
+    res = integrate(f, (0.0, 4.0), cfg, left_singularity=-0.5)
+    assert _bisections(res) == cfg.max_subdivisions
     assert res.status == "budget"
     assert not res.converged
 
@@ -206,8 +217,9 @@ def test_status_of_a_converged_integral_and_ordering():
 
 
 def test_complex_valued_integrand():
-    res = integrate(lambda x: np.exp(1j * x - x), (0.0, np.inf),
-                    envelope=("exp", 1.0, 1.0))
+    cut, bound = power_exp_cut(1.0, 0.0, 1.0, _ABS_TOL)
+    res = integrate(lambda x: np.exp(1j * x - x), (0.0, cut),
+                    tail_bound=bound)
     assert_allclose(res.value, 1.0 / (1.0 - 1j), rtol=1e-12)
 
 
@@ -272,8 +284,9 @@ def test_one_component_integrand_gives_the_same_bits(case):
     domain = (-20.0, 20.0)
     if case == "infinite":
         f = lambda x: np.exp(1j * x - np.abs(x))  # noqa: E731
-        domain = (-np.inf, np.inf)
-        kw = dict(envelope=("exp", 1.0, 1.0), breakpoints=[0.0])
+        cut, bound = power_exp_cut(1.0, 0.0, 1.0, cfg.abs_tol)
+        domain = (-cut, cut)
+        kw = dict(breakpoints=[0.0], tail_bound=2.0 * bound)
     elif case == "singular":
         f = lambda x: np.cos(x) / np.sqrt(x)  # noqa: E731
         domain = (0.0, 3.0)
@@ -301,7 +314,9 @@ def test_each_component_meets_its_own_target():
     def f(x):
         return scales * np.exp(-x * x) * np.cos(freqs * x)
 
-    results = integrate(f, (-np.inf, np.inf), cfg, envelope=("gauss", 1.0, 1.0))
+    # every component is at most e^(-x^2); cut below the smallest target
+    cut, bound = power_gauss_cut(1.0, 0.0, 1.0, 1e-30)
+    results = integrate(f, (-cut, cut), cfg, tail_bound=2.0 * bound)
     assert len(results) == 3
     for r, c, k in zip(results, scales[:, 0], freqs[:, 0]):
         exact = c * math.sqrt(math.pi) * math.exp(-k * k / 4.0)
