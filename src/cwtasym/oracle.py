@@ -2,17 +2,18 @@
 
 ``cwt_time`` integrates the signal against the scaled wavelet in the time
 domain, a whole grid of dilations on one shared mesh; ``cwt_fourier``
-integrates the product of Fourier transforms over each half-line, one
-dilation per call.  The two share no analytic ingredients beyond the
-transform pair definitions, so their agreement is a meaningful cross-check.
+integrates the product of Fourier transforms over the line folded onto
+one half-line, g(x) + g(-x), one dilation per call.  The two share no
+analytic ingredients beyond the transform pair definitions, so their
+agreement is a meaningful cross-check.
 
 When the signal transform decays only algebraically, f_hat(w) ~ sum_r b_r
-w^-(r + beta), each half-line is split at a radius R that starts at
-max(16, 2q) (q the series' apparent convergence radius) and doubles until
-the bound on truncating the series, valid for |w| >= 2q, is below half the
-absolute tolerance (``_split_radius``).  [0, R] is quadrature of the exact
-integrand; above R the analytic-tail engine ``_alg_tail`` integrates the
-series against the wavelet:
+w^-(r + beta), a side whose cut lies past a radius R is split there; R
+starts at max(16, 2q) (q the series' apparent convergence radius) and
+doubles until the bound on truncating the series, valid for |w| >= 2q, is
+below half the absolute tolerance (``_split_radius``).  [0, R] is part of
+the folded quadrature of the exact integrand; above R the analytic-tail
+engine ``_alg_tail`` integrates the series against the wavelet:
 
 * the step wavelet's tail is closed form, one incomplete Gamma per phase;
 * the Gaussian wavelets' tail e^{i rate w} series(w) conj(psi_hat)(+-a w),
@@ -23,11 +24,11 @@ series against the wavelet:
   bound is at most about e^{-rate^2/(2a^2)}, at height |rate|/a^2).  Where
   no height meets it (|b| of order a or less), the series is integrated
   along the real axis up to the Gaussian cut instead; where that cut is
-  below R the side is one quadrature of the exact integrand up to the cut.
+  below R the side is not split, and the fold covers it up to the cut.
 
 The truncation bound, the horizontal-line bound and every quadrature's
-estimate are added to the side's error estimate, and the quadratures'
-counts and worst status are carried into its result.  The frequency-domain
+estimate are added to the result's error estimate, and the quadratures'
+counts and worst status are carried into it.  The frequency-domain
 remainder (``expansion.remainder_frequency``) takes its radius by the same
 rule and its tails from the same engine, with one head quadrature over
 (-R, R) for both sides.
@@ -455,69 +456,6 @@ def _alg_tail(
     )
 
 
-def _fourier_side(
-    signal: SignalSpec,
-    wavelet: WaveletSpec,
-    sign: int,
-    a: float,
-    b: float,
-    cfg: QuadratureConfig,
-    split: Optional[tuple] = None,
-) -> QuadratureResult:
-    """One half-line factor integral of the frequency-domain route.
-
-    The integrand is cut where the signal's or the wavelet's decay bound
-    leaves half the absolute tolerance.  ``split`` = (R, truncation bound)
-    from ``_split_radius`` is given for signals whose transform decays
-    algebraically; when R is below that cut, the side is quadrature on
-    [0, R] plus the analytic tail (``_alg_tail``) above it.
-    """
-    f_freq = signal.f_freq
-
-    def integrand(x):
-        w = sign * np.asarray(x, dtype=float)
-        return np.exp(1j * b * w) * f_freq(w) * psi_hat_conj(wavelet, a * w)
-
-    # (cut radius, tail bound beyond any radius) from each decay bound
-    delta = 0.5 * cfg.abs_tol
-    kind, c_f, p_f = signal.freq_envelope
-    env_f = (kind, c_f * wavelet.hat_sup, p_f)
-    cuts = [(
-        _cut_radius(env_f, delta),
-        lambda u: _envelope_tail_bound(env_f, u),
-    )]
-    if wavelet.kind != WaveletKind.Haar:
-        cuts.append(_gauss_wavelet_cut(wavelet, sign, a, signal.sup_freq, delta))
-    cut = min(min(c for c, _ in cuts), TRUNCATION_RADIUS)
-    tail = min(t(cut) for _, t in cuts)
-
-    breakpoints, period = _fourier_side_hints(wavelet, sign, a, b)
-    if wavelet.kind == WaveletKind.MexicanHat:
-        breakpoints.append(0.5 / a)
-
-    if split is not None and split[0] < cut:
-        radius, truncation = split
-        head = integrate(
-            integrand, (0.0, radius), cfg, breakpoints=breakpoints,
-            period_hint=period,
-        )
-        rest = _alg_tail(signal, wavelet, sign, a, b, radius, cfg)
-        return _result(
-            head.value + rest.value,
-            head.abs_error_estimate + rest.abs_error_estimate + truncation,
-            (head, rest),
-        )
-
-    return integrate(
-        integrand,
-        (0.0, cut),
-        cfg,
-        breakpoints=breakpoints,
-        period_hint=period,
-        tail_bound=tail,
-    )
-
-
 def cwt_fourier(
     signal: SignalSpec,
     wavelet: WaveletSpec,
@@ -525,7 +463,20 @@ def cwt_fourier(
     b: float,
     config: Optional[QuadratureConfig] = None,
 ) -> QuadratureResult:
-    """Transform value W(b, a) from the frequency-domain definition."""
+    """Transform value W(b, a) from the frequency-domain definition.
+
+    sqrt(a)/(2 pi) times the integral of g(w) = e^{ibw} f_hat(w)
+    conj(psi_hat)(a w) over the line, folded onto one quadrature of
+    g(x) + g(-x) over [0, L], with the panel breakpoints of both sides.
+    Each side w = sign*x is cut where the signal's or the wavelet's decay
+    bound leaves half the absolute tolerance, and that side's tail bound
+    joins the quadrature's.  For a signal whose transform decays
+    algebraically, a side whose cut lies past the split radius R from
+    ``_split_radius`` is split there instead: the fold covers it up to R,
+    the analytic tail (``_alg_tail``) above, and the series' truncation
+    bound joins the error estimate.  L is R where a side is split (the
+    other side's cut is then at most R), otherwise the larger cut.
+    """
     if not a > 0.0:
         raise ValueError("the dilation parameter must be positive")
     cfg = config if config is not None else QuadratureConfig()
@@ -534,11 +485,50 @@ def cwt_fourier(
         split = _split_radius(
             signal, [(wavelet.hat_sup, 0)], _SPLIT_START, cfg
         )
-    plus = _fourier_side(signal, wavelet, 1, a, b, cfg, split)
-    minus = _fourier_side(signal, wavelet, -1, a, b, cfg, split)
+    f_freq = signal.f_freq
+
+    def g(w):
+        return np.exp(1j * b * w) * f_freq(w) * psi_hat_conj(wavelet, a * w)
+
+    def integrand(x):
+        x = np.asarray(x, dtype=float)
+        return g(x) + g(-x)
+
+    # (cut radius, tail bound beyond any radius) from each decay bound
+    delta = 0.5 * cfg.abs_tol
+    kind, c_f, p_f = signal.freq_envelope
+    env_f = (kind, c_f * wavelet.hat_sup, p_f)
+    signal_cut = (_cut_radius(env_f, delta), lambda u: _envelope_tail_bound(env_f, u))
+    breakpoints = [0.5 / a] if wavelet.kind == WaveletKind.MexicanHat else []
+    reach, tail_bound, tails = 0.0, 0.0, []
+    for sign in (1, -1):
+        cuts = [signal_cut]
+        if wavelet.kind != WaveletKind.Haar:
+            cuts.append(_gauss_wavelet_cut(wavelet, sign, a, signal.sup_freq, delta))
+        cut = min(min(c for c, _ in cuts), TRUNCATION_RADIUS)
+        # both sides have the period of e^{ibw}
+        hints, period = _fourier_side_hints(wavelet, sign, a, b)
+        breakpoints += hints
+        if split is not None and split[0] < cut:
+            tails.append(_alg_tail(signal, wavelet, sign, a, b, split[0], cfg))
+        else:
+            reach = max(reach, cut)
+            tail_bound += min(t(cut) for _, t in cuts)
+
+    head = integrate(
+        integrand,
+        (0.0, split[0] if tails else reach),
+        cfg,
+        breakpoints=breakpoints,
+        period_hint=period,
+        tail_bound=tail_bound,
+    )
     factor = math.sqrt(a) / _TWO_PI
     return _result(
-        (plus.value + minus.value) * factor,
-        (plus.abs_error_estimate + minus.abs_error_estimate) * factor,
-        (plus, minus),
+        (head.value + sum(t.value for t in tails)) * factor,
+        (
+            head.abs_error_estimate
+            + sum(t.abs_error_estimate + split[1] for t in tails)
+        ) * factor,
+        (head, *tails),
     )

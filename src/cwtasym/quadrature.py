@@ -295,37 +295,42 @@ def _initial_edges(
     breakpoints: Sequence[float],
     period_hint: Optional[float],
 ) -> np.ndarray:
+    """The first mesh over [lo, hi]: edges at the breakpoints inside it,
+    each segment split into equal panels at most half of ``period_hint``
+    wide (at most ``_MAX_PANELS_PER_PIECE`` of them), and every panel split
+    evenly if that leaves fewer than ``_MIN_INITIAL_PANELS``.  Built in
+    Python floats and converted once; each split is the arithmetic of
+    ``np.linspace``, i*step + left with the right end kept exact.
+    """
     pts = [lo, hi]
     for p in breakpoints:
         if lo < p < hi:
             pts.append(float(p))
     pts = sorted(set(pts))
+    fill = period_hint is not None and math.isfinite(period_hint) and period_hint > 0.0
     edges = []
     for left, right in zip(pts[:-1], pts[1:]):
-        edges.append(left)
-        edges.extend(_linear_fill(left, right, period_hint))
+        n = 1
+        if fill:
+            n = min(max(math.ceil((right - left) / (0.5 * period_hint)), 1),
+                    _MAX_PANELS_PER_PIECE)
+        edges += _even_split(left, right, n)
     edges.append(pts[-1])
-    edges = np.array(sorted(set(edges)))
-    if edges.size - 1 < _MIN_INITIAL_PANELS:
-        per = int(math.ceil(_MIN_INITIAL_PANELS / (edges.size - 1)))
-        if per > 1:
-            parts = [
-                np.linspace(a, b, per + 1)[:-1] for a, b in zip(edges[:-1], edges[1:])
-            ]
-            edges = np.concatenate(parts + [edges[-1:]])
-    return edges
+    edges = sorted(set(edges))
+    per = math.ceil(_MIN_INITIAL_PANELS / (len(edges) - 1))
+    if per > 1:
+        split = []
+        for left, right in zip(edges[:-1], edges[1:]):
+            split += _even_split(left, right, per)
+        edges = split + edges[-1:]
+    return np.array(edges)
 
 
-def _linear_fill(left: float, right: float, period_hint: Optional[float]):
-    """Interior edges that keep each panel at most half an oscillation wide."""
-    if period_hint is None or not np.isfinite(period_hint) or period_hint <= 0.0:
-        return []
-    width = right - left
-    n = int(math.ceil(width / (0.5 * period_hint)))
-    n = min(max(n, 1), _MAX_PANELS_PER_PIECE)
-    if n <= 1:
-        return []
-    return list(np.linspace(left, right, n + 1)[1:-1])
+def _even_split(left: float, right: float, n: int) -> list:
+    """The left edges of n equal panels over [left, right]: left, then
+    i*step + left, as ``np.linspace(left, right, n + 1)`` computes them."""
+    step = (right - left) / n
+    return [left] + [i * step + left for i in range(1, n)]
 
 
 def _envelope_tail_bound(envelope: Envelope, radius: float) -> float:

@@ -50,23 +50,24 @@ def test_time_integrand_matches_formula(monkeypatch):
 
 
 def test_fourier_integrand_mirror_sign(monkeypatch):
-    # sign=-1 evaluates the integrand on the negative frequency axis
+    # one integrand on x > 0 carries g(x) + g(-x), the minus side mirrored;
+    # it is integrated last, after the two sides' analytic tails
     a, b = 0.3, -1.2
     sig = make_signal(SignalKind.TwoSidedExp)
     wav = make_wavelet(WaveletKind.MexicanHat)
-    (integrand,) = _integrands(
-        monkeypatch,
-        oracle,
-        lambda: oracle._fourier_side(sig, wav, -1, a, b, QuadratureConfig()),
+    *_, integrand = _integrands(
+        monkeypatch, oracle, lambda: oracle.cwt_fourier(sig, wav, a, b)
     )
+
+    def g(w):
+        return (
+            np.exp(1j * b * w)
+            * (2.0 / (1.0 + w * w))
+            * (_SQRT_2PI * (a * w) ** 2 * np.exp(-0.5 * (a * w) ** 2))
+        )
+
     x = _POS
-    w = -x
-    want = (
-        np.exp(1j * b * w)
-        * (2.0 / (1.0 + w * w))
-        * (_SQRT_2PI * (a * w) ** 2 * np.exp(-0.5 * (a * w) ** 2))
-    )
-    assert_allclose(integrand(x), want, rtol=1e-14)
+    assert_allclose(integrand(x), g(x) + g(-x), rtol=1e-14)
 
 
 def test_mellin_integrand_damping_and_phase():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import cwtasym.oracle as oracle
 import cwtasym.specfun as specfun
 from cwtasym.oracle import _haar_alg_tail, cwt_fourier, cwt_time
 from cwtasym.quadrature import QuadratureConfig, _cut_radius
@@ -128,25 +129,28 @@ def test_time_route_stops_at_the_roundoff_floor():
 
 
 # Both routes over every built-in signal x wavelet at three small dilations
-# take 42,465 evaluations; filling the two-sided exponential's algebraic
-# tail with half-period panels took 146,550, and refining panels already at
-# their roundoff floor 1,089,060.  The ceiling leaves about 20% of headroom.
-_EVALUATION_CEILING = 51_000
+# take 31,620 evaluations, 6,360 of them on the Fourier route; one
+# quadrature per half-line took 36,165 and 10,905, filling the two-sided
+# exponential's algebraic tail with half-period panels 146,550, and refining
+# panels already at their roundoff floor 1,089,060.
+_EVALUATION_CEILING = 40_000
+_FOURIER_EVALUATION_CEILING = 8_000
 
 
 def test_oracle_evaluation_count_ceiling():
     wavelets = (make_wavelet(WaveletKind.Morlet, u0=5.0),
                 make_wavelet(WaveletKind.MexicanHat),
                 make_wavelet(WaveletKind.Haar))
-    total = 0
+    total = fourier = 0
     for kind in (SignalKind.Lorentzian, SignalKind.TwoSidedExp,
                  SignalKind.Gaussian):
         sig = make_signal(kind)
         for wav in wavelets:
             for a in (1e-3, 1e-2, 0.1):
                 total += cwt_time(sig, wav, a, 0.5).n_evaluations
-                total += cwt_fourier(sig, wav, a, 0.5).n_evaluations
-    assert total <= _EVALUATION_CEILING
+                fourier += cwt_fourier(sig, wav, a, 0.5).n_evaluations
+    assert total + fourier <= _EVALUATION_CEILING
+    assert fourier <= _FOURIER_EVALUATION_CEILING
 
 
 _WAVELETS = {
@@ -201,9 +205,10 @@ def test_algebraic_tail_gaussian_wavelet_evaluation_ceiling(wavelet):
 
 
 def test_fast_decay_signals_unchanged():
-    """Signals with faster-than-algebraic transforms keep the Gaussian-cut
-    quadrature: every field of the result is pinned (recorded with numpy
-    on x86-64) so a change to the algebraic-tail sides cannot move them."""
+    """Signals with faster-than-algebraic transforms take one folded
+    quadrature up to the larger Gaussian cut; every field of the result is
+    pinned (recorded from the fold with numpy on x86-64), so any change
+    that moves one shows here."""
     path = Path(__file__).parent / "data" / "cwt_fourier_fast_decay.json"
     want = json.loads(path.read_text())
     got = {}
@@ -354,3 +359,44 @@ def test_gaussian_wavelet_line_is_cut_once(wavelet, grid):
     scales = np.atleast_1d(grid)[:, None]
     reach = max(np.abs((t - b) / scales).max() for t in times)
     assert reach <= radius
+
+
+def _integrate_calls(monkeypatch, signal, wavelet, a, b):
+    """How many quadratures ``cwt_fourier`` runs for one value."""
+    calls = []
+    real = oracle.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "integrate", counting)
+    cwt_fourier(signal, wavelet, a, b)
+    monkeypatch.undo()
+    return len(calls)
+
+
+@pytest.mark.parametrize("a,b", [(1e-3, 0.5), (0.05, -1.3), (0.7, 0.0)])
+def test_fourier_route_is_one_folded_quadrature(monkeypatch, a, b):
+    """Both half-lines fold onto one quadrature; only a ray or real-axis
+    tail above the split radius adds one per side."""
+    for kind in (SignalKind.Lorentzian, SignalKind.Gaussian):
+        for wav in _WAVELETS.values():
+            sig = make_signal(kind)
+            assert _integrate_calls(monkeypatch, sig, wav, a, b) == 1
+    sig = make_signal(SignalKind.TwoSidedExp)
+    assert _integrate_calls(monkeypatch, sig, _WAVELETS["haar"], a, b) == 1
+    for name in ("morlet", "mexhat"):
+        assert _integrate_calls(monkeypatch, sig, _WAVELETS[name], a, b) <= 3
+
+
+@pytest.mark.parametrize("amplitude,time_scale", [(1.0, 1.0), (-2.0, 0.2), (0.5, 3.0)])
+@pytest.mark.parametrize("kind", list(SignalKind))
+def test_real_transforms_stay_exactly_real(kind, amplitude, time_scale):
+    """A real signal against a real wavelet has a real transform; the fold
+    adds g(-x) = conj(g(x)) node by node, so no imaginary rounding is left."""
+    sig = make_signal(kind, amplitude=amplitude, time_scale=time_scale)
+    for name in ("mexhat", "haar"):
+        for a in (1e-3, 0.05, 0.7):
+            for b in (0.0, 0.37, -1.3):
+                assert cwt_fourier(sig, _WAVELETS[name], a, b).value.imag == 0.0

@@ -11,6 +11,7 @@ from cwtasym.quadrature import (
     _WK15,
     QuadratureConfig,
     QuadratureError,
+    _initial_edges,
     integrate,
     power_exp_cut,
     power_gauss_cut,
@@ -342,3 +343,69 @@ def test_components_stop_for_their_own_reasons():
     assert abs(smooth.value - (1.0 - math.exp(-20.0))) <= smooth.abs_error_estimate
     assert wild.status == "budget" and not wild.converged
     assert _bisections(wild) <= cfg.max_subdivisions
+
+
+def _initial_edges_linspace(lo, hi, breakpoints, period_hint):
+    """The first mesh as numpy's linspace builds it: the reference that
+    ``_initial_edges`` must match bit for bit."""
+    pts = [lo, hi]
+    for p in breakpoints:
+        if lo < p < hi:
+            pts.append(float(p))
+    pts = sorted(set(pts))
+    edges = []
+    for left, right in zip(pts[:-1], pts[1:]):
+        edges.append(left)
+        if period_hint is None or not np.isfinite(period_hint) or period_hint <= 0.0:
+            continue
+        n = int(math.ceil((right - left) / (0.5 * period_hint)))
+        n = min(max(n, 1), 16384)
+        if n > 1:
+            edges.extend(np.linspace(left, right, n + 1)[1:-1].tolist())
+    edges.append(pts[-1])
+    edges = np.array(sorted(set(edges)))
+    if edges.size - 1 < 8:
+        per = int(math.ceil(8 / (edges.size - 1)))
+        if per > 1:
+            parts = [
+                np.linspace(a, b, per + 1)[:-1] for a, b in zip(edges[:-1], edges[1:])
+            ]
+            edges = np.concatenate(parts + [edges[-1:]])
+    return edges
+
+
+def test_initial_edges_match_linspace_bit_for_bit():
+    rng = np.random.default_rng(20261018)
+    few_panels = capped = 0
+    for _ in range(10_000):
+        lo = float(rng.choice([0.0, rng.uniform(-50.0, 50.0)]))
+        width = float(10.0 ** rng.uniform(-3.0, 2.0))
+        hi = lo + width
+        breakpoints = []
+        for _ in range(int(rng.integers(0, 7))):
+            pick = int(rng.integers(0, 5))
+            if pick == 0:
+                breakpoints.append(float(rng.uniform(lo, hi)))
+            elif pick == 1:  # outside the domain
+                step = width * rng.uniform(0.01, 2.0)
+                breakpoints.append(float(rng.choice([lo - step, hi + step])))
+            elif pick == 2:  # at an end
+                breakpoints.append(float(rng.choice([lo, hi])))
+            elif breakpoints:  # a duplicate
+                breakpoints.append(breakpoints[int(rng.integers(len(breakpoints)))])
+        pick = int(rng.integers(0, 1000))
+        if pick < 500:
+            period = (None, 0.0, math.nan, math.inf, -1.0)[pick % 5]
+        elif pick > 500:
+            period = width * float(10.0 ** rng.uniform(-2.0, 1.0))
+        else:  # past the per-segment cap
+            period = width * 1e-5
+        got = _initial_edges(lo, hi, breakpoints, period)
+        want = _initial_edges_linspace(lo, hi, breakpoints, period)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), (lo, hi, breakpoints, period)
+        inside = set(p for p in breakpoints if lo < p < hi)
+        few_panels += pick < 500 and len(inside) < 7
+        capped += got.size > 16384
+    # the < 8-panel branch and the per-segment cap both ran
+    assert few_panels > 1000 and capped >= 5
