@@ -167,17 +167,25 @@ def _check_mellin_reference_values():
 
 @_register(
     "mellin_method_agreement",
-    "analytic-tail splitting vs damping extrapolation on a conditionally convergent case",
+    "analytic-tail splitting vs the closed form on a conditionally convergent case",
 )
 def _check_mellin_method_agreement():
+    # At b = 2 the closed form's incomplete Gammas take the series branch
+    # (|x| = 2) and the split tail's the continued fraction (|x| = 2 cut,
+    # at least 20), so the two share no numerical branch; the mirror adds
+    # the tail of rate -b.
     cfg = QuadratureConfig()
     sig = make_signal(SignalKind.TwoSidedExp)
     h = make_h(sig, 2.0)
+    methods = (MellinMethod.SplitTailAnalytic, MellinMethod.ClosedForm)
     worst = 0.0
     for z in (1.5, 2.5):
-        v1 = mellin_transform(h, z, MellinMethod.SplitTailAnalytic, cfg).value
-        v2 = mellin_transform(h, z, MellinMethod.EpsExtrapolation, cfg).value
-        worst = max(worst, _rel(v1, v2))
+        for mirror in (False, True):
+            v1, v2 = (
+                mellin_transform(h, z, method, cfg, mirror=mirror).value
+                for method in methods
+            )
+            worst = max(worst, _rel(v1, v2))
     ok = worst <= 1e-6
     return ok, f"max relative disagreement = {worst:.3e}; tol 1e-6"
 
@@ -382,19 +390,28 @@ def _check_sweep_determinism():
         "--tol",
         "1e-8",
     ]
+    # The time oracle runs on one thread whatever --jobs says, so the worker
+    # counts are compared on the Fourier oracle, which splits points over them.
+    runs = (
+        ["--jobs", "1"],
+        ["--jobs", "1"],
+        ["--jobs", "1", "--oracle", "fourier"],
+        ["--jobs", "8", "--oracle", "fourier"],
+    )
     outputs = []
     with tempfile.TemporaryDirectory() as tmp:
-        for i, jobs in enumerate(("1", "1", "8")):
+        for i, extra in enumerate(runs):
             path = os.path.join(tmp, f"sweep_{i}.csv")
-            code = cli_main(argv_base + ["--jobs", jobs, "--out", path])
+            code = cli_main(argv_base + extra + ["--out", path])
             if code != 0:
                 return False, f"sweep run {i} exited with code {code}"
             with open(path, "rb") as fh:
                 outputs.append(fh.read())
     same_repeat = outputs[0] == outputs[1]
-    same_jobs = outputs[0] == outputs[2]
+    same_jobs = outputs[2] == outputs[3]
     ok = same_repeat and same_jobs
     return ok, (
         f"repeat runs identical: {same_repeat}; "
-        f"jobs 1 vs 8 identical: {same_jobs} ({len(outputs[0])} bytes)"
+        f"fourier oracle jobs 1 vs 8 identical: {same_jobs} "
+        f"({len(outputs[0])}, {len(outputs[2])} bytes)"
     )

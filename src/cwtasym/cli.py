@@ -37,9 +37,11 @@ route (the default) takes its Mellin moments in closed form and falls back
 to ``mellin_transform``'s ``"auto"`` choice (quadrature or the split tail)
 where the closed form does not apply or misses its target, and the time
 route (``--domain time``) takes the wavelet moments in closed form.
-``mellin --mellin-method`` names any one strategy, so the others can be
-checked against it.  The argument parser is built once per
-process, on the first ``main`` call.
+``mellin --mellin-method`` names one numeric strategy (``tail``, the
+analytic-tail split, or ``quad``, direct quadrature) or ``auto``, which
+picks between them by the signal's tail; the ``mellin_method_agreement``
+check compares the split tail with the closed form.  The argument parser
+is built once per process, on the first ``main`` call.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ from .wavelets import WaveletKind, make_wavelet, small_u_coefficients
 _MELLIN_METHODS = {
     "auto": "auto",
     "tail": MellinMethod.SplitTailAnalytic,
-    "eps": MellinMethod.EpsExtrapolation,
     "quad": MellinMethod.PureQuadrature,
 }
 

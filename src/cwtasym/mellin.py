@@ -1,14 +1,12 @@
 """Generalized (Abel-regularized) Mellin transform of the boundary function.
 
 M[h; z] = lim_{eps->0+} int_0^inf u^{z-1} h(u) e^{-eps u} du, with
-h(u) = e^{ibu} f_hat(u) and the mirror variant h(-u).  Four strategies:
+h(u) = e^{ibu} f_hat(u) and the mirror variant h(-u).  Three strategies:
 
 * PureQuadrature — direct truncated quadrature, valid when the signal
   transform decays faster than algebraically (the limit is trivial);
 * SplitTailAnalytic — quadrature on a head interval plus closed-form
   oscillatory power tails from the signal's inverse-power expansion;
-* EpsExtrapolation — damped quadrature on a geometric epsilon ladder,
-  Richardson-extrapolated to epsilon = 0;
 * ClosedForm — exact values for every built-in and scaled signal: the
   Lorentzian and the Gaussian at any offset, the two-sided exponential at
   b = 0 and, by Gradshteyn-Ryzhik 3.383.10, at b != 0.
@@ -34,12 +32,10 @@ import numpy as np
 from .oracle import _side_coeffs
 from .quadrature import (
     QuadratureConfig,
-    QuadratureError,
     TRUNCATION_RADIUS,
     integrate,
     power_exp_cut,
     power_gauss_cut,
-    richardson_epsilon,
 )
 from .signals import HSpec, SignalKind
 from .specfun import (
@@ -53,14 +49,10 @@ from .specfun import (
 _EPS = 2.220446049250313e-16
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
-# The damping ladder of EpsExtrapolation: eps = _EPS0 / 2**k, k < _EPS_LEVELS.
-_EPS0 = 0.125
-_EPS_LEVELS = 4
 
 
 class MellinMethod(Enum):
     SplitTailAnalytic = "split_tail_analytic"
-    EpsExtrapolation = "eps_extrapolation"
     ClosedForm = "closed_form"
     PureQuadrature = "pure_quadrature"
 
@@ -89,58 +81,44 @@ def _cpow(x: np.ndarray, zm1: complex) -> np.ndarray:
     return np.exp(zm1 * np.log(x))
 
 
-def _integrand(h: HSpec, z: complex, mirror: bool, eps: float):
-    """u^{z-1} h(+-u) e^{-eps u} on u > 0, evaluated in that order."""
+def _integrand(h: HSpec, z: complex, mirror: bool):
+    """u^{z-1} h(+-u) on u > 0, evaluated in that order."""
     zm1 = z - 1.0
     sign = -1.0 if mirror else 1.0
 
     def f(u):
         u = np.asarray(u, dtype=float)
-        out = _cpow(u, zm1) * np.exp(1j * (sign * h.b) * u) * h.signal.f_freq(sign * u)
-        if eps != 0.0:
-            out = out * np.exp(-eps * u)
-        return out
+        phase = np.exp(1j * (sign * h.b) * u)
+        return _cpow(u, zm1) * phase * h.signal.f_freq(sign * u)
 
     return f
 
 
-def _quadrature_piece(
-    h: HSpec, z: complex, mirror: bool, eps: float, cfg: QuadratureConfig
-):
-    """Truncated damped integral with an envelope-derived cut."""
-    sig = h.signal
-    sigma = z.real - 1.0
-    kind, c_env, p_env = sig.freq_envelope
-    delta = 0.5 * cfg.abs_tol
-    if kind == "exp":
-        cut, bound = power_exp_cut(c_env, sigma, p_env + eps, delta)
-    elif kind == "gauss":
-        # The mild extra exp(-eps u) damping is ignored in the bound.
-        cut, bound = power_gauss_cut(c_env, sigma, p_env, delta)
-    else:
-        # An algebraic tail is only ever damped: direct quadrature (eps = 0)
-        # rejects every signal whose transform decays algebraically.
-        cut, bound = power_exp_cut(c_env, sigma - p_env, eps, delta)
-    cut = min(cut, TRUNCATION_RADIUS)
-    rate = abs(_phase_rate(h, mirror))
-    period = _TWO_PI / rate if rate > 0.0 else None
-    return integrate(
-        _integrand(h, z, mirror, eps),
-        (0.0, cut),
-        cfg,
-        period_hint=period,
-        left_singularity=(z.real - 1.0) if z.real < 1.0 else None,
-        tail_bound=bound,
-    )
-
-
 def _pure_quadrature(h, z, mirror, cfg) -> MellinValue:
-    if math.isfinite(h.signal.tail_beta):
+    """The truncated integral with a cut from the transform's envelope."""
+    sig = h.signal
+    if math.isfinite(sig.tail_beta):
         raise MellinError(
             "direct quadrature requires a faster-than-algebraic transform "
             "tail; this signal's tail decays algebraically"
         )
-    res = _quadrature_piece(h, z, mirror, 0.0, cfg)
+    sigma = z.real - 1.0
+    kind, c_env, p_env = sig.freq_envelope
+    delta = 0.5 * cfg.abs_tol
+    if kind == "exp":
+        cut, bound = power_exp_cut(c_env, sigma, p_env, delta)
+    else:
+        cut, bound = power_gauss_cut(c_env, sigma, p_env, delta)
+    cut = min(cut, TRUNCATION_RADIUS)
+    rate = abs(_phase_rate(h, mirror))
+    res = integrate(
+        _integrand(h, z, mirror),
+        (0.0, cut),
+        cfg,
+        period_hint=_TWO_PI / rate if rate > 0.0 else None,
+        left_singularity=sigma if z.real < 1.0 else None,
+        tail_bound=bound,
+    )
     return MellinValue(res.value, res.abs_error_estimate, MellinMethod.PureQuadrature)
 
 
@@ -193,7 +171,7 @@ def _split_tail_analytic(h, z, mirror, cfg) -> MellinValue:
         if trunc_err < 1e-12 * max(largest, 1e-300) or cut >= 0.5 * TRUNCATION_RADIUS:
             break
     head = integrate(
-        _integrand(h, z, mirror, 0.0),
+        _integrand(h, z, mirror),
         (0.0, cut),
         cfg,
         period_hint=period,
@@ -206,24 +184,6 @@ def _split_tail_analytic(h, z, mirror, cfg) -> MellinValue:
         head.abs_error_estimate + tail_err,
         MellinMethod.SplitTailAnalytic,
     )
-
-
-def _eps_extrapolation(h, z, mirror, cfg) -> MellinValue:
-    values = []
-    quad_err = 0.0
-    for k in range(_EPS_LEVELS):
-        eps = _EPS0 / 2.0 ** k
-        res = _quadrature_piece(h, z, mirror, eps, cfg)
-        values.append(res.value)
-        quad_err = max(quad_err, res.abs_error_estimate)
-    try:
-        limit, corrections = richardson_epsilon(
-            values, noise_floor=100.0 * quad_err
-        )
-    except QuadratureError as exc:
-        raise MellinError(str(exc)) from None
-    err = corrections[-1] + 3.0 * quad_err if corrections else quad_err
-    return MellinValue(limit, err, MellinMethod.EpsExtrapolation)
 
 
 def _closed_form(h, z, mirror, cfg) -> MellinValue:
@@ -299,7 +259,6 @@ def _two_sided_exp_closed_form(z: complex, b: float):
 _STRATEGIES = {
     MellinMethod.PureQuadrature: _pure_quadrature,
     MellinMethod.SplitTailAnalytic: _split_tail_analytic,
-    MellinMethod.EpsExtrapolation: _eps_extrapolation,
     MellinMethod.ClosedForm: _closed_form,
 }
 

@@ -398,53 +398,6 @@ def power_gauss_cut(c: float, sigma: float, rate: float, delta: float) -> tuple:
     return u, bound
 
 
-def richardson_epsilon(values, spacing_ratio: float = 2.0, noise_floor: float = 0.0):
-    """Extrapolate damped evaluations F(eps_k), eps_k = eps0/ratio**k, to 0.
-
-    Assumes F is regular in eps so each Richardson column removes one power.
-    The table is rebuilt as each finer level accrues; corrections[k] is how
-    much the extrapolated limit moved when level k+1 was added.  For a
-    regular F these level-to-level corrections shrink geometrically; a
-    correction sequence that only grows — and ends above ``noise_floor``, so
-    that roundoff-level wiggles are not mistaken for divergence — means the
-    successive estimates are running away (the undamped limit does not
-    exist) and raises.
-    """
-    vals = [complex(v) for v in values]
-    levels = len(vals)
-    if levels < 2:
-        raise QuadratureError("extrapolation needs at least two levels")
-
-    def _limit(table):
-        j = 1
-        while len(table) > 1:
-            table = [
-                table[i + 1]
-                + (table[i + 1] - table[i]) / (spacing_ratio ** j - 1.0)
-                for i in range(len(table) - 1)
-            ]
-            j += 1
-        return table[0]
-
-    estimates = [vals[0]] + [_limit(vals[:m]) for m in range(2, levels + 1)]
-    corrections = [
-        abs(estimates[k + 1] - estimates[k]) for k in range(len(estimates) - 1)
-    ]
-    if (
-        len(corrections) >= 2
-        and all(
-            corrections[i + 1] > corrections[i]
-            for i in range(len(corrections) - 1)
-        )
-        and corrections[-1] > noise_floor
-    ):
-        raise QuadratureError(
-            "extrapolation to the undamped limit is unstable: corrections "
-            f"grew {corrections[0]:.3e} -> {corrections[-1]:.3e}"
-        )
-    return estimates[-1], corrections
-
-
 def integrate(
     integrand: Integrand,
     domain: tuple,

@@ -185,9 +185,9 @@ def test_config_entry_type_and_choice_exit_2(command, entry, tmp_path, capsys):
         pytest.param("expand", {"oracle": "both"}, id="expand-oracle"),
         pytest.param("cwt", {"domain": "space"}, id="cwt-domain"),
         pytest.param("coeffs", {"amplitude": 2}, id="coeffs-amplitude"),
-        pytest.param("expand", {"mellin_method": "eps"},
+        pytest.param("expand", {"mellin_method": "tail"},
                      id="expand-mellin-method"),
-        pytest.param("sweep", {"mellin_method": "eps"},
+        pytest.param("sweep", {"mellin_method": "tail"},
                      id="sweep-mellin-method"),
     ],
 )
@@ -398,11 +398,12 @@ def test_invalid_flag_values_exit_2(argv, config, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
-def test_divergent_moment_exits_1(capsys):
+@pytest.mark.parametrize("method", ["tail", "auto"])
+def test_divergent_moment_exits_1(method, capsys):
     code = main(["mellin", "--signal", "two_sided_exp", "--b", "0",
-                 "--z", "2.5", "--mellin-method", "eps"])
+                 "--z", "2.5", "--mellin-method", method])
     assert code == 1
-    assert "unstable" in capsys.readouterr().err
+    assert "tail term of order 0 diverges" in capsys.readouterr().err
 
 
 def test_mutated_mirror_factor_is_caught(monkeypatch, capsys):

@@ -1,4 +1,4 @@
-"""Regularized power moments of the boundary function, all four strategies."""
+"""Regularized power moments of the boundary function, all three strategies."""
 
 import cmath
 import math
@@ -89,12 +89,18 @@ def test_strategy_preconditions():
         mellin_transform(_h(SignalKind.Lorentzian, 0.0), 1.5, "newton")
 
 
-def test_split_and_extrapolation_agree():
+def test_split_tail_and_closed_form_agree():
+    """At b = 2 the two share no incomplete-Gamma branch (series against
+    continued fraction); they agree within their summed estimates."""
     h = _h(SignalKind.TwoSidedExp, 2.0)
     for z in (1.5, 2.5):
-        tail = mellin_transform(h, z, MellinMethod.SplitTailAnalytic)
-        eps = mellin_transform(h, z, MellinMethod.EpsExtrapolation)
-        assert abs(tail.value - eps.value) < 1e-6 * abs(tail.value)
+        for mirror in (False, True):
+            tail = mellin_transform(h, z, MellinMethod.SplitTailAnalytic,
+                                    mirror=mirror)
+            closed = mellin_transform(h, z, MellinMethod.ClosedForm,
+                                      mirror=mirror)
+            budget = tail.abs_error_estimate + closed.abs_error_estimate
+            assert abs(tail.value - closed.value) <= budget, (z, mirror)
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.2, 3.0])
@@ -221,12 +227,13 @@ def test_split_tail_takes_one_incomplete_gamma_per_cut(monkeypatch):
     assert min(steps) >= 1 and max(steps) >= 2
 
 
-def test_extrapolation_detects_divergence():
-    """Moments past the decay rate have no undamped limit; the ladder's
-    estimates run away and the strategy reports instability."""
+def test_split_tail_detects_divergence():
+    """Moments past the decay rate have no undamped limit at b = 0: the
+    non-oscillating power tail diverges and the split tail says so."""
     h = _h(SignalKind.TwoSidedExp, 0.0)
-    with pytest.raises(MellinError, match="unstable"):
-        mellin_transform(h, 2.5, MellinMethod.EpsExtrapolation)
+    for method in (MellinMethod.SplitTailAnalytic, "auto"):
+        with pytest.raises(MellinError, match="tail term of order 0 diverges"):
+            mellin_transform(h, 2.5, method)
 
 
 def test_morlet_time_moments_vs_highprec():

@@ -204,6 +204,32 @@ def test_algebraic_tail_gaussian_wavelet_evaluation_ceiling(wavelet):
     assert abs(rt.value - rf.value) <= rt.abs_error_estimate + rf.abs_error_estimate
 
 
+@pytest.mark.parametrize(
+    "wavelet,a,split_sides",
+    [("haar", 0.05, 2), ("morlet", 0.7, 1), ("mexhat", 0.7, 0)],
+)
+def test_each_split_side_adds_the_truncation_bound(
+        monkeypatch, wavelet, a, split_sides):
+    """Each side split at R adds the series' truncation bound at R, times
+    sqrt(a)/(2 pi), to the estimate; a side cut below R adds none."""
+    sig = make_signal(SignalKind.TwoSidedExp)
+    wav = _WAVELETS[wavelet]
+    base = cwt_fourier(sig, wav, a, 0.5)
+    extra = 1e-9
+    real = oracle._split_radius
+
+    def padded(*args, **kwargs):
+        radius, bound = real(*args, **kwargs)
+        return radius, bound + extra
+
+    monkeypatch.setattr(oracle, "_split_radius", padded)
+    got = cwt_fourier(sig, wav, a, 0.5)
+    assert got.value == base.value
+    rise = got.abs_error_estimate - base.abs_error_estimate
+    want = split_sides * extra * math.sqrt(a) / (2.0 * math.pi)
+    assert_allclose(rise, want, rtol=1e-12, atol=0.0)
+
+
 def test_fast_decay_signals_unchanged():
     """Signals with faster-than-algebraic transforms take one folded
     quadrature up to the larger Gaussian cut; every field of the result is

@@ -15,7 +15,6 @@ from cwtasym.quadrature import (
     integrate,
     power_exp_cut,
     power_gauss_cut,
-    richardson_epsilon,
     worst_status,
 )
 from cwtasym.wavelets import WaveletKind, make_wavelet
@@ -247,28 +246,6 @@ def test_power_gauss_cut_bound_is_valid(c, sigma, rate):
         (cut, cut + 30.0 / math.sqrt(rate)),
     )
     assert abs(tail.value) <= bound * 1.01 + 1e-16
-
-
-def test_richardson_epsilon_geometric_corrections():
-    # F(eps) = L + 2*eps + 3*eps^2 sampled on a halving ladder
-    L = 0.75
-    eps = [0.125 / 2 ** k for k in range(5)]
-    values = [L + 2 * e + 3 * e * e for e in eps]
-    limit, corrections = richardson_epsilon(values)
-    assert_allclose(limit, L, rtol=0, atol=1e-12)
-    assert corrections[-1] < corrections[0]
-
-
-def test_richardson_epsilon_instability_raises():
-    values = [1.0, 1.5, 3.0, 7.0]  # accelerating ratios: limit runs away
-    with pytest.raises(QuadratureError):
-        richardson_epsilon(values, noise_floor=1e-12)
-
-
-def test_richardson_epsilon_noise_floor_suppresses_spurious_raise():
-    values = [2.0, 2.0 + 1e-15, 2.0 + 3e-15, 2.0 + 7e-15]
-    limit, _ = richardson_epsilon(values, noise_floor=1e-10)
-    assert_allclose(limit, 2.0, atol=1e-12)
 
 
 def _one_row(f):
