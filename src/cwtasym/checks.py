@@ -211,7 +211,7 @@ def _check_cylinder_function_identity():
                 integrand,
                 (0.0, cut),
                 cfg,
-                period_hint=_TWO_PI / w0,
+                panel_width=math.pi / w0,
                 tail_bound=bound,
             )
             closed = (

@@ -275,7 +275,7 @@ def remainder_frequency(
         return psi_tail(a * w) * h_eval(h, w)
 
     # each side's features, mirrored onto w < 0 for the minus side
-    breakpoints, period = _fourier_side_hints(wavelet, 1, a, b)
+    breakpoints, width = _fourier_side_hints(wavelet, 1, a, b)
     mirrored, _ = _fourier_side_hints(wavelet, -1, a, b)
     breakpoints += [-p for p in mirrored] + [0.0, cutover / a, -cutover / a]
     head = integrate(
@@ -283,11 +283,17 @@ def remainder_frequency(
         (-upper, upper),
         cfg,
         breakpoints=breakpoints,
-        period_hint=period,
+        panel_width=width,
         tail_bound=tail_bound,
     )
     root_a = math.sqrt(a)
     return root_a * (head.value + tails), root_a * (head.abs_error_estimate + err)
+
+
+def _half_period(wavelet: WaveletSpec) -> Optional[float]:
+    """Half the wavelet's time-domain period; None if it does not oscillate."""
+    period = time_period(wavelet)
+    return None if period is None else 0.5 * period
 
 
 def _time_moment_quadrature(
@@ -308,7 +314,9 @@ def _time_moment_quadrature(
         _, c_w, rate = wavelet.time_envelope
         cut, bound = power_gauss_cut(c_w, nu - 1.0, rate, 0.5 * cfg.abs_tol)
         upper = min(cut, TRUNCATION_RADIUS)
-        hints = {"period_hint": time_period(wavelet), "tail_bound": bound}
+        # Half-period panels, not ``time_panel_width``: t^(nu-1) times the
+        # wavelet converges in about one pass on them already.
+        hints = {"panel_width": _half_period(wavelet), "tail_bound": bound}
     res = integrate(
         integrand,
         (0.0, upper),
@@ -431,7 +439,10 @@ def _remainder_time(
         (lo, hi),
         cfg,
         breakpoints=breakpoints,
-        period_hint=time_period(wavelet),
+        # Half-period panels, not ``time_panel_width``: the Taylor tail is
+        # small and converges in about one pass on them already, and the
+        # finer mesh would add nodes.
+        panel_width=_half_period(wavelet),
         tail_bound=tail_bound,
         conditioning=_steep_conditioning(signal, b, a, lo, hi),
     )

@@ -48,7 +48,6 @@ from .specfun import (
 
 _EPS = 2.220446049250313e-16
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_TWO_PI = 2.0 * math.pi
 
 
 class MellinMethod(Enum):
@@ -115,7 +114,7 @@ def _pure_quadrature(h, z, mirror, cfg) -> MellinValue:
         _integrand(h, z, mirror),
         (0.0, cut),
         cfg,
-        period_hint=_TWO_PI / rate if rate > 0.0 else None,
+        panel_width=math.pi / rate if rate > 0.0 else None,
         left_singularity=sigma if z.real < 1.0 else None,
         tail_bound=bound,
     )
@@ -151,7 +150,7 @@ def _split_tail_analytic(h, z, mirror, cfg) -> MellinValue:
     coeffs = _side_coeffs(sig, -1 if mirror else 1)
     nonzero = [r for r, b_r in enumerate(coeffs) if b_r != 0.0]
     rate = _phase_rate(h, mirror)
-    period = _TWO_PI / abs(rate) if rate != 0.0 else None
+    width = math.pi / abs(rate) if rate != 0.0 else None
 
     cut = max(10.0, 2.0 * abs(z))
     terms, errs, trunc_idx, trunc_err = [], [], 0, 0.0  # all-zero: exact
@@ -174,7 +173,7 @@ def _split_tail_analytic(h, z, mirror, cfg) -> MellinValue:
         _integrand(h, z, mirror),
         (0.0, cut),
         cfg,
-        period_hint=period,
+        panel_width=width,
         left_singularity=(z.real - 1.0) if z.real < 1.0 else None,
     )
     tail_val = sum(terms[:trunc_idx])

@@ -54,7 +54,13 @@ from .quadrature import (
 )
 from .signals import SignalKind, SignalSpec
 from .specfun import horner, oscillatory_power_tails
-from .wavelets import WaveletKind, WaveletSpec, psi_conj, psi_hat_conj, time_period
+from .wavelets import (
+    WaveletKind,
+    WaveletSpec,
+    psi_conj,
+    psi_hat_conj,
+    time_panel_width,
+)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
@@ -100,7 +106,11 @@ def cwt_time(
     dilation's kinks and peak.  The step wavelet's integral is over its
     support; the Gaussian wavelets' line is cut once, at the radius
     ``_cut_radius`` gives for sup|f| times the wavelet's envelope at
-    abs_tol, and both sides' tail bounds join each error estimate.
+    abs_tol, and both sides' tail bounds join each error estimate.  The
+    first mesh is at the wavelet's own scale (``time_panel_width``: panels
+    at most min(1, T/4) wide for the modulated Gaussian of period T, 1 for
+    the Mexican hat), fine enough that at the default tolerance one GK15
+    pass usually leaves only a negligible excess over the roundoff floors.
     """
     grid = np.asarray(a, dtype=float)
     if not (grid > 0.0).all():
@@ -137,9 +147,7 @@ def _cwt_time_block(
     if wavelet.time_support is not None:
         lo, hi = wavelet.time_support
         inner = [0.5] + [p for p in breakpoints if lo < p < hi]
-        res = integrate(
-            integrand, (lo, hi), cfg, breakpoints=inner, period_hint=None
-        )
+        res = integrate(integrand, (lo, hi), cfg, breakpoints=inner)
     else:
         # abs_tol is at most every dilation's target, so one cut serves
         # the whole grid.
@@ -151,7 +159,7 @@ def _cwt_time_block(
             (-radius, radius),
             cfg,
             breakpoints=breakpoints,
-            period_hint=time_period(wavelet),
+            panel_width=time_panel_width(wavelet),
             tail_bound=2.0 * _envelope_tail_bound(envelope, radius),
         )
     out = []
@@ -170,13 +178,14 @@ def _gauss_cut_width(c_over_delta: float) -> float:
 
 
 def _fourier_side_hints(wavelet: WaveletSpec, sign: int, a: float, b: float):
-    """Panel breakpoints and oscillation period for one half-line integrand.
+    """Panel breakpoints and widest first panel for one half-line integrand.
 
     The breakpoints sit at the features of the wavelet transform at sign*a*w
     (the modulated Gaussian's peak and its +-3 flanks, the Mexican hat's
-    inflection and decay points, the step wavelet's first lobe); the period
-    is that of e^{i*sign*b*w}, plus the step wavelet's own phase rate a.
-    Callers add their own extra breakpoints to the returned list.
+    inflection and decay points, the step wavelet's first lobe); the panel
+    width is half a period of e^{i*sign*b*w}, its phase rate |b| raised by
+    the step wavelet's own phase rate a.  Callers add their own extra
+    breakpoints to the returned list.
     """
     breakpoints = []
     if wavelet.kind == WaveletKind.Morlet and sign > 0:
@@ -187,8 +196,8 @@ def _fourier_side_hints(wavelet: WaveletSpec, sign: int, a: float, b: float):
     elif wavelet.kind == WaveletKind.Haar:
         breakpoints += [4.66 / a]
     osc = abs(b) + (a if wavelet.kind == WaveletKind.Haar else 0.0)
-    period = _TWO_PI / osc if osc > 0.0 else None
-    return breakpoints, period
+    width = math.pi / osc if osc > 0.0 else None
+    return breakpoints, width
 
 
 def _gauss_wavelet_cut(
@@ -418,13 +427,13 @@ def _alg_tail(
                 * psi_hat_conj(wavelet, sign * a * v)
             )
 
-        breakpoints, period = _fourier_side_hints(wavelet, sign, a, b)
+        breakpoints, width = _fourier_side_hints(wavelet, sign, a, b)
         return integrate(
             on_axis,
             (radius, cut),
             cfg,
             breakpoints=breakpoints,
-            period_hint=period,
+            panel_width=width,
             tail_bound=t_w(cut),
         )
     height, line_bound = ray
@@ -451,7 +460,7 @@ def _alg_tail(
         on_ray,
         (0.0, height),
         cfg,
-        period_hint=_TWO_PI / turn if turn > 0.0 else None,
+        panel_width=math.pi / turn if turn > 0.0 else None,
         tail_bound=line_bound,
     )
 
@@ -467,7 +476,8 @@ def cwt_fourier(
 
     sqrt(a)/(2 pi) times the integral of g(w) = e^{ibw} f_hat(w)
     conj(psi_hat)(a w) over the line, folded onto one quadrature of
-    g(x) + g(-x) over [0, L], with the panel breakpoints of both sides.
+    g(x) + g(-x) over [0, L] (2 Re g(x) for the real wavelets, the Mexican
+    hat and the step), with the panel breakpoints of both sides.
     Each side w = sign*x is cut where the signal's or the wavelet's decay
     bound leaves half the absolute tolerance, and that side's tail bound
     joins the quadrature's.  For a signal whose transform decays
@@ -490,9 +500,17 @@ def cwt_fourier(
     def g(w):
         return np.exp(1j * b * w) * f_freq(w) * psi_hat_conj(wavelet, a * w)
 
-    def integrand(x):
-        x = np.asarray(x, dtype=float)
-        return g(x) + g(-x)
+    if wavelet.kind == WaveletKind.Morlet:
+
+        def integrand(x):
+            x = np.asarray(x, dtype=float)
+            return g(x) + g(-x)
+
+    else:
+        # A real signal against a real wavelet: g(-x) is conj(g(x)), bit
+        # for bit, so the pair is 2 Re g(x) from one evaluation per node.
+        def integrand(x):
+            return 2.0 * g(np.asarray(x, dtype=float)).real
 
     # (cut radius, tail bound beyond any radius) from each decay bound
     delta = 0.5 * cfg.abs_tol
@@ -507,7 +525,7 @@ def cwt_fourier(
             cuts.append(_gauss_wavelet_cut(wavelet, sign, a, signal.sup_freq, delta))
         cut = min(min(c for c, _ in cuts), TRUNCATION_RADIUS)
         # both sides have the period of e^{ibw}
-        hints, period = _fourier_side_hints(wavelet, sign, a, b)
+        hints, width = _fourier_side_hints(wavelet, sign, a, b)
         breakpoints += hints
         if split is not None and split[0] < cut:
             tails.append(_alg_tail(signal, wavelet, sign, a, b, split[0], cfg))
@@ -520,7 +538,7 @@ def cwt_fourier(
         (0.0, split[0] if tails else reach),
         cfg,
         breakpoints=breakpoints,
-        period_hint=period,
+        panel_width=width,
         tail_bound=tail_bound,
     )
     factor = math.sqrt(a) / _TWO_PI

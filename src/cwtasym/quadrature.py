@@ -14,8 +14,10 @@ No panel's error estimate goes below its roundoff floor 50*eps*integral(|f|)
 it stops at the first of these, named in ``QuadratureResult.status``:
 
 * ``"tolerance"``: the summed error estimate meets max(abs_tol, rel_tol*|I|);
-* ``"roundoff"``: every panel is at its roundoff floor, so no bisection can
-  lower the estimate (QUADPACK QAGS ``ier=2``);
+* ``"roundoff"``: what the panels' errors add above their floors is at most
+  ``_ROUNDOFF_EXCESS`` of the target, so no bisection can lower the estimate
+  by more than that (QUADPACK QAGS ``ier=2``, which asks for every panel at
+  its floor: the case of no excess at all);
 * ``"unsplittable"``: the worst panels are at rounding width;
 * ``"budget"``: the ``max_subdivisions`` bisections are used up.
 
@@ -26,9 +28,11 @@ A vector-valued integrand returns an (m, N) array for N nodes: m integrals
 over one shared mesh, the vectorized adaptive quadrature of L. F. Shampine,
 J. Comput. Appl. Math. 211 (2008).  Every component keeps its own value,
 error estimate, target and status.  A component stops once it meets its
-tolerance; those still open when refinement stops take its reason.  A panel
-is ranked by max_j err_j/target_j over the open components in which it is
-above its floor, and one ``max_subdivisions`` budget serves the whole call.
+tolerance, or is retired with status ``"roundoff"`` once its excess over the
+floors is negligible; those still open when refinement stops take its
+reason.  A panel is ranked by max_j err_j/target_j over the open components
+in which it is above its floor, and one ``max_subdivisions`` budget serves
+the whole call.
 A one-dimensional integrand is the m = 1 case of the same code.
 """
 
@@ -83,6 +87,9 @@ _WG15[[13, 11, 9]] = _WG[:3]
 _WG15[7] = _WG[3]
 
 _BISECT_BLOCK = 64
+# A component whose errors add at most this fraction of its target above
+# their roundoff floors stops: bisection could lower its estimate by no more.
+_ROUNDOFF_EXCESS = 1e-3
 # No truncated domain extends past this radius.
 TRUNCATION_RADIUS = 1e12
 _MIN_INITIAL_PANELS = 8
@@ -200,15 +207,19 @@ def _refine(
     """Adaptively bisect the worst panels until every component meets its target.
 
     A component is open while its summed error is above its target
-    max(abs_tol, rel_tol*|value|).  Only panels whose error is above their
-    roundoff floor in an open component are bisected (the floors of a
-    panel's halves add back up to its own, so splitting a floor-limited
-    panel cannot lower the total), worst first by max_j err_j/target_j over
-    those components.
+    max(abs_tol, rel_tol*|value|), until it is retired: once its excess
+    sum_p max(err_p - floor_p, 0) over the panels' roundoff floors is at most
+    ``_ROUNDOFF_EXCESS`` of its target, no bisection could lower its
+    estimate by more than that (the floors of a panel's halves add back up
+    to its own), so it stops with status ``"roundoff"`` and ranks no more
+    panels.  Its estimate keeps the floors, sum_p max(err_p, floor_p).  Only
+    panels whose error is above their roundoff floor in an open component
+    are bisected, worst first by max_j err_j/target_j over those components.
 
     Returns ([(value, error, status)] per component, n_evaluations,
-    n_panels, bisections_used): values summed exactly rounded, an open
-    component's status the loop's stop reason, one of ``STATUSES``.
+    n_panels, bisections_used): values summed exactly rounded, a component
+    that meets its target ``"tolerance"``, a retired one ``"roundoff"``, any
+    other the loop's stop reason, one of ``STATUSES``.
     """
     lo = edges[:-1].astype(float)
     hi = edges[1:].astype(float)
@@ -224,16 +235,24 @@ def _refine(
         )
         neval += more[3]
     used = 0
+    retired = set()
     while True:
         err_totals = errs.sum(axis=1).tolist()
         targets = [
             max(config.abs_tol, config.rel_tol * abs(v))
             for v in vals.sum(axis=1).tolist()
         ]
-        # Written so that a NaN error keeps its component open.
-        open_ = [
-            j for j, (e, t) in enumerate(zip(err_totals, targets)) if not e <= t
-        ]
+        # every error is at least its floor, so this sums max(err - floor, 0)
+        excess = (errs - floors).sum(axis=1).tolist()
+        # Written so that a NaN error or excess keeps its component open.
+        open_ = []
+        for j, (e, t, x) in enumerate(zip(err_totals, targets, excess)):
+            if e <= t or j in retired:
+                continue
+            if x <= _ROUNDOFF_EXCESS * t:
+                retired.add(j)
+            else:
+                open_.append(j)
         if not open_:
             stop = "tolerance"
             break
@@ -247,9 +266,6 @@ def _refine(
             above = np.flatnonzero(splits.any(axis=0))
             ratios = errs[open_][:, above] / np.array(targets)[open_][:, None]
             score = np.where(splits[:, above], ratios, 0.0).max(axis=0)
-        if above.size == 0:
-            stop = "roundoff"
-            break
         if used >= budget:
             stop = "budget"
             break
@@ -282,7 +298,8 @@ def _refine(
         (
             complex(math.fsum(row.real.tolist()), math.fsum(row.imag.tolist())),
             err_totals[j],
-            stop if j in open_ else "tolerance",
+            "tolerance" if err_totals[j] <= targets[j]
+            else "roundoff" if j in retired else stop,
         )
         for j, row in enumerate(vals)
     ]
@@ -293,11 +310,11 @@ def _initial_edges(
     lo: float,
     hi: float,
     breakpoints: Sequence[float],
-    period_hint: Optional[float],
+    panel_width: Optional[float],
 ) -> np.ndarray:
     """The first mesh over [lo, hi]: edges at the breakpoints inside it,
-    each segment split into equal panels at most half of ``period_hint``
-    wide (at most ``_MAX_PANELS_PER_PIECE`` of them), and every panel split
+    each segment split into equal panels at most ``panel_width`` wide (at
+    most ``_MAX_PANELS_PER_PIECE`` of them), and every panel split
     evenly if that leaves fewer than ``_MIN_INITIAL_PANELS``.  Built in
     Python floats and converted once; each split is the arithmetic of
     ``np.linspace``, i*step + left with the right end kept exact.
@@ -307,12 +324,12 @@ def _initial_edges(
         if lo < p < hi:
             pts.append(float(p))
     pts = sorted(set(pts))
-    fill = period_hint is not None and math.isfinite(period_hint) and period_hint > 0.0
+    fill = panel_width is not None and math.isfinite(panel_width) and panel_width > 0.0
     edges = []
     for left, right in zip(pts[:-1], pts[1:]):
         n = 1
         if fill:
-            n = min(max(math.ceil((right - left) / (0.5 * period_hint)), 1),
+            n = min(max(math.ceil((right - left) / panel_width), 1),
                     _MAX_PANELS_PER_PIECE)
         edges += _even_split(left, right, n)
     edges.append(pts[-1])
@@ -404,10 +421,11 @@ def integrate(
     config: Optional[QuadratureConfig] = None,
     *,
     breakpoints: Sequence[float] = (),
-    period_hint: Optional[float] = None,
+    panel_width: Optional[float] = None,
     left_singularity: Optional[float] = None,
     tail_bound: float = 0.0,
     conditioning: Optional[Integrand] = None,
+    period_hint: Optional[float] = None,
 ) -> "QuadratureResult | QuadratureResults":
     """Integrate a complex integrand over the finite ``domain = (lo, hi)``.
 
@@ -418,24 +436,28 @@ def integrate(
     ``QuadratureResult``.  A non-finite endpoint raises ``QuadratureError``:
     a caller integrating over an infinite range cuts it where its own decay
     bound allows and passes that bound as ``tail_bound``.  ``breakpoints``
-    seed panel edges at known kinks or features, ``period_hint`` keeps
-    initial panels at most half an oscillation wide, ``left_singularity``
+    seed panel edges at known kinks or features, ``panel_width`` is the
+    widest first panel (half an oscillation, say), ``left_singularity``
     softens an integrable singularity at a finite left endpoint via the
     x = y**2 substitution, and ``tail_bound`` is added to the reported error
     for truncations performed by the caller.  ``conditioning`` maps nodes to
     a bound on the integrand's relative evaluation error in units of eps;
     where that exceeds 50 it raises the panels' roundoff floors.
+    ``period_hint``, the older spelling, means ``panel_width`` =
+    period_hint/2 and is ignored when ``panel_width`` is given.
 
     Each piece (the substituted singular edge, then the body) is refined on
-    its own until each component's error meets the tolerance, every panel
-    sits at its roundoff floor, its worst panels cannot be split, or the
-    ``max_subdivisions`` bisections shared by both pieces and all components
-    run out.  A component's ``status`` is the worst of its stops over the
+    its own until each component's error meets the tolerance or exceeds its
+    roundoff floors by a negligible amount, its worst panels cannot be
+    split, or the ``max_subdivisions`` bisections shared by both pieces and
+    all components run out.  A component's ``status`` is the worst of its stops over the
     pieces (see ``STATUSES``).  ``converged`` means the component's error
     estimate, ``tail_bound`` included, is within 10x
     max(abs_tol, rel_tol*|value|) and the budget did not run out.
     """
     cfg = config if config is not None else QuadratureConfig()
+    if panel_width is None and period_hint is not None:
+        panel_width = 0.5 * period_hint
     lo, hi = float(domain[0]), float(domain[1])
     # Written so that NaN fails it.
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -482,7 +504,7 @@ def integrate(
         )
 
     if body_lo < hi:
-        add_piece(components, _initial_edges(body_lo, hi, breakpoints, period_hint))
+        add_piece(components, _initial_edges(body_lo, hi, breakpoints, panel_width))
 
     results = []
     for value, err, status in totals:

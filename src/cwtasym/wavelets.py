@@ -102,6 +102,18 @@ def time_period(spec: WaveletSpec) -> Optional[float]:
     return _TWO_PI / spec.u0 if spec.kind == WaveletKind.Morlet else None
 
 
+def time_panel_width(spec: WaveletSpec) -> Optional[float]:
+    """The widest first panel of a time-domain transform's mesh, in wavelet
+    coordinates: min(1, T/4) for the modulated Gaussian (T its period), 1
+    for the Mexican hat, so one GK15 pass resolves the wavelet's own scale;
+    None for the step wavelet, whose mesh is its support."""
+    if spec.kind == WaveletKind.Morlet:
+        return min(1.0, 0.25 * time_period(spec))
+    if spec.kind == WaveletKind.MexicanHat:
+        return 1.0
+    return None
+
+
 def _haar_series_coefficients(n: int) -> np.ndarray:
     out = np.zeros(n, dtype=complex)
     for s in range(1, n):

@@ -212,7 +212,7 @@ def test_haar_closed_form_tail_matches_quadrature(sign):
         return (psi_hat_conj(wav, sign * a * v)
                 * np.exp(1j * sign * b * v) * sig.f_freq(sign * v))
 
-    res = integrate(integrand, (near, far), period_hint=2.0 * math.pi / b)
+    res = integrate(integrand, (near, far), panel_width=math.pi / b)
     # the series omits 2 v^-14 / (1 + v^-2) past v = 40: below 1e-24 here
     assert abs((v_near - v_far) - res.value) <= (
         e_near + e_far + res.abs_error_estimate)

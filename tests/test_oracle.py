@@ -15,7 +15,7 @@ import cwtasym.specfun as specfun
 from cwtasym.oracle import _haar_alg_tail, cwt_fourier, cwt_time
 from cwtasym.quadrature import QuadratureConfig, _cut_radius
 from cwtasym.signals import SignalKind, make_signal
-from cwtasym.wavelets import WaveletKind, make_wavelet
+from cwtasym.wavelets import WaveletKind, make_wavelet, psi_hat_conj
 
 
 def test_gaussian_morlet_closed_form():
@@ -129,11 +129,13 @@ def test_time_route_stops_at_the_roundoff_floor():
 
 
 # Both routes over every built-in signal x wavelet at three small dilations
-# take 31,620 evaluations, 6,360 of them on the Fourier route; one
-# quadrature per half-line took 36,165 and 10,905, filling the two-sided
-# exponential's algebraic tail with half-period panels 146,550, and refining
-# panels already at their roundoff floor 1,089,060.
-_EVALUATION_CEILING = 40_000
+# take 20,190 evaluations, 6,360 of them on the Fourier route.  A time route
+# from half-period panels that bisected until every panel sat at its
+# roundoff floor took 31,620; one quadrature per half-line took 36,165 and
+# 10,905, filling the two-sided exponential's algebraic tail with
+# half-period panels 146,550, and refining panels already at their roundoff
+# floor 1,089,060.
+_EVALUATION_CEILING = 24_000
 _FOURIER_EVALUATION_CEILING = 8_000
 
 
@@ -319,28 +321,29 @@ def test_one_dilation_reproduces_the_scalar_results():
 
 
 # A grid call evaluates the signal once per batch of panels, for every
-# dilation at once (5 batches for the case below); one call per dilation
-# takes at least one batch each (71 here).
-_GRID_BATCH_CEILING = _SWEEP_GRID.size
-
-
-def test_grid_evaluates_the_signal_in_few_batches():
+# dilation at once.  On a first mesh at the wavelet's own scale that is one
+# batch for every case below (half-period panels took up to 6); one call
+# per dilation takes at least one batch each.
+@pytest.mark.parametrize("b", [-1.3, -0.383, 0.0, 0.37])
+@pytest.mark.parametrize("wavelet", sorted(_WAVELETS))
+@pytest.mark.parametrize("kind", list(SignalKind))
+def test_grid_evaluates_the_signal_in_one_batch(kind, wavelet, b):
     batches = []
-    base = make_signal(SignalKind.TwoSidedExp)
+    base = make_signal(kind)
 
     def counted(t):
         batches.append(1)
         return base.f_time(t)
 
     sig = dataclasses.replace(base, f_time=counted)
-    wav = _WAVELETS["morlet"]
-    grid = cwt_time(sig, wav, _SWEEP_GRID, -0.383)
+    wav = _WAVELETS[wavelet]
+    grid = cwt_time(sig, wav, _SWEEP_GRID, b)
     assert all(r.converged for r in grid)
-    assert len(batches) < _GRID_BATCH_CEILING
+    assert len(batches) == 1
     batches.clear()
     for a in _SWEEP_GRID:
-        cwt_time(sig, wav, float(a), -0.383)
-    assert len(batches) > _GRID_BATCH_CEILING
+        cwt_time(sig, wav, float(a), b)
+    assert len(batches) >= _SWEEP_GRID.size
 
 
 def test_grid_keeps_the_dilations_order_and_rejects_nonpositive():
@@ -418,11 +421,38 @@ def test_fourier_route_is_one_folded_quadrature(monkeypatch, a, b):
 
 @pytest.mark.parametrize("amplitude,time_scale", [(1.0, 1.0), (-2.0, 0.2), (0.5, 3.0)])
 @pytest.mark.parametrize("kind", list(SignalKind))
-def test_real_transforms_stay_exactly_real(kind, amplitude, time_scale):
-    """A real signal against a real wavelet has a real transform; the fold
-    adds g(-x) = conj(g(x)) node by node, so no imaginary rounding is left."""
+def test_real_transforms_stay_exactly_real(monkeypatch, kind, amplitude, time_scale):
+    """A real signal against a real wavelet has a real transform: g(-x) is
+    conj(g(x)) node by node, so the fold integrates 2 Re g(x), the same
+    bits as g(x) + g(-x) at every node, and no imaginary rounding is left."""
     sig = make_signal(kind, amplitude=amplitude, time_scale=time_scale)
+    calls = []
+    real = oracle.integrate
+
+    def spy(integrand, *args, **kwargs):
+        nodes = []
+
+        def recorded(x):
+            nodes.append(np.array(x))
+            return integrand(x)
+
+        calls.append((integrand, nodes))
+        return real(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "integrate", spy)
     for name in ("mexhat", "haar"):
+        wav = _WAVELETS[name]
         for a in (1e-3, 0.05, 0.7):
             for b in (0.0, 0.37, -1.3):
-                assert cwt_fourier(sig, _WAVELETS[name], a, b).value.imag == 0.0
+
+                def g(w):
+                    return (np.exp(1j * b * w) * sig.f_freq(w)
+                            * psi_hat_conj(wav, a * w))
+
+                calls.clear()
+                assert cwt_fourier(sig, wav, a, b).value.imag == 0.0
+                # the folded quadrature runs after any tail's
+                integrand, nodes = calls[-1]
+                x = np.concatenate(nodes)
+                got = np.asarray(integrand(x), dtype=complex)
+                assert got.tobytes() == (g(x) + g(-x)).tobytes()

@@ -20,6 +20,9 @@ from cwtasym.quadrature import (
 from cwtasym.wavelets import WaveletKind, make_wavelet
 
 
+_EPS = np.finfo(float).eps
+
+
 def _bisections(res):
     # every panel costs 15 evaluations and each bisection adds one panel at
     # the price of two: n_evaluations = 15 * (n_panels + bisections)
@@ -83,10 +86,18 @@ def test_semi_infinite_oscillatory_with_period_hint():
     res = integrate(
         lambda x: np.cos(w * x) * np.exp(-x),
         (0.0, cut),
-        period_hint=2.0 * math.pi / w,
+        panel_width=math.pi / w,
         tail_bound=bound,
     )
     assert_allclose(res.value, 1.0 / (1.0 + w * w), rtol=1e-11, atol=1e-15)
+    # the older spelling passes the whole period: the same first mesh
+    old = integrate(
+        lambda x: np.cos(w * x) * np.exp(-x),
+        (0.0, cut),
+        period_hint=2.0 * math.pi / w,
+        tail_bound=bound,
+    )
+    assert old == res
 
 
 def test_left_singularity_substitution():
@@ -180,6 +191,62 @@ def test_refinement_stops_at_the_roundoff_floor():
     assert res.status == "roundoff"
     assert _bisections(res) < cfg.max_subdivisions
     assert abs(res.value - exact) <= res.abs_error_estimate
+
+
+def _cos5_gauss(x):
+    return np.exp(-0.5 * x * x) * np.cos(5.0 * x)
+
+
+_COS5_GAUSS = math.sqrt(2.0 * math.pi) * math.exp(-12.5)
+_COS5_GAUSS_ABS = 1.5958  # int |exp(-x^2/2) cos 5x| dx, to 4 digits
+
+
+def test_a_floor_limited_integral_stops_after_one_pass():
+    # the summed floors 50*eps*int|f| ~ 1.8e-14 exceed the target
+    # 1e-13*|I| ~ 9e-19, and on half-unit panels the first pass leaves
+    # nothing above them that a bisection could remove
+    cfg = QuadratureConfig(abs_tol=0.0, rel_tol=1e-13)
+    res = integrate(_cos5_gauss, (-20.0, 20.0), cfg, panel_width=0.5)
+    assert res.status == "roundoff"
+    assert _bisections(res) == 0
+    assert res.abs_error_estimate >= 0.99 * 50.0 * _EPS * _COS5_GAUSS_ABS
+    assert abs(res.value - _COS5_GAUSS) <= res.abs_error_estimate
+
+
+def test_a_retired_component_ranks_no_panels():
+    """A floor-limited component is retired on the first mesh while a
+    narrow peak keeps refining: the peak gets the mesh it gets alone, and
+    the retired component keeps status "roundoff" and an estimate that
+    bounds its error."""
+    cfg = QuadratureConfig(abs_tol=0.0, rel_tol=1e-13)
+
+    def peak(x):
+        return 1.0 / (1e-4 + (x - 0.3) ** 2)
+
+    exact_peak = (math.atan(19.7 / 1e-2) + math.atan(20.3 / 1e-2)) / 1e-2
+    floor_limited, refined = integrate(
+        lambda x: np.stack([_cos5_gauss(x), peak(x)]), (-20.0, 20.0), cfg,
+        panel_width=0.5,
+    )
+    alone = integrate(peak, (-20.0, 20.0), cfg, panel_width=0.5)
+    assert _bisections(alone) > 0
+    assert (refined.value, refined.n_evaluations, refined.status) == (
+        alone.value, alone.n_evaluations, alone.status)
+    assert abs(refined.value - exact_peak) <= refined.abs_error_estimate
+    assert floor_limited.status == "roundoff"
+    assert floor_limited.abs_error_estimate >= (
+        0.99 * 50.0 * _EPS * _COS5_GAUSS_ABS)
+    assert abs(floor_limited.value - _COS5_GAUSS) <= (
+        floor_limited.abs_error_estimate)
+
+
+def test_a_nan_value_is_never_retired_as_roundoff():
+    def f(x):
+        return np.where(np.abs(x - 0.3) < 0.05, math.nan, np.exp(-x * x))
+
+    res = integrate(f, (-5.0, 5.0))
+    assert res.status not in ("tolerance", "roundoff")
+    assert not res.converged
 
 
 def test_conditioning_raises_the_roundoff_floor():
@@ -322,7 +389,7 @@ def test_components_stop_for_their_own_reasons():
     assert _bisections(wild) <= cfg.max_subdivisions
 
 
-def _initial_edges_linspace(lo, hi, breakpoints, period_hint):
+def _initial_edges_linspace(lo, hi, breakpoints, panel_width):
     """The first mesh as numpy's linspace builds it: the reference that
     ``_initial_edges`` must match bit for bit."""
     pts = [lo, hi]
@@ -333,9 +400,9 @@ def _initial_edges_linspace(lo, hi, breakpoints, period_hint):
     edges = []
     for left, right in zip(pts[:-1], pts[1:]):
         edges.append(left)
-        if period_hint is None or not np.isfinite(period_hint) or period_hint <= 0.0:
+        if panel_width is None or not np.isfinite(panel_width) or panel_width <= 0.0:
             continue
-        n = int(math.ceil((right - left) / (0.5 * period_hint)))
+        n = int(math.ceil((right - left) / panel_width))
         n = min(max(n, 1), 16384)
         if n > 1:
             edges.extend(np.linspace(left, right, n + 1)[1:-1].tolist())
@@ -372,15 +439,15 @@ def test_initial_edges_match_linspace_bit_for_bit():
                 breakpoints.append(breakpoints[int(rng.integers(len(breakpoints)))])
         pick = int(rng.integers(0, 1000))
         if pick < 500:
-            period = (None, 0.0, math.nan, math.inf, -1.0)[pick % 5]
+            panel = (None, 0.0, math.nan, math.inf, -1.0)[pick % 5]
         elif pick > 500:
-            period = width * float(10.0 ** rng.uniform(-2.0, 1.0))
+            panel = width * float(10.0 ** rng.uniform(-2.0, 1.0))
         else:  # past the per-segment cap
-            period = width * 1e-5
-        got = _initial_edges(lo, hi, breakpoints, period)
-        want = _initial_edges_linspace(lo, hi, breakpoints, period)
+            panel = width * 1e-5
+        got = _initial_edges(lo, hi, breakpoints, panel)
+        want = _initial_edges_linspace(lo, hi, breakpoints, panel)
         assert got.dtype == want.dtype
-        assert np.array_equal(got, want), (lo, hi, breakpoints, period)
+        assert np.array_equal(got, want), (lo, hi, breakpoints, panel)
         inside = set(p for p in breakpoints if lo < p < hi)
         few_panels += pick < 500 and len(inside) < 7
         capped += got.size > 16384
