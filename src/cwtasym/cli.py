@@ -10,12 +10,14 @@ Subcommands::
     validate   run the built-in numerical validation checks
 
 ``sweep`` computes the expansion's coefficients and moments once (an
-``ExpansionPlan``) and evaluates them at every grid point.  Its default
-oracle, the time route, is one vector-valued quadrature over the whole grid
-(``cwt_time`` given the grid); ``--oracle fourier`` integrates each point
-on its own, and ``--jobs`` splits those per-point calls, with the
-expansion's ``plan.at``, over threads; with the time oracle ``--jobs`` has
-no per-point work to split and the sweep runs on one thread.  ``cwt`` and
+``ExpansionPlan``) and its terms at the whole grid in one array evaluation
+(``plan.terms``).  Its default oracle, the time route, is one vector-valued
+quadrature over the whole grid (``cwt_time`` given the grid); ``--oracle
+fourier`` integrates each point on its own, and ``--jobs`` splits only
+those per-point calls over threads; with the time oracle ``--jobs`` has no
+per-point work to split and the sweep runs on one thread.  The ``order``
+row is the least-squares slope of log error against log a, ``nan`` where
+it is undefined.  ``cwt`` and
 ``sweep`` both default to the time route: ``cwt_fourier`` shares its
 analytic tails with the frequency-route expansion it would judge,
 ``cwt_time`` only the transform's definition.
@@ -369,70 +371,66 @@ def _cmd_sweep(rc: RunConfig) -> int:
     wav = _build_wavelet(rc)
     qcfg = _quad_config(rc)
     a_values = _sweep_grid(rc)
-    # Nothing in the plan depends on a; the worker threads only read it.
     plan = expansion_plan(sig, wav, rc.b, rc.n, rc.domain, qcfg)
+    terms, _ = plan.terms(a_values)
+    partials = terms.sum(axis=1).tolist()
     # The time route is one quadrature over the whole grid; the Fourier
     # route integrates each point on its own, in the worker threads.
-    grid_oracle = (
-        cwt_time(sig, wav, a_values, rc.b, qcfg) if rc.oracle == "time" else None
-    )
-
-    def work(i: int):
-        a = float(a_values[i])
-        if grid_oracle is None:
-            oracle = cwt_fourier(sig, wav, a, rc.b, qcfg)
-        else:
-            oracle = grid_oracle[i]
-        res = plan.at(a, rc.remainder)
-        abs_err = abs(oracle.value - res.partial_sum)
-        rel_err = abs_err / abs(oracle.value) if oracle.value != 0.0 else math.nan
-        return oracle, res, abs_err, rel_err
-
-    # Only the per-point oracle is worth a thread: plan.at alone costs less
-    # than the pool's start-up and hand-offs.
-    if rc.jobs > 1 and grid_oracle is None:
-        with ThreadPoolExecutor(max_workers=rc.jobs) as pool:
-            results = list(pool.map(work, range(a_values.size)))
+    if rc.oracle == "time":
+        oracles = cwt_time(sig, wav, a_values, rc.b, qcfg)
     else:
-        results = [work(i) for i in range(a_values.size)]
+        def point(a: float):
+            return cwt_fourier(sig, wav, a, rc.b, qcfg)
 
-    rows = []
-    json_rows = []
-    abs_errs = []
-    all_converged = True
-    for a, (oracle, res, abs_err, rel_err) in zip(a_values, results):
-        all_converged = all_converged and oracle.converged
-        abs_errs.append(abs_err)
-        rows.append(
+        if rc.jobs > 1:
+            with ThreadPoolExecutor(max_workers=rc.jobs) as pool:
+                oracles = list(pool.map(point, a_values.tolist()))
+        else:
+            oracles = [point(a) for a in a_values.tolist()]
+
+    points = []
+    for a, oracle, partial in zip(a_values.tolist(), oracles, partials):
+        abs_err = abs(oracle.value - partial)
+        rel_err = abs_err / abs(oracle.value) if oracle.value != 0.0 else math.nan
+        points.append((a, oracle, partial, abs_err, rel_err))
+    try:
+        order = convergence_order(a_values, [p[3] for p in points])
+    except ValueError:
+        order = math.nan
+
+    rows = obj = None
+    if rc.format == "json":
+        obj = {
+            "rows": [
+                {
+                    "a": a,
+                    "oracle": [o.value.real, o.value.imag],
+                    "expansion": [p.real, p.imag],
+                    "abs_error": abs_err,
+                    "rel_error": rel_err,
+                    "n": rc.n,
+                    "converged": o.converged,
+                }
+                for a, o, p, abs_err, rel_err in points
+            ],
+            "order": order,
+        }
+    else:
+        rows = [
             (
                 _g(a),
-                _g(oracle.value.real),
-                _g(oracle.value.imag),
-                _g(res.partial_sum.real),
-                _g(res.partial_sum.imag),
+                _g(o.value.real),
+                _g(o.value.imag),
+                _g(p.real),
+                _g(p.imag),
                 _g(abs_err),
                 _g(rel_err),
                 rc.n,
-                str(oracle.converged).lower(),
+                str(o.converged).lower(),
             )
-        )
-        json_rows.append(
-            {
-                "a": float(a),
-                "oracle": [oracle.value.real, oracle.value.imag],
-                "expansion": [res.partial_sum.real, res.partial_sum.imag],
-                "abs_error": abs_err,
-                "rel_error": rel_err,
-                "n": rc.n,
-                "converged": oracle.converged,
-            }
-        )
-    try:
-        order = convergence_order(a_values, abs_errs)
-    except ValueError:
-        order = math.nan
-    rows.append(("order", "", "", "", "", _g(order), "", rc.n, ""))
-    obj = {"rows": json_rows, "order": order}
+            for a, o, p, abs_err, rel_err in points
+        ]
+        rows.append(("order", "", "", "", "", _g(order), "", rc.n, ""))
     header = (
         "a",
         "oracle_re",
@@ -445,7 +443,7 @@ def _cmd_sweep(rc: RunConfig) -> int:
         "converged",
     )
     _emit(rc, header, rows, obj)
-    return 0 if all_converged else 3
+    return 0 if all(o.converged for o in oracles) else 3
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -525,8 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "the whole grid; fourier integrates each point on its own)")
     p.add_argument("--jobs", type=int,
                    help="worker threads for --oracle fourier's per-point "
-                   "oracle and expansion (default: 1; the time oracle's "
-                   "sweep runs on one thread)")
+                   "oracle calls (default: 1; the time oracle and the "
+                   "expansion take the whole grid at once, on one thread)")
 
     for name, p in sub.choices.items():
         # The keys a config file may give (the subcommand's flags, plus the

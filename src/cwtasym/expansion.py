@@ -22,9 +22,11 @@ wavelet's own tail from the oracle's analytic-tail engine, the same one
 ``cwt_fourier`` uses.
 
 None of the coefficients or moments depends on the dilation a, so
-``expansion_plan`` computes them once and ``ExpansionPlan.at`` evaluates the
-expansion at any dilation; that is the one way to build an expansion.  The
-frequency route takes its Mellin moments in closed form, falling back to
+``expansion_plan`` computes them once; ``ExpansionPlan.terms`` evaluates the
+terms at a whole grid of dilations in one array product, and
+``ExpansionPlan.at`` the expansion at one dilation from the same formula.
+That is the one way to build an expansion.  The frequency route takes its
+Mellin moments in closed form, falling back to
 ``mellin_transform``'s ``"auto"`` choice (quadrature or the split tail)
 where the closed form does not apply or its own estimate misses the
 quadrature target; the time route takes its wavelet moments from the
@@ -96,12 +98,14 @@ class RemainderKind(Enum):
     NONE = "none"
 
 
+_REMAINDER_KINDS = {k.value: k for k in RemainderKind}
+_REMAINDER_KINDS.update((k, k) for k in RemainderKind)
+
+
 def _as_remainder_kind(value: Union[str, RemainderKind]) -> RemainderKind:
-    if isinstance(value, RemainderKind):
-        return value
     try:
-        return RemainderKind(value)
-    except ValueError:
+        return _REMAINDER_KINDS[value]
+    except (KeyError, TypeError):
         choices = ", ".join(k.value for k in RemainderKind)
         raise ValueError(
             f"unknown remainder kind {value!r} (choices: {choices})"
@@ -459,10 +463,11 @@ class ExpansionPlan:
     Term s at dilation a is ``products[s] * a**(s + power_offset)``, divided
     by 2*pi on the frequency route.  ``products[s]`` is the coefficient times
     its moment pair, c_s (M+_s + sigma_s M-_s), and ``product_errors[s]``
-    bounds its numerical error by |c_s| (e+_s + |sigma_s| e-_s).  Neither
-    depends on a, so :meth:`at` evaluates the expansion at any dilation
-    without recomputing a moment.  The arrays are read-only, so threads can
-    share one plan.
+    bounds its numerical error by |c_s| (e+_s + |sigma_s| e-_s); both are 0
+    where c_s is.  Neither depends on a, so :meth:`terms` evaluates every
+    term at a whole grid of dilations in one array product, and :meth:`at`,
+    the full result at one dilation, takes its terms from the same formula.
+    The arrays are read-only, so threads can share one plan.
     """
 
     domain: str
@@ -478,29 +483,38 @@ class ExpansionPlan:
     remainder_scale: float
     config: QuadratureConfig
 
+    def terms(self, a_values) -> tuple[np.ndarray, np.ndarray]:
+        """Every term and its error bound at each dilation of ``a_values``.
+
+        Returns two (k, n) arrays for k dilations: row i holds the terms at
+        ``a_values[i]``, so a row's sum is the partial sum there.  The
+        powers are Python float powers, which numpy's vectorised power does
+        not match bit for bit.
+        """
+        grid = [float(a) for a in a_values]
+        for a in grid:
+            _check_dilation(a)
+        n, offset = self.n, self.power_offset
+        powers = np.array([a ** (s + offset) for a in grid for s in range(n)])
+        powers.shape = (len(grid), n)
+        terms = self.products * powers
+        errors = self.product_errors * powers
+        if self.domain == "frequency":
+            terms /= _TWO_PI
+            errors /= _TWO_PI
+        return terms, errors
+
     def at(
         self, a: float, remainder: Union[str, RemainderKind] = "none"
     ) -> ExpansionResult:
         """The expansion at dilation a, with an optional remainder."""
-        _check_dilation(a)
         kind = _as_remainder_kind(remainder)
         frequency = self.domain == "frequency"
-        terms = np.zeros(self.n, dtype=complex)
-        term_errs = np.zeros(self.n)
-        for s in range(self.n):
-            if self.coefficients[s] == 0.0:
-                continue
-            # Scalar power and left-to-right products: the same bits as
-            # multiplying coefficient, moments and power in one expression.
-            apow = a ** (s + self.power_offset)
-            if frequency:
-                terms[s] = self.products[s] * apow / _TWO_PI
-                term_errs[s] = self.product_errors[s] * apow / _TWO_PI
-            else:
-                terms[s] = self.products[s] * apow
-                term_errs[s] = self.product_errors[s] * apow
-        partial = complex(terms.sum())
-        part_err = float(term_errs.sum())
+        rows, err_rows = self.terms((a,))
+        terms, term_errs = rows[0], err_rows[0]
+        # ndarray.sum's reduction without its Python wrapper: the same bits
+        partial = complex(np.add.reduce(terms))
+        part_err = float(np.add.reduce(term_errs))
 
         rem_val, rem_err = 0.0 + 0.0j, 0.0
         if kind == RemainderKind.IntegralM0:
@@ -621,12 +635,28 @@ def expansion_plan(
 
 
 def convergence_order(a_values, errors) -> float:
-    """Least-squares slope of log|error| against log(dilation)."""
+    """Least-squares slope of log|error| against log(dilation).
+
+    The closed form of the two-parameter fit, sum (x - xm)(y - ym) over
+    sum (x - xm)^2 with x = log a and y = log|error|, each sum exactly
+    rounded.  Raises ``ValueError`` unless the two sequences match and hold
+    at least two points, every dilation and error is positive, and the
+    log-dilations are not all equal (then the slope is undefined).
+    """
     a_values = np.asarray(a_values, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if a_values.shape != errors.shape or a_values.size < 2:
         raise ValueError("need matching arrays with at least two points")
-    if np.any(a_values <= 0.0) or np.any(errors <= 0.0):
+    xs, ys = a_values.ravel().tolist(), errors.ravel().tolist()
+    # written so that NaN fails it
+    if not all(v > 0.0 for v in xs + ys):
         raise ValueError("dilations and errors must be positive for a log fit")
-    slope, _ = np.polyfit(np.log(a_values), np.log(errors), 1)
-    return float(slope)
+    xs = [math.log(v) for v in xs]
+    ys = [math.log(v) for v in ys]
+    if min(xs) == max(xs):
+        raise ValueError("the dilations must not all be equal")
+    x_mean = math.fsum(xs) / len(xs)
+    y_mean = math.fsum(ys) / len(ys)
+    dx = [x - x_mean for x in xs]
+    sxy = math.fsum(d * (y - y_mean) for d, y in zip(dx, ys))
+    return sxy / math.fsum(d * d for d in dx)

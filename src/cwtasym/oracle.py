@@ -165,7 +165,14 @@ def _cwt_time_block(
     out = []
     for a, r in zip(dilations, res):
         root_a = math.sqrt(a)
-        out.append(_result(r.value * root_a, r.abs_error_estimate * root_a, (r,)))
+        out.append(QuadratureResult(
+            r.value * root_a,
+            r.abs_error_estimate * root_a,
+            r.n_evaluations,
+            r.n_panels,
+            r.converged,
+            r.status,
+        ))
     return out
 
 

@@ -19,7 +19,10 @@ it stops at the first of these, named in ``QuadratureResult.status``:
   by more than that (QUADPACK QAGS ``ier=2``, which asks for every panel at
   its floor: the case of no excess at all);
 * ``"unsplittable"``: the worst panels are at rounding width;
-* ``"budget"``: the ``max_subdivisions`` bisections are used up.
+* ``"budget"``: the ``max_subdivisions`` bisections are used up;
+* ``"nonfinite"``: the summed error estimate is not finite (the integrand
+  returned a NaN or an infinity), so no bisection can help; the component
+  stops after the pass that produced it and never counts as converged.
 
 Panel values are summed exactly rounded (``math.fsum``), so the result does
 not pick up the rounding of a long floating-point sum.
@@ -77,7 +80,7 @@ _WG = (
 )
 
 # Termination statuses from best to worst; a combined result takes the worst.
-STATUSES = ("tolerance", "roundoff", "unsplittable", "budget")
+STATUSES = ("tolerance", "roundoff", "unsplittable", "budget", "nonfinite")
 
 _NODES = np.array([-x for x in _XGK[:7]] + [0.0] + [x for x in reversed(_XGK[:7])])
 _WK15 = np.array(list(_WGK[:7]) + [_WGK[7]] + list(reversed(_WGK[:7])))
@@ -212,14 +215,17 @@ def _refine(
     ``_ROUNDOFF_EXCESS`` of its target, no bisection could lower its
     estimate by more than that (the floors of a panel's halves add back up
     to its own), so it stops with status ``"roundoff"`` and ranks no more
-    panels.  Its estimate keeps the floors, sum_p max(err_p, floor_p).  Only
+    panels.  Its estimate keeps the floors, sum_p max(err_p, floor_p).  A
+    component whose summed error is not finite stops at once with status
+    ``"nonfinite"``: bisecting cannot remove a NaN or an infinity.  Only
     panels whose error is above their roundoff floor in an open component
     are bisected, worst first by max_j err_j/target_j over those components.
 
     Returns ([(value, error, status)] per component, n_evaluations,
     n_panels, bisections_used): values summed exactly rounded, a component
-    that meets its target ``"tolerance"``, a retired one ``"roundoff"``, any
-    other the loop's stop reason, one of ``STATUSES``.
+    that meets its target ``"tolerance"``, a retired one ``"roundoff"``, a
+    non-finite one ``"nonfinite"``, any other the loop's stop reason, one
+    of ``STATUSES``.
     """
     lo = edges[:-1].astype(float)
     hi = edges[1:].astype(float)
@@ -235,7 +241,7 @@ def _refine(
         )
         neval += more[3]
     used = 0
-    retired = set()
+    stopped = {}  # component -> "roundoff" or "nonfinite", once retired
     while True:
         err_totals = errs.sum(axis=1).tolist()
         targets = [
@@ -244,13 +250,14 @@ def _refine(
         ]
         # every error is at least its floor, so this sums max(err - floor, 0)
         excess = (errs - floors).sum(axis=1).tolist()
-        # Written so that a NaN error or excess keeps its component open.
         open_ = []
         for j, (e, t, x) in enumerate(zip(err_totals, targets, excess)):
-            if e <= t or j in retired:
+            if e <= t or j in stopped:
                 continue
-            if x <= _ROUNDOFF_EXCESS * t:
-                retired.add(j)
+            if not math.isfinite(e):
+                stopped[j] = "nonfinite"
+            elif x <= _ROUNDOFF_EXCESS * t:
+                stopped[j] = "roundoff"
             else:
                 open_.append(j)
         if not open_:
@@ -299,7 +306,7 @@ def _refine(
             complex(math.fsum(row.real.tolist()), math.fsum(row.imag.tolist())),
             err_totals[j],
             "tolerance" if err_totals[j] <= targets[j]
-            else "roundoff" if j in retired else stop,
+            else stopped.get(j, stop),
         )
         for j, row in enumerate(vals)
     ]
@@ -453,7 +460,8 @@ def integrate(
     all components run out.  A component's ``status`` is the worst of its stops over the
     pieces (see ``STATUSES``).  ``converged`` means the component's error
     estimate, ``tail_bound`` included, is within 10x
-    max(abs_tol, rel_tol*|value|) and the budget did not run out.
+    max(abs_tol, rel_tol*|value|), the budget did not run out and the
+    estimate is finite.
     """
     cfg = config if config is not None else QuadratureConfig()
     if panel_width is None and period_hint is not None:
@@ -515,7 +523,8 @@ def integrate(
             abs_error_estimate=float(total_err),
             n_evaluations=neval,
             n_panels=npanels,
-            converged=bool(total_err <= 10.0 * target) and status != "budget",
+            converged=bool(total_err <= 10.0 * target)
+            and status not in ("budget", "nonfinite"),
             status=status,
         ))
     if ndim[0] == 1:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -293,11 +294,44 @@ def test_default_sweep_oracle_matches_the_fourier_route(capsys):
         assert complex(float(row[1]), float(row[2])) == f.value
 
 
+@pytest.mark.parametrize("oracle", [["--oracle", "time"],
+                                    ["--oracle", "fourier", "--jobs", "2"]])
+def test_sweep_csv_and_json_carry_the_same_numbers(oracle, capsys):
+    argv = ["sweep", "--signal", "two_sided_exp", "--wavelet", "morlet",
+            "--b", "0.2", "--a-min", "0.01", "--a-max", "0.2", "--a-count", "5",
+            "--log", "--n", "3", *oracle]
+    assert main(argv) == 0
+    lines = [ln.split(",") for ln in capsys.readouterr().out.splitlines()]
+    assert main(argv + ["--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert len(lines) == len(obj["rows"]) + 2  # header and order row
+    for line, row in zip(lines[1:-1], obj["rows"]):
+        numbers = [row["a"], *row["oracle"], *row["expansion"],
+                   row["abs_error"], row["rel_error"]]
+        assert line[:7] == [format(v, ".17g") for v in numbers]
+        assert line[7:] == [str(row["n"]), str(row["converged"]).lower()]
+    assert lines[-1][5] == format(obj["order"], ".17g")
+
+
+def test_sweep_on_a_grid_of_one_dilation_prints_nan_order(capsys):
+    """Dilations that all coincide leave the fitted slope undefined: the
+    order is nan, with nothing on stderr and exit code 0."""
+    argv = ["sweep", "--signal", "gaussian", "--wavelet", "haar", "--b", "0.3",
+            "--a-min", "0.1", "--a-max", "0.1", "--a-count", "3", "--n", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    order = captured.out.splitlines()[-1].split(",")
+    assert order[0] == "order" and order[5] == "nan"
+
+
 def test_sweep_jobs_starts_a_pool_only_for_the_fourier_oracle(monkeypatch,
                                                              capsys):
-    """With the default grid oracle only plan.at is left per point, which
-    costs less than a pool; --jobs then runs the sweep on one thread and
-    prints the same bytes as --jobs 1."""
+    """With the default grid oracle nothing is left per point but
+    arithmetic on the grid, which costs less than a pool; --jobs then runs
+    the sweep on one thread and prints the same bytes as --jobs 1."""
     import cwtasym.cli as cli
 
     pools = []

@@ -357,6 +357,21 @@ def test_convergence_order_validation():
         convergence_order([0.1, -0.2], [0.1, 0.2])
     with pytest.raises(ValueError):
         convergence_order([0.1, 0.2], [0.1, 0.2, 0.3])
+    # one abscissa: no slope through the points
+    with pytest.raises(ValueError, match="equal"):
+        convergence_order([0.1, 0.1, 0.1], [0.1, 0.2, 0.3])
+
+
+def test_convergence_order_matches_polyfit():
+    """The closed-form slope is the least-squares fit's, to rounding."""
+    rng = np.random.default_rng(1107)
+    for _ in range(50):
+        k = int(rng.integers(2, 33))
+        a = np.exp(rng.uniform(math.log(1e-4), 0.0, k))
+        errs = (np.exp(rng.normal(0.0, 0.5, k)) * rng.uniform(0.1, 10.0)
+                * a ** rng.uniform(0.5, 6.0))
+        want = np.polyfit(np.log(a), np.log(errs), 1)[0]
+        assert abs(convergence_order(a, errs) - want) <= 1e-12 * abs(want)
 
 
 def test_parameter_validation():
@@ -425,6 +440,36 @@ def test_plan_terms_match_the_one_expression_form():
             want = (cs[s] * (m_plus + mirror_sign(s, 1) * m_minus)
                     * a ** (s + 1 - 0.5) / (2.0 * math.pi))
             assert terms[s] == want
+
+
+@pytest.mark.parametrize("domain", ["frequency", "time"])
+@pytest.mark.parametrize("n", [1, 4])
+def test_plan_terms_on_a_grid_match_at_bit_for_bit(domain, n):
+    """One array evaluation over a grid gives each dilation's terms, error
+    bounds and, summed along its row, partial sum with the bits of ``at``
+    and of the scalar product c_s (M+ + sigma M-) a^(s + offset), zero
+    coefficients (the Mexican hat's, the step's at s = 0) included."""
+    grid = np.geomspace(1e-3, 0.3, 16)
+    scale = 2.0 * math.pi if domain == "frequency" else 1.0
+    for sig_kind in SignalKind:
+        for wav_kind in WaveletKind:
+            plan = expansion_plan(make_signal(sig_kind), make_wavelet(wav_kind),
+                                  0.3, n, domain)
+            terms, errors = plan.terms(grid)
+            assert terms.shape == errors.shape == (grid.size, n)
+            sums = terms.sum(axis=1).tolist()
+            for i, a in enumerate(grid.tolist()):
+                res = plan.at(a)
+                assert terms[i].tobytes() == res.terms.tobytes()
+                assert errors[i].tobytes() == res.term_error_estimates.tobytes()
+                assert sums[i] == res.partial_sum
+                for s in range(n):
+                    power = a ** (s + plan.power_offset)
+                    assert terms[i, s] == plan.products[s] * power / scale
+                    assert errors[i, s] == (
+                        plan.product_errors[s] * power / scale)
+    with pytest.raises(ValueError, match="dilation"):
+        plan.terms([0.1, -0.1])
 
 
 def test_plan_is_read_only():

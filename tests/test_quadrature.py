@@ -247,6 +247,11 @@ def test_a_nan_value_is_never_retired_as_roundoff():
     res = integrate(f, (-5.0, 5.0))
     assert res.status not in ("tolerance", "roundoff")
     assert not res.converged
+    # bisection cannot remove a NaN: the first pass (8 panels of 15 nodes)
+    # is the last
+    assert res.status == "nonfinite"
+    assert res.n_evaluations == 120
+    assert worst_status("budget", "nonfinite") == "nonfinite"
 
 
 def test_conditioning_raises_the_roundoff_floor():
