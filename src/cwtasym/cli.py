@@ -583,6 +583,10 @@ def main(argv=None) -> int:
     except (MellinError, QuadratureError, SpecFunError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except OverflowError as exc:
+        # a term's power a**s past the float range, for a huge dilation
+        sys.stderr.write(f"error: floating-point overflow: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,9 +10,12 @@ transform identically (up to quadrature error), and the remainder can also
 be estimated empirically against the brute-force oracle.
 
 Each remainder integrates the Taylor tail of one factor (from
-``specfun.taylor_tail``) against the other in one whole-line quadrature:
-the time route over the wavelet's support or its truncated line, the
-frequency route over a truncated line.  When the signal transform decays
+``specfun.taylor_tail``) against the other in one quadrature whose first
+mesh is at its integrand's scale, so that one GK15 pass usually meets the
+target: the time route over the wavelet's support or its truncated line,
+the frequency route over a truncated line folded onto one half-line, as
+``cwt_fourier`` folds it, which keeps the remainder of a real signal
+against a real wavelet exactly real.  When the signal transform decays
 only algebraically (the two-sided exponential), the frequency remainder is
 a conditionally convergent Mellin-convolution tail, so
 ``remainder_frequency`` integrates only up to |w| = R, a radius past which
@@ -52,7 +55,8 @@ from .mellin import (
 )
 from .oracle import (
     _alg_tail,
-    _fourier_side_hints,
+    _fold_hints,
+    _fold_integrand,
     _side_coeffs,
     _split_radius,
     cwt_fourier,
@@ -80,6 +84,7 @@ from .wavelets import (
     psi_conj,
     psi_hat_tail_evaluator,
     small_u_coefficients,
+    time_panel_width,
     time_period,
 )
 
@@ -90,6 +95,10 @@ _LN2 = math.log(2.0)
 # Measured against 40-digit references over 0 < nu <= 60, the elementary
 # time moments are within 4.3 ulp (Mexican hat) and 1.8 ulp (Haar).
 _CLOSED_ULPS = 8.0
+# Least number of first panels over the folded frequency head [0, upper]:
+# the half period pi/|b| alone is 1,571 wide at b = 0.002, and such a mesh
+# bisects, while a fixed width cap of 1 doubles the Lorentzian's nodes.
+_HEAD_PANELS = 16
 
 
 class RemainderKind(Enum):
@@ -227,13 +236,24 @@ def remainder_frequency(
     where psi_tail is the wavelet transform less its first n Taylor terms
     c_s u^s and h(w) = e^{ibw} f_hat(w).
 
-    When the signal transform decays faster than algebraically, that is one
-    quadrature over (-cut, cut), with the tail bound of both sides.  When it
-    decays algebraically, the integral converges only in the Abel sense, and
-    the line is split at |w| = R >= cutover/a, past which h's inverse-power
+    The line is folded: with g(w) = psi_tail(a*w) h(w), one quadrature of
+    g(x) + g(-x) over [0, upper] covers both sides, with the oracle's fold
+    (``oracle._fold_integrand``).  For the real wavelets (the Mexican hat
+    and the step) against a real signal that is 2 Re g(x), one evaluation
+    per node, and the remainder is exactly real; for the modulated
+    Gaussian, g is evaluated once on the nodes and their mirrors.
+    The breakpoints are both sides' features (``oracle._fold_hints``) and
+    cutover/a, where psi_tail's series branch ends; the first panels are no
+    wider than the helper's half period of the phase, about pi/|b|, and
+    upper/16.
+
+    When the signal transform decays faster than algebraically, upper is the
+    cut of both sides, with their tail bound.  When it decays
+    algebraically, the integral converges only in the Abel sense, and the
+    line is split at upper = R >= cutover/a, past which h's inverse-power
     series converges:
 
-    * the head, int_{-R}^{R} psi_tail(a*w) h(w) dw, by one quadrature;
+    * the head, int_{-R}^{R} psi_tail(a*w) h(w) dw, by the folded quadrature;
     * on each side sign = +-1, the polynomial tail,
       -sum_s c_s (sign*a)^s int_R^inf v^s h(sign*v) dv, from the series in
       closed-form oscillatory power integrals;
@@ -274,30 +294,38 @@ def remainder_frequency(
         upper = min(upper, TRUNCATION_RADIUS)
         tail_bound = 2.0 * per_side
 
-    def integrand(w):
-        w = np.asarray(w, dtype=float)
+    # psi_tail keeps the transform's symmetry through its Taylor
+    # coefficients, so the real wavelets' fold of g is 2 Re g as well.
+    def g(w):
         return psi_tail(a * w) * h_eval(h, w)
 
-    # each side's features, mirrored onto w < 0 for the minus side
-    breakpoints, width = _fourier_side_hints(wavelet, 1, a, b)
-    mirrored, _ = _fourier_side_hints(wavelet, -1, a, b)
-    breakpoints += [-p for p in mirrored] + [0.0, cutover / a, -cutover / a]
+    breakpoints, width = _fold_hints(wavelet, a, b)
+    breakpoints.append(cutover / a)
+    cap = upper / _HEAD_PANELS
     head = integrate(
-        integrand,
-        (-upper, upper),
+        _fold_integrand(g, wavelet),
+        (0.0, upper),
         cfg,
         breakpoints=breakpoints,
-        panel_width=width,
+        panel_width=cap if width is None else min(width, cap),
         tail_bound=tail_bound,
     )
     root_a = math.sqrt(a)
     return root_a * (head.value + tails), root_a * (head.abs_error_estimate + err)
 
 
-def _half_period(wavelet: WaveletSpec) -> Optional[float]:
-    """Half the wavelet's time-domain period; None if it does not oscillate."""
+def _time_route_panel_width(wavelet: WaveletSpec) -> Optional[float]:
+    """Widest first panel of the time route's remainder and its moment
+    reference, in wavelet coordinates.
+
+    Half the period for the modulated Gaussian: the Taylor tail, or
+    t^(nu-1), times the wavelet converges in about one pass on it, and the
+    finer ``time_panel_width`` adds nodes.  Otherwise ``time_panel_width``:
+    unit panels for the Mexican hat, and None for the step wavelet, whose
+    mesh is its support.
+    """
     period = time_period(wavelet)
-    return None if period is None else 0.5 * period
+    return time_panel_width(wavelet) if period is None else 0.5 * period
 
 
 def _time_moment_quadrature(
@@ -318,9 +346,10 @@ def _time_moment_quadrature(
         _, c_w, rate = wavelet.time_envelope
         cut, bound = power_gauss_cut(c_w, nu - 1.0, rate, 0.5 * cfg.abs_tol)
         upper = min(cut, TRUNCATION_RADIUS)
-        # Half-period panels, not ``time_panel_width``: t^(nu-1) times the
-        # wavelet converges in about one pass on them already.
-        hints = {"panel_width": _half_period(wavelet), "tail_bound": bound}
+        hints = {
+            "panel_width": _time_route_panel_width(wavelet),
+            "tail_bound": bound,
+        }
     res = integrate(
         integrand,
         (0.0, upper),
@@ -414,10 +443,12 @@ def _remainder_time(
     sqrt(a) * int f_tail(a*s) conj(psi)(s) ds, one quadrature over the
     wavelet's support, or over (-cut, cut) with the tail bound of both
     sides, with breakpoints where the series branch of f_tail ends and at
-    the signal's kinks.  Each evaluation of f at a rounded argument carries
-    the relative error of ``f_time_conditioning``, which the quadrature
-    counts in its roundoff floors; it matters where f is steep in units of
-    its time scale.
+    the signal's kinks, and first panels from ``_time_route_panel_width``
+    (half a period for the modulated Gaussian, unit for the Mexican hat),
+    on which one GK15 pass usually meets the target.  Each evaluation of f
+    at a rounded argument carries the relative error of
+    ``f_time_conditioning``, which the quadrature counts in its roundoff
+    floors; it matters where f is steep in units of its time scale.
     """
     f_tail, cutover, series_err = _taylor_remainder_factory(signal, b, n)
 
@@ -443,10 +474,7 @@ def _remainder_time(
         (lo, hi),
         cfg,
         breakpoints=breakpoints,
-        # Half-period panels, not ``time_panel_width``: the Taylor tail is
-        # small and converges in about one pass on them already, and the
-        # finer mesh would add nodes.
-        panel_width=_half_period(wavelet),
+        panel_width=_time_route_panel_width(wavelet),
         tail_bound=tail_bound,
         conditioning=_steep_conditioning(signal, b, a, lo, hi),
     )

@@ -30,8 +30,9 @@ The truncation bound, the horizontal-line bound and every quadrature's
 estimate are added to the result's error estimate, and the quadratures'
 counts and worst status are carried into it.  The frequency-domain
 remainder (``expansion.remainder_frequency``) takes its radius by the same
-rule and its tails from the same engine, with one head quadrature over
-(-R, R) for both sides.
+rule, its tails from the same engine, and its fold and breakpoints from the
+same helpers (``_fold_integrand``, ``_fold_hints``), with one folded head
+quadrature over [0, R] for both sides.
 """
 
 from __future__ import annotations
@@ -205,6 +206,41 @@ def _fourier_side_hints(wavelet: WaveletSpec, sign: int, a: float, b: float):
     osc = abs(b) + (a if wavelet.kind == WaveletKind.Haar else 0.0)
     width = math.pi / osc if osc > 0.0 else None
     return breakpoints, width
+
+
+def _fold_hints(wavelet: WaveletSpec, a: float, b: float):
+    """Panel breakpoints and widest first panel for a folded integrand
+    g(x) + g(-x), x >= 0: both sides' features from ``_fourier_side_hints``
+    as distances from 0, and their common panel width (both sides have the
+    period of e^{ibw}).  Callers add their own extra breakpoints to the
+    returned list."""
+    breakpoints, width = _fourier_side_hints(wavelet, 1, a, b)
+    mirrored, _ = _fourier_side_hints(wavelet, -1, a, b)
+    return breakpoints + mirrored, width
+
+
+def _fold_integrand(g, wavelet: WaveletSpec):
+    """The folded integrand g(x) + g(-x), x >= 0, of a line integral of g.
+
+    The modulated Gaussian's g is evaluated once on the nodes and their
+    mirrors: one call on 2N nodes costs less than two on N, and the sums
+    are the same bits.  For the real wavelets (the Mexican hat and the
+    step) against a real signal, g(-x) is conj(g(x)), so the pair is
+    2 Re g(x), exactly real, from one evaluation per node.
+    """
+    if wavelet.kind == WaveletKind.Morlet:
+
+        def integrand(x):
+            x = np.asarray(x, dtype=float)
+            both = g(np.concatenate((x, -x)))
+            return both[:x.size] + both[x.size:]
+
+    else:
+
+        def integrand(x):
+            return 2.0 * g(np.asarray(x, dtype=float)).real
+
+    return integrand
 
 
 def _gauss_wavelet_cut(
@@ -507,33 +543,20 @@ def cwt_fourier(
     def g(w):
         return np.exp(1j * b * w) * f_freq(w) * psi_hat_conj(wavelet, a * w)
 
-    if wavelet.kind == WaveletKind.Morlet:
-
-        def integrand(x):
-            x = np.asarray(x, dtype=float)
-            return g(x) + g(-x)
-
-    else:
-        # A real signal against a real wavelet: g(-x) is conj(g(x)), bit
-        # for bit, so the pair is 2 Re g(x) from one evaluation per node.
-        def integrand(x):
-            return 2.0 * g(np.asarray(x, dtype=float)).real
-
     # (cut radius, tail bound beyond any radius) from each decay bound
     delta = 0.5 * cfg.abs_tol
     kind, c_f, p_f = signal.freq_envelope
     env_f = (kind, c_f * wavelet.hat_sup, p_f)
     signal_cut = (_cut_radius(env_f, delta), lambda u: _envelope_tail_bound(env_f, u))
-    breakpoints = [0.5 / a] if wavelet.kind == WaveletKind.MexicanHat else []
+    breakpoints, width = _fold_hints(wavelet, a, b)
+    if wavelet.kind == WaveletKind.MexicanHat:
+        breakpoints.append(0.5 / a)
     reach, tail_bound, tails = 0.0, 0.0, []
     for sign in (1, -1):
         cuts = [signal_cut]
         if wavelet.kind != WaveletKind.Haar:
             cuts.append(_gauss_wavelet_cut(wavelet, sign, a, signal.sup_freq, delta))
         cut = min(min(c for c, _ in cuts), TRUNCATION_RADIUS)
-        # both sides have the period of e^{ibw}
-        hints, width = _fourier_side_hints(wavelet, sign, a, b)
-        breakpoints += hints
         if split is not None and split[0] < cut:
             tails.append(_alg_tail(signal, wavelet, sign, a, b, split[0], cfg))
         else:
@@ -541,7 +564,7 @@ def cwt_fourier(
             tail_bound += min(t(cut) for _, t in cuts)
 
     head = integrate(
-        integrand,
+        _fold_integrand(g, wavelet),
         (0.0, split[0] if tails else reach),
         cfg,
         breakpoints=breakpoints,

@@ -432,6 +432,19 @@ def test_invalid_flag_values_exit_2(argv, config, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["expand", "--a", "1e150", "--n", "4"],
+    ["expand", "--a", "1e150", "--n", "4", "--remainder", "integral_m0"],
+    ["sweep", "--a-min", "1e100", "--a-max", "1e200"],
+], ids=["expand", "expand-remainder", "sweep"])
+def test_huge_dilation_overflow_exits_1(argv, capsys):
+    """a**s past the float range ends in one error line, not a traceback."""
+    code = main([*argv, "--signal", "lorentzian", "--wavelet", "morlet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("method", ["tail", "auto"])
 def test_divergent_moment_exits_1(method, capsys):
     code = main(["mellin", "--signal", "two_sided_exp", "--b", "0",

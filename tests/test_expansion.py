@@ -1,5 +1,6 @@
 """Small-dilation expansions: terms, exact remainders, measured orders."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,11 +20,18 @@ from cwtasym.expansion import (
 from cwtasym.mellin import MellinMethod, mellin_transform
 from cwtasym.oracle import _haar_alg_tail, cwt_fourier, cwt_time
 from cwtasym.quadrature import QuadratureConfig, integrate
-from cwtasym.signals import SignalKind, make_h, make_signal, time_coefficients
+from cwtasym.signals import (
+    SignalKind,
+    h_eval,
+    make_h,
+    make_signal,
+    time_coefficients,
+)
 from cwtasym.wavelets import (
     WaveletKind,
     make_wavelet,
     psi_hat_conj,
+    psi_hat_tail_evaluator,
     small_u_coefficients,
 )
 from mellin_reference import two_sided_exp_moment as _two_sided_exp_moment
@@ -101,8 +109,9 @@ def test_frequency_remainder_reconstructs_transform(
 @pytest.mark.parametrize("wav_kind", list(WaveletKind))
 def test_each_remainder_is_one_head_quadrature(monkeypatch, domain, kind,
                                                wav_kind):
-    """The remainder integrates its Taylor tail over the whole line (or the
-    step wavelet's support) in one call, not once per half-line."""
+    """The remainder integrates its Taylor tail in one call, not once per
+    half-line: on the time route over the whole line (or the step wavelet's
+    support), on the frequency route over the line folded onto [0, upper]."""
     import cwtasym.expansion as expansion
 
     plan = expansion_plan(make_signal(kind), make_wavelet(wav_kind), 0.37, 4,
@@ -117,10 +126,116 @@ def test_each_remainder_is_one_head_quadrature(monkeypatch, domain, kind,
     plan.at(0.05, "integral_m0")
     assert len(domains) == 1
     lo, hi = domains[0]
-    if domain == "time" and wav_kind == WaveletKind.Haar:
+    if domain == "frequency":
+        assert lo == 0.0 < hi
+    elif wav_kind == WaveletKind.Haar:
         assert (lo, hi) == (0.0, 1.0)
     else:
         assert lo == -hi < 0.0
+
+
+def _spy_head(monkeypatch):
+    """Record, for each ``expansion.integrate`` call, its integrand and the
+    nodes the quadrature evaluated it at."""
+    import cwtasym.expansion as expansion
+
+    calls = []
+
+    def spy(integrand, *args, **kwargs):
+        nodes = []
+
+        def recorded(x):
+            nodes.append(np.array(x))
+            return integrand(x)
+
+        calls.append((integrand, nodes))
+        return integrate(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(expansion, "integrate", spy)
+    return calls
+
+
+@pytest.mark.parametrize("wav_kind", [WaveletKind.MexicanHat, WaveletKind.Haar])
+@pytest.mark.parametrize("kind", list(SignalKind))
+def test_real_pair_frequency_remainders_are_exactly_real(monkeypatch, kind,
+                                                         wav_kind):
+    """A real signal against a real wavelet has a real remainder: the fold
+    integrates 2 Re g(x), which is g(x) + g(-x) at every node up to the
+    rounding of the Taylor tail's power x**n, and the two Abel tails of the
+    two-sided exponential are conjugates."""
+    sig = make_signal(kind)
+    wav = make_wavelet(wav_kind)
+    calls = _spy_head(monkeypatch)
+    for b in (0.37, -1.3):
+        h = make_h(sig, b)
+        for n in (2, 4):
+            plan = expansion_plan(sig, wav, b, n)
+            psi_tail = psi_hat_tail_evaluator(wav, n)[0]
+            for a in (0.01, 0.2):
+                calls.clear()
+                res = plan.at(a, "integral_m0")
+                assert res.remainder_estimate.imag == 0.0, (b, n, a)
+                (integrand, nodes), = calls
+                x = np.concatenate(nodes)
+                g_plus = psi_tail(a * x) * h_eval(h, x)
+                g_minus = psi_tail(-a * x) * h_eval(h, -x)
+                pair = g_plus + g_minus
+                slack = 4.0 * np.finfo(float).eps * (abs(g_plus) + abs(g_minus))
+                assert (abs(integrand(x) - pair) <= slack).all()
+
+
+@pytest.mark.parametrize("kind", list(SignalKind))
+def test_folded_morlet_remainder_is_the_pair_bit_for_bit(monkeypatch, kind):
+    """The modulated Gaussian's fold evaluates g once on the nodes and their
+    mirrors; node by node its sum is g(x) + g(-x) from two separate calls."""
+    sig = make_signal(kind)
+    wav = make_wavelet(WaveletKind.Morlet)
+    calls = _spy_head(monkeypatch)
+    for a, b, n in ((0.01, 0.37, 4), (0.2, -1.3, 2), (0.05, 0.002, 3)):
+        calls.clear()
+        remainder_frequency(sig, wav, a, b, n)
+        h = make_h(sig, b)
+        psi_tail = psi_hat_tail_evaluator(wav, n)[0]
+
+        def g(w):
+            return psi_tail(a * w) * h_eval(h, w)
+
+        (integrand, nodes), = calls
+        x = np.concatenate(nodes)
+        assert x.min() >= 0.0
+        got = np.asarray(integrand(x), dtype=complex)
+        assert got.tobytes() == (g(x) + g(-x)).tobytes()
+
+
+@pytest.mark.parametrize("domain,kind,wav_kind", [
+    ("time", kind, WaveletKind.MexicanHat) for kind in SignalKind
+] + [
+    ("frequency", kind, wav_kind)
+    for kind in (SignalKind.Lorentzian, SignalKind.Gaussian)
+    for wav_kind in WaveletKind
+])
+def test_each_remainder_head_takes_one_gk15_batch(domain, kind, wav_kind):
+    """The head's first mesh is at its integrand's scale, so one GK15 pass
+    meets the target: the signal is evaluated in one batch.  At b = 0.002
+    the half period pi/|b| alone would leave panels 1,571 wide."""
+    base = make_signal(kind)
+    name = "f_time" if domain == "time" else "f_freq"
+    evaluate = getattr(base, name)
+    batches = []
+
+    def counted(x):
+        batches.append(1)
+        return evaluate(x)
+
+    sig = dataclasses.replace(base, **{name: counted})
+    wav = make_wavelet(wav_kind)
+    for b in (0.002, 0.37, -1.3, 1.95):
+        for n in (2, 4):
+            plan = expansion_plan(sig, wav, b, n, domain)
+            for a in (0.01, 0.05, 0.3):
+                batches.clear()
+                plan.at(a, "integral_m0")
+                assert len(batches) == 1, (b, n, a)
 
 
 @pytest.mark.parametrize("b", [0.05, -1.3, 1.95])
