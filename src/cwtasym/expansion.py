@@ -28,7 +28,10 @@ None of the coefficients or moments depends on the dilation a, so
 ``expansion_plan`` computes them once; ``ExpansionPlan.terms`` evaluates the
 terms at a whole grid of dilations in one array product, and
 ``ExpansionPlan.at`` the expansion at one dilation from the same formula.
-That is the one way to build an expansion.  The frequency route takes its
+That is the one way to build an expansion.  Each term pairs a
+coefficient with a moment M+ and its mirror M-; wherever conjugate
+symmetry makes M- the conjugate of M+ (``oracle._real_wavelet``), the
+plan conjugates instead of computing it.  The frequency route takes its
 Mellin moments in closed form, falling back to
 ``mellin_transform``'s ``"auto"`` choice (quadrature or the split tail)
 where the closed form does not apply or its own estimate misses the
@@ -55,8 +58,10 @@ from .mellin import (
 )
 from .oracle import (
     _alg_tail,
+    _conjugate_time_mirror,
     _fold_hints,
     _fold_integrand,
+    _real_wavelet,
     _side_coeffs,
     _split_radius,
     cwt_fourier,
@@ -89,6 +94,7 @@ from .wavelets import (
 )
 
 _TWO_PI = 2.0 * math.pi
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TAIL_CUTOVER = 0.25
 _EPS = 2.220446049250313e-16
 _LN2 = math.log(2.0)
@@ -262,6 +268,9 @@ def remainder_frequency(
       the oracle's analytic-tail engine (``oracle._alg_tail``): closed form
       for the step wavelet, a steepest-descent ray for the Gaussian ones.
 
+    For the real wavelets the - side's two tails are the conjugate of the
+    + side's (``oracle._real_wavelet``), so only the + side is computed.
+
     R is doubled from there until the bound on truncating the series (in
     both tails) is below half the absolute tolerance; that bound is part of
     the returned error estimate, as is the bound on truncating psi_tail's
@@ -281,9 +290,12 @@ def remainder_frequency(
         upper, truncation = _split_radius(signal, weights, cutover / a, cfg)
         tail_bound = 0.0
         for sign in (1, -1):
-            value, side_err = _analytic_tail_side(
-                signal, wavelet, cs, sign, a, b, upper, cfg
-            )
+            if sign < 0 and _real_wavelet(wavelet):
+                value = value.conjugate()  # with the + side's error
+            else:
+                value, side_err = _analytic_tail_side(
+                    signal, wavelet, cs, sign, a, b, upper, cfg
+                )
             tails += value
             err += side_err + truncation
     else:
@@ -410,12 +422,14 @@ def _taylor_remainder_factory(signal: SignalSpec, b: float, n: int):
 
 
 def _abs_integral_bound(wavelet: WaveletSpec) -> float:
-    """An upper bound on the integral of |psi(t)| over the real line."""
-    if wavelet.time_support is not None:
-        lo, hi = wavelet.time_support
-        return hi - lo  # the step wavelet takes only the values 0 and +-1
-    _, c_w, rate = wavelet.time_envelope
-    return c_w * math.sqrt(math.pi / rate)
+    """The integral of |psi(t)| over the real line, exactly: sqrt(2*pi) for
+    the modulated Gaussian, 4/sqrt(e) for the Mexican hat (the antiderivative
+    of (1 - t^2) e^{-t^2/2} is t e^{-t^2/2}), 1 for the step wavelet."""
+    if wavelet.kind == WaveletKind.Morlet:
+        return _SQRT_2PI
+    if wavelet.kind == WaveletKind.MexicanHat:
+        return 4.0 / math.sqrt(math.e)
+    return 1.0
 
 
 def _steep_conditioning(
@@ -596,6 +610,13 @@ def expansion_plan(
     the parabolic cylinder series' range.  ``domain="time"`` pairs the
     signal's Taylor coefficients at b with one-sided wavelet moments in
     closed form (every built-in wavelet has one).
+
+    Each mirror moment is the conjugate of its plus moment, with the same
+    estimate, wherever conjugate symmetry gives it (``oracle._real_wavelet``):
+    on the frequency route for every signal, since z = s + lam is real, and
+    on the time route for the Gaussian wavelets.  So a plan takes one
+    moment per nonzero coefficient; the step wavelet's mirror time moment
+    is its own, 0.
     """
     if n < 1:
         raise ValueError("need at least one expansion term")
@@ -619,6 +640,8 @@ def expansion_plan(
                 m = mellin_transform(h, s + lam, "auto", cfg, mirror=mirror)
             return m.value, m.abs_error_estimate
 
+        # h(-u) = conj(h(u)) and z is real
+        conjugate_mirror = True
         power_offset, remainder_scale = lam - 0.5, 1.0 / _TWO_PI
     elif domain == "time":
         cs = time_coefficients(signal, b, n)
@@ -626,6 +649,7 @@ def expansion_plan(
         def moment(s, mirror):
             return _time_moment_closed(wavelet, float(s + 1), mirror)
 
+        conjugate_mirror = _conjugate_time_mirror(wavelet)
         power_offset, remainder_scale = 0.5, 1.0
     else:
         raise ValueError(
@@ -639,7 +663,10 @@ def expansion_plan(
         if c == 0.0:
             continue
         m_plus, e_plus = moment(s, False)
-        m_minus, e_minus = moment(s, True)
+        if conjugate_mirror:
+            m_minus, e_minus = m_plus.conjugate(), e_plus
+        else:
+            m_minus, e_minus = moment(s, True)
         # on the time route this equals (-1)**(s+lam-1), the same factor
         msign = mirror_sign(s, lam)
         products[s] = c * (m_plus + msign * m_minus)

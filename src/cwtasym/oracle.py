@@ -26,18 +26,21 @@ engine ``_alg_tail`` integrates the series against the wavelet:
   along the real axis up to the Gaussian cut instead; where that cut is
   below R the side is not split, and the fold covers it up to the cut.
 
-The truncation bound, the horizontal-line bound and every quadrature's
-estimate are added to the result's error estimate, and the quadratures'
-counts and worst status are carried into it.  The frequency-domain
-remainder (``expansion.remainder_frequency``) takes its radius by the same
-rule, its tails from the same engine, and its fold and breakpoints from the
-same helpers (``_fold_integrand``, ``_fold_hints``), with one folded head
-quadrature over [0, R] for both sides.
+A real wavelet's - side tail is the conjugate of its + side's, so only
+the + side's is computed (``_real_wavelet`` states where conjugate
+symmetry holds).  The truncation bound, the horizontal-line bound and
+every quadrature's estimate are added to the result's error estimate, and
+the quadratures' counts and worst status are carried into it.  The
+frequency-domain remainder (``expansion.remainder_frequency``) takes its
+radius by the same rule, its tails from the same engine, and its fold and
+breakpoints from the same helpers (``_fold_integrand``, ``_fold_hints``),
+with one folded head quadrature over [0, R] for both sides.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from typing import Optional, Sequence, Union
 
@@ -219,16 +222,46 @@ def _fold_hints(wavelet: WaveletSpec, a: float, b: float):
     return breakpoints + mirrored, width
 
 
+def _real_wavelet(wavelet: WaveletSpec) -> bool:
+    """Whether psi is real (the Mexican hat, the step), so that
+    psi_hat(-u) = conj(psi_hat(u)) on the real line.
+
+    Where conjugate symmetry holds, the one place it is stated.  Every
+    built-in signal is real and even, so f_hat is real and
+    h(-u) = e^{-ibu} f_hat(u) = conj(h(u)).  Hence:
+
+    * a mirror Mellin moment of h at real z is the conjugate of its plus
+      moment (the frequency route of ``expansion.expansion_plan``);
+    * a Gaussian wavelet (the modulated Gaussian, the Mexican hat) has
+      psi(-t) = conj(psi(t)), so its mirror time moment at real nu is the
+      conjugate of its plus moment (``_conjugate_time_mirror``); the step
+      wavelet's mirror moment is 0;
+    * against a real wavelet, the Fourier integrand has g(-w) = conj(g(w)),
+      and so has the remainder's, whose Taylor tail inherits the symmetry
+      through its coefficients: the fold is 2 Re g (``_fold_integrand``),
+      and a split line's - side Abel tail is the conjugate of its + side's
+      (``cwt_fourier``, ``expansion.remainder_frequency``).
+    """
+    return wavelet.kind != WaveletKind.Morlet
+
+
+def _conjugate_time_mirror(wavelet: WaveletSpec) -> bool:
+    """Whether the wavelet's mirror time moment is the conjugate of its
+    plus moment: psi(-t) = conj(psi(t)), the Gaussian wavelets (see
+    ``_real_wavelet``)."""
+    return wavelet.kind != WaveletKind.Haar
+
+
 def _fold_integrand(g, wavelet: WaveletSpec):
     """The folded integrand g(x) + g(-x), x >= 0, of a line integral of g.
 
     The modulated Gaussian's g is evaluated once on the nodes and their
     mirrors: one call on 2N nodes costs less than two on N, and the sums
     are the same bits.  For the real wavelets (the Mexican hat and the
-    step) against a real signal, g(-x) is conj(g(x)), so the pair is
-    2 Re g(x), exactly real, from one evaluation per node.
+    step) against a real signal, g(-x) is conj(g(x)) (``_real_wavelet``),
+    so the pair is 2 Re g(x), exactly real, from one evaluation per node.
     """
-    if wavelet.kind == WaveletKind.Morlet:
+    if not _real_wavelet(wavelet):
 
         def integrand(x):
             x = np.asarray(x, dtype=float)
@@ -528,7 +561,10 @@ def cwt_fourier(
     ``_split_radius`` is split there instead: the fold covers it up to R,
     the analytic tail (``_alg_tail``) above, and the series' truncation
     bound joins the error estimate.  L is R where a side is split (the
-    other side's cut is then at most R), otherwise the larger cut.
+    other side's cut is then at most R), otherwise the larger cut.  A real
+    wavelet's sides have equal cuts, so both are split or neither, and its
+    - side's tail is the conjugate of its + side's (``_real_wavelet``):
+    one analytic tail, whose counts the result carries once.
     """
     if not a > 0.0:
         raise ValueError("the dilation parameter must be positive")
@@ -558,7 +594,15 @@ def cwt_fourier(
             cuts.append(_gauss_wavelet_cut(wavelet, sign, a, signal.sup_freq, delta))
         cut = min(min(c for c, _ in cuts), TRUNCATION_RADIUS)
         if split is not None and split[0] < cut:
-            tails.append(_alg_tail(signal, wavelet, sign, a, b, split[0], cfg))
+            if tails and _real_wavelet(wavelet):
+                # both sides' cuts are equal; the - side's tail mirrors the
+                # + side's and costs no evaluation
+                plus = tails[0]
+                tails.append(dataclasses.replace(
+                    plus, value=plus.value.conjugate(), n_evaluations=0, n_panels=0
+                ))
+            else:
+                tails.append(_alg_tail(signal, wavelet, sign, a, b, split[0], cfg))
         else:
             reach = max(reach, cut)
             tail_bound += min(t(cut) for _, t in cuts)

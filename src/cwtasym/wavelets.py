@@ -64,6 +64,17 @@ class CoefficientTable:
 
 
 def make_wavelet(kind: WaveletKind, u0: float = 5.0) -> WaveletSpec:
+    """The built-in wavelet of ``kind`` (``u0``: the modulated Gaussian's
+    centre frequency).
+
+    ``time_envelope`` ("gauss", C, rate) bounds |psi(t)| by C e^{-rate t^2}:
+    e^{-t^2/4} for the modulated Gaussian, whose |psi| is e^{-t^2/2}, and
+    7 e^{-0.45 t^2} for the Mexican hat, |1 - t^2| e^{-t^2/2}.  The step
+    wavelet has a support instead.  Both Gaussian wavelets satisfy
+    psi(-t) = conj(psi(t)), and the Mexican hat and the step are real, so
+    half of each pair of mirrored moments or tails is the conjugate of the
+    other (``oracle._real_wavelet``).
+    """
     if kind == WaveletKind.Morlet:
         if not u0 > 0.0:
             raise ValueError(f"the modulated-Gaussian wavelet needs u0 > 0, got {u0!r}")
@@ -81,7 +92,8 @@ def make_wavelet(kind: WaveletKind, u0: float = 5.0) -> WaveletSpec:
             u0=0.0,
             lam=1,
             hat_sup=_SQRT_2PI * 2.0 / math.e,
-            time_envelope=("gauss", 2.0, 0.25),
+            # max over x >= 0 of |1 - x| e^{-0.05 x} is 20 e^{-1.05} < 7
+            time_envelope=("gauss", 7.0, 0.45),
             time_support=None,
         )
     if kind == WaveletKind.Haar:

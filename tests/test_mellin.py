@@ -259,3 +259,65 @@ def test_value_container_fields():
     assert isinstance(res, MellinValue)
     assert res.abs_error_estimate >= 0.0
     assert cmath.isfinite(res.value)
+
+
+_SCALINGS = [(1.0, 1.0), (-2.0, 0.2), (0.5, 3.0)]
+_OFFSETS = [-1.7, -0.3, 1e-3, 0.6, 1.9]
+
+
+@pytest.mark.parametrize("amplitude,scale", _SCALINGS)
+@pytest.mark.parametrize("kind", list(SignalKind))
+def test_closed_form_mirror_is_the_conjugate(kind, amplitude, scale):
+    """Every built-in signal is real and even, so h(-u) = conj(h(u)) and at
+    real z the mirror moment is the plus moment's conjugate: the closed
+    forms give it exactly, with the same estimate, which is why
+    ``expansion_plan`` takes the mirror by conjugation."""
+    sig = make_signal(kind, amplitude, scale)
+    for b in _OFFSETS:
+        h = make_h(sig, b)
+        for z in range(1, 6):
+            plus = mellin_transform(h, z, MellinMethod.ClosedForm)
+            minus = mellin_transform(h, z, MellinMethod.ClosedForm, mirror=True)
+            assert minus.value == plus.value.conjugate(), (b, z)
+            assert minus.abs_error_estimate == plus.abs_error_estimate, (b, z)
+
+
+@pytest.mark.parametrize("amplitude,scale", _SCALINGS)
+@pytest.mark.parametrize("kind", list(SignalKind))
+def test_numeric_mirror_is_the_conjugate(kind, amplitude, scale):
+    """The same identity for the quadrature routes ``"auto"`` picks (the
+    split tail for the two-sided exponential, direct quadrature otherwise):
+    within the summed estimates."""
+    sig = make_signal(kind, amplitude, scale)
+    for b in _OFFSETS:
+        h = make_h(sig, b)
+        for z in range(1, 6):
+            plus = mellin_transform(h, z)
+            minus = mellin_transform(h, z, mirror=True)
+            budget = plus.abs_error_estimate + minus.abs_error_estimate
+            assert abs(minus.value - plus.value.conjugate()) <= budget, (b, z)
+
+
+@pytest.mark.parametrize("kind,scale,b", [
+    (SignalKind.TwoSidedExp, 1.0, 1e-4),  # where the closed form cancels
+    (SignalKind.Gaussian, 0.03, 1.9),  # past the closed form's range
+])
+def test_fallback_mirror_is_the_conjugate(kind, scale, b):
+    """The two cases where ``expansion_plan`` falls back to ``"auto"``."""
+    h = make_h(make_signal(kind, 1.0, scale), b)
+    for z in range(1, 6):
+        plus = mellin_transform(h, z)
+        minus = mellin_transform(h, z, mirror=True)
+        budget = plus.abs_error_estimate + minus.abs_error_estimate
+        assert abs(minus.value - plus.value.conjugate()) <= budget, z
+
+
+@pytest.mark.parametrize("u0", [2.0, 5.0])
+def test_morlet_time_mirror_is_the_conjugate(u0):
+    """psi(-t) = conj(psi(t)) for the modulated Gaussian: its two one-sided
+    time moments at real nu are conjugates, bit for bit."""
+    for nu in range(1, 6):
+        plus = mellin_morlet_time(nu, u0, -1)
+        minus = mellin_morlet_time(nu, u0, 1)
+        assert minus.value == plus.value.conjugate(), nu
+        assert minus.abs_error_estimate == plus.abs_error_estimate, nu

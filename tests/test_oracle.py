@@ -456,3 +456,37 @@ def test_real_transforms_stay_exactly_real(monkeypatch, kind, amplitude, time_sc
                 x = np.concatenate(nodes)
                 got = np.asarray(integrand(x), dtype=complex)
                 assert got.tobytes() == (g(x) + g(-x)).tobytes()
+
+
+@pytest.mark.parametrize("a,b", [(0.05, 0.6), (0.01, -1.3), (0.02, 1.95)])
+def test_real_wavelet_split_takes_one_tail(monkeypatch, a, b):
+    """A real wavelet's - side tail past the split radius is the conjugate
+    of its + side's: the Mexican hat runs one ray quadrature, not two, and
+    the step wavelet takes one incomplete Gamma per phase, three, not six.
+    The result counts only the evaluations made, and each value stays
+    within the summed estimates of the time route."""
+    sig = make_signal(SignalKind.TwoSidedExp)
+    runs, gammas = [], []
+    real_integrate, real_gamma = oracle.integrate, specfun.upper_incomplete_gamma
+
+    def counting(*args, **kwargs):
+        res = real_integrate(*args, **kwargs)
+        runs.append(res)
+        return res
+
+    def counting_gamma(s, x):
+        gammas.append(s)
+        return real_gamma(s, x)
+
+    monkeypatch.setattr(oracle, "integrate", counting)
+    monkeypatch.setattr(specfun, "upper_incomplete_gamma", counting_gamma)
+    for name, quadratures, incomplete in (("mexhat", 2, 0), ("haar", 1, 3)):
+        runs.clear()
+        gammas.clear()
+        wav = _WAVELETS[name]
+        res = cwt_fourier(sig, wav, a, b)
+        assert (len(runs), len(gammas)) == (quadratures, incomplete), name
+        assert res.n_evaluations == sum(r.n_evaluations for r in runs)
+        ref = cwt_time(sig, wav, a, b)
+        budget = res.abs_error_estimate + ref.abs_error_estimate
+        assert abs(res.value - ref.value) <= budget, name

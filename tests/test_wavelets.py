@@ -107,6 +107,20 @@ def test_transform_of_real_arguments_in_real_arithmetic(spec):
     assert np.max(np.abs(got - reference)) <= 2.0 * np.spacing(spec.hat_sup)
 
 
+@pytest.mark.parametrize("spec", _specs()[:3], ids=lambda s: f"{s.kind.value}-u0={s.u0:g}")
+def test_time_envelope_bounds_the_wavelet(spec):
+    """|psi(t)| <= C e^{-rate t^2} on a fine grid; the Mexican hat's
+    7 e^{-0.45 t^2} is tight to 2e-4 at t^2 = 21, where |1 - t^2| e^{-t^2/2}
+    over e^{-0.45 t^2} peaks at 20 e^{-1.05} = 6.9988."""
+    kind, c, rate = spec.time_envelope
+    assert kind == "gauss"
+    t = np.linspace(-12.0, 12.0, 240_001)
+    ratio = np.abs(psi_conj(spec, t)) / (c * np.exp(-rate * t * t))
+    assert ratio.max() <= 1.0
+    if spec.kind == WaveletKind.MexicanHat:
+        assert ratio.max() > 1.0 - 2e-4
+
+
 def test_step_wavelet_time_values():
     haar = make_wavelet(WaveletKind.Haar)
     got = psi_conj(haar, np.array([0.0, 0.5, 1.0, -0.1]))
