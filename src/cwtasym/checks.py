@@ -177,15 +177,18 @@ def _check_mellin_method_agreement():
     cfg = QuadratureConfig()
     sig = make_signal(SignalKind.TwoSidedExp)
     h = make_h(sig, 2.0)
-    methods = (MellinMethod.SplitTailAnalytic, MellinMethod.ClosedForm)
-    worst = 0.0
+    worst, routes = 0.0, set()
     for z in (1.5, 2.5):
         for mirror in (False, True):
-            v1, v2 = (
-                mellin_transform(h, z, method, cfg, mirror=mirror).value
-                for method in methods
+            tail, closed = (
+                mellin_transform(h, z, method, cfg, mirror=mirror)
+                for method in ("auto", MellinMethod.ClosedForm)
             )
-            worst = max(worst, _rel(v1, v2))
+            routes.add(tail.method)
+            worst = max(worst, _rel(tail.value, closed.value))
+    if routes != {MellinMethod.SplitTailAnalytic}:
+        taken = ", ".join(sorted(r.value for r in routes))
+        return False, f"auto took {taken}, not the split tail"
     ok = worst <= 1e-6
     return ok, f"max relative disagreement = {worst:.3e}; tol 1e-6"
 

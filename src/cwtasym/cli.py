@@ -39,11 +39,12 @@ route (the default) takes its Mellin moments in closed form and falls back
 to ``mellin_transform``'s ``"auto"`` choice (quadrature or the split tail)
 where the closed form does not apply or misses its target, and the time
 route (``--domain time``) takes the wavelet moments in closed form.
-``mellin --mellin-method`` names one numeric strategy (``tail``, the
-analytic-tail split, or ``quad``, direct quadrature) or ``auto``, which
-picks between them by the signal's tail; the ``mellin_method_agreement``
-check compares the split tail with the closed form.  The argument parser
-is built once per process, on the first ``main`` call.
+``mellin`` prints ``mellin_transform``'s ``"auto"`` moment, whose route
+the signal's tail decides (the split tail for the two-sided exponential,
+direct quadrature otherwise) and whose ``method`` column names it; the
+``mellin_method_agreement`` check compares the split tail with the closed
+form.  The argument parser is built once per process, on the first
+``main`` call.
 """
 
 from __future__ import annotations
@@ -61,18 +62,12 @@ import numpy as np
 
 from .checks import available_checks, run_all
 from .expansion import convergence_order, expansion_plan
-from .mellin import MellinError, MellinMethod, mellin_transform
+from .mellin import MellinError, mellin_transform
 from .oracle import cwt_fourier, cwt_time
 from .quadrature import QuadratureConfig, QuadratureError
 from .signals import SignalKind, make_h, make_signal
 from .specfun import SpecFunError
 from .wavelets import WaveletKind, make_wavelet, small_u_coefficients
-
-_MELLIN_METHODS = {
-    "auto": "auto",
-    "tail": MellinMethod.SplitTailAnalytic,
-    "quad": MellinMethod.PureQuadrature,
-}
 
 
 @dataclass
@@ -90,7 +85,6 @@ class RunConfig:
     log: bool = False
     n: int = 3
     domain: str = "frequency"
-    mellin_method: str = "auto"
     oracle: str = "time"
     format: str = "csv"
     out: Optional[str] = None
@@ -266,8 +260,7 @@ def _cmd_mellin(rc: RunConfig) -> int:
     h = make_h(sig, rc.b)
     z = complex(rc.z)
     qcfg = _quad_config(rc)
-    method = _MELLIN_METHODS[rc.mellin_method]
-    res = mellin_transform(h, z, method, qcfg, mirror=rc.mirror)
+    res = mellin_transform(h, z, "auto", qcfg, mirror=rc.mirror)
     rows = [
         (
             _g(z.real),
@@ -507,8 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, point=False)
     p.add_argument("--z", help="complex exponent, e.g. '2' or '1.5+0.5j'")
     p.add_argument("--mirror", action="store_const", const=True)
-    p.add_argument("--mellin-method", dest="mellin_method",
-                   choices=sorted(_MELLIN_METHODS))
 
     p = sub.add_parser("expand", help="truncated expansion at one dilation")
     add_common(p)

@@ -1,22 +1,22 @@
 """Generalized (Abel-regularized) Mellin transform of the boundary function.
 
 M[h; z] = lim_{eps->0+} int_0^inf u^{z-1} h(u) e^{-eps u} du, with
-h(u) = e^{ibu} f_hat(u) and the mirror variant h(-u).  Three strategies:
+h(u) = e^{ibu} f_hat(u) and the mirror variant h(-u).  Two routes:
 
-* PureQuadrature — direct truncated quadrature, valid when the signal
-  transform decays faster than algebraically (the limit is trivial);
-* SplitTailAnalytic — quadrature on a head interval plus closed-form
-  oscillatory power tails from the signal's inverse-power expansion;
+* ``"auto"`` — the numeric route, chosen by the signal's transform tail:
+  direct truncated quadrature (PureQuadrature) when it decays faster than
+  algebraically, so the limit is trivial, and otherwise quadrature on a
+  head interval plus closed-form oscillatory power tails from its
+  inverse-power expansion (SplitTailAnalytic);
 * ClosedForm — exact values for every built-in and scaled signal: the
   Lorentzian and the Gaussian at any offset, the two-sided exponential at
   b = 0 and, by Gradshteyn-Ryzhik 3.383.10, at b != 0.
 
-Expansions take each moment from ClosedForm and fall back to the
-``"auto"`` choice of ``mellin_transform`` (direct quadrature or the
-analytic-tail split, by the signal's tail) where the closed form raises
+Each ``MellinValue`` names the route that ran.  Expansions take each moment
+from ClosedForm and fall back to ``"auto"`` where the closed form raises
 ``MellinError`` or its estimate misses the quadrature target.  ``"auto"``
-itself never picks ClosedForm, so ``cwtasym mellin`` and the validation
-checks still compare the numeric strategies against it.
+never picks ClosedForm, so ``cwtasym mellin`` and the validation checks
+compare the numeric route against it.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class MellinMethod(Enum):
 
 
 class MellinError(RuntimeError):
-    """Raised when a strategy does not apply or fails to converge."""
+    """Raised where no closed form applies or the moment's tail diverges."""
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,6 @@ class MellinValue:
     value: complex
     abs_error_estimate: float
     method: MellinMethod
-
-
-def _phase_rate(h: HSpec, mirror: bool) -> float:
-    """Oscillation rate of u^{1-z} * (the integrand) for large u."""
-    sgn = -1.0 if mirror else 1.0
-    return sgn * h.b
 
 
 def _cpow(x: np.ndarray, zm1: complex) -> np.ndarray:
@@ -96,11 +90,6 @@ def _integrand(h: HSpec, z: complex, mirror: bool):
 def _pure_quadrature(h, z, mirror, cfg) -> MellinValue:
     """The truncated integral with a cut from the transform's envelope."""
     sig = h.signal
-    if math.isfinite(sig.tail_beta):
-        raise MellinError(
-            "direct quadrature requires a faster-than-algebraic transform "
-            "tail; this signal's tail decays algebraically"
-        )
     sigma = z.real - 1.0
     kind, c_env, p_env = sig.freq_envelope
     delta = 0.5 * cfg.abs_tol
@@ -109,7 +98,7 @@ def _pure_quadrature(h, z, mirror, cfg) -> MellinValue:
     else:
         cut, bound = power_gauss_cut(c_env, sigma, p_env, delta)
     cut = min(cut, TRUNCATION_RADIUS)
-    rate = abs(_phase_rate(h, mirror))
+    rate = abs(h.b)  # of the phase e^{+-ibu}
     res = integrate(
         _integrand(h, z, mirror),
         (0.0, cut),
@@ -142,14 +131,9 @@ def _split_tail_analytic(h, z, mirror, cfg) -> MellinValue:
     """
     sig = h.signal
     beta = sig.tail_beta
-    if not math.isfinite(beta):
-        raise MellinError(
-            "the analytic tail needs algebraic tail data; this signal's "
-            "transform decays faster than algebraically (use direct quadrature)"
-        )
     coeffs = _side_coeffs(sig, -1 if mirror else 1)
     nonzero = [r for r, b_r in enumerate(coeffs) if b_r != 0.0]
-    rate = _phase_rate(h, mirror)
+    rate = -h.b if mirror else h.b  # of the phase e^{+-ibu}
     width = math.pi / abs(rate) if rate != 0.0 else None
 
     cut = max(10.0, 2.0 * abs(z))
@@ -185,7 +169,7 @@ def _split_tail_analytic(h, z, mirror, cfg) -> MellinValue:
     )
 
 
-def _closed_form(h, z, mirror, cfg) -> MellinValue:
+def _closed_form(h, z, mirror) -> MellinValue:
     """Exact moments.  A scaled signal A*f(t/sigma) has A*sigma^(1-z) times
     the built-in's moment at offset b/sigma (substitute v = sigma*u).
 
@@ -255,13 +239,6 @@ def _two_sided_exp_closed_form(z: complex, b: float):
     return val, abs(g.value) * err_inc + g.abs_error_estimate * size
 
 
-_STRATEGIES = {
-    MellinMethod.PureQuadrature: _pure_quadrature,
-    MellinMethod.SplitTailAnalytic: _split_tail_analytic,
-    MellinMethod.ClosedForm: _closed_form,
-}
-
-
 def mellin_transform(
     h: HSpec,
     z: complex,
@@ -271,21 +248,24 @@ def mellin_transform(
 ) -> MellinValue:
     """Regularized Mellin transform M[h; z] (or of the mirrored h(-u)).
 
-    ``method="auto"`` picks direct quadrature for rapidly decaying
-    transforms and the analytic-tail split otherwise.
+    ``method="auto"`` takes the analytic-tail split when the signal's
+    transform decays algebraically (finite ``tail_beta``) and direct
+    quadrature otherwise; ``MellinMethod.ClosedForm`` takes the closed form.
+    The result's ``method`` names the route that ran.
     """
     z = complex(z)
     if z.real <= 0.0:
         raise ValueError(f"the transform needs Re(z) > 0, got z={z}")
+    if method == MellinMethod.ClosedForm:
+        return _closed_form(h, z, mirror)
+    if method != "auto":
+        raise ValueError(
+            f"method must be 'auto' or MellinMethod.ClosedForm, got {method!r}"
+        )
     cfg = config if config is not None else QuadratureConfig()
-    if method == "auto":
-        if math.isfinite(h.signal.tail_beta):
-            method = MellinMethod.SplitTailAnalytic
-        else:
-            method = MellinMethod.PureQuadrature
-    if not isinstance(method, MellinMethod):
-        raise ValueError(f"unknown Mellin method {method!r}")
-    return _STRATEGIES[method](h, z, mirror, cfg)
+    if math.isfinite(h.signal.tail_beta):
+        return _split_tail_analytic(h, z, mirror, cfg)
+    return _pure_quadrature(h, z, mirror, cfg)
 
 
 def mellin_morlet_time(nu: complex, omega0: float, sign: int) -> MellinValue:

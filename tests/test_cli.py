@@ -186,10 +186,8 @@ def test_config_entry_type_and_choice_exit_2(command, entry, tmp_path, capsys):
         pytest.param("expand", {"oracle": "both"}, id="expand-oracle"),
         pytest.param("cwt", {"domain": "space"}, id="cwt-domain"),
         pytest.param("coeffs", {"amplitude": 2}, id="coeffs-amplitude"),
-        pytest.param("expand", {"mellin_method": "tail"},
-                     id="expand-mellin-method"),
-        pytest.param("sweep", {"mellin_method": "tail"},
-                     id="sweep-mellin-method"),
+        pytest.param("expand", {"z": "1.5"}, id="expand-z"),
+        pytest.param("sweep", {"mirror": True}, id="sweep-mirror"),
     ],
 )
 def test_config_key_the_subcommand_does_not_read_exits_2(
@@ -201,10 +199,29 @@ def test_config_key_the_subcommand_does_not_read_exits_2(
     assert f"error: {key} is not read by {command}" in capsys.readouterr().err
 
 
-def test_expand_has_no_mellin_method_flag(capsys):
-    # expansions take the automatic Mellin strategy; only mellin names one
-    assert main(["expand", "--mellin-method", "tail"]) == 2
-    assert "--mellin-method" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["mellin", "expand", "sweep"])
+def test_no_subcommand_takes_a_mellin_method(command, tmp_path, capsys):
+    """The signal's tail chooses the numeric Mellin route, so neither a
+    flag nor a config entry names one."""
+    for value in ("tail", "quad", "auto"):
+        assert main([command, "--mellin-method", value]) == 2
+        assert "--mellin-method" in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"mellin_method": "tail"}))
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "unknown config keys: mellin_method" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("signal,route", [
+    ("lorentzian", "pure_quadrature"),
+    ("gaussian", "pure_quadrature"),
+    ("two_sided_exp", "split_tail_analytic"),
+])
+def test_mellin_reports_the_route_its_signal_chooses(signal, route, capsys):
+    for mirror in ([], ["--mirror"]):
+        assert main(["mellin", "--signal", signal, "--b", "0.6", "--z", "1.5",
+                     "--format", "json", *mirror]) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == route
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
@@ -313,17 +330,25 @@ def test_sweep_csv_and_json_carry_the_same_numbers(oracle, capsys):
     assert lines[-1][5] == format(obj["order"], ".17g")
 
 
-def test_sweep_on_a_grid_of_one_dilation_prints_nan_order(capsys):
-    """Dilations that all coincide leave the fitted slope undefined: the
-    order is nan, with nothing on stderr and exit code 0."""
+@pytest.mark.parametrize("grid,a_values", [
+    (["--a-min", "0.1", "--a-max", "0.1", "--a-count", "3"], [0.1] * 3),
+    (["--a-count", "1", "--a-min", "0.05", "--a-max", "0.2"], [0.05]),
+], ids=["coincident", "one-point"])
+def test_sweep_on_a_grid_of_one_dilation_prints_nan_order(grid, a_values,
+                                                          capsys):
+    """Dilations that all coincide, or a grid of one (at --a-min), leave the
+    fitted slope undefined: the order is nan, with nothing on stderr and
+    exit code 0."""
     argv = ["sweep", "--signal", "gaussian", "--wavelet", "haar", "--b", "0.3",
-            "--a-min", "0.1", "--a-max", "0.1", "--a-count", "3", "--n", "2"]
+            *grid, "--n", "2"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    order = captured.out.splitlines()[-1].split(",")
+    lines = captured.out.splitlines()
+    assert [float(ln.split(",")[0]) for ln in lines[1:-1]] == a_values
+    order = lines[-1].split(",")
     assert order[0] == "order" and order[5] == "nan"
 
 
@@ -421,6 +446,33 @@ def test_validate_unknown_check(capsys):
                      id="config-jobs-0"),
         pytest.param(["cwt"], {"b": "1"}, "must be real number",
                      id="config-b-string"),
+        # finite but out of range: refused where the value is used
+        pytest.param(["cwt", "--a", "0"], None,
+                     "the dilation parameter must be positive", id="cwt-a-0"),
+        pytest.param(["cwt", "--a", "-1"], None,
+                     "the dilation parameter must be positive",
+                     id="cwt-a-negative"),
+        pytest.param(["coeffs", "--n", "0"], None,
+                     "need at least one coefficient", id="coeffs-n-0"),
+        pytest.param(["expand", "--n", "0"], None,
+                     "need at least one expansion term", id="expand-n-0"),
+        pytest.param(["cwt", "--u0", "0"], None,
+                     "the modulated-Gaussian wavelet needs u0 > 0",
+                     id="cwt-u0-0"),
+        pytest.param(["mellin", "--z", "0"], None,
+                     "the transform needs Re(z) > 0", id="mellin-z-0"),
+        pytest.param(["mellin", "--z", "-1"], None,
+                     "the transform needs Re(z) > 0", id="mellin-z-negative"),
+        pytest.param(["cwt", "--tol", "1e-20"], None,
+                     "must be at least 100*machine epsilon", id="cwt-tol-tiny"),
+        pytest.param(["sweep", "--a-count", "0"], None,
+                     "--a-count must be at least 1", id="sweep-a-count-0"),
+        pytest.param(["sweep", "--a-min", "0"], None,
+                     "need 0 < --a-min <= --a-max", id="sweep-a-min-0"),
+        pytest.param(["sweep", "--a-min", "2", "--a-max", "1"], None,
+                     "need 0 < --a-min <= --a-max", id="sweep-a-min-above-max"),
+        pytest.param(["cwt"], {"time_scale": 0}, "time_scale must be positive",
+                     id="config-time-scale-0"),
     ],
 )
 def test_invalid_flag_values_exit_2(argv, config, message, tmp_path, capsys):
@@ -429,7 +481,9 @@ def test_invalid_flag_values_exit_2(argv, config, message, tmp_path, capsys):
         path.write_text(json.dumps(config))  # writes NaN/Infinity literals
         argv = argv + ["--config", str(path)]
     assert main(argv) == 2
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -445,10 +499,9 @@ def test_huge_dilation_overflow_exits_1(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("method", ["tail", "auto"])
-def test_divergent_moment_exits_1(method, capsys):
+def test_divergent_moment_exits_1(capsys):
     code = main(["mellin", "--signal", "two_sided_exp", "--b", "0",
-                 "--z", "2.5", "--mellin-method", method])
+                 "--z", "2.5"])
     assert code == 1
     assert "tail term of order 0 diverges" in capsys.readouterr().err
 

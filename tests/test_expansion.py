@@ -741,8 +741,9 @@ def test_plan_falls_back_outside_the_closed_form_range(monkeypatch):
     assert {name for *_, name, _ in seen} == {"auto"}
     h = make_h(sig, b)
     for s, c in enumerate(plan.coefficients):
-        plus, minus = (mellin_transform(h, s + 1, MellinMethod.PureQuadrature,
-                                        cfg, mirror=m) for m in (False, True))
+        plus, minus = (mellin_transform(h, s + 1, "auto", cfg, mirror=m)
+                       for m in (False, True))
+        assert plus.method == minus.method == MellinMethod.PureQuadrature
         want = c * (plus.value + mirror_sign(s, 1) * minus.value)
         budget = plan.product_errors[s] + abs(c) * (
             plus.abs_error_estimate + minus.abs_error_estimate)

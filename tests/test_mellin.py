@@ -1,4 +1,4 @@
-"""Regularized power moments of the boundary function, all three strategies."""
+"""Regularized power moments of the boundary function, by both routes."""
 
 import cmath
 import math
@@ -56,8 +56,9 @@ def test_mirror_flips_the_offset():
 def test_gaussian_closed_route():
     h = _h(SignalKind.Gaussian, 0.8)
     closed = mellin_transform(h, 1.75, MellinMethod.ClosedForm)
-    quad = mellin_transform(h, 1.75, MellinMethod.PureQuadrature)
+    quad = mellin_transform(h, 1.75)
     assert closed.method == MellinMethod.ClosedForm
+    assert quad.method == MellinMethod.PureQuadrature
     assert abs(closed.value - quad.value) < 1e-10 * abs(closed.value)
 
 
@@ -78,15 +79,15 @@ def test_auto_routing():
     assert slow.method == MellinMethod.SplitTailAnalytic
 
 
-def test_strategy_preconditions():
-    # direct quadrature refuses an algebraically decaying transform tail
-    with pytest.raises(MellinError, match="algebraic"):
-        mellin_transform(_h(SignalKind.TwoSidedExp, 2.0), 1.5,
-                         MellinMethod.PureQuadrature)
+def test_method_preconditions():
+    # the signal's tail chooses the numeric route: a caller cannot
     with pytest.raises(ValueError, match="Re\\(z\\) > 0"):
         mellin_transform(_h(SignalKind.Lorentzian, 0.0), -1.0)
-    with pytest.raises(ValueError, match="unknown"):
-        mellin_transform(_h(SignalKind.Lorentzian, 0.0), 1.5, "newton")
+    for method in (MellinMethod.PureQuadrature, MellinMethod.SplitTailAnalytic,
+                   "quad", "newton"):
+        for kind in (SignalKind.Lorentzian, SignalKind.TwoSidedExp):
+            with pytest.raises(ValueError, match="'auto' or MellinMethod"):
+                mellin_transform(_h(kind, 0.0), 1.5, method)
 
 
 def test_split_tail_and_closed_form_agree():
@@ -95,10 +96,10 @@ def test_split_tail_and_closed_form_agree():
     h = _h(SignalKind.TwoSidedExp, 2.0)
     for z in (1.5, 2.5):
         for mirror in (False, True):
-            tail = mellin_transform(h, z, MellinMethod.SplitTailAnalytic,
-                                    mirror=mirror)
+            tail = mellin_transform(h, z, mirror=mirror)
             closed = mellin_transform(h, z, MellinMethod.ClosedForm,
                                       mirror=mirror)
+            assert tail.method == MellinMethod.SplitTailAnalytic
             budget = tail.abs_error_estimate + closed.abs_error_estimate
             assert abs(tail.value - closed.value) <= budget, (z, mirror)
 
@@ -188,9 +189,9 @@ def test_scaled_closed_form_matches_quadrature(kind, amplitude, scale):
             for mirror in (False, True):
                 closed = mellin_transform(h, z, MellinMethod.ClosedForm,
                                           mirror=mirror)
-                quad = mellin_transform(h, z, MellinMethod.PureQuadrature,
-                                        mirror=mirror)
+                quad = mellin_transform(h, z, mirror=mirror)
                 assert closed.method == MellinMethod.ClosedForm
+                assert quad.method == MellinMethod.PureQuadrature
                 budget = closed.abs_error_estimate + quad.abs_error_estimate
                 assert abs(closed.value - quad.value) <= budget, (b, z, mirror)
 
@@ -231,9 +232,9 @@ def test_split_tail_detects_divergence():
     """Moments past the decay rate have no undamped limit at b = 0: the
     non-oscillating power tail diverges and the split tail says so."""
     h = _h(SignalKind.TwoSidedExp, 0.0)
-    for method in (MellinMethod.SplitTailAnalytic, "auto"):
+    for mirror in (False, True):
         with pytest.raises(MellinError, match="tail term of order 0 diverges"):
-            mellin_transform(h, 2.5, method)
+            mellin_transform(h, 2.5, mirror=mirror)
 
 
 def test_morlet_time_moments_vs_highprec():

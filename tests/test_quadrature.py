@@ -146,6 +146,17 @@ def test_subdivision_budget_exhaustion_flags_nonconvergence():
     assert not res.converged
 
 
+@pytest.mark.parametrize("span", [1e-14, 4e-15, 1e-15])
+def test_panels_at_rounding_width_stop_as_unsplittable(span):
+    """An integrand oscillating far faster than the spacing of the floats
+    near 1 never meets an absolute target of 0; once its worst panels are
+    too narrow to bisect, refinement stops with status "unsplittable"."""
+    res = integrate(lambda x: np.cos(1e20 * x), (1.0, 1.0 + span),
+                    QuadratureConfig(abs_tol=0.0))
+    assert res.status == "unsplittable"
+    assert not res.converged
+
+
 def test_body_refines_from_the_budget_the_singular_edge_left():
     def f(x):
         # an oscillating singular edge on (0, 1), and a kink at x = 2.5 in

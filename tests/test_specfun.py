@@ -82,6 +82,20 @@ def test_upper_incomplete_gamma_against_reference(s, x):
     assert_allclose(got, ref, rtol=2e-12, atol=1e-300)
 
 
+@pytest.mark.parametrize("s", [1.5, 2.0 + 1.0j])
+def test_upper_incomplete_gamma_at_zero_is_gamma(s):
+    got = upper_incomplete_gamma(s, 0.0)
+    want = gamma_complex(s)
+    assert got.value == want.value
+    assert got.abs_error_estimate == want.abs_error_estimate
+
+
+@pytest.mark.parametrize("s", [0.0, -0.5, -1.0 + 2.0j])
+def test_upper_incomplete_gamma_at_zero_needs_positive_real_part(s):
+    with pytest.raises(SpecFunError, match="Re s > 0"):
+        upper_incomplete_gamma(s, 0.0)
+
+
 def test_upper_incomplete_gamma_recurrence_consistency():
     # Gamma(s+1, x) = s*Gamma(s, x) + x^s e^{-x}
     s, x = 1.25, 2.0 + 1.0j
