@@ -20,7 +20,7 @@ import numpy as np
 from .expansion import convergence_order, expansion_plan
 from .mellin import MellinMethod, mellin_transform
 from .oracle import cwt_fourier, cwt_time
-from .quadrature import QuadratureConfig, integrate, power_gauss_cut
+from .quadrature import QuadratureConfig, _cut_radius, _envelope_tail_bound, integrate
 from .signals import SignalKind, make_h, make_signal
 from .specfun import gamma_complex, parabolic_cylinder_D
 from .wavelets import (
@@ -209,13 +209,14 @@ def _check_cylinder_function_identity():
                 t = np.asarray(t, dtype=float)
                 return t ** (_nu - 1.0) * np.exp(1j * _w0 * t - 0.5 * t * t)
 
-            cut, bound = power_gauss_cut(1.0, nu - 1.0, 0.5, 1e-16)
+            envelope = ("gauss", 1.0, 0.5)
+            cut = _cut_radius(envelope, 1e-16, nu - 1.0)
             quad = integrate(
                 integrand,
                 (0.0, cut),
                 cfg,
                 panel_width=math.pi / w0,
-                tail_bound=bound,
+                tail_bound=_envelope_tail_bound(envelope, cut, nu - 1.0),
             )
             closed = (
                 gam

@@ -172,7 +172,10 @@ def _check_inputs(rc: RunConfig) -> None:
 def _quad_config(rc: RunConfig) -> QuadratureConfig:
     if rc.tol is None:
         return QuadratureConfig()
-    return QuadratureConfig(rel_tol=float(rc.tol))
+    try:
+        return QuadratureConfig(rel_tol=float(rc.tol))
+    except ValueError as exc:
+        raise ValueError(str(exc).replace("rel_tol", "--tol", 1)) from None
 
 
 def _build_signal(rc: RunConfig):
@@ -470,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, grid=False, point=True):
+    def add_common(p, *, grid=False, point=True, tol=True):
         p.add_argument("--signal", choices=[k.value for k in SignalKind])
         p.add_argument("--wavelet", choices=[k.value for k in WaveletKind])
         p.add_argument("--u0", type=float)
@@ -486,10 +489,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["csv", "json"])
         p.add_argument("--out")
         p.add_argument("--config")
-        p.add_argument("--tol", type=float)
+        if tol:
+            p.add_argument("--tol", type=float)
 
     p = sub.add_parser("coeffs", help="wavelet coefficient table")
-    add_common(p, point=False)
+    add_common(p, point=False, tol=False)
 
     p = sub.add_parser("cwt", help="transform value from the oracles")
     add_common(p)

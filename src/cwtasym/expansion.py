@@ -69,11 +69,9 @@ from .oracle import (
 )
 from .quadrature import (
     QuadratureConfig,
-    QuadratureError,
-    TRUNCATION_RADIUS,
+    _cut_radius,
+    _envelope_tail_bound,
     integrate,
-    power_exp_cut,
-    power_gauss_cut,
 )
 from .signals import (
     SignalSpec,
@@ -171,14 +169,15 @@ def mirror_sign(s: int, lam: int) -> complex:
 
 
 def _poly_tail_cut(env: tuple, k_const: float, a: float, deg: int, delta: float):
-    """Cut radius and bound for env(v) * K * (1 + (a*v)**deg) style integrands."""
+    """Cut radius and tail bound for an integrand at most env(v) * K *
+    (1 + (a*v)**deg): the larger of the two terms' ``_cut_radius`` at
+    ``delta``, the second term's with power ``deg``, and the sum of their
+    ``_envelope_tail_bound`` there."""
     kind, c, p = env
-    cut_fn = {"exp": power_exp_cut, "gauss": power_gauss_cut}.get(kind)
-    if cut_fn is None:
-        raise QuadratureError(f"unsupported envelope kind {kind!r} for a direct cut")
-    u1, b1 = cut_fn(c * k_const, 0.0, p, delta)
-    u2, b2 = cut_fn(c * k_const * a ** deg, float(deg), p, delta)
-    return max(u1, u2), b1 + b2
+    terms = (((kind, c * k_const, p), 0.0),
+             ((kind, c * k_const * a ** deg, p), float(deg)))
+    cut = max(_cut_radius(e, delta, power) for e, power in terms)
+    return cut, sum(_envelope_tail_bound(e, cut, power) for e, power in terms)
 
 
 def _analytic_tail_side(
@@ -303,7 +302,6 @@ def remainder_frequency(
         upper, per_side = _poly_tail_cut(
             signal.freq_envelope, k_const, a, n - 1, 0.5 * cfg.abs_tol
         )
-        upper = min(upper, TRUNCATION_RADIUS)
         tail_bound = 2.0 * per_side
 
     # psi_tail keeps the transform's symmetry through its Taylor
@@ -343,7 +341,13 @@ def _time_route_panel_width(wavelet: WaveletSpec) -> Optional[float]:
 def _time_moment_quadrature(
     wavelet: WaveletSpec, nu: float, mirror: bool, cfg: QuadratureConfig
 ) -> tuple[complex, float]:
-    """One-sided wavelet moment int_0^inf t^(nu-1) conj(psi)(+-t) dt."""
+    """One-sided wavelet moment int_0^inf t^(nu-1) conj(psi)(+-t) dt.
+
+    The tests' reference for ``_time_moment_closed``: the Gaussian
+    wavelets' line is cut where the rule's tail bound is at most one
+    rounding of 1 (or 0.5 abs_tol, if smaller), so that a moment of size
+    one or more keeps its last bits.
+    """
     sign = -1.0 if mirror else 1.0
     zm1 = complex(nu) - 1.0
 
@@ -355,12 +359,11 @@ def _time_moment_quadrature(
             return 0.0 + 0.0j, 0.0  # the support lies entirely on t >= 0
         upper, hints = wavelet.time_support[1], {"breakpoints": [0.5]}
     else:
-        _, c_w, rate = wavelet.time_envelope
-        cut, bound = power_gauss_cut(c_w, nu - 1.0, rate, 0.5 * cfg.abs_tol)
-        upper = min(cut, TRUNCATION_RADIUS)
+        envelope = wavelet.time_envelope
+        upper = _cut_radius(envelope, min(0.5 * cfg.abs_tol, _EPS), nu - 1.0)
         hints = {
             "panel_width": _time_route_panel_width(wavelet),
-            "tail_bound": bound,
+            "tail_bound": _envelope_tail_bound(envelope, upper, nu - 1.0),
         }
     res = integrate(
         integrand,
@@ -477,11 +480,10 @@ def _remainder_time(
         breakpoints.append(0.5)  # the step wavelet's jump
     else:
         cs_abs = float(np.sum(np.abs(time_coefficients(signal, b, n))))
-        cut, per_side = _poly_tail_cut(
+        hi, per_side = _poly_tail_cut(
             wavelet.time_envelope, signal.sup_time + cs_abs, a, n - 1,
             0.5 * cfg.abs_tol,
         )
-        hi = min(cut, TRUNCATION_RADIUS)
         lo, tail_bound = -hi, 2.0 * per_side
     res = integrate(
         integrand,

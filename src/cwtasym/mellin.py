@@ -33,9 +33,9 @@ from .oracle import _side_coeffs
 from .quadrature import (
     QuadratureConfig,
     TRUNCATION_RADIUS,
+    _cut_radius,
+    _envelope_tail_bound,
     integrate,
-    power_exp_cut,
-    power_gauss_cut,
 )
 from .signals import HSpec, SignalKind
 from .specfun import (
@@ -88,16 +88,11 @@ def _integrand(h: HSpec, z: complex, mirror: bool):
 
 
 def _pure_quadrature(h, z, mirror, cfg) -> MellinValue:
-    """The truncated integral with a cut from the transform's envelope."""
-    sig = h.signal
+    """The truncated integral with a cut from the transform's envelope:
+    |u^(z-1) h(u)| is at most u^(Re z - 1) times it."""
+    envelope = h.signal.freq_envelope
     sigma = z.real - 1.0
-    kind, c_env, p_env = sig.freq_envelope
-    delta = 0.5 * cfg.abs_tol
-    if kind == "exp":
-        cut, bound = power_exp_cut(c_env, sigma, p_env, delta)
-    else:
-        cut, bound = power_gauss_cut(c_env, sigma, p_env, delta)
-    cut = min(cut, TRUNCATION_RADIUS)
+    cut = _cut_radius(envelope, 0.5 * cfg.abs_tol, sigma)
     rate = abs(h.b)  # of the phase e^{+-ibu}
     res = integrate(
         _integrand(h, z, mirror),
@@ -105,7 +100,7 @@ def _pure_quadrature(h, z, mirror, cfg) -> MellinValue:
         cfg,
         panel_width=math.pi / rate if rate > 0.0 else None,
         left_singularity=sigma if z.real < 1.0 else None,
-        tail_bound=bound,
+        tail_bound=_envelope_tail_bound(envelope, cut, sigma),
     )
     return MellinValue(res.value, res.abs_error_estimate, MellinMethod.PureQuadrature)
 
@@ -251,21 +246,28 @@ def mellin_transform(
     ``method="auto"`` takes the analytic-tail split when the signal's
     transform decays algebraically (finite ``tail_beta``) and direct
     quadrature otherwise; ``MellinMethod.ClosedForm`` takes the closed form.
-    The result's ``method`` names the route that ran.
+    The result's ``method`` names the route that ran.  A value or estimate
+    that is not finite (near z = 0 the numeric routes' u^(z-1) overflows
+    at the smallest nodes) raises ``MellinError``.
     """
     z = complex(z)
     if z.real <= 0.0:
         raise ValueError(f"the transform needs Re(z) > 0, got z={z}")
     if method == MellinMethod.ClosedForm:
-        return _closed_form(h, z, mirror)
-    if method != "auto":
+        result = _closed_form(h, z, mirror)
+    elif method == "auto":
+        cfg = config if config is not None else QuadratureConfig()
+        route = (_split_tail_analytic if math.isfinite(h.signal.tail_beta)
+                 else _pure_quadrature)
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below
+            result = route(h, z, mirror, cfg)
+    else:
         raise ValueError(
             f"method must be 'auto' or MellinMethod.ClosedForm, got {method!r}"
         )
-    cfg = config if config is not None else QuadratureConfig()
-    if math.isfinite(h.signal.tail_beta):
-        return _split_tail_analytic(h, z, mirror, cfg)
-    return _pure_quadrature(h, z, mirror, cfg)
+    if not (cmath.isfinite(result.value) and math.isfinite(result.abs_error_estimate)):
+        raise MellinError(f"the moment at z={z} is not finite ({result.method.value})")
+    return result
 
 
 def mellin_morlet_time(nu: complex, omega0: float, sign: int) -> MellinValue:

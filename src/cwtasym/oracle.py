@@ -108,9 +108,10 @@ def cwt_time(
     sequence is one vector-valued quadrature on a shared mesh (at most
     ``_GRID_BLOCK`` dilations per mesh), with breakpoints at every
     dilation's kinks and peak.  The step wavelet's integral is over its
-    support; the Gaussian wavelets' line is cut once, at the radius
-    ``_cut_radius`` gives for sup|f| times the wavelet's envelope at
-    abs_tol, and both sides' tail bounds join each error estimate.  The
+    support; the Gaussian wavelets' line is cut once, at the radius the
+    cut rule (``_cut_radius``, power 0) gives for sup|f| times the
+    wavelet's envelope at abs_tol, and both sides' tail bounds
+    (``_envelope_tail_bound``) join each error estimate.  The
     first mesh is at the wavelet's own scale (``time_panel_width``: panels
     at most min(1, T/4) wide for the modulated Gaussian of period T, 1 for
     the Mexican hat), fine enough that at the default tolerance one GK15
@@ -178,14 +179,6 @@ def _cwt_time_block(
             r.status,
         ))
     return out
-
-
-def _gauss_cut_width(c_over_delta: float) -> float:
-    """Smallest w with exp(-w*w/2)/w <= 1/c_over_delta (c_over_delta >= 1)."""
-    w = math.sqrt(2.0 * math.log(max(c_over_delta, 2.0)))
-    for _ in range(3):
-        w = math.sqrt(2.0 * math.log(max(c_over_delta / w, 2.0)))
-    return max(w, 1.0)
 
 
 def _fourier_side_hints(wavelet: WaveletSpec, sign: int, a: float, b: float):
@@ -279,52 +272,27 @@ def _fold_integrand(g, wavelet: WaveletSpec):
 def _gauss_wavelet_cut(
     wavelet: WaveletSpec, sign: int, a: float, sup_freq: float, delta: float
 ):
-    """Cut radius for a Gaussian-decaying wavelet transform, and its tail bound.
+    """Cut radius for a Gaussian wavelet's transform, and its tail bound.
 
-    For the modulated Gaussian and the Mexican hat, returns the radius past
-    which conj(psi_hat)(sign*a*w), against a signal transform bounded by
-    ``sup_freq``, leaves about ``delta`` of the half-line integral, and a
-    function giving the bound on that integral beyond any radius (infinite
-    where the Gaussian bound does not yet apply).
+    Against a signal transform bounded by ``sup_freq``,
+    |conj(psi_hat)(sign*a*w)| is at most sqrt(2 pi) sup_freq v^k e^{-v^2/2}
+    in v = a*w - sign*u0: k = 0 for the modulated Gaussian, k = 2 for the
+    Mexican hat (u0 = 0).  Per unit of v (dw = dv/a) that is the cut rule's
+    envelope ("gauss", sqrt(2 pi) sup_freq/a, 1/2) with power k: the cut is
+    its ``_cut_radius`` at ``delta`` mapped back to w, and the bound beyond
+    any radius its ``_envelope_tail_bound`` there (infinite where v has not
+    passed the range where that bound holds).
     """
-    ratio = _SQRT_2PI * sup_freq / (a * delta)
-    if wavelet.kind == WaveletKind.Morlet:
-        u0 = wavelet.u0
-        w = _gauss_cut_width(ratio)
-        if sign > 0:
-            u_w = (u0 + w) / a
-        else:
-            u_w = max((w - u0) / a, 0.3 / a)
+    if wavelet.kind == WaveletKind.Haar:
+        raise ValueError("the 'haar' transform has no Gaussian cut")
+    shift = sign * wavelet.u0
+    power = 0.0 if wavelet.kind == WaveletKind.Morlet else 2.0
+    envelope = ("gauss", _SQRT_2PI * sup_freq / a, 0.5)
 
-        def t_w(u):
-            arg = a * u - u0 if sign > 0 else a * u + u0
-            if arg <= 0.5:
-                return math.inf
-            return (
-                sup_freq
-                * (_SQRT_2PI / a)
-                * math.exp(-0.5 * arg * arg)
-                / arg
-            )
+    def t_w(u):
+        return _envelope_tail_bound(envelope, a * u - shift, power)
 
-        return u_w, t_w
-    if wavelet.kind == WaveletKind.MexicanHat:
-        w = _gauss_cut_width(ratio) + 2.0
-        u_w = w / a
-
-        def t_w(u):
-            v = a * u
-            if v <= 0.5:
-                return math.inf
-            return (
-                sup_freq
-                * (_SQRT_2PI / a)
-                * (v + 1.0 / v)
-                * math.exp(-0.5 * v * v)
-            )
-
-        return u_w, t_w
-    raise ValueError(f"the {wavelet.kind.value!r} transform has no Gaussian cut")
+    return (_cut_radius(envelope, delta, power) + shift) / a, t_w
 
 
 def _series_truncation(signal: SignalSpec, weights) -> tuple:
@@ -437,22 +405,25 @@ def _ray_height(
     Gaussian) or pi (1/a + a Y^2) (Mexican hat), for y up to
     Y = |rate|/a^2, where the bound is least.  Returns the least y whose
     bound is ``delta`` (0 if it already is at y = 0) and that bound, or
-    None if no y <= Y reaches it: there the ray cannot pay.
+    None if no y <= Y reaches it: there the ray cannot pay.  The bound is
+    taken in logarithms, C = pi (a^2 + rate^2)/a^3 for the Mexican hat, so
+    that no dilation small enough to overflow 1/a or underflow a^3 breaks it.
     """
     if wavelet.kind == WaveletKind.Morlet:
-        c_line = _TWO_PI / a
+        log_line = math.log(_TWO_PI) - math.log(a)
     else:
-        c_line = math.pi * (1.0 / a + rate * rate / (a * a * a))
-    if c_line * size <= delta:
-        return 0.0, c_line * size
-    log_ratio = math.log(c_line * size / delta)
+        log_line = (math.log(math.pi) + 2.0 * math.log(math.hypot(a, rate))
+                    - 3.0 * math.log(a))
+    log_ratio = log_line + math.log(size / delta) if size > 0.0 else -math.inf
+    if log_ratio <= 0.0:
+        return 0.0, delta * math.exp(log_ratio)
     disc = rate * rate - 2.0 * a * a * log_ratio
-    if disc < 0.0:
+    if not disc > 0.0:
         return None
     # Smaller root of a^2 y^2/2 - |rate| y + log_ratio, without cancellation.
     height = 2.0 * log_ratio / (abs(rate) + math.sqrt(disc))
-    bound = c_line * size * math.exp(a * a * height * height / 2.0 - abs(rate) * height)
-    return height, bound
+    exponent = log_ratio + a * a * height * height / 2.0 - abs(rate) * height
+    return height, delta * math.exp(exponent)
 
 
 def _alg_tail(

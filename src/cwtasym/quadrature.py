@@ -4,9 +4,10 @@ Panels are evaluated in batches (one P x 15 node matrix per call of the
 vectorized integrand), per-panel errors follow the classical Kronrod rescaling of
 |GK15 - G7| against the panel's oscillation measure, and refinement bisects
 the worst panels in blocks.  Domains are finite: a caller with an infinite
-range cuts it once, where its own decay bound (``_cut_radius``,
-``power_exp_cut``, ``power_gauss_cut``) leaves the tail below its
-tolerance, and passes that bound as ``tail_bound``.  Integrable endpoint
+range cuts it once and passes the tail's bound as ``tail_bound``.  One rule
+takes every such cut: ``_cut_radius`` gives the radius at which
+``_envelope_tail_bound`` of u^s times an exponential, Gaussian or
+algebraic envelope meets the caller's tolerance.  Integrable endpoint
 singularities at the left edge are softened with the x = y**2 substitution.
 
 No panel's error estimate goes below its roundoff floor 50*eps*integral(|f|)
@@ -115,7 +116,8 @@ class QuadratureConfig:
         # Each test is written so that NaN fails it.
         if not self.rel_tol >= 100.0 * _EPS:
             raise ValueError(
-                f"rel_tol={self.rel_tol:g} must be at least 100*machine epsilon"
+                "rel_tol must be at least 100*machine epsilon, "
+                f"got {self.rel_tol!r}"
             )
         if not self.abs_tol >= 0.0:
             raise ValueError("abs_tol must be nonnegative")
@@ -357,69 +359,90 @@ def _even_split(left: float, right: float, n: int) -> list:
     return [left] + [i * step + left for i in range(1, n)]
 
 
-def _envelope_tail_bound(envelope: Envelope, radius: float) -> float:
+def _envelope_tail_bound(envelope: Envelope, radius: float,
+                         power: float = 0.0) -> float:
+    """Bound on int_R^inf u^s env(u) du, R = ``radius``, s = ``power``:
+    C R^s e^(-pR)/(p - s+/R), C R^s e^(-pR^2)/(2pR - (s-1)+/R) and
+    C R^(s+1-p)/(p - 1 - s) for env(u) = C e^(-pu), C e^(-pu^2) and C u^(-p)
+    (x+ = max(x, 0); one integration by parts each, the last exact), and
+    infinite where it does not hold: a denominator that is not positive,
+    R <= 0 or C = inf.
+    """
     kind, c, p = envelope
-    if kind == "exp":
-        return c * math.exp(-p * radius) / p
-    if kind == "gauss":
-        return c * math.exp(-p * radius * radius) / (2.0 * p * max(radius, 1e-300))
+    if not (radius > 0.0 and c < math.inf):
+        return math.inf
     if kind == "alg":
-        if p <= 1.0:
-            raise QuadratureError(
-                f"algebraic envelope with power {p:g} <= 1 does not converge"
-            )
-        return c * radius ** (1.0 - p) / (p - 1.0)
+        slope = p - 1.0 - power
+        return c * radius ** (power + 1.0 - p) / slope if slope > 0.0 else math.inf
+    if kind == "exp":
+        slope = p - max(power, 0.0) / radius
+        exponent = power * math.log(radius) - p * radius
+    elif kind == "gauss":
+        slope = 2.0 * p * radius - max(power - 1.0, 0.0) / radius
+        exponent = power * math.log(radius) - p * radius * radius
+    else:
+        raise QuadratureError(f"unknown envelope kind {kind!r}")
+    return c * math.exp(exponent) / slope if slope > 0.0 else math.inf
+
+
+def _scaled_envelope(envelope: Envelope, factor: float, scale: float) -> Envelope:
+    """The envelope of factor * scale * g(scale*u) for g bounded by ``envelope``."""
+    kind, c, p = envelope
+    if kind == "alg":
+        return kind, factor / scale ** (p - 1.0) * c, p
+    if kind == "exp":
+        return kind, factor * scale * c, p * scale
+    if kind == "gauss":
+        return kind, factor * scale * c, p * scale * scale
     raise QuadratureError(f"unknown envelope kind {kind!r}")
 
 
-def _cut_radius(envelope: Envelope, tol: float) -> float:
+def _cut_radius(envelope: Envelope, tol: float, power: float = 0.0) -> float:
+    """The radius in [1, ``TRUNCATION_RADIUS``] where the tail bound of
+    u^s env(u), s = ``power`` (``_envelope_tail_bound``), meets ``tol``.
+
+    Closed form for the algebraic envelope.  The exponential and Gaussian
+    radii solve p u = L + s log u (p x = L + s log u, x = u^2), L the log of
+    C/(denominator * tol), by Newton steps in the s log u term (6 and 3 of
+    them, fewer where one repeats) kept where the denominator is at least
+    half its leading term; at s = 0 these are plain fixed-point steps.  An
+    envelope past the float range gets the largest radius.
+    """
     kind, c, p = envelope
     tol = max(tol, 1e-300)
+    if not c / tol < math.inf:
+        return TRUNCATION_RADIUS
+    s = max(power, 0.0)
     if kind == "exp":
-        u = math.log(max(c / (p * tol), 2.0)) / p
-    elif kind == "gauss":
-        u = math.sqrt(max(math.log(max(c / tol, 2.0)) / p, 1.0))
-        for _ in range(3):
-            arg = c / (2.0 * p * u * tol)
-            if arg <= 2.0:
+        u = max(1.0, 2.0 * s / p)
+        for _ in range(6):
+            lead = math.log(max(c / ((p - s / u) * tol), 2.0)) + power * math.log(u)
+            last, u = u, min(max(1.0, 2.0 * s / p, (lead - power) / (p - power / u)),
+                             TRUNCATION_RADIUS)
+            if u == last:
                 break
-            u = math.sqrt(math.log(arg) / p)
+    elif kind == "gauss":
+        s1 = max(power - 1.0, 0.0)
+        x = max(math.log(max(c / tol, 2.0)) / p, 1.0, s / p)
+        u = math.sqrt(x)
+        for _ in range(3):
+            arg = c / ((2.0 * p * u - s1 / u) * tol)
+            lead = math.log(max(arg, 2.0)) + power * math.log(u)
+            if lead <= math.log(2.0):
+                break
+            x = max((lead - 0.5 * power) / (p - 0.5 * power / x), s / p)
+            u = min(math.sqrt(x), TRUNCATION_RADIUS)
     elif kind == "alg":
-        if p <= 1.0:
+        decay = p - 1.0 - power
+        if not decay > 0.0:
             raise QuadratureError(
-                f"algebraic envelope with power {p:g} <= 1 does not converge"
+                f"u^{power:g} times an algebraic envelope of power {p:g} "
+                "does not converge"
             )
-        u = (c / ((p - 1.0) * tol)) ** (1.0 / (p - 1.0))
+        u = (c / (decay * tol)) ** (1.0 / decay)
     else:
         raise QuadratureError(f"unknown envelope kind {kind!r}")
     return min(max(u, 1.0), TRUNCATION_RADIUS)
-
-
-def power_exp_cut(c: float, sigma: float, rate: float, delta: float) -> tuple:
-    """Radius U with the tail of c*u**sigma*e^(-rate*u) below delta, plus bound."""
-    if not rate > 0.0:
-        raise QuadratureError("exponential cut needs a positive rate")
-    u = max(1.0, 2.0 * sigma / rate, math.log(max(2.0 * c / (rate * delta), 2.0)) / rate)
-    for _ in range(4):
-        u = max(
-            1.0,
-            2.0 * sigma / rate,
-            (math.log(max(2.0 * c / (rate * delta), 2.0)) + sigma * math.log(u)) / rate,
-        )
-    bound = 2.0 * c * u ** sigma * math.exp(-rate * u) / rate
-    return u, bound
-
-
-def power_gauss_cut(c: float, sigma: float, rate: float, delta: float) -> tuple:
-    """Radius U with the tail of c*u**sigma*e^(-rate*u*u) below delta, plus bound."""
-    if not rate > 0.0:
-        raise QuadratureError("Gaussian cut needs a positive rate")
-    u = max(1.0, math.sqrt(max((sigma + 1.0) / (2.0 * rate), 0.0)) + 1.0)
-    for _ in range(6):
-        arg = max(c * u ** (sigma - 1.0) / (rate * delta), 2.0)
-        u = max(u, math.sqrt(math.log(arg) / rate))
-    bound = c * u ** (sigma - 1.0) * math.exp(-rate * u * u) / rate
-    return u, bound
 
 
 def integrate(

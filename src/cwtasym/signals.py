@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from .quadrature import _scaled_envelope
 from .specfun import hermite_he
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -141,14 +142,6 @@ def make_signal(
         a * s * c * s ** (-(r + base.tail_beta))
         for r, c in enumerate(base.tail_coeffs)
     )
-    fk, fc, fp = base.freq_envelope
-    if fk == "alg":
-        freq_env = (fk, abs(a) / s ** (fp - 1.0) * fc, fp)
-    elif fk == "exp":
-        freq_env = (fk, abs(a) * s * fc, fp * s)
-    else:
-        freq_env = (fk, abs(a) * s * fc, fp * s * s)
-
     return SignalSpec(
         kind=kind,
         tail_beta=base.tail_beta,
@@ -158,7 +151,7 @@ def make_signal(
         sup_time=abs(a) * base.sup_time,
         sup_freq=abs(a) * s * base.sup_freq,
         kinks=tuple(s * k for k in base.kinks),
-        freq_envelope=freq_env,
+        freq_envelope=_scaled_envelope(base.freq_envelope, abs(a), s),
         amplitude=a,
         time_scale=s,
     )

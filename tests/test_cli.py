@@ -138,6 +138,46 @@ def test_mellin_known_value(capsys):
     assert row["mirror"] == "false"
 
 
+@pytest.mark.parametrize("z", ["0.02", "0.01", "0.001"])
+@pytest.mark.parametrize("signal", ["lorentzian", "two_sided_exp"])
+def test_mellin_moment_that_is_not_finite_exits_1(signal, z, capsys):
+    """Near z = 0 the numeric route's u^(z-1) overflows at its smallest
+    nodes: one error line and exit 1, not a row of NaN."""
+    assert main(["mellin", "--signal", signal, "--z", z]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: ")
+    assert "not finite" in captured.err
+
+
+def test_mellin_small_z_is_still_right(capsys):
+    # M[pi e^{-u}; 0.05] = pi Gamma(0.05)
+    assert main(["mellin", "--signal", "lorentzian", "--z", "0.05",
+                 "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    exact = math.pi * math.gamma(0.05)
+    assert abs(complex(*row["value"]) - exact) <= row["abs_error_estimate"]
+    assert abs(row["value"][0] - exact) <= 1e-9 * exact
+
+
+@pytest.mark.parametrize("b", ["0.3", "0"])
+@pytest.mark.parametrize("a", ["1e-312", "5e-324"])
+@pytest.mark.parametrize("wavelet", ["morlet", "mexhat", "haar"])
+@pytest.mark.parametrize("signal", ["lorentzian", "gaussian", "two_sided_exp"])
+def test_tiny_dilation_ends_in_a_result_or_one_error_line(
+        signal, wavelet, a, b, capsys):
+    """At dilations where 1/a overflows and a*delta underflows, both
+    routes end in a result (exit 0, or 3 unconverged) or in exit 1 with one
+    error line; no exception escapes.  At b = 0 the analytic tail's ray has
+    no height, a^2 = 0 included."""
+    code = main(["cwt", "--signal", signal, "--wavelet", wavelet, "--a", a,
+                 f"--b={b}", "--oracle", "both"])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 3), err
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"wavelet": "haar", "n": 3}))
@@ -188,6 +228,7 @@ def test_config_entry_type_and_choice_exit_2(command, entry, tmp_path, capsys):
         pytest.param("coeffs", {"amplitude": 2}, id="coeffs-amplitude"),
         pytest.param("expand", {"z": "1.5"}, id="expand-z"),
         pytest.param("sweep", {"mirror": True}, id="sweep-mirror"),
+        pytest.param("coeffs", {"tol": 1e-8}, id="coeffs-tol"),
     ],
 )
 def test_config_key_the_subcommand_does_not_read_exits_2(
@@ -464,7 +505,11 @@ def test_validate_unknown_check(capsys):
         pytest.param(["mellin", "--z", "-1"], None,
                      "the transform needs Re(z) > 0", id="mellin-z-negative"),
         pytest.param(["cwt", "--tol", "1e-20"], None,
-                     "must be at least 100*machine epsilon", id="cwt-tol-tiny"),
+                     "--tol must be at least 100*machine epsilon",
+                     id="cwt-tol-tiny"),
+        # coeffs integrates nothing, so it takes no tolerance
+        pytest.param(["coeffs", "--tol", "1e-8"], None,
+                     "unrecognized arguments: --tol", id="coeffs-tol"),
         pytest.param(["sweep", "--a-count", "0"], None,
                      "--a-count must be at least 1", id="sweep-a-count-0"),
         pytest.param(["sweep", "--a-min", "0"], None,

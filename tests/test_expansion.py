@@ -13,6 +13,7 @@ from cwtasym.expansion import (
     RemainderKind,
     _abs_integral_bound,
     _analytic_tail_side,
+    _poly_tail_cut,
     _time_moment_closed,
     _time_moment_quadrature,
     convergence_order,
@@ -845,3 +846,22 @@ def test_mexican_hat_time_route_within_its_estimates_of_highprec(kind):
         exp = expansion_plan(sig, wav, b, 4, "time").at(a, "integral_m0")
         budget = exp.abs_error_estimate + exp.remainder_error_estimate
         assert abs(exp.prediction - ref) <= budget, (a, b)
+
+
+@pytest.mark.parametrize("a,deg", [(0.05, 3), (1.0, 4), (3.0, 1)])
+@pytest.mark.parametrize("env", [("exp", 3.14, 1.0), ("gauss", 7.0, 0.45)])
+def test_poly_tail_cut_bounds_both_terms(env, a, deg):
+    """The remainders' cut: past it, the integral of env(v) K (1 + (a v)^deg)
+    is within the returned bound, which is about delta per term or less."""
+    kind, c, p = env
+    k_const, delta = 2.5, 5e-15
+    cut, bound = _poly_tail_cut(env, k_const, a, deg, delta)
+    with mp.workdps(40):
+        c, p, r, k, a_ = (mp.mpf(v) for v in (c, p, cut, k_const, a))
+        if kind == "exp":
+            tails = [mp.gammainc(s + 1, p * r) / p ** (s + 1) for s in (0, deg)]
+        else:
+            tails = [mp.gammainc(mp.mpf(s + 1) / 2, p * r * r)
+                     / (2 * p ** (mp.mpf(s + 1) / 2)) for s in (0, deg)]
+        exact = float(c * k * (tails[0] + a_ ** deg * tails[1]))
+    assert exact <= bound <= 2.1 * delta

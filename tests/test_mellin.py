@@ -322,3 +322,14 @@ def test_morlet_time_mirror_is_the_conjugate(u0):
         minus = mellin_morlet_time(nu, u0, 1)
         assert minus.value == plus.value.conjugate(), nu
         assert minus.abs_error_estimate == plus.abs_error_estimate, nu
+
+
+@pytest.mark.parametrize("kind", [SignalKind.Lorentzian, SignalKind.TwoSidedExp,
+                                  SignalKind.Gaussian])
+def test_moment_that_is_not_finite_raises(kind):
+    """Near z = 0, u^(z-1) overflows at the numeric route's smallest nodes;
+    a moment that is not finite raises instead of coming back as NaN."""
+    h = make_h(make_signal(kind), 0.0)
+    with pytest.raises(MellinError, match="not finite"):
+        mellin_transform(h, 0.02)
+    assert math.isfinite(mellin_transform(h, 0.05).value.real)

@@ -390,6 +390,37 @@ def test_gaussian_wavelet_line_is_cut_once(wavelet, grid):
     assert reach <= radius
 
 
+def _gauss_wavelet_tail(wavelet, sign, a, radius):
+    """int_R^inf |psi_hat(sign*a*w)| dw exactly (mpmath), R = radius."""
+    with mp.workdps(30):
+        v = mp.mpf(a) * radius - sign * wavelet.u0
+        gauss = mp.sqrt(mp.pi / 2) * mp.erfc(v / mp.sqrt(2))
+        if wavelet.kind == WaveletKind.MexicanHat:
+            gauss += v * mp.exp(-v * v / 2)
+        return float(mp.sqrt(2 * mp.pi) / a * gauss)
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.05, 1.0])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("wavelet", ["morlet", "mexhat"])
+def test_gaussian_wavelet_cut_bounds_its_tail(wavelet, sign, a):
+    """The Fourier route's wavelet cut is the cut rule in v = a*w - sign*u0
+    (power 0 for the modulated Gaussian, 2 for the Mexican hat): at the cut
+    its bound is about delta and at any radius at least the exact tail of
+    |psi_hat|; where the rule's bound does not hold it is infinite."""
+    wav = _WAVELETS[wavelet]
+    delta = 5e-15
+    cut, t_w = oracle._gauss_wavelet_cut(wav, sign, a, 1.0, delta)
+    assert t_w(cut) <= 1.05 * delta
+    for radius in (cut, 0.5 * cut, (sign * wav.u0 + 1.5) / a):
+        if radius > 0.0:
+            exact = _gauss_wavelet_tail(wav, sign, a, radius)
+            assert exact <= t_w(radius) * (1.0 + 1e-12)
+    # v = 0 for the modulated Gaussian, v = 1 for the Mexican hat
+    edge = sign * wav.u0 + (1.0 if wavelet == "mexhat" else 0.0)
+    assert t_w(edge / a) == math.inf
+
+
 def _integrate_calls(monkeypatch, signal, wavelet, a, b):
     """How many quadratures ``cwt_fourier`` runs for one value."""
     calls = []

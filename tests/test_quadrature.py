@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,12 +10,13 @@ from cwtasym.quadrature import (
     _NODES,
     _WG15,
     _WK15,
+    TRUNCATION_RADIUS,
     QuadratureConfig,
     QuadratureError,
+    _cut_radius,
+    _envelope_tail_bound,
     _initial_edges,
     integrate,
-    power_exp_cut,
-    power_gauss_cut,
     worst_status,
 )
 from cwtasym.wavelets import WaveletKind, make_wavelet
@@ -69,8 +71,14 @@ def test_finite_interval_values(f, domain, ref):
 _ABS_TOL = QuadratureConfig().abs_tol
 
 
+def _cut(envelope, tol, power=0.0):
+    """The rule's radius for u^power * envelope at tol, and its bound there."""
+    radius = _cut_radius(envelope, tol, power)
+    return radius, _envelope_tail_bound(envelope, radius, power)
+
+
 def test_infinite_domain_gaussian():
-    cut, bound = power_gauss_cut(1.0, 0.0, 1.0, _ABS_TOL)
+    cut, bound = _cut(("gauss", 1.0, 1.0), _ABS_TOL)
     res = integrate(
         lambda x: np.exp(-x * x),
         (-cut, cut),
@@ -82,7 +90,7 @@ def test_infinite_domain_gaussian():
 
 def test_semi_infinite_oscillatory_with_period_hint():
     w = 37.0
-    cut, bound = power_exp_cut(1.0, 0.0, 1.0, _ABS_TOL)
+    cut, bound = _cut(("exp", 1.0, 1.0), _ABS_TOL)
     res = integrate(
         lambda x: np.cos(w * x) * np.exp(-x),
         (0.0, cut),
@@ -102,7 +110,7 @@ def test_semi_infinite_oscillatory_with_period_hint():
 
 def test_left_singularity_substitution():
     # x^(-1/2) * exp(-x) over (0, inf) = sqrt(pi)
-    cut, bound = power_exp_cut(1.0, -0.5, 1.0, _ABS_TOL)
+    cut, bound = _cut(("exp", 1.0, 1.0), _ABS_TOL, -0.5)
     res = integrate(
         lambda x: np.exp(-x) / np.sqrt(x),
         (0.0, cut),
@@ -300,35 +308,80 @@ def test_status_of_a_converged_integral_and_ordering():
 
 
 def test_complex_valued_integrand():
-    cut, bound = power_exp_cut(1.0, 0.0, 1.0, _ABS_TOL)
+    cut, bound = _cut(("exp", 1.0, 1.0), _ABS_TOL)
     res = integrate(lambda x: np.exp(1j * x - x), (0.0, cut),
                     tail_bound=bound)
     assert_allclose(res.value, 1.0 / (1.0 - 1j), rtol=1e-12)
 
 
-@pytest.mark.parametrize("c,sigma,rate", [(1.0, 0.0, 1.0), (3.0, 2.5, 0.3),
-                                          (0.5, 4.0, 2.0)])
-def test_power_exp_cut_bound_is_valid(c, sigma, rate):
-    delta = 1e-10
-    cut, bound = power_exp_cut(c, sigma, rate, delta)
-    assert bound <= delta * 1.05
-    tail = integrate(
-        lambda t: c * t ** sigma * np.exp(-rate * t),
-        (cut, cut + 60.0 / rate),
-    )
-    assert abs(tail.value) <= bound * 1.01 + 1e-16
+def _exact_tail(envelope, radius, power):
+    """int_R^inf u^power env(u) du in closed form, at 40 digits."""
+    kind, c, p = envelope
+    with mp.workdps(40):
+        c, p, r, s = (mp.mpf(v) for v in (c, p, radius, power))
+        if kind == "exp":
+            return float(c * mp.gammainc(s + 1, p * r) / p ** (s + 1))
+        if kind == "gauss":
+            k = (s + 1) / 2
+            return float(c * mp.gammainc(k, p * r * r) / (2 * p ** k))
+        return float(c * r ** (s + 1 - p) / (p - 1 - s))
 
 
-@pytest.mark.parametrize("c,sigma,rate", [(1.0, 0.0, 0.5), (2.0, 3.0, 0.25)])
-def test_power_gauss_cut_bound_is_valid(c, sigma, rate):
-    delta = 1e-11
-    cut, bound = power_gauss_cut(c, sigma, rate, delta)
-    assert bound <= delta * 1.05
-    tail = integrate(
-        lambda t: c * t ** sigma * np.exp(-rate * t * t),
-        (cut, cut + 30.0 / math.sqrt(rate)),
-    )
-    assert abs(tail.value) <= bound * 1.01 + 1e-16
+def _least_radius(envelope, power):
+    """The radius below which the rule's bound does not hold (0: every R > 0)."""
+    kind, _, p = envelope
+    if kind == "exp":
+        return max(power, 0.0) / p
+    if kind == "gauss":
+        return math.sqrt(max(power - 1.0, 0.0) / (2.0 * p))
+    return 0.0
+
+
+@pytest.mark.parametrize("tol", [1e-16, 1e-11, 1e-6])
+@pytest.mark.parametrize("power", [-0.5, 0.0, 1.0, 2.5, 4.0, 9.0])
+@pytest.mark.parametrize("envelope", [
+    ("exp", 1.0, 1.0), ("exp", 3.0, 0.3), ("exp", 0.5, 2.0),
+    ("gauss", 1.0, 0.5), ("gauss", 2.0, 0.25), ("gauss", 7.0, 0.45),
+    ("alg", 2.0, 2.0), ("alg", 0.5, 12.0),
+], ids=lambda e: "-".join(map(str, e)))
+def test_cut_rule_bound_is_valid(envelope, power, tol):
+    """One rule for every truncated line: at the radius ``_cut_radius``
+    gives, and just inside the range where it holds, the bound is at least
+    the exact tail of u^power * envelope; at the radius it is at most
+    1.05 tol unless the radius is clamped to [1, TRUNCATION_RADIUS]; below
+    that range it is infinite.  An algebraic tail that diverges has an
+    infinite bound and no radius."""
+    kind, _, p = envelope
+    if kind == "alg" and not p - 1.0 - power > 0.0:
+        with pytest.raises(QuadratureError, match="does not converge"):
+            _cut_radius(envelope, tol, power)
+        assert _envelope_tail_bound(envelope, 2.0, power) == math.inf
+        return
+    radius, bound = _cut(envelope, tol, power)
+    least = _least_radius(envelope, power)
+    assert radius > least
+    if 1.0 < radius < TRUNCATION_RADIUS:
+        assert bound <= 1.05 * tol
+    for r in (radius, 1.1 * least + 0.05):
+        tail = _exact_tail(envelope, r, power)
+        assert tail <= _envelope_tail_bound(envelope, r, power) * (1 + 1e-12)
+    for r in (0.5 * least, 0.0, -1.0):
+        assert _envelope_tail_bound(envelope, r, power) == math.inf
+
+
+def test_cut_rule_at_power_zero_and_an_infinite_constant():
+    # power 0 takes the bound without the power's factor, bit for bit
+    assert _envelope_tail_bound(("exp", 3.0, 0.5), 40.0) == (
+        3.0 * math.exp(-0.5 * 40.0) / 0.5)
+    assert _envelope_tail_bound(("gauss", 3.0, 0.5), 8.0) == (
+        3.0 * math.exp(-0.5 * 8.0 * 8.0) / (2.0 * 0.5 * 8.0))
+    # an envelope scaled past the float range bounds nothing
+    for kind in ("exp", "gauss", "alg"):
+        envelope = (kind, math.inf, 2.5)
+        assert _cut_radius(envelope, 1e-15, 1.0) == TRUNCATION_RADIUS
+        assert _envelope_tail_bound(envelope, 1e3, 1.0) == math.inf
+    with pytest.raises(QuadratureError, match="unknown envelope kind"):
+        _cut_radius(("cauchy", 1.0, 1.0), 1e-15)
 
 
 def _one_row(f):
@@ -345,7 +398,7 @@ def test_one_component_integrand_gives_the_same_bits(case):
     domain = (-20.0, 20.0)
     if case == "infinite":
         f = lambda x: np.exp(1j * x - np.abs(x))  # noqa: E731
-        cut, bound = power_exp_cut(1.0, 0.0, 1.0, cfg.abs_tol)
+        cut, bound = _cut(("exp", 1.0, 1.0), cfg.abs_tol)
         domain = (-cut, cut)
         kw = dict(breakpoints=[0.0], tail_bound=2.0 * bound)
     elif case == "singular":
@@ -376,7 +429,7 @@ def test_each_component_meets_its_own_target():
         return scales * np.exp(-x * x) * np.cos(freqs * x)
 
     # every component is at most e^(-x^2); cut below the smallest target
-    cut, bound = power_gauss_cut(1.0, 0.0, 1.0, 1e-30)
+    cut, bound = _cut(("gauss", 1.0, 1.0), 1e-30)
     results = integrate(f, (-cut, cut), cfg, tail_bound=2.0 * bound)
     assert len(results) == 3
     for r, c, k in zip(results, scales[:, 0], freqs[:, 0]):
