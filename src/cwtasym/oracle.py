@@ -23,8 +23,9 @@ engine ``_alg_tail`` integrates the series against the wavelet:
   horizontal line is bounded by a quarter of the absolute tolerance (that
   bound is at most about e^{-rate^2/(2a^2)}, at height |rate|/a^2).  Where
   no height meets it (|b| of order a or less), the series is integrated
-  along the real axis up to the Gaussian cut instead; where that cut is
-  below R the side is not split, and the fold covers it up to the cut.
+  along the real axis up to the Gaussian cut instead, on a first mesh of
+  one panel per octave of w; where that cut is below R the side is not
+  split, and the fold covers it up to the cut.
 
 A real wavelet's - side tail is the conjugate of its + side's, so only
 the + side's is computed (``_real_wavelet`` states where conjugate
@@ -113,9 +114,14 @@ def cwt_time(
     wavelet's envelope at abs_tol, and both sides' tail bounds
     (``_envelope_tail_bound``) join each error estimate.  The
     first mesh is at the wavelet's own scale (``time_panel_width``: panels
-    at most min(1, T/4) wide for the modulated Gaussian of period T, 1 for
-    the Mexican hat), fine enough that at the default tolerance one GK15
-    pass usually leaves only a negligible excess over the roundoff floors.
+    at most min(0.7, 0.4 T) wide for the modulated Gaussian of period T, 1
+    for the Mexican hat), on which one GK15 pass usually meets the target
+    or leaves only a negligible excess over the roundoff floors.
+
+    A result is ``converged`` when the quadrature of the unscaled integral
+    I converged and, in the units returned, sqrt(a)*err is also within 10x
+    max(abs_tol, rel_tol*sqrt(a)*|I|); for a <= 1 the first implies the
+    second.
     """
     grid = np.asarray(a, dtype=float)
     if not (grid > 0.0).all():
@@ -170,12 +176,14 @@ def _cwt_time_block(
     out = []
     for a, r in zip(dilations, res):
         root_a = math.sqrt(a)
+        value, err = r.value * root_a, r.abs_error_estimate * root_a
+        target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
         out.append(QuadratureResult(
-            r.value * root_a,
-            r.abs_error_estimate * root_a,
+            value,
+            err,
             r.n_evaluations,
             r.n_panels,
-            r.converged,
+            r.converged and err <= 10.0 * target,
             r.status,
         ))
     return out
@@ -447,7 +455,9 @@ def _alg_tail(
     up to the height from ``_ray_height``; the horizontal line closing the
     contour there is bounded, not integrated.  Where that bound cannot reach
     the tolerance (|rate| of order a or less), the series is integrated
-    along the real axis up to the Gaussian cut instead.
+    along the real axis up to the Gaussian cut instead, with breakpoints at
+    R 2^k: at small dilations the cut lies many decades past R, and panels
+    wider than the series' scale near R would miss its bulk.
     """
     if wavelet.kind == WaveletKind.Haar:
         value, err = _haar_alg_tail(signal, sign, a, b, radius)
@@ -475,6 +485,12 @@ def _alg_tail(
             )
 
         breakpoints, width = _fourier_side_hints(wavelet, sign, a, b)
+        # The series varies on the scale of v itself: one panel per octave
+        # (at most about a thousand, where the cut nears the float range).
+        edge = 2.0 * radius
+        while edge < cut:
+            breakpoints.append(edge)
+            edge *= 2.0
         return integrate(
             on_axis,
             (radius, cut),

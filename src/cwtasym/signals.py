@@ -59,12 +59,24 @@ def _on_reals(formula):
     return lambda x: formula(np.asarray(x, dtype=float))
 
 
+def _overflow_to_zero(formula):
+    """A formula of t*t whose value is 0 where t*t overflows (|t| above
+    about 1e154): the inf it gets there gives that 0, so the overflow is
+    not reported."""
+
+    def quiet(t):
+        with np.errstate(over="ignore"):
+            return formula(t)
+
+    return quiet
+
+
 # The one time- and frequency-domain formula of each built-in signal.
-_lorentzian_time = _on_reals(lambda t: 1.0 / (1.0 + t * t))
+_lorentzian_time = _on_reals(_overflow_to_zero(lambda t: 1.0 / (1.0 + t * t)))
 _lorentzian_freq = _on_reals(lambda w: np.pi * np.exp(-np.abs(w)))
 _two_sided_exp_time = _on_reals(lambda t: np.exp(-np.abs(t)))
 _two_sided_exp_freq = _on_reals(lambda w: 2.0 / (1.0 + w * w))
-_gaussian_time = _on_reals(lambda t: np.exp(-0.5 * t * t))
+_gaussian_time = _on_reals(_overflow_to_zero(lambda t: np.exp(-0.5 * t * t)))
 _gaussian_freq = _on_reals(lambda w: _SQRT_2PI * np.exp(-0.5 * w * w))
 
 

@@ -160,6 +160,25 @@ def test_mellin_small_z_is_still_right(capsys):
     assert abs(row["value"][0] - exact) <= 1e-9 * exact
 
 
+@pytest.mark.parametrize("a", ["1e20", "1e300"])
+def test_huge_dilation_time_route_is_judged_in_its_units(a, capsys):
+    """sqrt(a) scales the time route's estimate: at a = 1e20 it is about
+    1e-4 and at a = 1e300 about 2e136, far above the tolerance, so the
+    route is not converged and the command exits 3.  The Lorentzian's t*t
+    overflows at a = 1e300 without a warning."""
+    argv = ["cwt", "--signal", "lorentzian", "--wavelet", "morlet",
+            "--b", "0.3", "--a", a, "--oracle", "both", "--format", "json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "Warning" not in captured.err
+    routes = json.loads(captured.out)["routes"]
+    assert not routes["time"]["converged"]
+    assert routes["fourier"]["converged"]
+
+
 @pytest.mark.parametrize("b", ["0.3", "0"])
 @pytest.mark.parametrize("a", ["1e-312", "5e-324"])
 @pytest.mark.parametrize("wavelet", ["morlet", "mexhat", "haar"])

@@ -111,7 +111,8 @@ def test_transform_of_real_arguments_in_real_arithmetic(spec):
 def test_time_envelope_bounds_the_wavelet(spec):
     """|psi(t)| <= C e^{-rate t^2} on a fine grid; the Mexican hat's
     7 e^{-0.45 t^2} is tight to 2e-4 at t^2 = 21, where |1 - t^2| e^{-t^2/2}
-    over e^{-0.45 t^2} peaks at 20 e^{-1.05} = 6.9988."""
+    over e^{-0.45 t^2} peaks at 20 e^{-1.05} = 6.9988, and the modulated
+    Gaussian's e^{-t^2/2} is its exact modulus, C a few ulp above 1."""
     kind, c, rate = spec.time_envelope
     assert kind == "gauss"
     t = np.linspace(-12.0, 12.0, 240_001)
@@ -119,6 +120,8 @@ def test_time_envelope_bounds_the_wavelet(spec):
     assert ratio.max() <= 1.0
     if spec.kind == WaveletKind.MexicanHat:
         assert ratio.max() > 1.0 - 2e-4
+    if spec.kind == WaveletKind.Morlet:
+        assert rate == 0.5 and ratio.max() > 1.0 - 1e-15
 
 
 def test_step_wavelet_time_values():
