@@ -61,6 +61,7 @@ from .oracle import (
     _conjugate_time_mirror,
     _fold_hints,
     _fold_integrand,
+    _pole_mesh,
     _real_wavelet,
     _side_coeffs,
     _split_radius,
@@ -99,9 +100,10 @@ _LN2 = math.log(2.0)
 # Measured against 40-digit references over 0 < nu <= 60, the elementary
 # time moments are within 4.3 ulp (Mexican hat) and 1.8 ulp (Haar).
 _CLOSED_ULPS = 8.0
-# Least number of first panels over the folded frequency head [0, upper]:
-# the half period pi/|b| alone is 1,571 wide at b = 0.002, and such a mesh
-# bisects, while a fixed width cap of 1 doubles the Lorentzian's nodes.
+# Least number of first panels over the folded frequency head [0, upper]
+# of a fast-decaying signal: the half period pi/|b| alone is 1,571 wide at
+# b = 0.002, and such a mesh bisects, while a fixed width cap of 1 doubles
+# the Lorentzian's nodes.
 _HEAD_PANELS = 16
 
 
@@ -250,7 +252,15 @@ def remainder_frequency(
     The breakpoints are both sides' features (``oracle._fold_hints``) and
     cutover/a, where psi_tail's series branch ends; the first panels are no
     wider than the helper's half period of the phase, about pi/|b|, and
-    upper/16.
+    upper/16, except where f_hat decays algebraically: there the head
+    takes the Fourier oracle's first mesh (``oracle._pole_mesh``), an edge
+    at each octave from half the poles' distance and Gaussian-wavelet
+    panels at most 1.5/a wide, in place of the upper/16 cap.  On the
+    perfbench ``remainder`` lists of seeds 5 and 201 (seconds 10, 57
+    two-sided-exponential frequency tasks per wavelet) that took the head
+    from 1.02-1.26 GK15 passes and 248-261 nodes per task to 1.00 and
+    165-181; the octave edges with the cap kept took it to 1.00 passes
+    but 286-295 nodes.
 
     When the signal transform decays faster than algebraically, upper is the
     cut of both sides, with their tail bound.  When it decays
@@ -286,7 +296,7 @@ def remainder_frequency(
     if math.isfinite(signal.tail_beta):
         weights = [(abs(c) * a ** s, s) for s, c in enumerate(cs) if c != 0.0]
         weights.append((wavelet.hat_sup, 0))  # the wavelet tail's series
-        upper, truncation = _split_radius(signal, weights, cutover / a, cfg)
+        upper, truncation, q = _split_radius(signal, weights, cutover / a, cfg)
         tail_bound = 0.0
         for sign in (1, -1):
             if sign < 0 and _real_wavelet(wavelet):
@@ -311,13 +321,17 @@ def remainder_frequency(
 
     breakpoints, width = _fold_hints(wavelet, a, b)
     breakpoints.append(cutover / a)
-    cap = upper / _HEAD_PANELS
+    if math.isfinite(signal.tail_beta):
+        breakpoints, width = _pole_mesh(breakpoints, width, wavelet, a, q, upper)
+    else:
+        cap = upper / _HEAD_PANELS
+        width = cap if width is None else min(width, cap)
     head = integrate(
         _fold_integrand(g, wavelet),
         (0.0, upper),
         cfg,
         breakpoints=breakpoints,
-        panel_width=cap if width is None else min(width, cap),
+        panel_width=width,
         tail_bound=tail_bound,
     )
     root_a = math.sqrt(a)

@@ -13,7 +13,14 @@ starts at max(16, 2q) (q the series' apparent convergence radius) and
 doubles until the bound on truncating the series, valid for |w| >= 2q, is
 below half the absolute tolerance (``_split_radius``).  [0, R] is part of
 the folded quadrature of the exact integrand; above R the analytic-tail
-engine ``_alg_tail`` integrates the series against the wavelet:
+engine ``_alg_tail`` integrates the series against the wavelet.
+
+The two-sided exponential of time scale s, the one such built-in, has the
+transform 2s/(1 + s^2 w^2) with poles at +-i/s, and q = 1/s is their
+distance from the real line.  The folded head's first mesh, split or not,
+has edges at q/2 and q 2^k below its upper end (``_pole_mesh``): no panel
+is wider than its distance from the poles, and one GK15 pass usually meets
+the target.  In the tail:
 
 * the step wavelet's tail is closed form, one incomplete Gamma per phase;
 * the Gaussian wavelets' tail e^{i rate w} series(w) conj(psi_hat)(+-a w),
@@ -34,8 +41,9 @@ every quadrature's estimate are added to the result's error estimate, and
 the quadratures' counts and worst status are carried into it.  The
 frequency-domain remainder (``expansion.remainder_frequency``) takes its
 radius by the same rule, its tails from the same engine, and its fold and
-breakpoints from the same helpers (``_fold_integrand``, ``_fold_hints``),
-with one folded head quadrature over [0, R] for both sides.
+first mesh from the same helpers (``_fold_integrand``, ``_fold_hints``,
+``_pole_mesh``), with one folded head quadrature over [0, R] for both
+sides.
 """
 
 from __future__ import annotations
@@ -76,22 +84,16 @@ _TWO_PI = 2.0 * math.pi
 # 1.5e-13 from R = 1 and 3e-16 from R = 16, past the tolerance at R = 1.
 _SPLIT_START = 16.0
 
+# Widest first panel of a Gaussian wavelet's transform on a head meshed by
+# octaves (``_pole_mesh``), in units of 1/a, the transform's own scale in
+# w.  On the perfbench ``oracle`` lists of seeds 5 and 201, the two-sided
+# exponential's Morlet and Mexican-hat heads took at most 1.01 GK15 passes
+# per task with it, up to 1.06 with 2.5 and up to 1.11 with no cap.
+_WAVELET_PANEL = 1.5
+
 # Most dilations ``cwt_time`` puts on one mesh.  Its memory grows with the
 # dilations on it, and one bisection budget serves them all.
 _GRID_BLOCK = 32
-
-
-def _result(value, err, parts) -> QuadratureResult:
-    """A result made of ``parts``: the caller's value and error estimate,
-    the parts' summed counts, joint convergence and worst status."""
-    return QuadratureResult(
-        value=value,
-        abs_error_estimate=err,
-        n_evaluations=sum(p.n_evaluations for p in parts),
-        n_panels=sum(p.n_panels for p in parts),
-        converged=all(p.converged for p in parts),
-        status=worst_status("tolerance", *(p.status for p in parts)),
-    )
 
 
 def cwt_time(
@@ -345,19 +347,67 @@ def _series_truncation(signal: SignalSpec, weights) -> tuple:
 
 def _split_radius(
     signal: SignalSpec, weights, start: float, cfg: QuadratureConfig
-) -> tuple[float, float]:
+) -> tuple[float, float, float]:
     """Radius past which f_hat is replaced by its inverse-power series.
 
     Starts at max(start, 2q) (see ``_series_truncation``) and doubles until
     the truncation bound for ``weights`` is below half the absolute
-    tolerance or the radius reaches the truncation cap.  Returns the radius
-    and that bound.
+    tolerance or the radius reaches the truncation cap.  Returns the radius,
+    that bound and q: for the two-sided exponential of time scale s, whose
+    transform 2s/(1 + s^2 w^2) has poles at +-i/s, q = 1/s is the poles'
+    distance from the real line, the scale of the head's first mesh below
+    the radius (``_pole_mesh``).
     """
     q, truncation = _series_truncation(signal, weights)
     radius = max(start, 2.0 * q)
     while truncation(radius) > 0.5 * cfg.abs_tol and radius < TRUNCATION_RADIUS:
         radius = min(2.0 * radius, TRUNCATION_RADIUS)
-    return radius, truncation(radius)
+    return radius, truncation(radius), q
+
+
+def _octaves(start: float, end: float) -> list:
+    """Panel edges start * 2^k, k >= 0, below ``end`` (none unless start > 0).
+
+    Each panel between two edges is at most as wide as its distance from
+    0, so a singularity near 0, such as a pole at +-iq with start <= q, is
+    at least one panel width away from every panel: the Bernstein ellipse
+    of each is at least as large, and a Gauss rule converges on each at
+    least at one rate (Trefethen, Approximation Theory and Approximation
+    Practice, SIAM 2013, ch. 19).  At most about two thousand edges,
+    between the least positive float and the largest.
+    """
+    edges = []
+    edge = start
+    while 0.0 < edge < end:
+        edges.append(edge)
+        edge *= 2.0
+    return edges
+
+
+def _pole_mesh(
+    breakpoints: list,
+    width: Optional[float],
+    wavelet: WaveletSpec,
+    a: float,
+    q: float,
+    upper: float,
+) -> tuple[list, Optional[float]]:
+    """The first mesh of a folded head over [0, upper] whose signal
+    transform has poles at distance q from the real line (``_split_radius``).
+
+    Adds edges at q/2 and q 2^k below ``upper`` (``_octaves``) to the
+    caller's ``breakpoints``, so no panel is wider than its distance from
+    the poles, and caps a Gaussian wavelet's first panels at
+    ``_WAVELET_PANEL``/a, the transform's own scale: ``integrate`` splits
+    every panel evenly only on a mesh of fewer than eight, so the octave
+    edges alone would leave the wavelet's flanks on single wide panels at
+    dilations of order one.  Returns the breakpoints and the widest first
+    panel.
+    """
+    breakpoints = breakpoints + _octaves(0.5 * q, upper)
+    if wavelet.kind != WaveletKind.Haar:
+        width = min(width or math.inf, _WAVELET_PANEL / a)
+    return breakpoints, width
 
 
 def _side_coeffs(signal: SignalSpec, sign: int) -> list:
@@ -485,12 +535,8 @@ def _alg_tail(
             )
 
         breakpoints, width = _fourier_side_hints(wavelet, sign, a, b)
-        # The series varies on the scale of v itself: one panel per octave
-        # (at most about a thousand, where the cut nears the float range).
-        edge = 2.0 * radius
-        while edge < cut:
-            breakpoints.append(edge)
-            edge *= 2.0
+        # The series varies on the scale of v itself: one panel per octave.
+        breakpoints += _octaves(2.0 * radius, cut)
         return integrate(
             on_axis,
             (radius, cut),
@@ -552,6 +598,19 @@ def cwt_fourier(
     wavelet's sides have equal cuts, so both are split or neither, and its
     - side's tail is the conjugate of its + side's (``_real_wavelet``):
     one analytic tail, whose counts the result carries once.
+
+    The fold's first mesh has the breakpoints of both sides
+    (``_fold_hints``) and panels at most half a period of e^{ibw}; for an
+    algebraically decaying signal, split or not, it also has an edge at
+    each octave q 2^k from q/2 below L, q from ``_split_radius`` (for the
+    two-sided exponential, the distance of f_hat's poles from the real
+    line), and a Gaussian wavelet's first panels are at most
+    ``_WAVELET_PANEL``/a wide (``_pole_mesh``).
+
+    A result is ``converged`` when its quadratures converged and, in the
+    units returned (after the factor sqrt(a)/(2 pi)), its whole estimate,
+    tails and truncation bounds included, is within 10x
+    max(abs_tol, rel_tol*|W|), as ``cwt_time``'s is.
     """
     if not a > 0.0:
         raise ValueError("the dilation parameter must be positive")
@@ -594,20 +653,32 @@ def cwt_fourier(
             reach = max(reach, cut)
             tail_bound += min(t(cut) for _, t in cuts)
 
+    upper = split[0] if tails else reach
+    if split is not None:
+        breakpoints, width = _pole_mesh(
+            breakpoints, width, wavelet, a, split[2], upper
+        )
     head = integrate(
         _fold_integrand(g, wavelet),
-        (0.0, split[0] if tails else reach),
+        (0.0, upper),
         cfg,
         breakpoints=breakpoints,
         panel_width=width,
         tail_bound=tail_bound,
     )
     factor = math.sqrt(a) / _TWO_PI
-    return _result(
-        (head.value + sum(t.value for t in tails)) * factor,
-        (
-            head.abs_error_estimate
-            + sum(t.abs_error_estimate + split[1] for t in tails)
-        ) * factor,
-        (head, *tails),
+    value = (head.value + sum(t.value for t in tails)) * factor
+    err = (
+        head.abs_error_estimate
+        + sum(t.abs_error_estimate + split[1] for t in tails)
+    ) * factor
+    parts = (head, *tails)
+    target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    return QuadratureResult(
+        value=value,
+        abs_error_estimate=err,
+        n_evaluations=sum(p.n_evaluations for p in parts),
+        n_panels=sum(p.n_panels for p in parts),
+        converged=all(p.converged for p in parts) and err <= 10.0 * target,
+        status=worst_status("tolerance", *(p.status for p in parts)),
     )

@@ -164,8 +164,10 @@ def test_mellin_small_z_is_still_right(capsys):
 def test_huge_dilation_time_route_is_judged_in_its_units(a, capsys):
     """sqrt(a) scales the time route's estimate: at a = 1e20 it is about
     1e-4 and at a = 1e300 about 2e136, far above the tolerance, so the
-    route is not converged and the command exits 3.  The Lorentzian's t*t
-    overflows at a = 1e300 without a warning."""
+    route is not converged and the command exits 3.  The Fourier route is
+    judged in its units too: at a = 1e20 its estimate is 1.1e-10 on a value
+    of 2.8e-10, not converged, and at a = 1e300 1.1e-150, within abs_tol.
+    The Lorentzian's t*t overflows at a = 1e300 without a warning."""
     argv = ["cwt", "--signal", "lorentzian", "--wavelet", "morlet",
             "--b", "0.3", "--a", a, "--oracle", "both", "--format", "json"]
     with warnings.catch_warnings():
@@ -176,7 +178,7 @@ def test_huge_dilation_time_route_is_judged_in_its_units(a, capsys):
     assert "Warning" not in captured.err
     routes = json.loads(captured.out)["routes"]
     assert not routes["time"]["converged"]
-    assert routes["fourier"]["converged"]
+    assert routes["fourier"]["converged"] == (a == "1e300")
 
 
 @pytest.mark.parametrize("b", ["0.3", "0"])

@@ -789,7 +789,7 @@ def test_real_wavelet_minus_tail_is_the_conjugate(wav_kind, scale):
     sig = make_signal(SignalKind.TwoSidedExp, *scale)
     wav = make_wavelet(wav_kind)
     cfg = QuadratureConfig()
-    radius, _ = _split_radius(sig, [(wav.hat_sup, 0)], _SPLIT_START, cfg)
+    radius, _, _ = _split_radius(sig, [(wav.hat_sup, 0)], _SPLIT_START, cfg)
     cs = small_u_coefficients(wav, 4).coefficients
     for a in (0.01, 0.05, 0.3):
         for b in (-1.3, 0.002, 0.6, 1.95):

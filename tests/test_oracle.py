@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import cwtasym.oracle as oracle
+import cwtasym.quadrature as quadrature
 import cwtasym.specfun as specfun
 from cwtasym.oracle import _haar_alg_tail, cwt_fourier, cwt_time
 from cwtasym.quadrature import QuadratureConfig, _cut_radius
@@ -63,12 +64,27 @@ def test_morlet_gaussian_offset_vs_highprec():
 
 
 # 30-digit formulas of the built-in signals and Gaussian wavelets, for the
-# seeded audit of the time route's estimates.
+# seeded audits of both routes' estimates.
 _MP_SIGNALS = {
     SignalKind.Lorentzian: lambda t: 1 / (1 + t * t),
     SignalKind.TwoSidedExp: lambda t: mp.exp(-abs(t)),
     SignalKind.Gaussian: lambda t: mp.exp(-t * t / 2),
 }
+
+
+def _mp_wavelet(kind, u0):
+    """conj(psi)(s) of a Gaussian wavelet in mpmath, its values kept across
+    the calls of one audit, which share most nodes."""
+    psi = {}
+
+    def psi_at(s):
+        if s not in psi:
+            gauss = mp.exp(-s * s / 2)
+            psi[s] = (mp.expj(-u0 * s) * gauss if kind == WaveletKind.Morlet
+                      else (1 - s * s) * gauss)
+        return psi[s]
+
+    return psi_at
 
 
 @pytest.mark.parametrize("kind,u0", [(WaveletKind.Morlet, 2.0),
@@ -80,19 +96,10 @@ def test_time_route_estimate_covers_its_error(kind, u0):
     30-digit Gauss-Legendre reference is at most the returned estimate.
     The reference covers |s| <= 10, whose tails are below 1e-21, with a
     breakpoint at the two-sided exponential's kink -b/a; its own error
-    estimate is checked too.  The wavelet's values are kept across the
-    calls, which share most nodes."""
+    estimate is checked too."""
     wav = make_wavelet(kind, u0) if u0 else make_wavelet(kind)
     rng = random.Random(f"cwt_time audit {kind.value} {u0}")
-    psi = {}
-
-    def psi_at(s):
-        if s not in psi:
-            gauss = mp.exp(-s * s / 2)
-            psi[s] = (mp.expj(-u0 * s) * gauss if kind == WaveletKind.Morlet
-                      else (1 - s * s) * gauss)
-        return psi[s]
-
+    psi_at = _mp_wavelet(kind, u0)
     for sig_kind, f in _MP_SIGNALS.items():
         for _ in range(8):
             a, b = 10.0 ** rng.uniform(-3.0, 0.0), rng.uniform(-2.0, 2.0)
@@ -109,6 +116,125 @@ def test_time_route_estimate_covers_its_error(kind, u0):
             assert got.converged, case
             assert float(ref_err) <= 1e-3 * got.abs_error_estimate, case
             assert abs(got.value - complex(ref)) <= got.abs_error_estimate, case
+
+
+# The step wavelet's two pieces, +1 on [0, 1/2) and -1 on [1/2, 1).
+_MP_HAAR_PIECES = (((0, mp.mpf(1) / 2), 1), ((mp.mpf(1) / 2, 1), -1))
+
+
+@pytest.mark.parametrize("wavelet", ["morlet", "mexhat", "haar"])
+def test_fourier_route_estimate_covers_its_error(wavelet):
+    """Seeded audit of ``cwt_fourier``: for each built-in signal, and the
+    two-sided exponential at time scales 0.2 and 5, at 3 points with a
+    log-uniform on [1e-3, 1] and b uniform on [-2, 2], the error against
+    the 30-digit time-domain reference of the time route's audit is at
+    most the returned estimate.  The step wavelet's reference is its two
+    pieces, each with the signal's kink -b/a as a breakpoint where it
+    falls inside."""
+    wav = _WAVELETS[wavelet]
+    rng = random.Random(f"cwt_fourier audit {wavelet}")
+    psi_at = _mp_wavelet(wav.kind, wav.u0)
+    cases = [(kind, 1.0) for kind in _MP_SIGNALS]
+    cases += [(SignalKind.TwoSidedExp, 0.2), (SignalKind.TwoSidedExp, 5.0)]
+    for sig_kind, scale in cases:
+        f = _MP_SIGNALS[sig_kind]
+        for _ in range(3):
+            a, b = 10.0 ** rng.uniform(-3.0, 0.0), rng.uniform(-2.0, 2.0)
+            got = cwt_fourier(make_signal(sig_kind, time_scale=scale), wav, a, b)
+            with mp.workdps(30):
+                kink = -mp.mpf(b) / a
+
+                def fa(s):
+                    return f((b + a * s) / scale)
+
+                if wav.kind == WaveletKind.Haar:
+                    ref = ref_err = 0
+                    for (lo, hi), sign in _MP_HAAR_PIECES:
+                        points = sorted({lo, hi} | ({kink} if lo < kink < hi else set()))
+                        v, e = mp.quad(fa, points, method="gauss-legendre", error=True)
+                        ref, ref_err = ref + sign * v, ref_err + e
+                else:
+                    points = [mp.mpf(k) for k in range(-10, 11, 2)]
+                    if sig_kind == SignalKind.TwoSidedExp and abs(kink) < 10:
+                        points = sorted(points + [kink])
+                    ref, ref_err = mp.quad(lambda s: fa(s) * psi_at(s), points,
+                                           method="gauss-legendre", error=True)
+                ref, ref_err = mp.sqrt(a) * ref, mp.sqrt(a) * ref_err
+            case = (sig_kind.value, scale, a, b)
+            assert got.converged, case
+            assert float(ref_err) <= 1e-3 * got.abs_error_estimate, case
+            assert abs(got.value - complex(ref)) <= got.abs_error_estimate, case
+
+
+def test_fourier_route_is_judged_in_its_units():
+    """The Fourier route's flag reads the estimate in the units returned,
+    after the sqrt(a)/(2 pi) factor.  For the Lorentzian against the
+    modulated Gaussian, W = pi/sqrt(a) up to terms of order a^-3/2 at huge
+    a; at a = 1e20 the route returns 2.77e-10 with an estimate of 1.06e-10,
+    which covers the error against pi*1e-10 but is far above the target
+    max(abs_tol, rel_tol*|W|), so it is not converged."""
+    sig = make_signal(SignalKind.Lorentzian)
+    wav = _WAVELETS["morlet"]
+    a = 1e20
+    got = cwt_fourier(sig, wav, a, 0.3)
+    assert abs(got.value - math.pi / math.sqrt(a)) <= got.abs_error_estimate
+    assert got.abs_error_estimate > 10.0 * 1e-10 * abs(got.value)
+    assert not got.converged
+
+
+def _head_batches(monkeypatch, sig, wav, a, b):
+    """GK15 batches of ``cwt_fourier``'s folded head, its last quadrature."""
+    batches = []
+    real_eval, real_integrate = quadrature._panel_eval, oracle.integrate
+
+    def counted_eval(*args, **kwargs):
+        batches[-1] += 1
+        return real_eval(*args, **kwargs)
+
+    def counted_integrate(*args, **kwargs):
+        batches.append(0)
+        return real_integrate(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_panel_eval", counted_eval)
+    monkeypatch.setattr(oracle, "integrate", counted_integrate)
+    res = cwt_fourier(sig, wav, a, b)
+    monkeypatch.undo()
+    assert res.converged
+    return batches[-1]
+
+
+# Points of the test below whose head still takes a second pass, as
+# (wavelet, time scale, index of the point): none is the pole's.
+_HEAD_STILL_BISECTS = {
+    # a = 0.56, b = 1.07: the panel [2.53, 5] from the hat's peak to the pole
+    # distance spans 2.6 radians of e^{ibw} on the hat's flank, and its
+    # estimate is 2.1 times the target.
+    ("mexhat", 0.2, 3),
+    # a = 0.068, |I| below 1e-4: the estimate of 44 panels, each far below
+    # abs_tol = 1e-14, adds up to 1.7 times it.
+    ("mexhat", 0.2, 6),
+    # a = 1.7e-3, |I| below 1e-4: the first panel [0, q/2] = [0, 2.5] alone
+    # is at 1.17 times abs_tol.
+    ("haar", 0.2, 1),
+}
+
+
+@pytest.mark.parametrize("scale", [0.2, 1.0, 5.0])
+@pytest.mark.parametrize("wavelet", ["morlet", "mexhat", "haar"])
+def test_two_sided_exp_fourier_head_is_one_pass(monkeypatch, wavelet, scale):
+    """The two-sided exponential's transform 2s/(1 + s^2 w^2) has poles at
+    +-i/s.  The head's first mesh has an edge at each octave from 1/(2s)
+    (``_pole_mesh``), so no panel is wider than its distance from the pole,
+    and one GK15 pass meets the target at 12 seeded points, a log-uniform
+    on [1e-3, 1] and b uniform on [-2, 2]; the parent's panels of width 2
+    to 5 from 0 bisected at 82 of these 108 points."""
+    sig = make_signal(SignalKind.TwoSidedExp, time_scale=scale)
+    wav = _WAVELETS[wavelet]
+    rng = random.Random(f"two-sided head {wavelet} {scale}")
+    for k in range(12):
+        a, b = 10.0 ** rng.uniform(-3.0, 0.0), rng.uniform(-2.0, 2.0)
+        want = 2 if (wavelet, scale, k) in _HEAD_STILL_BISECTS else 1
+        assert _head_batches(monkeypatch, sig, wav, a, b) == want, (k, a, b)
 
 
 @pytest.mark.parametrize(
@@ -293,8 +419,8 @@ def test_each_split_side_adds_the_truncation_bound(
     real = oracle._split_radius
 
     def padded(*args, **kwargs):
-        radius, bound = real(*args, **kwargs)
-        return radius, bound + extra
+        radius, bound, q = real(*args, **kwargs)
+        return radius, bound + extra, q
 
     monkeypatch.setattr(oracle, "_split_radius", padded)
     got = cwt_fourier(sig, wav, a, 0.5)
