@@ -9,6 +9,7 @@ cannot drift apart.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import os
 import tempfile
@@ -17,11 +18,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expansion import convergence_order, expansion_plan
-from .mellin import MellinMethod, mellin_transform
+from .expansion import _time_moment_closed, convergence_order, expansion_plan
+from .mellin import MellinError, MellinMethod, mellin_transform
 from .oracle import cwt_fourier, cwt_time
 from .quadrature import QuadratureConfig, _cut_radius, _envelope_tail_bound, integrate
-from .signals import SignalKind, make_h, make_signal
+from .signals import SignalKind, make_h, make_signal, time_coefficient_table
 from .specfun import gamma_complex, parabolic_cylinder_D
 from .wavelets import (
     WaveletKind,
@@ -74,6 +75,52 @@ def run_all(names: Optional[list] = None) -> list:
 def _rel(x: complex, y: complex) -> float:
     scale = max(abs(x), abs(y))
     return abs(x - y) / scale if scale > 0.0 else 0.0
+
+
+def mirror_sign(s: int, lam: int) -> complex:
+    """The reflection factor (-1)**(s + lam + 1)."""
+    return -1.0 + 0.0j if (s + lam + 1) % 2 else 1.0 + 0.0j
+
+
+def moment_products(signal, wavelet, b: float, n: int, domain: str,
+                    config: Optional[QuadratureConfig] = None):
+    """The expansion's products P_s and their bounds rebuilt from one-sided
+    moments, c_s (M+_s + ``mirror_sign(s, lam)`` M-_s) with each mirror
+    computed: the plan's reference, sharing none of its formula.  Frequency:
+    c^psi_s and the Mellin moments of h(u) = e^{ibu} f_hat(u) at s + lam
+    over 2 pi, closed forms or, where one raises or misses max(abs_tol,
+    rel_tol |value|), "auto".  Time: c^f_s(b) and ``_time_moment_closed``.
+    """
+    cfg = config if config is not None else QuadratureConfig()
+    lam, h = wavelet.lam, make_h(signal, b)
+    if domain == "frequency":
+        table = small_u_coefficients(wavelet, n)
+        cs, c_errs = table.coefficients, table.error_estimates
+    else:
+        cs, c_errs = time_coefficient_table(signal, b, n)
+
+    def moment(s, mirror):
+        if domain != "frequency":
+            return _time_moment_closed(wavelet, float(s + 1), mirror)
+        try:
+            m = mellin_transform(
+                h, s + lam, MellinMethod.ClosedForm, cfg, mirror=mirror)
+            # written so that a NaN estimate also falls back
+            if m.abs_error_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(m.value)):
+                return m.value / _TWO_PI, m.abs_error_estimate / _TWO_PI
+        except MellinError:
+            pass
+        m = mellin_transform(h, s + lam, "auto", cfg, mirror=mirror)
+        return m.value / _TWO_PI, m.abs_error_estimate / _TWO_PI
+
+    products, errors = np.zeros(n, dtype=complex), np.zeros(n)
+    for s, (c, c_err) in enumerate(zip(cs, c_errs)):
+        if c != 0.0 or c_err != 0.0:
+            (m_plus, e_plus), (m_minus, e_minus) = moment(s, False), moment(s, True)
+            pair = m_plus + mirror_sign(s, lam) * m_minus
+            products[s] = c * pair
+            errors[s] = abs(c) * (e_plus + e_minus) + c_err * abs(pair)
+    return products, errors
 
 
 @_register(
@@ -289,10 +336,10 @@ def _check_remainder_identity():
 def _check_convergence_orders():
     cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16)
     sig = make_signal(SignalKind.Lorentzian)
-    # Expected order = (first omitted term with a nonzero coefficient-moment
-    # product) + 1/2.  For the modulated Gaussian at b=1, n=3 the s=3 product
-    # vanishes identically (the two mirror moments at exponent 4 are equal and
-    # real, since (1 +- i)^4 = -4), so the leading omitted term is s=4.
+    # Expected order = (first omitted term with a nonzero product) + 1/2.
+    # At b=1 the s=3 product vanishes identically, since the Lorentzian's
+    # f'''(t) = 24 t (1 - t^2) / (1 + t^2)^4 is 0 at t = 1, so for n=3 the
+    # leading omitted term is s=4.
     cases = [
         (make_wavelet(WaveletKind.Morlet, u0=5.0), 1.0, 1, 1.5, 0.15),
         (make_wavelet(WaveletKind.Morlet, u0=5.0), 1.0, 3, 4.5, 0.15),
@@ -321,31 +368,32 @@ def _check_convergence_orders():
 
 @_register(
     "route_agreement",
-    "frequency-domain and time-domain expansions agree and track the oracle",
+    "expansion products match both routes' moments and the partial sum tracks the oracle",
 )
 def _check_route_agreement():
+    # at b = 0.7 the Lorentzian's odd Taylor coefficients are not zero, so
+    # an odd-order sign error shows
     cfg = QuadratureConfig()
     sig = make_signal(SignalKind.Lorentzian)
     wav = make_wavelet(WaveletKind.Morlet, u0=2.0)
-    a, b, n = 0.05, 0.0, 4
-    ef = expansion_plan(sig, wav, b, n, config=cfg).at(a, "integral_m0")
-    et = expansion_plan(sig, wav, b, n, "time", cfg).at(a, "integral_m0")
-    mutual = abs(ef.partial_sum - et.partial_sum)
-    budget = max(
-        abs(ef.remainder_scale * ef.remainder_estimate), abs(et.remainder_estimate)
-    ) + (
-        ef.abs_error_estimate
-        + et.abs_error_estimate
-        + ef.remainder_scale * ef.remainder_error_estimate
-        + et.remainder_error_estimate
-    )
-    oracle = cwt_fourier(sig, wav, a, b, cfg)
-    rel_f = abs(ef.partial_sum - oracle.value) / abs(oracle.value)
-    rel_t = abs(et.partial_sum - oracle.value) / abs(oracle.value)
-    ok = mutual <= budget and rel_f <= 0.05 and rel_t <= 0.05
+    a, n = 0.05, 4
+    worst = {"frequency": 0.0, "time": 0.0}
+    for b, domain in itertools.product((0.0, 0.7), worst):
+        plan = expansion_plan(sig, wav, b, n, config=cfg)
+        ref, ref_err = moment_products(sig, wav, b, n, domain, cfg)
+        gap, budget = np.abs(plan.products - ref), plan.product_errors + ref_err
+        # a budget of 0 is two exact zeros, and then so must the gap be
+        ratio = np.divide(gap, budget, where=budget > 0.0,
+                          out=np.where(gap > 0.0, math.inf, 0.0))
+        worst[domain] = max(worst[domain], float(ratio.max()))
+    partial = expansion_plan(sig, wav, 0.0, n, config=cfg).at(a).partial_sum
+    oracle = cwt_fourier(sig, wav, a, 0.0, cfg)
+    rel = abs(partial - oracle.value) / abs(oracle.value)
+    ok = max(worst.values()) <= 1.0 and rel <= 0.05
     return ok, (
-        f"|partial_f - partial_t| = {mutual:.3e} <= {budget:.3e}; "
-        f"vs oracle: {rel_f:.3%} (frequency), {rel_t:.3%} (time); tol 5%"
+        f"|P_s - moment products| / summed estimates <= "
+        f"{worst['frequency']:.3f} (frequency), {worst['time']:.3f} (time) "
+        f"at b = 0, 0.7; partial sum vs oracle: {rel:.3%}; tol 1, 5%"
     )
 
 

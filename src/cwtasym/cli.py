@@ -34,17 +34,14 @@ non-finite ``a``, ``b``, ``u0``, ``a_min``, ``a_max``, ``tol``,
 ``sweep`` produced non-converged quadrature results.  ``cwt --format json`` also
 reports why each route's quadrature stopped (``status``).
 
-``expand`` and ``sweep`` build their expansion one way: the frequency
-route (the default) takes its Mellin moments in closed form and falls back
-to ``mellin_transform``'s ``"auto"`` choice (quadrature or the split tail)
-where the closed form does not apply or misses its target, and the time
-route (``--domain time``) takes the wavelet moments in closed form.
-``mellin`` prints ``mellin_transform``'s ``"auto"`` moment, whose route
-the signal's tail decides (the split tail for the two-sided exponential,
-direct quadrature otherwise) and whose ``method`` column names it; the
-``mellin_method_agreement`` check compares the split tail with the closed
-form.  The argument parser is built once per process, on the first
-``main`` call.
+``expand`` and ``sweep`` build their expansion one way, from the signal's
+and the wavelet's Taylor coefficients; ``--domain`` picks the remainder and
+the empirical oracle.  ``mellin`` prints ``mellin_transform``'s ``"auto"``
+moment, whose route the signal's tail decides (the split tail for the
+two-sided exponential, direct quadrature otherwise) and whose ``method``
+column names it; the ``mellin_method_agreement`` check compares the split
+tail with the closed form.  The argument parser is built once per process,
+on the first ``main`` call.
 """
 
 from __future__ import annotations

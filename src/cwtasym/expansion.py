@@ -1,15 +1,22 @@
 """Small-dilation asymptotic expansion of the CWT with computable remainders.
 
-The frequency-domain route expands the conjugated wavelet transform about
-zero argument and pairs each Taylor coefficient with a regularized Mellin
-moment of the boundary function h(u) = e^{ibu} f_hat(u); the time-domain
-route expands the signal about the translation point and pairs each
-coefficient with a one-sided moment of the wavelet.  Both carry an exact
-integral remainder, so the truncated sum plus remainder reproduces the
-transform identically (up to quadrature error), and the remainder can also
-be estimated empirically against the brute-force oracle.
+Both routes expand W(b, a) = sqrt(a) int f(b + a t) conj(psi)(t) dt as
+sum_s P_s a^(s + 1/2) with P_s = s! (-i)^s c^f_s(b) c^psi_s, from the
+signal's Taylor coefficients at b (``signals.time_coefficient_table``)
+and the conjugated wavelet transform's at zero
+(``wavelets.small_u_coefficients``).  s! (-i)^s c^psi_s is the wavelet's
+moment int t^s conj(psi)(t) dt, the time route's; s! (-i)^s c^f_s(b) is
+(1/2pi) int u^s e^{ibu} f_hat(u) du, the frequency route's Mellin moment
+of h(u) = e^{ibu} f_hat(u) plus its mirror (Wong's Mellin-convolution
+technique).  So the routes differ only in their remainders and empirical
+oracles; the moments (``mellin_transform``, ``_time_moment_closed``,
+``_time_moment_quadrature``) stay as references for the checks
+(``checks.moment_products``) and tests.  Each P_s carries an a-priori
+bound on its rounding, from the tables' bounds (which count the Hermite
+recurrence's conditioning at large |b| or u0 and the scaled signal's
+residual step) and the product's own roundings.
 
-Each remainder integrates the Taylor tail of one factor (from
+Each exact remainder integrates the Taylor tail of one factor (from
 ``specfun.taylor_tail``) against the other in one quadrature whose first
 mesh is at its integrand's scale, so that one GK15 pass usually meets the
 target: the time route over the wavelet's support or its truncated line,
@@ -22,22 +29,14 @@ a conditionally convergent Mellin-convolution tail, so
 the transform's inverse-power series converges, and adds on each side
 closed-form incomplete-gamma tails for the Taylor polynomial and the
 wavelet's own tail from the oracle's analytic-tail engine, the same one
-``cwt_fourier`` uses.
+``cwt_fourier`` uses.  The remainder can also be estimated empirically
+against the brute-force oracle.
 
-None of the coefficients or moments depends on the dilation a, so
-``expansion_plan`` computes them once; ``ExpansionPlan.terms`` evaluates the
-terms at a whole grid of dilations in one array product, and
-``ExpansionPlan.at`` the expansion at one dilation from the same formula.
-That is the one way to build an expansion.  Each term pairs a
-coefficient with a moment M+ and its mirror M-; wherever conjugate
-symmetry makes M- the conjugate of M+ (``oracle._real_wavelet``), the
-plan conjugates instead of computing it.  The frequency route takes its
-Mellin moments in closed form, falling back to
-``mellin_transform``'s ``"auto"`` choice (quadrature or the split tail)
-where the closed form does not apply or its own estimate misses the
-quadrature target; the time route takes its wavelet moments from the
-closed forms of ``_time_moment_closed``.  ``_time_moment_quadrature`` and
-``"auto"`` stay as the tests' independent references.
+``expansion_plan`` computes the products, which do not depend on the
+dilation, once; ``ExpansionPlan.terms`` evaluates the terms at a whole grid
+of dilations in one array product, and ``ExpansionPlan.at`` the expansion
+at one dilation from the same formula.  That is the one way to build an
+expansion.
 """
 
 from __future__ import annotations
@@ -49,16 +48,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .mellin import (
-    MellinError,
-    MellinMethod,
-    _cpow,
-    mellin_morlet_time,
-    mellin_transform,
-)
+from .mellin import MellinError, _cpow, mellin_morlet_time
 from .oracle import (
     _alg_tail,
-    _conjugate_time_mirror,
     _fold_hints,
     _fold_integrand,
     _pole_mesh,
@@ -79,9 +71,11 @@ from .signals import (
     f_time_conditioning,
     h_eval,
     make_h,
+    time_coefficient_table,
     time_coefficients,
 )
-from .specfun import SpecFunError, oscillatory_power_tails, taylor_tail
+from .specfun import (_EPS, _TINY, SpecFunError, oscillatory_power_tails,
+                      taylor_tail)
 from .wavelets import (
     WaveletKind,
     WaveletSpec,
@@ -95,7 +89,6 @@ from .wavelets import (
 _TWO_PI = 2.0 * math.pi
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TAIL_CUTOVER = 0.25
-_EPS = 2.220446049250313e-16
 _LN2 = math.log(2.0)
 # Measured against 40-digit references over 0 < nu <= 60, the elementary
 # time moments are within 4.3 ulp (Mexican hat) and 1.8 ulp (Haar).
@@ -105,6 +98,8 @@ _CLOSED_ULPS = 8.0
 # b = 0.002, and such a mesh bisects, while a fixed width cap of 1 doubles
 # the Lorentzian's nodes.
 _HEAD_PANELS = 16
+# (-i)^s by s mod 4: multiplying by one of these is exact
+_MINUS_I_POW = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
 
 
 class RemainderKind(Enum):
@@ -149,7 +144,6 @@ class ExpansionResult:
     a: float
     b: float
     n: int
-    lam: int
     terms: np.ndarray
     term_error_estimates: np.ndarray
     partial_sum: complex
@@ -163,11 +157,6 @@ class ExpansionResult:
     def prediction(self) -> complex:
         """partial_sum plus the scaled remainder (when one was computed)."""
         return self.partial_sum + self.remainder_scale * self.remainder_estimate
-
-
-def mirror_sign(s: int, lam: int) -> complex:
-    """The reflection factor (-1)**(s + lam + 1)."""
-    return -1.0 + 0.0j if (s + lam + 1) % 2 else 1.0 + 0.0j
 
 
 def _poly_tail_cut(env: tuple, k_const: float, a: float, deg: int, delta: float):
@@ -521,14 +510,14 @@ def _remainder_time(
 class ExpansionPlan:
     """The dilation-independent part of an n-term expansion of W(b, a).
 
-    Term s at dilation a is ``products[s] * a**(s + power_offset)``, divided
-    by 2*pi on the frequency route.  ``products[s]`` is the coefficient times
-    its moment pair, c_s (M+_s + sigma_s M-_s), and ``product_errors[s]``
-    bounds its numerical error by |c_s| (e+_s + |sigma_s| e-_s); both are 0
-    where c_s is.  Neither depends on a, so :meth:`terms` evaluates every
-    term at a whole grid of dilations in one array product, and :meth:`at`,
-    the full result at one dilation, takes its terms from the same formula.
-    The arrays are read-only, so threads can share one plan.
+    Term s at dilation a is ``products[s] * a**(s + 1/2)`` on both routes,
+    with products[s] = P_s = s! (-i)^s c^f_s(b) c^psi_s, and
+    ``product_errors[s]`` bounds its rounding.  Neither depends on a, so
+    :meth:`terms` evaluates every term at a whole grid of dilations in one
+    array product, and :meth:`at`, the full result at one dilation, takes
+    its terms from the same formula; ``domain`` picks only the remainder
+    and the empirical oracle.  The arrays are read-only, so threads can
+    share one plan.
     """
 
     domain: str
@@ -536,12 +525,8 @@ class ExpansionPlan:
     wavelet: WaveletSpec
     b: float
     n: int
-    lam: int
-    coefficients: np.ndarray
     products: np.ndarray
     product_errors: np.ndarray
-    power_offset: float
-    remainder_scale: float
     config: QuadratureConfig
 
     def terms(self, a_values) -> tuple[np.ndarray, np.ndarray]:
@@ -555,15 +540,10 @@ class ExpansionPlan:
         grid = [float(a) for a in a_values]
         for a in grid:
             _check_dilation(a)
-        n, offset = self.n, self.power_offset
-        powers = np.array([a ** (s + offset) for a in grid for s in range(n)])
+        n = self.n
+        powers = np.array([a ** (s + 0.5) for a in grid for s in range(n)])
         powers.shape = (len(grid), n)
-        terms = self.products * powers
-        errors = self.product_errors * powers
-        if self.domain == "frequency":
-            terms /= _TWO_PI
-            errors /= _TWO_PI
-        return terms, errors
+        return self.products * powers, self.product_errors * powers
 
     def at(
         self, a: float, remainder: Union[str, RemainderKind] = "none"
@@ -597,7 +577,6 @@ class ExpansionPlan:
             a=float(a),
             b=float(self.b),
             n=self.n,
-            lam=self.lam,
             terms=terms,
             term_error_estimates=term_errs,
             partial_sum=partial,
@@ -605,7 +584,7 @@ class ExpansionPlan:
             remainder_kind=kind,
             remainder_estimate=rem_val,
             remainder_error_estimate=rem_err,
-            remainder_scale=self.remainder_scale,
+            remainder_scale=1.0 / _TWO_PI if frequency else 1.0,
         )
 
 
@@ -617,95 +596,37 @@ def expansion_plan(
     domain: str = "frequency",
     config: Optional[QuadratureConfig] = None,
 ) -> ExpansionPlan:
-    """Compute the coefficients and moments of an n-term expansion once.
+    """The n products P_s = s! (-i)^s c^f_s(b) c^psi_s of an expansion, once.
 
-    ``domain="frequency"`` pairs the wavelet's small-argument coefficients
-    with regularized Mellin moments of h(u) = e^{ibu} f_hat(u).  Each moment
-    is the closed form (``MellinMethod.ClosedForm``) unless that raises
-    ``MellinError`` or its estimate exceeds max(abs_tol, rel_tol*|value|);
-    then it is ``mellin_transform``'s ``"auto"`` choice.  That happens for
-    the two-sided exponential near b = 0, where the closed form's two
-    incomplete Gammas cancel, and for a Gaussian whose |b|/sigma exceeds
-    the parabolic cylinder series' range.  ``domain="time"`` pairs the
-    signal's Taylor coefficients at b with one-sided wavelet moments in
-    closed form (every built-in wavelet has one).
-
-    Each mirror moment is the conjugate of its plus moment, with the same
-    estimate, wherever conjugate symmetry gives it (``oracle._real_wavelet``):
-    on the frequency route for every signal, since z = s + lam is real, and
-    on the time route for the Gaussian wavelets.  So a plan takes one
-    moment per nonzero coefficient; the step wavelet's mirror time moment
-    is its own, 0.
+    P_s's bound is s! (e^f |c^psi| + |c^f| e^psi + e^f e^psi), from the
+    tables' bounds e^f and e^psi, plus 2 eps |P_s| and one least subnormal
+    for its own roundings, or 0 where a factor is an exact zero.  ``domain``
+    ("frequency" or "time") selects only the remainder and the empirical
+    oracle.  At a kink of the signal (the two-sided exponential at b = 0)
+    the coefficients past order zero do not exist: n > 1 raises ValueError.
     """
     if n < 1:
         raise ValueError("need at least one expansion term")
-    cfg = config if config is not None else QuadratureConfig()
-    lam = wavelet.lam
-    if domain == "frequency":
-        cs = small_u_coefficients(wavelet, n).coefficients
-        h = make_h(signal, b)
-
-        def moment(s, mirror):
-            try:
-                m = mellin_transform(
-                    h, s + lam, MellinMethod.ClosedForm, cfg, mirror=mirror
-                )
-            except MellinError:
-                m = None
-            # written so that a NaN estimate also falls back
-            if m is None or not m.abs_error_estimate <= max(
-                cfg.abs_tol, cfg.rel_tol * abs(m.value)
-            ):
-                m = mellin_transform(h, s + lam, "auto", cfg, mirror=mirror)
-            return m.value, m.abs_error_estimate
-
-        # h(-u) = conj(h(u)) and z is real
-        conjugate_mirror = True
-        power_offset, remainder_scale = lam - 0.5, 1.0 / _TWO_PI
-    elif domain == "time":
-        cs = time_coefficients(signal, b, n)
-
-        def moment(s, mirror):
-            return _time_moment_closed(wavelet, float(s + 1), mirror)
-
-        conjugate_mirror = _conjugate_time_mirror(wavelet)
-        power_offset, remainder_scale = 0.5, 1.0
-    else:
+    if domain not in ("frequency", "time"):
         raise ValueError(
             f"unknown expansion domain {domain!r} (choices: frequency, time)"
         )
-
-    products = np.zeros(n, dtype=complex)
-    product_errors = np.zeros(n)
-    for s in range(n):
-        c = cs[s]
-        if c == 0.0:
-            continue
-        m_plus, e_plus = moment(s, False)
-        if conjugate_mirror:
-            m_minus, e_minus = m_plus.conjugate(), e_plus
-        else:
-            m_minus, e_minus = moment(s, True)
-        # on the time route this equals (-1)**(s+lam-1), the same factor
-        msign = mirror_sign(s, lam)
-        products[s] = c * (m_plus + msign * m_minus)
-        product_errors[s] = abs(c) * (e_plus + abs(msign) * e_minus)
-    for arr in (cs, products, product_errors):
+    cf, ef = time_coefficient_table(signal, b, n)
+    table = small_u_coefficients(wavelet, n)
+    # s! c^psi_s, the s-th derivative of conj(psi_hat) at 0, is of moderate
+    # size where s! and c^psi_s are not
+    fact = np.array([float(math.factorial(s)) for s in range(n)])
+    deriv, deriv_err = fact * table.coefficients, fact * table.error_estimates
+    products = deriv * cf * np.array([_MINUS_I_POW[s % 4] for s in range(n)])
+    live = ((cf != 0.0) | (ef > 0.0)) & ((deriv != 0.0) | (deriv_err > 0.0))
+    product_errors = (ef * np.abs(deriv) + np.abs(cf) * deriv_err + ef * deriv_err
+                      + np.where(live, 2.0 * _EPS * np.abs(products) + _TINY, 0.0))
+    for arr in (products, product_errors):
         arr.flags.writeable = False
-    return ExpansionPlan(
-        domain=domain,
-        signal=signal,
-        wavelet=wavelet,
-        b=b,
-        n=n,
-        lam=lam,
-        coefficients=cs,
-        products=products,
-        product_errors=product_errors,
-        power_offset=power_offset,
-        remainder_scale=remainder_scale,
-        config=cfg,
-    )
+    cfg = config if config is not None else QuadratureConfig()
+    return ExpansionPlan(domain=domain, signal=signal, wavelet=wavelet, b=b,
+                         n=n, products=products, product_errors=product_errors,
+                         config=cfg)
 
 
 def convergence_order(a_values, errors) -> float:

@@ -12,11 +12,12 @@ h(u) = e^{ibu} f_hat(u) and the mirror variant h(-u).  Two routes:
   Lorentzian and the Gaussian at any offset, the two-sided exponential at
   b = 0 and, by Gradshteyn-Ryzhik 3.383.10, at b != 0.
 
-Each ``MellinValue`` names the route that ran.  Expansions take each moment
-from ClosedForm and fall back to ``"auto"`` where the closed form raises
-``MellinError`` or its estimate misses the quadrature target.  ``"auto"``
-never picks ClosedForm, so ``cwtasym mellin`` and the validation checks
-compare the numeric route against it.
+Each ``MellinValue`` names the route that ran.  Expansions take no moment;
+``checks.moment_products`` rebuilds their products from ClosedForm moments,
+falling back to ``"auto"`` where the closed form raises ``MellinError`` or
+its estimate misses the quadrature target.  ``"auto"`` never picks
+ClosedForm, so ``cwtasym mellin`` and the validation checks compare the
+numeric route against it.
 """
 
 from __future__ import annotations

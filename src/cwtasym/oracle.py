@@ -231,28 +231,15 @@ def _real_wavelet(wavelet: WaveletSpec) -> bool:
 
     Where conjugate symmetry holds, the one place it is stated.  Every
     built-in signal is real and even, so f_hat is real and
-    h(-u) = e^{-ibu} f_hat(u) = conj(h(u)).  Hence:
-
-    * a mirror Mellin moment of h at real z is the conjugate of its plus
-      moment (the frequency route of ``expansion.expansion_plan``);
-    * a Gaussian wavelet (the modulated Gaussian, the Mexican hat) has
-      psi(-t) = conj(psi(t)), so its mirror time moment at real nu is the
-      conjugate of its plus moment (``_conjugate_time_mirror``); the step
-      wavelet's mirror moment is 0;
-    * against a real wavelet, the Fourier integrand has g(-w) = conj(g(w)),
-      and so has the remainder's, whose Taylor tail inherits the symmetry
-      through its coefficients: the fold is 2 Re g (``_fold_integrand``),
-      and a split line's - side Abel tail is the conjugate of its + side's
-      (``cwt_fourier``, ``expansion.remainder_frequency``).
+    h(-u) = e^{-ibu} f_hat(u) = conj(h(u)): a mirror Mellin moment of h at
+    real z is the conjugate of its plus moment.  Against a real wavelet,
+    the Fourier integrand has g(-w) = conj(g(w)), and so has the
+    remainder's, whose Taylor tail inherits the symmetry through its
+    coefficients: the fold is 2 Re g (``_fold_integrand``), and a split
+    line's - side Abel tail is the conjugate of its + side's
+    (``cwt_fourier``, ``expansion.remainder_frequency``).
     """
     return wavelet.kind != WaveletKind.Morlet
-
-
-def _conjugate_time_mirror(wavelet: WaveletSpec) -> bool:
-    """Whether the wavelet's mirror time moment is the conjugate of its
-    plus moment: psi(-t) = conj(psi(t)), the Gaussian wavelets (see
-    ``_real_wavelet``)."""
-    return wavelet.kind != WaveletKind.Haar
 
 
 def _fold_integrand(g, wavelet: WaveletSpec):

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .quadrature import _scaled_envelope
-from .specfun import hermite_he
+from .specfun import _EPS, _TINY, gaussian_taylor
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -205,14 +205,22 @@ def h_eval(h: HSpec, u, mirror: bool = False) -> np.ndarray:
 
 
 def time_coefficients(signal: SignalSpec, b: float, n: int) -> np.ndarray:
-    """Taylor coefficients c_s = f^(s)(b)/s! for s = 0..n-1.
+    """Taylor coefficients c_s = f^(s)(b)/s!, s < n, of ``time_coefficient_table``."""
+    return time_coefficient_table(signal, b, n)[0]
+
+
+def time_coefficient_table(signal: SignalSpec, b: float, n: int):
+    """Taylor coefficients c_s = f^(s)(b)/s!, s < n, and bounds on their
+    rounding, finite for every finite b; an extreme sigma raises ValueError.
 
     For a scaled signal A*f(t/sigma) they are A*sigma**-s times the
     built-in's coefficients at b/sigma.  That point is the rounded quotient
     q = fl(b/sigma) plus the exact residual d of the division, and the
     built-in's coefficients at q + d are those at q moved to first order,
     c_s + (s+1) c_(s+1) d: where f is steep in units of sigma, expanding
-    about q alone would shift the whole expansion by f'(b) sigma d.
+    about q alone would shift the whole expansion by f'(b) sigma d.  The
+    bound counts the step's roundings, not its second-order term, of
+    relative size (eps q)^2, or (eps q^2)^2 for the Gaussian (q < 39).
     """
     if n < 1:
         raise ValueError("need at least one coefficient")
@@ -222,29 +230,45 @@ def time_coefficients(signal: SignalSpec, b: float, n: int) -> np.ndarray:
     from fractions import Fraction  # only scaled signals pay for the import
 
     center = b / scale
-    residual = float(Fraction(b) / Fraction(scale) - Fraction(center))
-    if residual == 0.0:
-        out = _builtin_time_coefficients(signal.kind, center, n)
+    if math.isinf(center):  # past the float range as at its end: zeros
+        center, residual = math.copysign(np.finfo(float).max, center), 0.0
     else:
-        ext = _builtin_time_coefficients(signal.kind, center, n + 1)
-        out = ext[:n] + np.arange(1, n + 1) * ext[1:] * residual
-    return amplitude * out / scale ** np.arange(n)
+        residual = float(Fraction(b) / Fraction(scale) - Fraction(center))
+    if residual == 0.0:
+        out, err = _builtin_time_coefficients(signal.kind, center, n)
+    else:
+        ext, ext_err = _builtin_time_coefficients(signal.kind, center, n + 1)
+        step = np.arange(1, n + 1) * ext[1:] * residual
+        out = ext[:n] + step
+        err = (ext_err[:n] + np.arange(1, n + 1) * abs(residual) * ext_err[1:]
+               + _EPS * (np.abs(ext[:n]) + 2.0 * np.abs(step)))
+    with np.errstate(all="ignore"):  # sigma^s may leave the float range
+        powers = scale ** np.arange(n)
+        out = amplitude * out / powers
+        err = abs(amplitude) * err / powers + 2.0 * _EPS * np.abs(out)
+    if not np.all(np.isfinite(err)):  # NaN or inf values have such bounds too
+        raise ValueError(f"time_scale {scale!r} puts the Taylor coefficients at "
+                         f"b={b!r} outside the float range")
+    return out, err
 
 
-def _builtin_time_coefficients(kind: SignalKind, b: float, n: int) -> np.ndarray:
-    out = np.zeros(n, dtype=complex)
-    if kind == SignalKind.Lorentzian:
-        zm = complex(b, -1.0)
-        zp = complex(b, 1.0)
-        for s in range(n):
-            out[s] = ((-1.0) ** s / 2j) * (zm ** (-s - 1) - zp ** (-s - 1))
-        return out
+def _builtin_time_coefficients(kind: SignalKind, b: float, n: int):
+    """The built-in's Taylor coefficients at b and their rounding bounds:
+    the Lorentzian's (-1)^(s+1) Im(w^(s+1)), w = 1/(b + i), which underflow
+    at huge |b|, each power within 4(s+1) eps of |w|^(s+1) (w's rounding,
+    raised, and the binary powering's products) plus an underflow; the
+    Gaussian's from ``specfun.gaussian_taylor`` at -b; the two-sided
+    exponential's e^{-|b|} (-sgn b)^s / s!."""
     if kind == SignalKind.Gaussian:
-        he = hermite_he(b, n)
-        pre = math.exp(-0.5 * b * b)
+        return gaussian_taylor(-b, n)
+    out, err = np.zeros(n, dtype=complex), np.zeros(n)
+    if kind == SignalKind.Lorentzian:
+        w = 1.0 / complex(b, 1.0)
         for s in range(n):
-            out[s] = (-1.0) ** s * he[s] * pre / math.factorial(s)
-        return out
+            power = w ** (s + 1)
+            out[s] = (-1.0) ** (s + 1) * power.imag
+            err[s] = 4.0 * (s + 1) * _EPS * abs(power) + _TINY
+        return out, err
     # the two-sided exponential
     if b == 0.0:
         if n > 1:
@@ -253,9 +277,9 @@ def _builtin_time_coefficients(kind: SignalKind, b: float, n: int) -> np.ndarray
                 "coefficients beyond order zero do not exist there"
             )
         out[0] = 1.0
-        return out
+        return out, err
     sgn = -1.0 if b > 0.0 else 1.0
     pre = math.exp(-abs(b))
     for s in range(n):
         out[s] = pre * sgn ** s / math.factorial(s)
-    return out
+    return out, 2.0 * _EPS * np.abs(out) + _TINY

@@ -6,8 +6,9 @@ error estimate, and the evaluation method that was used.
 ``oscillatory_power_tails`` is the one routine that integrates an
 inverse-power series against a phase beyond a radius: a run of orders that
 differ by integers, from one incomplete Gamma and its recurrence.
-``hermite_he`` gives the probabilists' Hermite polynomials behind the
-Gaussian wavelet's and the Gaussian signal's Taylor coefficients, and
+``gaussian_taylor`` gives the Gaussian wavelet's and the Gaussian
+signal's Taylor coefficients, from the probabilists' Hermite polynomials,
+with bounds on their rounding, and
 ``taylor_tail`` is the one evaluator of a function less its Taylor
 polynomial, behind both exact remainders.
 """
@@ -22,6 +23,7 @@ from enum import Enum
 import numpy as np
 
 _EPS = 2.220446049250313e-16
+_TINY = 5e-324  # the least subnormal: the absolute rounding of an underflow
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -314,15 +316,36 @@ def oscillatory_power_tails(
     return out
 
 
-def hermite_he(x: float, n: int) -> list[float]:
-    """He_0(x), ..., He_{n-1}(x) by He_s = x He_{s-1} - (s-1) He_{s-2}."""
-    he = [0.0] * n
-    he[0] = 1.0
-    if n > 1:
-        he[1] = x
+def gaussian_taylor(x: float, n: int, scale: float = 1.0):
+    """Taylor coefficients at t = 0 of scale * e^{-(t - x)^2/2}, that is
+    scale * e^{-x^2/2} He_s(x) / s! for s < n, and bounds on their rounding
+    (x exact, scale rounded once): e^{-x^2/2}'s relative eps x^2/2 (x*x
+    rounds) and the Hermite recurrence's 2 (s-1) eps A_s, A_s = |x| A_(s-1)
+    + (s-1) A_(s-2), which bounds by induction the error recurrence
+    e_s = |x| e_(s-1) + (s-1) e_(s-2) + 2 eps A_s of each step's roundings.
+    Where e^{-x^2/2} underflows the coefficients are 0, bounded in logs by
+    |scale| e^{-x^2/2} (|x| + sqrt(s))^s / s! (|He_s(x)| <= (|x| + sqrt(s))^s
+    by induction).  Each bound but an exact zero's adds the least subnormal
+    for each rounding that may underflow (exp's, scaled, and the product's).
+    """
+    pre = scale * math.exp(-0.5 * x * x)
+    if pre == 0.0:
+        log_bound = [s * math.log(abs(x) + math.sqrt(s)) - 0.5 * x * x
+                     - math.lgamma(s + 1.0) for s in range(n)]
+        return np.zeros(n, dtype=complex), abs(scale) * np.exp(log_bound) + _TINY
+    # He_s = x He_(s-1) - (s-1) He_(s-2), and its absolute recurrence A_s
+    he, big = [1.0, x], [1.0, abs(x)]
     for s in range(2, n):
-        he[s] = x * he[s - 1] - (s - 1) * he[s - 2]
-    return he
+        he.append(x * he[s - 1] - (s - 1) * he[s - 2])
+        big.append(abs(x) * big[s - 1] + (s - 1) * big[s - 2])
+    he = np.array(he[:n])
+    he_err = 2.0 * _EPS * np.maximum(np.arange(n) - 1.0, 0.0) * np.array(big[:n])
+    fact = np.array([math.factorial(s) for s in range(n)], dtype=float)
+    pre_err = abs(pre) * _EPS * (0.5 * x * x + 2.0) + (abs(scale) + 1.0) * _TINY
+    values = pre * he / fact
+    errors = ((abs(pre) * he_err + np.abs(he) * pre_err) / fact
+              + 2.0 * _EPS * np.abs(values) + _TINY)
+    return values.astype(complex), np.where(he != 0.0, errors, 0.0)  # exact zeros
 
 
 # Taylor coefficients past the n-th that ``taylor_tail`` draws for its series.

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .specfun import hermite_he, horner, taylor_tail
+from .specfun import gaussian_taylor, horner, taylor_tail
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
@@ -59,12 +59,13 @@ class WaveletSpec:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Taylor coefficients c_0..c_{n-1} of the conjugated transform at zero."""
+    """Taylor coefficients c_0..c_{n-1} of the conjugated transform at zero,
+    with a bound on each one's error."""
 
     coefficients: np.ndarray
     lam: int
     n: int
-    error_estimates: Optional[np.ndarray] = None
+    error_estimates: np.ndarray
 
 
 def make_wavelet(kind: WaveletKind, u0: float = 5.0) -> WaveletSpec:
@@ -184,25 +185,22 @@ def psi_hat_conj(spec: WaveletSpec, u) -> np.ndarray:
 
 
 def small_u_coefficients(spec: WaveletSpec, n: int) -> CoefficientTable:
-    """Closed-form Taylor coefficients c_0..c_{n-1} at zero argument."""
+    """Closed-form Taylor coefficients c_0..c_{n-1} at zero argument, with
+    bounds on their rounding: ``specfun.gaussian_taylor``'s for the
+    modulated Gaussian, 2 eps relative for the others' rationals."""
     if n < 1:
         raise ValueError("need at least one coefficient")
-    cs = np.zeros(n, dtype=complex)
     if spec.kind == WaveletKind.Morlet:
-        # c_s = sqrt(2*pi) * exp(-u0**2/2) * He_s(u0) / s! with the
-        # probabilists' Hermite polynomials by their three-term recurrence.
-        x = spec.u0
-        pre = _SQRT_2PI * math.exp(-0.5 * x * x)
-        he = hermite_he(x, n)
-        for s in range(n):
-            cs[s] = pre * he[s] / math.factorial(s)
-    elif spec.kind == WaveletKind.MexicanHat:
+        cs, errs = gaussian_taylor(spec.u0, n, _SQRT_2PI)
+        return CoefficientTable(cs, spec.lam, n, errs)
+    cs = np.zeros(n, dtype=complex)
+    if spec.kind == WaveletKind.MexicanHat:
         for s in range(2, n, 2):
             l = s // 2
             cs[s] = _SQRT_2PI * (-1.0) ** (l - 1) / (2.0 ** (l - 1) * math.factorial(l - 1))
     else:
         cs = _haar_series_coefficients(n)
-    return CoefficientTable(coefficients=cs, lam=spec.lam, n=n)
+    return CoefficientTable(cs, spec.lam, n, 2.0 * _EPS * np.abs(cs))
 
 
 def small_u_coefficients_numeric(

@@ -14,7 +14,7 @@ import cwtasym.expansion as expansion
 from cwtasym.cli import main
 from cwtasym.oracle import cwt_fourier, cwt_time
 from cwtasym.quadrature import QuadratureResult
-from cwtasym.signals import SignalKind, make_signal, time_coefficients
+from cwtasym.signals import SignalKind, make_signal
 from cwtasym.wavelets import WaveletKind, make_wavelet, small_u_coefficients
 
 
@@ -572,37 +572,55 @@ def test_divergent_moment_exits_1(capsys):
     assert "tail term of order 0 diverges" in capsys.readouterr().err
 
 
-def test_mutated_mirror_factor_is_caught(monkeypatch, capsys):
-    """Breaking the alternating mirror factor must fail validation: the
-    cancellation structure behind the measured orders depends on it."""
-    monkeypatch.setattr("cwtasym.expansion.mirror_sign", lambda s, lam: 1.0 + 0.0j)
-    code = main(["validate", "--only", "convergence_orders"])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "FAIL convergence_orders" in out
+@pytest.mark.parametrize("rotation,checks", [
+    ((1.0, 1.0, 1.0, 1.0), ("route_agreement", "convergence_orders")),
+    ((1.0, 1.0j, -1.0, -1.0j), ("route_agreement",)),
+], ids=["no-rotation", "odd-sign"])
+def test_mutated_product_formula_is_caught(rotation, checks, monkeypatch,
+                                           capsys):
+    """Breaking the (-i)^s factor of the products must fail validation:
+    dropping it breaks the cancellation behind the measured orders, and
+    taking i^s flips the odd orders' sign, which ``route_agreement`` sees
+    against both routes' moments at b != 0."""
+    monkeypatch.setattr(expansion, "_MINUS_I_POW", rotation)
+    for name in checks:
+        code = main(["validate", "--only", name])
+        out = capsys.readouterr().out
+        assert code == 1, name
+        assert f"FAIL {name}" in out
 
 
-def _count_calls(monkeypatch, name):
+_MOMENT_ROUTES = ("mellin_transform", "_time_moment_closed",
+                  "_time_moment_quadrature", "parabolic_cylinder_D")
+
+
+def _count_moment_calls(monkeypatch):
+    """Count calls of every moment route, by whichever module binds it."""
+    import sys
+
     calls = []
-    original = getattr(expansion, name)
+    for module in [m for name, m in sys.modules.items()
+                   if name.startswith("cwtasym")]:
+        for name in _MOMENT_ROUTES:
+            original = getattr(module, name, None)
+            if original is None:
+                continue
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
 
-    monkeypatch.setattr(expansion, name, counted)
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
 @pytest.mark.parametrize(
-    "domain,wavelet,moment_fn",
-    [("frequency", "morlet", "mellin_transform"),
-     ("time", "mexhat", "_time_moment_closed")],
-)
-def test_sweep_computes_each_moment_once(domain, wavelet, moment_fn,
-                                         monkeypatch, capsys):
-    calls = _count_calls(monkeypatch, moment_fn)
-    quadrature_calls = _count_calls(monkeypatch, "_time_moment_quadrature")
+    "domain,wavelet", [("frequency", "morlet"), ("time", "mexhat")])
+def test_sweep_plan_computes_no_moment(domain, wavelet, monkeypatch, capsys):
+    """The plan's products come from the two Taylor tables alone: a sweep
+    of 16 dilations takes no Mellin moment, wavelet time moment or
+    parabolic cylinder function on either route."""
+    calls = _count_moment_calls(monkeypatch)
     code = main([
         "sweep", "--signal", "lorentzian", "--wavelet", wavelet, "--u0", "5",
         "--b", "0.5", "--a-min", "0.001", "--a-max", "0.3", "--a-count", "16",
@@ -610,16 +628,36 @@ def test_sweep_computes_each_moment_once(domain, wavelet, moment_fn,
     ])
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) == 18
-    if domain == "frequency":
-        wav = make_wavelet(WaveletKind.Morlet, u0=5.0)
-        cs = small_u_coefficients(wav, 3).coefficients
-    else:
-        cs = time_coefficients(make_signal(SignalKind.Lorentzian), 0.5, 3)
-    # one moment per nonzero coefficient, for all 16 dilations: on both
-    # routes here the mirror is its conjugate
-    assert len(calls) == np.count_nonzero(cs)
-    # the time route's moments come from closed forms, not quadrature
-    assert quadrature_calls == []
+    assert calls == []
+
+
+def test_far_modulated_gaussian_time_route_exits_0(capsys):
+    """At u0 = 40 e^{-u0^2/2} underflows: every wavelet coefficient, and so
+    every term, is an exact zero within its estimate, where the time
+    route's parabolic cylinder moments used to exit 1 out of range."""
+    code = main(["expand", "--signal", "lorentzian", "--wavelet", "morlet",
+                 "--u0", "40", "--a", "0.05", "--b", "0.3", "--n", "4",
+                 "--domain", "time"])
+    assert code == 0
+    rows = {ln.split(",")[0]: ln.split(",")[1:]
+            for ln in capsys.readouterr().out.strip().splitlines()[1:]}
+    for s in range(4):
+        re_, im, est = map(float, rows[f"term_{s}"])
+        assert math.isfinite(est) and abs(complex(re_, im)) <= est, s
+
+
+def test_far_gaussian_expansion_prints_zeros(capsys):
+    """At b = 45 every Taylor coefficient of the Gaussian rounds to 0, so
+    every term is 0, within an estimate of a few least subnormals, not a
+    quadrature's -1.9e-18 +- 1e-16."""
+    code = main(["expand", "--signal", "gaussian", "--wavelet", "mexhat",
+                 "--b", "45", "--a", "0.05", "--n", "4"])
+    assert code == 0
+    rows = {ln.split(",")[0]: ln.split(",")[1:]
+            for ln in capsys.readouterr().out.strip().splitlines()[1:]}
+    for field in [f"term_{s}" for s in range(4)] + ["partial_sum"]:
+        re_, im, est = map(float, rows[field])
+        assert re_ == im == 0.0 and est < 1e-300, field
 
 
 def test_time_remainder_within_printed_budget(capsys):

@@ -18,9 +18,9 @@ from cwtasym.expansion import (
     _time_moment_quadrature,
     convergence_order,
     expansion_plan,
-    mirror_sign,
     remainder_frequency,
 )
+from cwtasym.checks import mirror_sign, moment_products
 from cwtasym.mellin import MellinMethod, mellin_transform
 from cwtasym.oracle import (
     _SPLIT_START,
@@ -67,8 +67,8 @@ def test_zero_coefficient_terms_are_exact_zeros():
 
 
 def test_odd_terms_vanish_at_zero_offset():
-    """At b = 0 the two half-line moments coincide, so every odd-order
-    mirror combination cancels identically."""
+    """The Lorentzian is even, so its odd Taylor coefficients at b = 0, and
+    with them the odd-order products, are exact zeros."""
     sig = make_signal(SignalKind.Lorentzian)
     wav = make_wavelet(WaveletKind.Morlet, u0=5.0)
     res = expansion_plan(sig, wav, 0.0, 6).at(0.1)
@@ -521,7 +521,7 @@ def test_result_metadata():
     res = expansion_plan(sig, wav, 0.5, 3).at(0.1)
     assert isinstance(res, ExpansionResult)
     assert res.domain == "frequency"
-    assert (res.a, res.b, res.n, res.lam) == (0.1, 0.5, 3, 1)
+    assert (res.a, res.b, res.n) == (0.1, 0.5, 3)
     assert res.remainder_kind == RemainderKind.NONE
     assert res.remainder_estimate == 0.0
     assert res.prediction == res.partial_sum
@@ -530,13 +530,15 @@ def test_result_metadata():
     assert t.remainder_scale == 1.0
 
 
-def test_plan_uses_the_expected_mellin_strategies(monkeypatch):
-    """Closed forms for every built-in away from b = 0; the fallback,
-    "auto", stays the split tail or direct quadrature by the signal's tail."""
+def test_moment_products_use_the_expected_mellin_strategies(monkeypatch):
+    """The frequency moments that ``checks.moment_products`` holds the plan
+    against are closed forms for every built-in away from b = 0; the
+    fallback, "auto", stays the split tail or direct quadrature by the
+    signal's tail."""
     seen = _record_moments(monkeypatch)
     wav = make_wavelet(WaveletKind.Morlet, u0=5.0)
     for kind in SignalKind:
-        expansion_plan(make_signal(kind), wav, 0.7, 3)
+        moment_products(make_signal(kind), wav, 0.7, 3, "frequency")
     assert {name for *_, name, _ in seen} == {"closed_form"}
     h_split = make_h(make_signal(SignalKind.TwoSidedExp), 0.7)
     h_quad = make_h(make_signal(SignalKind.Gaussian), 0.7)
@@ -545,29 +547,23 @@ def test_plan_uses_the_expected_mellin_strategies(monkeypatch):
 
 
 def test_plan_terms_match_the_one_expression_form():
-    """Forming c_s (M+ + sigma M-) first and then multiplying by the power
-    and dividing by 2*pi, left to right, gives the bits of the whole product
-    written as one expression per dilation."""
+    """Each product is s! c^psi_s, times c^f_s(b), times (-i)^s, and each
+    term that product times a^(s + 1/2), left to right: the bits of the
+    whole written as one expression per dilation, on both routes."""
     sig = make_signal(SignalKind.Lorentzian)
     wav = make_wavelet(WaveletKind.Morlet, u0=5.0)
     b, n = 0.7, 4
-    cfg = QuadratureConfig()
-    h = make_h(sig, b)
-    cs = small_u_coefficients(wav, n).coefficients
-    closed = MellinMethod.ClosedForm  # the plan's route for this signal
-    pairs = [
-        (mellin_transform(h, s + 1, closed, cfg).value,
-         mellin_transform(h, s + 1, closed, cfg, mirror=True).value)
-        for s in range(n)
-    ]
-    plan = expansion_plan(sig, wav, b, n, config=cfg)
-    for a in np.geomspace(1e-3, 0.3, 16):
-        a = float(a)
-        terms = plan.at(a).terms
-        for s, (m_plus, m_minus) in enumerate(pairs):
-            want = (cs[s] * (m_plus + mirror_sign(s, 1) * m_minus)
-                    * a ** (s + 1 - 0.5) / (2.0 * math.pi))
-            assert terms[s] == want
+    cf = time_coefficients(sig, b, n)
+    cw = small_u_coefficients(wav, n).coefficients
+    for domain in ("frequency", "time"):
+        plan = expansion_plan(sig, wav, b, n, domain)
+        for a in np.geomspace(1e-3, 0.3, 16):
+            a = float(a)
+            terms = plan.at(a).terms
+            for s in range(n):
+                want = (math.factorial(s) * cw[s] * cf[s] * (-1j) ** s
+                        * a ** (s + 0.5))
+                assert terms[s] == want, (domain, s)
 
 
 @pytest.mark.parametrize("domain", ["frequency", "time"])
@@ -575,10 +571,9 @@ def test_plan_terms_match_the_one_expression_form():
 def test_plan_terms_on_a_grid_match_at_bit_for_bit(domain, n):
     """One array evaluation over a grid gives each dilation's terms, error
     bounds and, summed along its row, partial sum with the bits of ``at``
-    and of the scalar product c_s (M+ + sigma M-) a^(s + offset), zero
-    coefficients (the Mexican hat's, the step's at s = 0) included."""
+    and of the scalar product P_s a^(s + 1/2), zero coefficients (the
+    Mexican hat's, the step's at s = 0) included."""
     grid = np.geomspace(1e-3, 0.3, 16)
-    scale = 2.0 * math.pi if domain == "frequency" else 1.0
     for sig_kind in SignalKind:
         for wav_kind in WaveletKind:
             plan = expansion_plan(make_signal(sig_kind), make_wavelet(wav_kind),
@@ -592,10 +587,9 @@ def test_plan_terms_on_a_grid_match_at_bit_for_bit(domain, n):
                 assert errors[i].tobytes() == res.term_error_estimates.tobytes()
                 assert sums[i] == res.partial_sum
                 for s in range(n):
-                    power = a ** (s + plan.power_offset)
-                    assert terms[i, s] == plan.products[s] * power / scale
-                    assert errors[i, s] == (
-                        plan.product_errors[s] * power / scale)
+                    power = a ** (s + 0.5)
+                    assert terms[i, s] == plan.products[s] * power
+                    assert errors[i, s] == plan.product_errors[s] * power
     with pytest.raises(ValueError, match="dilation"):
         plan.terms([0.1, -0.1])
 
@@ -638,8 +632,9 @@ _PLAN_OFFSETS = (0.37, -1.3, 2.0)
 
 
 def _record_moments(monkeypatch):
-    """Record (z, mirror, method name, result) of every moment the plan takes."""
-    import cwtasym.expansion as expansion
+    """Record (z, mirror, method name, result) of every Mellin moment that
+    ``checks.moment_products`` takes."""
+    import cwtasym.checks as checks
 
     seen = []
 
@@ -649,8 +644,25 @@ def _record_moments(monkeypatch):
         seen.append((z, mirror, name, res))
         return res
 
-    monkeypatch.setattr(expansion, "mellin_transform", recording)
+    monkeypatch.setattr(checks, "mellin_transform", recording)
     return seen
+
+
+def _auto_products(sig, wav, b, n, cfg):
+    """P_s from ``mellin_transform``'s "auto" moments, c^psi_s (M+ + sigma
+    M-) / (2 pi), with its bound; the methods each moment took."""
+    h = make_h(sig, b)
+    cs = small_u_coefficients(wav, n).coefficients
+    products, errors, methods = np.zeros(n, dtype=complex), np.zeros(n), set()
+    for s, c in enumerate(cs):
+        if c == 0.0:
+            continue
+        plus, minus = (mellin_transform(h, s + wav.lam, "auto", cfg, mirror=m)
+                       for m in (False, True))
+        methods |= {plus.method, minus.method}
+        products[s] = c * (plus.value + mirror_sign(s, wav.lam) * minus.value)
+        errors[s] = abs(c) * (plus.abs_error_estimate + minus.abs_error_estimate)
+    return products / (2.0 * math.pi), errors / (2.0 * math.pi), methods
 
 
 @pytest.mark.parametrize("amplitude,scale", [(1.0, 1.0), (-2.0, 0.2)])
@@ -678,77 +690,53 @@ def test_frequency_plan_integrates_no_moment(monkeypatch, amplitude, scale):
 
 @pytest.mark.parametrize("amplitude,scale", [(1.0, 1.0), (-2.0, 0.2)])
 def test_frequency_plan_matches_quadrature_moments(amplitude, scale):
-    """The closed-form products against products of mellin_transform's
-    "auto" moments (quadrature, or the split tail for the two-sided
-    exponential), within their summed estimates."""
+    """The products against products of mellin_transform's "auto" moments
+    (quadrature, or the split tail for the two-sided exponential), within
+    their summed estimates."""
     cfg = QuadratureConfig()
     for kind in SignalKind:
         sig = make_signal(kind, amplitude, scale)
         for b in _PLAN_OFFSETS:
-            h = make_h(sig, b)
-            auto = {}
             for wav_kind in WaveletKind:
                 wav = make_wavelet(wav_kind)
                 plan = expansion_plan(sig, wav, b, 4, config=cfg)
-                for s, c in enumerate(plan.coefficients):
-                    if c == 0.0:
-                        continue
-                    if s not in auto:
-                        auto[s] = [mellin_transform(h, s + wav.lam, "auto", cfg,
-                                                    mirror=m)
-                                   for m in (False, True)]
-                    plus, minus = auto[s]
-                    want = c * (plus.value + mirror_sign(s, wav.lam) * minus.value)
-                    budget = plan.product_errors[s] + abs(c) * (
-                        plus.abs_error_estimate + minus.abs_error_estimate)
-                    assert abs(plan.products[s] - want) <= budget, (
-                        kind, wav_kind, b, s)
+                want, want_err, _ = _auto_products(sig, wav, b, 4, cfg)
+                budget = plan.product_errors + want_err
+                assert np.all(np.abs(plan.products - want) <= budget), (
+                    kind, wav_kind, b)
 
 
-def test_plan_falls_back_where_the_closed_form_cancels(monkeypatch):
-    """Two-sided exponential at b = 1e-4: the two incomplete Gammas cancel,
-    the closed form's estimate misses the quadrature target at z = 3, and
-    the plan takes the split tail there, for the plus moment only (the
-    mirror is its conjugate); its products stay within their estimates of
-    the 60-digit reference."""
-    seen = _record_moments(monkeypatch)
+def test_plan_matches_auto_moments_where_the_closed_form_cancels():
+    """Two-sided exponential at b = 1e-4, where the closed-form moments'
+    two incomplete Gammas cancel: the products stay within their summed
+    estimates of the "auto" (split-tail) moment products and of the
+    60-digit reference moments."""
     sig = make_signal(SignalKind.TwoSidedExp)
     wav = make_wavelet(WaveletKind.MexicanHat)
     b, cfg = 1e-4, QuadratureConfig()
     plan = expansion_plan(sig, wav, b, 4, config=cfg)
-    closed = [r for z, m, name, r in seen if name == "closed_form"]
-    auto = [(z, m) for z, m, name, _ in seen if name == "auto"]
-    assert auto == [(3, False)]
-    for r in closed:
-        assert r.abs_error_estimate > max(cfg.abs_tol, cfg.rel_tol * abs(r.value))
-    for s, c in enumerate(plan.coefficients):
-        if c == 0.0:
-            continue
+    want, want_err, methods = _auto_products(sig, wav, b, 4, cfg)
+    assert methods == {MellinMethod.SplitTailAnalytic}
+    assert np.all(np.abs(plan.products - want) <= plan.product_errors + want_err)
+    cs = small_u_coefficients(wav, 4).coefficients
+    for s, c in enumerate(cs):
         plus, minus = (_two_sided_exp_moment(1.0, 1.0, b, s + 1, m)
                        for m in (False, True))
-        want = c * (plus + mirror_sign(s, 1) * minus)
-        assert abs(plan.products[s] - want) <= plan.product_errors[s], s
+        ref = c * (plus + mirror_sign(s, 1) * minus) / (2.0 * math.pi)
+        assert abs(plan.products[s] - ref) <= plan.product_errors[s], s
 
 
-def test_plan_falls_back_outside_the_closed_form_range(monkeypatch):
+def test_plan_matches_auto_moments_outside_the_closed_form_range():
     """A Gaussian of time scale 0.03 at b = 1.9 puts b/sigma past the
-    parabolic cylinder series' range: every moment falls back to direct
-    quadrature, and the products match PureQuadrature's."""
-    seen = _record_moments(monkeypatch)
+    parabolic cylinder series' range: the products stay within their
+    summed estimates of the "auto" (direct quadrature) moment products."""
     sig = make_signal(SignalKind.Gaussian, 1.0, 0.03)
     wav = make_wavelet(WaveletKind.Morlet)
     b, cfg = 1.9, QuadratureConfig()
     plan = expansion_plan(sig, wav, b, 4, config=cfg)
-    assert {name for *_, name, _ in seen} == {"auto"}
-    h = make_h(sig, b)
-    for s, c in enumerate(plan.coefficients):
-        plus, minus = (mellin_transform(h, s + 1, "auto", cfg, mirror=m)
-                       for m in (False, True))
-        assert plus.method == minus.method == MellinMethod.PureQuadrature
-        want = c * (plus.value + mirror_sign(s, 1) * minus.value)
-        budget = plan.product_errors[s] + abs(c) * (
-            plus.abs_error_estimate + minus.abs_error_estimate)
-        assert abs(plan.products[s] - want) <= budget, s
+    want, want_err, methods = _auto_products(sig, wav, b, 4, cfg)
+    assert methods == {MellinMethod.PureQuadrature}
+    assert np.all(np.abs(plan.products - want) <= plan.product_errors + want_err)
 
 
 def test_steep_scaled_time_route_within_its_estimates():
@@ -771,7 +759,7 @@ def test_steep_scaled_time_route_within_its_estimates():
 def test_gaussian_wavelet_time_mirror_is_the_conjugate(wav_kind, u0):
     """psi(-t) = conj(psi(t)) for both Gaussian wavelets, so the closed-form
     mirror time moment equals the plus moment's conjugate (a zero's sign
-    aside), with the same estimate, and the plan conjugates instead."""
+    aside), with the same estimate."""
     wav = make_wavelet(wav_kind, u0=u0)
     for nu in (1.0, 2.0, 3.0, 4.0, 5.0):
         plus, e_plus = _time_moment_closed(wav, nu, False)
@@ -865,3 +853,102 @@ def test_poly_tail_cut_bounds_both_terms(env, a, deg):
                      / (2 * p ** (mp.mpf(s + 1) / 2)) for s in (0, deg)]
         exact = float(c * k * (tails[0] + a_ ** deg * tails[1]))
     assert exact <= bound <= 2.1 * delta
+
+
+def _mp_hermite_taylor(x, n):
+    """e^{-x^2/2} He_s(x) / s!, s < n, in the working precision."""
+    he = [mp.mpf(1), x]
+    for s in range(2, n):
+        he.append(x * he[s - 1] - (s - 1) * he[s - 2])
+    return [mp.exp(-x * x / 2) * he[s] / mp.factorial(s) for s in range(n)]
+
+
+def _mp_signal_taylor(kind, amplitude, scale, b, n):
+    """c^f_s(b) of amplitude * f(t / scale), from the closed forms at b/scale."""
+    x = mp.mpf(b) / mp.mpf(scale)
+    if kind == SignalKind.Lorentzian:
+        base = [(-1) ** (s + 1) * mp.im(mp.mpc(x, 1) ** -(s + 1))
+                for s in range(n)]
+    elif kind == SignalKind.Gaussian:
+        base = [(-1) ** s * c for s, c in enumerate(_mp_hermite_taylor(x, n))]
+    else:
+        base = [mp.exp(-abs(x)) * (-mp.sign(x)) ** s / mp.factorial(s)
+                for s in range(n)]
+    return [mp.mpf(amplitude) * c / mp.mpf(scale) ** s for s, c in enumerate(base)]
+
+
+def _mp_wavelet_taylor(wav, n):
+    if wav.kind == WaveletKind.Morlet:
+        return [mp.sqrt(2 * mp.pi) * c
+                for c in _mp_hermite_taylor(mp.mpf(wav.u0), n)]
+    if wav.kind == WaveletKind.MexicanHat:
+        return [mp.sqrt(2 * mp.pi) * (-1) ** (s // 2 - 1)
+                / (2 ** (s // 2 - 1) * mp.factorial(s // 2 - 1))
+                if s >= 2 and s % 2 == 0 else mp.mpf(0) for s in range(n)]
+    return [mp.mpc(0, 1) ** (s + 2) * (1 - mp.mpf(2) ** -s) / mp.factorial(s + 1)
+            for s in range(n)]
+
+
+def _audit_products(sig, wav, b, n, amplitude, scale):
+    """|P_s - 30-digit reference| / estimate for each s of one plan."""
+    plan = expansion_plan(sig, wav, b, n)
+    with mp.workdps(30):
+        cf = _mp_signal_taylor(sig.kind, amplitude, scale, b, n)
+        cw = _mp_wavelet_taylor(wav, n)
+        refs = [complex(mp.factorial(s) * (-1j) ** s * cf[s] * cw[s])
+                for s in range(n)]
+    ratios = []
+    for s, ref in enumerate(refs):
+        gap, est = abs(plan.products[s] - ref), plan.product_errors[s]
+        assert gap <= est, (sig.kind, wav.kind, wav.u0, scale, b, s, gap, est)
+        ratios.append(gap / est if est > 0.0 else 0.0)
+    return ratios
+
+
+_AUDIT_WAVELETS = [make_wavelet(WaveletKind.Morlet, u0=u0) for u0 in (2.0, 5.0, 12.0)] + [
+    make_wavelet(WaveletKind.MexicanHat), make_wavelet(WaveletKind.Haar)]
+
+
+@pytest.mark.parametrize("scale", [0.2, 1.0, 5.0])
+@pytest.mark.parametrize("kind", list(SignalKind))
+def test_products_within_their_estimates_of_30_digits(kind, scale):
+    """Every P_s = s! (-i)^s c^f_s(b) c^psi_s of A f(t/sigma), A = 1.3, is
+    within its rounding estimate of the same formula at 30 digits: each
+    wavelet (the modulated Gaussian at u0 = 2, 5, 12), 10 seeded b with |b|
+    log-uniform on [1e-4, 3] and either sign, n = 8."""
+    rng = np.random.default_rng(31)
+    offsets = rng.choice((-1.0, 1.0), 10) * 10.0 ** rng.uniform(-4.0, math.log10(3.0), 10)
+    sig = make_signal(kind, 1.3, scale)
+    for wav in _AUDIT_WAVELETS:
+        for b in offsets.tolist():
+            _audit_products(sig, wav, b, 8, 1.3, scale)
+
+
+@pytest.mark.parametrize("b,scale", [
+    (8.0, 1.0), (-15.0, 1.0), (25.0, 1.0), (-33.0, 1.0), (37.9, 1.0),
+    (38.4, 1.0), (-39.0, 1.0), (45.0, 1.0), (5.5, 0.2), (-7.63, 0.2),
+    (170.0, 5.0),
+])
+def test_far_gaussian_products_within_their_estimates_of_30_digits(b, scale):
+    """At large |b|/sigma the Hermite recurrence and e^{-b^2/2} are
+    ill-conditioned, up to and past the underflow at |b|/sigma = 38.6: the
+    products stay within their estimates of 30 digits."""
+    sig = make_signal(SignalKind.Gaussian, 1.3, scale)
+    for wav in _AUDIT_WAVELETS:
+        _audit_products(sig, wav, b, 8, 1.3, scale)
+
+
+@pytest.mark.parametrize("b", [0.7419637843027258, 1.3556261799742657,
+                               1.7320508075688772, -2.3344142183389773,
+                               2.8569700138728056, 3.7504397177257425])
+def test_gaussian_products_near_hermite_roots_within_their_estimates(b):
+    """Near a root of He_s the recurrence cancels, and only its own error
+    recurrence bounds what is left: the products of the Gaussian at roots
+    of He_4, He_5, He_3, He_4, He_5 and He_7 stay within their estimates of
+    30 digits, and so does the modulated Gaussian's table at those u0."""
+    for scale in (1.0, 0.2):
+        sig = make_signal(SignalKind.Gaussian, 1.3, scale)
+        for wav in _AUDIT_WAVELETS:
+            _audit_products(sig, wav, b * scale, 8, 1.3, scale)
+    _audit_products(make_signal(SignalKind.Lorentzian, 1.3, 1.0),
+                    make_wavelet(WaveletKind.Morlet, u0=abs(b)), 0.3, 8, 1.3, 1.0)

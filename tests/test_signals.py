@@ -14,6 +14,7 @@ from cwtasym.signals import (
     h_eval,
     make_h,
     make_signal,
+    time_coefficient_table,
     time_coefficients,
 )
 
@@ -73,6 +74,61 @@ def test_time_coefficients_vs_highprec(kind, b):
         ref = mp.taylor(f, mp.mpf(b), n - 1)
     for s in range(n):
         assert abs(got[s] - complex(ref[s])) < 1e-13 * max(1.0, abs(complex(ref[s])))
+
+
+def _mp_time_coefficients(kind, amplitude, scale, b, n):
+    """c_s of amplitude * f(t / scale) at b from the closed forms, in the
+    working precision, rounded to complex."""
+    x = mp.mpf(b) / mp.mpf(scale)
+    if kind == SignalKind.Lorentzian:
+        base = [(-1) ** (s + 1) * mp.im(mp.mpc(x, 1) ** -(s + 1)) for s in range(n)]
+    elif kind == SignalKind.Gaussian:
+        he = [mp.mpf(1), x]
+        for s in range(2, n):
+            he.append(x * he[s - 1] - (s - 1) * he[s - 2])
+        base = [(-1) ** s * he[s] * mp.exp(-x * x / 2) / mp.factorial(s)
+                for s in range(n)]
+    else:
+        base = [mp.exp(-abs(x)) * (-mp.sign(x)) ** s / mp.factorial(s)
+                for s in range(n)]
+    return [complex(amplitude * c / mp.mpf(scale) ** s) for s, c in enumerate(base)]
+
+
+@pytest.mark.parametrize("amplitude,scale", [(1.0, 1.0), (1.3, 0.2), (1.3, 5.0)])
+@pytest.mark.parametrize("b", [1.16e77, -5.6e102, 45.0, -1e200, 1.7976931348623157e308,
+                               0.7])
+@pytest.mark.parametrize("kind", list(SignalKind))
+def test_far_time_coefficients_are_finite_within_their_bounds(kind, b, amplitude,
+                                                               scale):
+    """Far out, in b or in b/sigma, every coefficient is finite and within
+    its bound of the 30-digit value, mostly an exact 0: (b -+ i)^-(s+1)
+    overflowed to NaN past |b| = 1.16e77, e^{-b^2/2} He_s(b) was 0 * inf
+    past 5.6e102."""
+    values, errors = time_coefficient_table(make_signal(kind, amplitude, scale), b, 4)
+    assert np.all(np.isfinite(values)) and np.all(np.isfinite(errors))
+    with mp.workdps(30):
+        want = _mp_time_coefficients(kind, amplitude, scale, b, 4)
+    for s in range(4):
+        assert abs(values[s] - want[s]) <= errors[s], s
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+@pytest.mark.parametrize("kind", [SignalKind.Lorentzian, SignalKind.Gaussian])
+def test_extreme_time_scales_give_finite_tables_or_refuse(kind, scale):
+    """Where sigma^s leaves the float range, c_s / sigma^s was 0/0 = NaN:
+    now the table is finite and within its bounds of 30 digits, or, where
+    a value or bound would not be, raises ValueError."""
+    sig = make_signal(kind, 1.3, scale)
+    for b in (0.7, -45.0, 1e200):
+        try:
+            values, errors = time_coefficient_table(sig, b, 4)
+        except ValueError as exc:
+            assert "outside the float range" in str(exc)
+            continue
+        with mp.workdps(30):
+            want = _mp_time_coefficients(kind, 1.3, scale, b, 4)
+        assert np.all(np.isfinite(errors))
+        assert np.all(np.abs(values - want) <= errors), b
 
 
 def test_time_coefficients_two_sided_exp():

@@ -10,7 +10,7 @@ from cwtasym.specfun import (
     SpecFunError,
     SpecFunMethod,
     gamma_complex,
-    hermite_he,
+    gaussian_taylor,
     oscillatory_power_tails,
     parabolic_cylinder_D,
     taylor_tail,
@@ -231,12 +231,18 @@ def test_upper_incomplete_gamma_estimate_covers_conditioning():
 
 
 @pytest.mark.parametrize("x", [-2.5, 0.0, 0.7, 5.0])
-def test_hermite_he_matches_numpy(x):
-    got = hermite_he(x, 12)
-    want = [np.polynomial.hermite_e.hermeval(x, [0.0] * s + [1.0])
+def test_gaussian_taylor_matches_numpy(x):
+    """e^{-x^2/2} He_s(x) / s! from the recurrence, against numpy's Hermite
+    series within 1e-12 and within the bounds, which are 0 exactly where
+    the value is an exact zero (the odd orders at x = 0)."""
+    got, errs = gaussian_taylor(x, 12)
+    want = [math.exp(-0.5 * x * x) / math.factorial(s)
+            * np.polynomial.hermite_e.hermeval(x, [0.0] * s + [1.0])
             for s in range(12)]
     assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    assert hermite_he(x, 1) == [1.0]
+    assert np.all(np.abs(got - want) <= errs + 1e-15 * np.abs(want))
+    assert np.all((errs == 0.0) == (got == 0.0))
+    assert gaussian_taylor(x, 1)[0].tolist() == [math.exp(-0.5 * x * x)]
 
 
 def _exp_coefficients(m):

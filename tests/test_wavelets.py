@@ -57,6 +57,27 @@ def test_morlet_coefficient_values():
     assert_allclose(cs, np.asarray(want, dtype=complex), rtol=1e-13)
 
 
+@pytest.mark.parametrize("u0", [38.0, 38.6, 40.0, 1e100, 1e200, 1.7976931348623157e308])
+def test_far_morlet_coefficients_are_finite_within_their_bounds(u0):
+    """Past u0 = 38.6 e^{-u0^2/2} underflows: the coefficients are exact
+    zeros, not 0 * inf = NaN past u0 = 1e100, and every one is within its
+    bound of the 30-digit value."""
+    table = small_u_coefficients(make_wavelet(WaveletKind.Morlet, u0=u0), 6)
+    cs, errs = table.coefficients, table.error_estimates
+    assert np.all(np.isfinite(cs)) and np.all(np.isfinite(errs))
+    if u0 >= 40.0:
+        assert np.all(cs == 0.0)
+    with mp.workdps(30):
+        x = mp.mpf(u0)
+        he = [mp.mpf(1), x]
+        for s in range(2, 6):
+            he.append(x * he[s - 1] - (s - 1) * he[s - 2])
+        want = [complex(mp.sqrt(2 * mp.pi) * mp.exp(-x * x / 2) * he[s]
+                        / mp.factorial(s)) for s in range(6)]
+    for s in range(6):
+        assert abs(cs[s] - want[s]) <= errs[s], s
+
+
 def test_mexican_hat_coefficient_values():
     spec = make_wavelet(WaveletKind.MexicanHat)
     cs = small_u_coefficients(spec, 9).coefficients
