@@ -9,7 +9,7 @@ moment int t^s conj(psi)(t) dt, the time route's; s! (-i)^s c^f_s(b) is
 (1/2pi) int u^s e^{ibu} f_hat(u) du, the frequency route's Mellin moment
 of h(u) = e^{ibu} f_hat(u) plus its mirror (Wong's Mellin-convolution
 technique).  So the routes differ only in their remainders and empirical
-oracles; the moments (``mellin_transform``, ``_time_moment_closed``,
+oracles; the moments (``mellin_transform``, ``checks._time_moment_closed``,
 ``_time_moment_quadrature``) stay as references for the checks
 (``checks.moment_products``) and tests.  Each P_s carries an a-priori
 bound on its rounding, from the tables' bounds (which count the Hermite
@@ -48,13 +48,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .mellin import MellinError, _cpow, mellin_morlet_time
+from .mellin import MellinError, _cpow
 from .oracle import (
     _alg_tail,
     _fold_hints,
     _fold_integrand,
     _pole_mesh,
-    _real_wavelet,
     _side_coeffs,
     _split_radius,
     cwt_fourier,
@@ -77,22 +76,14 @@ from .signals import (
 from .specfun import (_EPS, _TINY, SpecFunError, oscillatory_power_tails,
                       taylor_tail)
 from .wavelets import (
-    WaveletKind,
     WaveletSpec,
     psi_conj,
     psi_hat_tail_evaluator,
     small_u_coefficients,
-    time_panel_width,
-    time_period,
 )
 
 _TWO_PI = 2.0 * math.pi
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TAIL_CUTOVER = 0.25
-_LN2 = math.log(2.0)
-# Measured against 40-digit references over 0 < nu <= 60, the elementary
-# time moments are within 4.3 ulp (Mexican hat) and 1.8 ulp (Haar).
-_CLOSED_ULPS = 8.0
 # Least number of first panels over the folded frequency head [0, upper]
 # of a fast-decaying signal: the half period pi/|b| alone is 1,571 wide at
 # b = 0.002, and such a mesh bisects, while a fixed width cap of 1 doubles
@@ -234,10 +225,10 @@ def remainder_frequency(
 
     The line is folded: with g(w) = psi_tail(a*w) h(w), one quadrature of
     g(x) + g(-x) over [0, upper] covers both sides, with the oracle's fold
-    (``oracle._fold_integrand``).  For the real wavelets (the Mexican hat
-    and the step) against a real signal that is 2 Re g(x), one evaluation
-    per node, and the remainder is exactly real; for the modulated
-    Gaussian, g is evaluated once on the nodes and their mirrors.
+    (``oracle._fold_integrand``).  For a real wavelet (``wavelet.real``:
+    the Mexican hat, the step) against a real signal that is 2 Re g(x), one
+    evaluation per node, and the remainder is exactly real; for the
+    modulated Gaussian, g is evaluated once on the nodes and their mirrors.
     The breakpoints are both sides' features (``oracle._fold_hints``) and
     cutover/a, where psi_tail's series branch ends; the first panels are no
     wider than the helper's half period of the phase, about pi/|b|, and
@@ -267,7 +258,7 @@ def remainder_frequency(
       for the step wavelet, a steepest-descent ray for the Gaussian ones.
 
     For the real wavelets the - side's two tails are the conjugate of the
-    + side's (``oracle._real_wavelet``), so only the + side is computed.
+    + side's (``oracle._fold_integrand``), so only the + side is computed.
 
     R is doubled from there until the bound on truncating the series (in
     both tails) is below half the absolute tolerance; that bound is part of
@@ -288,7 +279,7 @@ def remainder_frequency(
         upper, truncation, q = _split_radius(signal, weights, cutover / a, cfg)
         tail_bound = 0.0
         for sign in (1, -1):
-            if sign < 0 and _real_wavelet(wavelet):
+            if sign < 0 and wavelet.real:
                 value = value.conjugate()  # with the + side's error
             else:
                 value, side_err = _analytic_tail_side(
@@ -333,15 +324,15 @@ def _time_route_panel_width(wavelet: WaveletSpec) -> Optional[float]:
 
     Half the period for the modulated Gaussian: the Taylor tail, or
     t^(nu-1), times the wavelet converges in about one pass on it, and the
-    finer ``time_panel_width`` (at most 0.4 of the period) adds nodes: on
-    the perfbench ``remainder`` task lists of seeds 5 and 201, the
-    modulated Gaussian's time remainders took 80,040 GK15 nodes on it and
-    69,615 on half periods.  Otherwise ``time_panel_width``: unit panels
-    for the Mexican hat, and None for the step wavelet, whose mesh is its
-    support.
+    finer ``wavelet.time_panel_width`` (at most 0.4 of the period) adds
+    nodes: on the perfbench ``remainder`` task lists of seeds 5 and 201,
+    the modulated Gaussian's time remainders took 80,040 GK15 nodes on it
+    and 69,615 on half periods.  Otherwise ``time_panel_width``: unit
+    panels for the Mexican hat, and None for the step wavelet, whose mesh
+    is its support.
     """
-    period = time_period(wavelet)
-    return time_panel_width(wavelet) if period is None else 0.5 * period
+    period = wavelet.time_period
+    return wavelet.time_panel_width if period is None else 0.5 * period
 
 
 def _time_moment_quadrature(
@@ -349,7 +340,7 @@ def _time_moment_quadrature(
 ) -> tuple[complex, float]:
     """One-sided wavelet moment int_0^inf t^(nu-1) conj(psi)(+-t) dt.
 
-    The tests' reference for ``_time_moment_closed``: the Gaussian
+    The tests' reference for ``checks._time_moment_closed``: the Gaussian
     wavelets' line is cut where the rule's tail bound is at most one
     rounding of 1 (or 0.5 abs_tol, if smaller), so that a moment of size
     one or more keeps its last bits.
@@ -381,30 +372,6 @@ def _time_moment_quadrature(
     return res.value, res.abs_error_estimate
 
 
-def _time_moment_closed(
-    wavelet: WaveletSpec, nu: float, mirror: bool
-) -> tuple[complex, float]:
-    """One-sided wavelet moment int_0^inf t^(nu-1) conj(psi)(+-t) dt, closed form.
-
-    Modulated Gaussian: a parabolic cylinder function.  Mexican hat:
-    2^(nu/2-1) Gamma(nu/2) (1-nu) on both sides, since the wavelet is even.
-    Haar: (2^(1-nu) - 1)/nu on the + side, written with expm1 so that it
-    keeps its relative accuracy near nu = 1, and 0 on the mirror side.  Both
-    elementary forms are exactly 0 at nu = 1 (admissibility) and carry an
-    error bar of a few ulp.
-    """
-    if wavelet.kind == WaveletKind.Morlet:
-        m = mellin_morlet_time(nu, wavelet.u0, 1 if mirror else -1)
-        return m.value, m.abs_error_estimate
-    if wavelet.kind == WaveletKind.MexicanHat:
-        value = 2.0 ** (0.5 * nu - 1.0) * math.gamma(0.5 * nu) * (1.0 - nu)
-    elif mirror:
-        return 0.0 + 0.0j, 0.0  # the support lies entirely on t >= 0
-    else:
-        value = math.expm1((1.0 - nu) * _LN2) / nu
-    return complex(value), _CLOSED_ULPS * _EPS * abs(value)
-
-
 def _taylor_remainder_factory(signal: SignalSpec, b: float, n: int):
     """Evaluator for f(b+x) - (first n Taylor terms), stable near x = 0.
 
@@ -428,17 +395,6 @@ def _taylor_remainder_factory(signal: SignalSpec, b: float, n: int):
         cutover,
     )
     return evaluate, cutover, omitted
-
-
-def _abs_integral_bound(wavelet: WaveletSpec) -> float:
-    """The integral of |psi(t)| over the real line, exactly: sqrt(2*pi) for
-    the modulated Gaussian, 4/sqrt(e) for the Mexican hat (the antiderivative
-    of (1 - t^2) e^{-t^2/2} is t e^{-t^2/2}), 1 for the step wavelet."""
-    if wavelet.kind == WaveletKind.Morlet:
-        return _SQRT_2PI
-    if wavelet.kind == WaveletKind.MexicanHat:
-        return 4.0 / math.sqrt(math.e)
-    return 1.0
 
 
 def _steep_conditioning(
@@ -501,7 +457,7 @@ def _remainder_time(
         conditioning=_steep_conditioning(signal, b, a, lo, hi),
     )
     # the series branch's truncation error, against |psi| over the line
-    err = res.abs_error_estimate + series_err * _abs_integral_bound(wavelet)
+    err = res.abs_error_estimate + series_err * wavelet.l1_norm
     root_a = math.sqrt(a)
     return root_a * res.value, root_a * err
 

@@ -35,7 +35,7 @@ the target.  In the tail:
   split, and the fold covers it up to the cut.
 
 A real wavelet's - side tail is the conjugate of its + side's, so only
-the + side's is computed (``_real_wavelet`` states where conjugate
+the + side's is computed (``_fold_integrand`` states where conjugate
 symmetry holds).  The truncation bound, the horizontal-line bound and
 every quadrature's estimate are added to the result's error estimate, and
 the quadratures' counts and worst status are carried into it.  The
@@ -65,15 +65,9 @@ from .quadrature import (
     integrate,
     worst_status,
 )
-from .signals import SignalKind, SignalSpec
+from .signals import SignalSpec
 from .specfun import horner, oscillatory_power_tails
-from .wavelets import (
-    WaveletKind,
-    WaveletSpec,
-    psi_conj,
-    psi_hat_conj,
-    time_panel_width,
-)
+from .wavelets import WaveletSpec, psi_conj, psi_hat_conj
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
@@ -110,13 +104,13 @@ def cwt_time(
     dilation integrates f(b + a*s) conj(psi)(s) over the same s, so a
     sequence is one vector-valued quadrature on a shared mesh (at most
     ``_GRID_BLOCK`` dilations per mesh), with breakpoints at every
-    dilation's kinks and peak.  The step wavelet's integral is over its
+    dilation's kinks and peaks.  The step wavelet's integral is over its
     support; the Gaussian wavelets' line is cut once, at the radius the
     cut rule (``_cut_radius``, power 0) gives for sup|f| times the
     wavelet's envelope at abs_tol, and both sides' tail bounds
-    (``_envelope_tail_bound``) join each error estimate.  The
-    first mesh is at the wavelet's own scale (``time_panel_width``: panels
-    at most min(0.7, 0.4 T) wide for the modulated Gaussian of period T, 1
+    (``_envelope_tail_bound``) join each error estimate.  The first mesh
+    is at the wavelet's own scale (``wavelet.time_panel_width``: panels at
+    most min(0.7, 0.4 T) wide for the modulated Gaussian of period T, 1
     for the Mexican hat), on which one GK15 pass usually meets the target
     or leaves only a negligible excess over the roundoff floors.
 
@@ -153,9 +147,7 @@ def _cwt_time_block(
         return f(b + scales * s) * psi_conj(wavelet, s)
 
     breakpoints = [(k - b) / a for a in dilations for k in signal.kinks]
-    if signal.kind == SignalKind.Lorentzian:
-        # the signal's peak in wavelet coordinates
-        breakpoints += [-b / a for a in dilations]
+    breakpoints += [(p - b) / a for a in dilations for p in signal.peaks]
 
     if wavelet.time_support is not None:
         lo, hi = wavelet.time_support
@@ -172,7 +164,7 @@ def _cwt_time_block(
             (-radius, radius),
             cfg,
             breakpoints=breakpoints,
-            panel_width=time_panel_width(wavelet),
+            panel_width=wavelet.time_panel_width,
             tail_bound=2.0 * _envelope_tail_bound(envelope, radius),
         )
     out = []
@@ -195,21 +187,15 @@ def _fourier_side_hints(wavelet: WaveletSpec, sign: int, a: float, b: float):
     """Panel breakpoints and widest first panel for one half-line integrand.
 
     The breakpoints sit at the features of the wavelet transform at sign*a*w
-    (the modulated Gaussian's peak and its +-3 flanks, the Mexican hat's
-    inflection and decay points, the step wavelet's first lobe); the panel
-    width is half a period of e^{i*sign*b*w}, its phase rate |b| raised by
-    the step wavelet's own phase rate a.  Callers add their own extra
-    breakpoints to the returned list.
+    (``wavelet.side_features``, |u|/a); the panel width is half a period of
+    e^{i*sign*b*w}, its phase rate |b| raised by the fastest of the
+    wavelet's own phases, mu*a.  Callers add their own extra breakpoints to
+    the returned list.
     """
-    breakpoints = []
-    if wavelet.kind == WaveletKind.Morlet and sign > 0:
-        u0 = wavelet.u0
-        breakpoints += [(u0 - 3.0) / a, u0 / a, (u0 + 3.0) / a]
-    elif wavelet.kind == WaveletKind.MexicanHat:
-        breakpoints += [math.sqrt(2.0) / a, 3.5 / a]
-    elif wavelet.kind == WaveletKind.Haar:
-        breakpoints += [4.66 / a]
-    osc = abs(b) + (a if wavelet.kind == WaveletKind.Haar else 0.0)
+    breakpoints = [u / a for u in wavelet.side_features[0 if sign > 0 else 1]]
+    osc = abs(b)
+    if wavelet.phases:
+        osc += a * max(mu for _, mu in wavelet.phases)
     width = math.pi / osc if osc > 0.0 else None
     return breakpoints, width
 
@@ -225,33 +211,20 @@ def _fold_hints(wavelet: WaveletSpec, a: float, b: float):
     return breakpoints + mirrored, width
 
 
-def _real_wavelet(wavelet: WaveletSpec) -> bool:
-    """Whether psi is real (the Mexican hat, the step), so that
-    psi_hat(-u) = conj(psi_hat(u)) on the real line.
-
-    Where conjugate symmetry holds, the one place it is stated.  Every
-    built-in signal is real and even, so f_hat is real and
-    h(-u) = e^{-ibu} f_hat(u) = conj(h(u)): a mirror Mellin moment of h at
-    real z is the conjugate of its plus moment.  Against a real wavelet,
-    the Fourier integrand has g(-w) = conj(g(w)), and so has the
-    remainder's, whose Taylor tail inherits the symmetry through its
-    coefficients: the fold is 2 Re g (``_fold_integrand``), and a split
-    line's - side Abel tail is the conjugate of its + side's
-    (``cwt_fourier``, ``expansion.remainder_frequency``).
-    """
-    return wavelet.kind != WaveletKind.Morlet
-
-
 def _fold_integrand(g, wavelet: WaveletSpec):
     """The folded integrand g(x) + g(-x), x >= 0, of a line integral of g.
 
-    The modulated Gaussian's g is evaluated once on the nodes and their
+    A complex wavelet's g is evaluated once on the nodes and their
     mirrors: one call on 2N nodes costs less than two on N, and the sums
-    are the same bits.  For the real wavelets (the Mexican hat and the
-    step) against a real signal, g(-x) is conj(g(x)) (``_real_wavelet``),
-    so the pair is 2 Re g(x), exactly real, from one evaluation per node.
+    are the same bits.  Where conjugate symmetry holds, the one place it is
+    stated: every built-in signal is real and even, so f_hat is real, and
+    against a real wavelet (``wavelet.real``) the Fourier integrand, and the
+    remainder's through its Taylor coefficients, has g(-w) = conj(g(w)):
+    the pair is 2 Re g(x), exactly real, from one evaluation per node, and
+    a split line's - side Abel tail is the conjugate of its + side's
+    (``cwt_fourier``, ``expansion.remainder_frequency``).
     """
-    if not _real_wavelet(wavelet):
+    if not wavelet.real:
 
         def integrand(x):
             x = np.asarray(x, dtype=float)
@@ -273,17 +246,17 @@ def _gauss_wavelet_cut(
 
     Against a signal transform bounded by ``sup_freq``,
     |conj(psi_hat)(sign*a*w)| is at most sqrt(2 pi) sup_freq v^k e^{-v^2/2}
-    in v = a*w - sign*u0: k = 0 for the modulated Gaussian, k = 2 for the
-    Mexican hat (u0 = 0).  Per unit of v (dw = dv/a) that is the cut rule's
-    envelope ("gauss", sqrt(2 pi) sup_freq/a, 1/2) with power k: the cut is
-    its ``_cut_radius`` at ``delta`` mapped back to w, and the bound beyond
-    any radius its ``_envelope_tail_bound`` there (infinite where v has not
-    passed the range where that bound holds).
+    in v = a*w - sign*u0, k = ``wavelet.gauss_power`` (0 for the modulated
+    Gaussian, 2 for the Mexican hat).  Per unit of v (dw = dv/a) that is
+    the cut rule's envelope ("gauss", sqrt(2 pi) sup_freq/a, 1/2) with
+    power k: the cut is its ``_cut_radius`` at ``delta`` mapped back to w,
+    and the bound beyond any radius its ``_envelope_tail_bound`` there
+    (infinite where v has not passed the range where that bound holds).
     """
-    if wavelet.kind == WaveletKind.Haar:
-        raise ValueError("the 'haar' transform has no Gaussian cut")
+    power = wavelet.gauss_power
+    if power is None:
+        raise ValueError(f"the {wavelet.kind.value!r} transform has no Gaussian cut")
     shift = sign * wavelet.u0
-    power = 0.0 if wavelet.kind == WaveletKind.Morlet else 2.0
     envelope = ("gauss", _SQRT_2PI * sup_freq / a, 0.5)
 
     def t_w(u):
@@ -392,7 +365,7 @@ def _pole_mesh(
     panel.
     """
     breakpoints = breakpoints + _octaves(0.5 * q, upper)
-    if wavelet.kind != WaveletKind.Haar:
+    if wavelet.gauss_power is not None:
         width = min(width or math.inf, _WAVELET_PANEL / a)
     return breakpoints, width
 
@@ -409,13 +382,15 @@ def _tail_series(coeffs, beta: float, w: np.ndarray) -> np.ndarray:
     return horner(coeffs, 1.0 / w) * np.exp(-beta * np.log(w))
 
 
-def _haar_alg_tail(
-    signal: SignalSpec, sign: int, a: float, b: float, radius: float
+def _phase_alg_tail(
+    signal: SignalSpec, wavelet: WaveletSpec, sign: int, a: float, b: float,
+    radius: float,
 ) -> tuple[complex, float]:
     """int_radius^inf conj(psi_hat)(sign*a*w) e^{i*sign*b*w} f_hat(sign*w) dw.
 
-    The step wavelet's transform is (i/u)(1 - 2 e^{iu/2} + e^{iu}): three pure
-    phases over u.  Against the inverse-power series of the signal transform
+    For a transform of pure phases over u, (i/u) sum amp e^{i mu u}
+    (``wavelet.phases``; the step wavelet's is (i/u)(1 - 2 e^{iu/2} +
+    e^{iu})).  Against the inverse-power series of the signal transform
     (``signal.tail_coeffs``) every product is a closed-form oscillatory
     power integral; the orders of one phase differ by integers, so each
     phase takes one incomplete Gamma.  Returns the value and the error of
@@ -426,7 +401,7 @@ def _haar_alg_tail(
     cs = _side_coeffs(signal, sign)
     tail_val = 0.0 + 0.0j
     tail_err = 0.0
-    for amp, mu in ((1.0, 0.0), (-2.0, 0.5), (1.0, 1.0)):
+    for amp, mu in wavelet.phases:
         phase_rate = sign * (b + mu * a)
         terms = oscillatory_power_tails(-beta, len(cs), phase_rate, radius)
         for c_r, (term, err) in zip(cs, terms):
@@ -446,19 +421,14 @@ def _ray_height(
     The integral along the horizontal line Im w = sgn(rate)*y, Re w >= R,
     is at most C * size * e^{a^2 y^2/2 - |rate| y}: ``size`` bounds the
     series there, e^{-|rate| y} is the phase factor, and C e^{a^2 y^2/2}
-    bounds the line integral of the wavelet, C = 2 pi/a (modulated
-    Gaussian) or pi (1/a + a Y^2) (Mexican hat), for y up to
-    Y = |rate|/a^2, where the bound is least.  Returns the least y whose
-    bound is ``delta`` (0 if it already is at y = 0) and that bound, or
-    None if no y <= Y reaches it: there the ray cannot pay.  The bound is
-    taken in logarithms, C = pi (a^2 + rate^2)/a^3 for the Mexican hat, so
-    that no dilation small enough to overflow 1/a or underflow a^3 breaks it.
+    bounds the line integral of the wavelet for y up to Y = |rate|/a^2,
+    where the bound is least (``wavelet.ray_log_line`` gives log C).
+    Returns the least y whose bound is ``delta`` (0 if it already is at
+    y = 0) and that bound, or None if no y <= Y reaches it: there the ray
+    cannot pay.  The bound is taken in logarithms, so that no dilation
+    small enough to overflow 1/a or underflow a^3 breaks it.
     """
-    if wavelet.kind == WaveletKind.Morlet:
-        log_line = math.log(_TWO_PI) - math.log(a)
-    else:
-        log_line = (math.log(math.pi) + 2.0 * math.log(math.hypot(a, rate))
-                    - 3.0 * math.log(a))
+    log_line = wavelet.ray_log_line(a, rate)
     log_ratio = log_line + math.log(size / delta) if size > 0.0 else -math.inf
     if log_ratio <= 0.0:
         return 0.0, delta * math.exp(log_ratio)
@@ -484,10 +454,10 @@ def _alg_tail(
 
     f_hat is replaced by its inverse-power series sum_r b_r v^-(r + beta)
     (``signal.tail_coeffs``); bounding that truncation is the caller's
-    (``_split_radius``).  The step wavelet's tail is closed form
-    (``_haar_alg_tail``).  For the Gaussian wavelets the integrand
-    e^{i*rate*w} * series(w) * conj(psi_hat)(sign*a*w), rate = sign*b,
-    is analytic for Re w > 0, so the path moves onto the ray
+    (``_split_radius``).  A transform of pure phases (the step wavelet's)
+    has a closed-form tail (``_phase_alg_tail``).  For a Gaussian one the
+    integrand e^{i*rate*w} * series(w) * conj(psi_hat)(sign*a*w), rate =
+    sign*b, is analytic for Re w > 0, so the path moves onto the ray
     w = R + i*sgn(rate)*y, where e^{i*rate*w} decays instead of oscillating,
     up to the height from ``_ray_height``; the horizontal line closing the
     contour there is bounded, not integrated.  Where that bound cannot reach
@@ -496,8 +466,8 @@ def _alg_tail(
     R 2^k: at small dilations the cut lies many decades past R, and panels
     wider than the series' scale near R would miss its bulk.
     """
-    if wavelet.kind == WaveletKind.Haar:
-        value, err = _haar_alg_tail(signal, sign, a, b, radius)
+    if wavelet.phases:
+        value, err = _phase_alg_tail(signal, wavelet, sign, a, b, radius)
         return QuadratureResult(value, err, 0, 0, True)
 
     coeffs = _side_coeffs(signal, sign)
@@ -583,16 +553,16 @@ def cwt_fourier(
     bound joins the error estimate.  L is R where a side is split (the
     other side's cut is then at most R), otherwise the larger cut.  A real
     wavelet's sides have equal cuts, so both are split or neither, and its
-    - side's tail is the conjugate of its + side's (``_real_wavelet``):
+    - side's tail is the conjugate of its + side's (``_fold_integrand``):
     one analytic tail, whose counts the result carries once.
 
     The fold's first mesh has the breakpoints of both sides
-    (``_fold_hints``) and panels at most half a period of e^{ibw}; for an
-    algebraically decaying signal, split or not, it also has an edge at
-    each octave q 2^k from q/2 below L, q from ``_split_radius`` (for the
-    two-sided exponential, the distance of f_hat's poles from the real
-    line), and a Gaussian wavelet's first panels are at most
-    ``_WAVELET_PANEL``/a wide (``_pole_mesh``).
+    (``_fold_hints``) and of ``wavelet.head_features``, and panels at most
+    half a period of e^{ibw}; for an algebraically decaying signal, split
+    or not, it also has an edge at each octave q 2^k from q/2 below L, q
+    from ``_split_radius`` (for the two-sided exponential, the distance of
+    f_hat's poles from the real line), and a Gaussian wavelet's first
+    panels are at most ``_WAVELET_PANEL``/a wide (``_pole_mesh``).
 
     A result is ``converged`` when its quadratures converged and, in the
     units returned (after the factor sqrt(a)/(2 pi)), its whole estimate,
@@ -618,16 +588,15 @@ def cwt_fourier(
     env_f = (kind, c_f * wavelet.hat_sup, p_f)
     signal_cut = (_cut_radius(env_f, delta), lambda u: _envelope_tail_bound(env_f, u))
     breakpoints, width = _fold_hints(wavelet, a, b)
-    if wavelet.kind == WaveletKind.MexicanHat:
-        breakpoints.append(0.5 / a)
+    breakpoints += [u / a for u in wavelet.head_features]
     reach, tail_bound, tails = 0.0, 0.0, []
     for sign in (1, -1):
         cuts = [signal_cut]
-        if wavelet.kind != WaveletKind.Haar:
+        if wavelet.gauss_power is not None:
             cuts.append(_gauss_wavelet_cut(wavelet, sign, a, signal.sup_freq, delta))
         cut = min(min(c for c, _ in cuts), TRUNCATION_RADIUS)
         if split is not None and split[0] < cut:
-            if tails and _real_wavelet(wavelet):
+            if tails and wavelet.real:
                 # both sides' cuts are equal; the - side's tail mirrors the
                 # + side's and costs no evaluation
                 plus = tails[0]

@@ -40,7 +40,9 @@ class SignalSpec:
     f_freq: Callable[[np.ndarray], np.ndarray]
     sup_time: float
     sup_freq: float
+    # where f_time has a kink or a peak: edges of the time route's mesh
     kinks: tuple
+    peaks: tuple
     freq_envelope: tuple
     amplitude: float = 1.0
     time_scale: float = 1.0
@@ -94,6 +96,7 @@ def _builtin(kind: SignalKind) -> SignalSpec:
             sup_time=1.0,
             sup_freq=math.pi,
             kinks=(),
+            peaks=(0.0,),
             freq_envelope=("exp", math.pi, 1.0),
         )
     if kind == SignalKind.TwoSidedExp:
@@ -110,6 +113,7 @@ def _builtin(kind: SignalKind) -> SignalSpec:
             sup_time=1.0,
             sup_freq=2.0,
             kinks=(0.0,),
+            peaks=(),
             freq_envelope=("alg", 2.0, 2.0),
         )
     if kind == SignalKind.Gaussian:
@@ -122,6 +126,7 @@ def _builtin(kind: SignalKind) -> SignalSpec:
             sup_time=1.0,
             sup_freq=_SQRT_2PI,
             kinks=(),
+            peaks=(),
             freq_envelope=("gauss", _SQRT_2PI, 0.5),
         )
     raise ValueError(f"unknown signal kind {kind!r}")
@@ -163,6 +168,7 @@ def make_signal(
         sup_time=abs(a) * base.sup_time,
         sup_freq=abs(a) * s * base.sup_freq,
         kinks=tuple(s * k for k in base.kinks),
+        peaks=tuple(s * p for p in base.peaks),
         freq_envelope=_scaled_envelope(base.freq_envelope, abs(a), s),
         amplitude=a,
         time_scale=s,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,13 +40,29 @@ class WaveletKind(Enum):
 
 @dataclass(frozen=True)
 class WaveletSpec:
-    """A concrete analyzing wavelet.
+    """A concrete analyzing wavelet: its formulas are this module's
+    functions, and every other fact the package needs of it is a field,
+    set once in ``make_wavelet``, so no other module branches on ``kind``.
 
     ``lam`` is the leading power in the small-argument behaviour of the
     conjugated Fourier transform (all built-ins start at the linear order,
     so ``lam`` is 1 with the zeroth Taylor coefficient possibly vanishing).
-    The envelope/support fields bound the time-domain wavelet for domain
-    truncation; ``hat_sup`` bounds the conjugated transform on the real line.
+    ``time_envelope``/``time_support`` bound psi for domain truncation,
+    ``hat_sup`` bounds psi_hat_conj on the real line, ``l1_norm`` is the
+    integral of |psi|, and ``real`` means psi is real, so that
+    psi_hat_conj(-u) = conj(psi_hat_conj(u)) on the real line.
+    ``time_period``: psi's period, if it oscillates; ``time_panel_width``:
+    the widest first panel of a time mesh (None: the mesh is the support).
+
+    The transform's form, if it has one of these: ``gauss_power`` k with
+    psi_hat_conj(u) = sqrt(2 pi) v^k e^{-v^2/2}, v = u - u0, and
+    ``ray_log_line``(a, rate), log C where C e^{a^2 y^2/2} bounds the
+    integral of |psi_hat_conj(+-a w)| along Im w = y, Re w >= 0, for y up
+    to |rate|/a^2; or ``phases``, (amp, mu) pairs with psi_hat_conj(u) =
+    (i/u) sum amp e^{i mu u}.  ``side_features``: the |u| of the
+    transform's features on u > 0 and on u < 0, where the Fourier meshes
+    put an edge at |u|/a; ``head_features``: more for the Fourier oracle's
+    folded head alone.
     """
 
     kind: WaveletKind
@@ -55,6 +71,15 @@ class WaveletSpec:
     hat_sup: float
     time_envelope: Optional[tuple]
     time_support: Optional[tuple]
+    real: bool
+    l1_norm: float
+    time_period: Optional[float]
+    time_panel_width: Optional[float]
+    side_features: tuple
+    gauss_power: Optional[float] = None
+    ray_log_line: Optional[Callable[[float, float], float]] = None
+    phases: tuple = ()
+    head_features: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -63,36 +88,65 @@ class CoefficientTable:
     with a bound on each one's error."""
 
     coefficients: np.ndarray
-    lam: int
-    n: int
     error_estimates: np.ndarray
+
+
+def _morlet_ray_log_line(a: float, rate: float) -> float:
+    return math.log(_TWO_PI) - math.log(a)  # 2 pi/a: the whole line
+
+
+def _mexhat_ray_log_line(a: float, rate: float) -> float:
+    # pi (1/a + a Y^2), Y = |rate|/a^2, as pi (a^2 + rate^2)/a^3 in logs:
+    # no dilation that overflows 1/a or underflows a^3 breaks it
+    return (math.log(math.pi) + 2.0 * math.log(math.hypot(a, rate))
+            - 3.0 * math.log(a))
 
 
 def make_wavelet(kind: WaveletKind, u0: float = 5.0) -> WaveletSpec:
     """The built-in wavelet of ``kind`` (``u0``: the modulated Gaussian's
-    centre frequency).
+    centre frequency, finite and positive).
 
     ``time_envelope`` ("gauss", C, rate) bounds |psi(t)| by C e^{-rate t^2}:
     its exact e^{-t^2/2} for the modulated Gaussian, with C a few ulp above
     1 because the computed |psi| exceeds e^{-t^2/2} by up to 2 ulp, and
-    7 e^{-0.45 t^2} for the Mexican hat, |1 - t^2| e^{-t^2/2}.  The step
-    wavelet has a support instead.  Both Gaussian wavelets satisfy
-    psi(-t) = conj(psi(t)), and the Mexican hat and the step are real, so
-    half of each pair of mirrored moments or tails is the conjugate of the
-    other (``oracle._real_wavelet``).
+    7 e^{-0.45 t^2} for the Mexican hat, |1 - t^2| e^{-t^2/2}, whose L1 norm
+    is 4/sqrt(e) (its antiderivative is t e^{-t^2/2}).  The step wavelet has
+    a support instead, and the transform (i/u)(1 - 2 e^{iu/2} + e^{iu}).
+    The features are the modulated Gaussian's peak and +-3 flanks (u > 0
+    only), the Mexican hat's peak, decay point and (folded head) rise, and
+    the step wavelet's first lobe.
+
+    The modulated Gaussian's time panels, min(0.7, 0.4 T), are measured on
+    3 signals x 21 b in [-2, 2] x (the 16-point sweep grid, a = 1e-3, 0.05,
+    1): no call of ``oracle.cwt_time`` bisects at u0 in {1, 2, 3, 5, 8,
+    12}.  A cap of 0.75 bisects 6 of those 252 calls at u0 = 3, and panels
+    of 0.55 bisect 61 of 252 at u0 = 5.
     """
     if kind == WaveletKind.Morlet:
         if not u0 > 0.0:
             raise ValueError(f"the modulated-Gaussian wavelet needs u0 > 0, got {u0!r}")
+        if not math.isfinite(u0):
+            raise ValueError(
+                f"the modulated-Gaussian wavelet needs a finite u0, got {u0!r}")
+        u0 = float(u0)
+        period = _TWO_PI / u0
         return WaveletSpec(
             kind=kind,
-            u0=float(u0),
+            u0=u0,
             lam=1,
             hat_sup=_SQRT_2PI,
             time_envelope=("gauss", _MORLET_ENVELOPE_C, 0.5),
             time_support=None,
+            real=False,
+            l1_norm=_SQRT_2PI,
+            time_period=period,
+            time_panel_width=min(0.7, 0.4 * period),
+            side_features=((u0 - 3.0, u0, u0 + 3.0), ()),
+            gauss_power=0.0,
+            ray_log_line=_morlet_ray_log_line,
         )
     if kind == WaveletKind.MexicanHat:
+        features = (math.sqrt(2.0), 3.5)
         return WaveletSpec(
             kind=kind,
             u0=0.0,
@@ -101,6 +155,14 @@ def make_wavelet(kind: WaveletKind, u0: float = 5.0) -> WaveletSpec:
             # max over x >= 0 of |1 - x| e^{-0.05 x} is 20 e^{-1.05} < 7
             time_envelope=("gauss", 7.0, 0.45),
             time_support=None,
+            real=True,
+            l1_norm=4.0 / math.sqrt(math.e),
+            time_period=None,
+            time_panel_width=1.0,
+            side_features=(features, features),
+            gauss_power=2.0,
+            ray_log_line=_mexhat_ray_log_line,
+            head_features=(0.5,),
         )
     if kind == WaveletKind.Haar:
         return WaveletSpec(
@@ -110,32 +172,14 @@ def make_wavelet(kind: WaveletKind, u0: float = 5.0) -> WaveletSpec:
             hat_sup=0.7246113537767084,
             time_envelope=None,
             time_support=(0.0, 1.0),
+            real=True,
+            l1_norm=1.0,
+            time_period=None,
+            time_panel_width=None,
+            side_features=((4.66,), (4.66,)),
+            phases=((1.0, 0.0), (-2.0, 0.5), (1.0, 1.0)),
         )
     raise ValueError(f"unknown wavelet kind {kind!r}")
-
-
-def time_period(spec: WaveletSpec) -> Optional[float]:
-    """The time-domain oscillation period, 2*pi/u0 for the modulated
-    Gaussian; None for the wavelets that do not oscillate."""
-    return _TWO_PI / spec.u0 if spec.kind == WaveletKind.Morlet else None
-
-
-def time_panel_width(spec: WaveletSpec) -> Optional[float]:
-    """The widest first panel of a time-domain transform's mesh, in wavelet
-    coordinates: min(0.7, 0.4 T) for the modulated Gaussian (T its period),
-    1 for the Mexican hat, so one GK15 pass resolves the wavelet's own
-    scale; None for the step wavelet, whose mesh is its support.
-
-    The modulated Gaussian's rule is measured on 3 signals x 21 b in
-    [-2, 2] x (the 16-point sweep grid, a = 1e-3, 0.05, 1): no call of
-    ``oracle.cwt_time`` bisects at u0 in {1, 2, 3, 5, 8, 12}.  A cap of
-    0.75 bisects 6 of those 252 calls at u0 = 3, and panels of 0.55
-    bisect 61 of 252 at u0 = 5."""
-    if spec.kind == WaveletKind.Morlet:
-        return min(0.7, 0.4 * time_period(spec))
-    if spec.kind == WaveletKind.MexicanHat:
-        return 1.0
-    return None
 
 
 def _haar_series_coefficients(n: int) -> np.ndarray:
@@ -192,7 +236,7 @@ def small_u_coefficients(spec: WaveletSpec, n: int) -> CoefficientTable:
         raise ValueError("need at least one coefficient")
     if spec.kind == WaveletKind.Morlet:
         cs, errs = gaussian_taylor(spec.u0, n, _SQRT_2PI)
-        return CoefficientTable(cs, spec.lam, n, errs)
+        return CoefficientTable(cs, errs)
     cs = np.zeros(n, dtype=complex)
     if spec.kind == WaveletKind.MexicanHat:
         for s in range(2, n, 2):
@@ -200,7 +244,7 @@ def small_u_coefficients(spec: WaveletSpec, n: int) -> CoefficientTable:
             cs[s] = _SQRT_2PI * (-1.0) ** (l - 1) / (2.0 ** (l - 1) * math.factorial(l - 1))
     else:
         cs = _haar_series_coefficients(n)
-    return CoefficientTable(cs, spec.lam, n, 2.0 * _EPS * np.abs(cs))
+    return CoefficientTable(cs, 2.0 * _EPS * np.abs(cs))
 
 
 def small_u_coefficients_numeric(
@@ -245,9 +289,7 @@ def small_u_coefficients_numeric(
             f"{worst} (error estimate {errs[worst]:.3e}); the transform is "
             "not analytic enough on the contour"
         )
-    return CoefficientTable(
-        coefficients=combined, lam=spec.lam, n=n, error_estimates=errs
-    )
+    return CoefficientTable(coefficients=combined, error_estimates=errs)
 
 
 def psi_hat_tail_evaluator(spec: WaveletSpec, n: int):

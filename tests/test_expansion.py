@@ -11,21 +11,19 @@ from numpy.testing import assert_allclose
 from cwtasym.expansion import (
     ExpansionResult,
     RemainderKind,
-    _abs_integral_bound,
     _analytic_tail_side,
     _poly_tail_cut,
-    _time_moment_closed,
     _time_moment_quadrature,
     convergence_order,
     expansion_plan,
     remainder_frequency,
 )
-from cwtasym.checks import mirror_sign, moment_products
+from cwtasym.checks import _time_moment_closed, mirror_sign, moment_products
 from cwtasym.mellin import MellinMethod, mellin_transform
 from cwtasym.oracle import (
     _SPLIT_START,
     _alg_tail,
-    _haar_alg_tail,
+    _phase_alg_tail,
     _split_radius,
     cwt_fourier,
     cwt_time,
@@ -333,8 +331,8 @@ def test_haar_closed_form_tail_matches_quadrature(sign):
     sig = make_signal(SignalKind.TwoSidedExp)
     wav = make_wavelet(WaveletKind.Haar)
     a, b, near, far = 0.1, 0.7, 40.0, 400.0
-    v_near, e_near = _haar_alg_tail(sig, sign, a, b, near)
-    v_far, e_far = _haar_alg_tail(sig, sign, a, b, far)
+    v_near, e_near = _phase_alg_tail(sig, wav, sign, a, b, near)
+    v_far, e_far = _phase_alg_tail(sig, wav, sign, a, b, far)
 
     def integrand(v):
         return (psi_hat_conj(wav, sign * a * v)
@@ -788,22 +786,6 @@ def test_real_wavelet_minus_tail_is_the_conjugate(wav_kind, scale):
             v_plus, e_plus = _analytic_tail_side(sig, wav, cs, 1, a, b, radius, cfg)
             v_minus, e_minus = _analytic_tail_side(sig, wav, cs, -1, a, b, radius, cfg)
             assert abs(v_minus - v_plus.conjugate()) <= e_plus + e_minus, (a, b)
-
-
-@pytest.mark.parametrize("wav_kind", list(WaveletKind))
-def test_abs_integral_bound_is_the_l1_norm(wav_kind):
-    """The time remainder's series error is weighed by the exact integral
-    of |psi|, against a 30-digit quadrature."""
-    wav = make_wavelet(wav_kind)
-    with mp.workdps(30):
-        if wav_kind == WaveletKind.Haar:
-            want = 1.0
-        elif wav_kind == WaveletKind.MexicanHat:
-            want = float(mp.quad(lambda t: abs(1 - t * t) * mp.exp(-t * t / 2),
-                                 [-mp.inf, -1, 1, mp.inf]))
-        else:
-            want = float(mp.quad(lambda t: mp.exp(-t * t / 2), [-mp.inf, mp.inf]))
-    assert _abs_integral_bound(wav) == pytest.approx(want, rel=1e-15)
 
 
 _HIGHPREC_SIGNALS = {

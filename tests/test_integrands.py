@@ -5,7 +5,8 @@ from numpy.testing import assert_allclose
 
 import cwtasym.expansion as expansion
 import cwtasym.oracle as oracle
-from cwtasym.expansion import _time_moment_closed, _time_moment_quadrature
+from cwtasym.checks import _time_moment_closed
+from cwtasym.expansion import _time_moment_quadrature
 from cwtasym.mellin import _integrand as mellin_integrand
 from cwtasym.quadrature import QuadratureConfig
 from cwtasym.signals import SignalKind, make_h, make_signal

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 import cwtasym.oracle as oracle
 import cwtasym.quadrature as quadrature
 import cwtasym.specfun as specfun
-from cwtasym.oracle import _haar_alg_tail, cwt_fourier, cwt_time
+from cwtasym.oracle import _phase_alg_tail, cwt_fourier, cwt_time
 from cwtasym.quadrature import QuadratureConfig, _cut_radius
 from cwtasym.signals import SignalKind, make_signal
 from cwtasym.wavelets import WaveletKind, make_wavelet, psi_hat_conj
@@ -461,7 +461,7 @@ def test_haar_tail_takes_one_incomplete_gamma_per_phase(monkeypatch):
 
     monkeypatch.setattr(specfun, "upper_incomplete_gamma", counting)
     sig = make_signal(SignalKind.TwoSidedExp)
-    _haar_alg_tail(sig, 1, 0.05, 0.6, 16.0)
+    _phase_alg_tail(sig, make_wavelet(WaveletKind.Haar), 1, 0.05, 0.6, 16.0)
     assert len(calls) == 3
 
 

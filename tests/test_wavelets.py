@@ -35,8 +35,8 @@ def test_closed_vs_contour_coefficients(spec):
     n = 11
     table = small_u_coefficients(spec, n)
     numeric = small_u_coefficients_numeric(spec, n)
-    assert table.n == numeric.n == n
-    assert table.lam == spec.lam == 1
+    assert len(table.coefficients) == len(numeric.coefficients) == n
+    assert spec.lam == 1
     assert np.max(np.abs(table.coefficients - numeric.coefficients)) < 1e-10
 
 
@@ -204,6 +204,87 @@ def test_make_wavelet_validation():
         make_wavelet(WaveletKind.Morlet, u0=-2.0)
     with pytest.raises(ValueError):
         make_wavelet("spline")
+
+
+@pytest.mark.parametrize("u0", [math.inf, -math.inf, math.nan])
+def test_make_wavelet_rejects_a_non_finite_u0(u0):
+    """A modulated Gaussian at infinite u0 has no finite transform: it is
+    refused, not carried to a NaN quadrature or an all-zero expansion."""
+    with pytest.raises(ValueError, match="u0"):
+        make_wavelet(WaveletKind.Morlet, u0=u0)
+
+
+def _line_integral(spec, sign, a, y):
+    """int_0^inf |conj(psi_hat)(sign*a*(x + i*y))| dx, to 20 digits."""
+    def f(x):
+        v = sign * a * mp.mpc(x, y) - spec.u0
+        return abs(mp.sqrt(2 * mp.pi) * v ** int(spec.gauss_power) * mp.exp(-v * v / 2))
+
+    with mp.workdps(20):
+        return float(mp.quad(f, [0, spec.u0 / a, mp.inf]))
+
+
+@pytest.mark.parametrize("kind", list(WaveletKind))
+def test_spec_fields_follow_the_transform(kind):
+    """Each fact a WaveletSpec carries agrees with the wavelet's one
+    transform formula, on seeded arguments: ``real`` is conjugate symmetry
+    on the real line; a Gaussian power k gives sqrt(2 pi) v^k e^{-v^2/2},
+    v = u - u0, and its ``ray_log_line`` bounds the transform's integral
+    along lines Im w = y up to |rate|/a^2; pure phases give
+    (i/u) sum amp e^{i mu u}; and each side's largest |psi_hat| on
+    (0.01, 20] lies within 0.01 of one of that side's features (given to
+    two decimals), or at the least |u| where it lists none."""
+    spec = make_wavelet(kind)
+    rng = np.random.default_rng(32)
+    u = np.concatenate([rng.uniform(-20.0, 20.0, 400),
+                        rng.uniform(-2e-3, 2e-3, 50)])
+    got = psi_hat_conj(spec, u)
+    mirror_is_conj = np.array_equal(psi_hat_conj(spec, -u), np.conj(got))
+    assert spec.real == mirror_is_conj
+    assert spec.real == (kind != WaveletKind.Morlet)
+
+    if spec.gauss_power is None:
+        assert spec.ray_log_line is None
+    else:
+        v = u - spec.u0
+        want = _SQRT_2PI * v ** spec.gauss_power * np.exp(-0.5 * v * v)
+        assert_allclose(got, want, rtol=4e-16, atol=0.0)
+        for a, rate in ((0.05, 0.3), (0.5, 2.0)):
+            log_c = spec.ray_log_line(a, rate)
+            for sign in (1, -1):
+                for y in (0.0, 0.5 * rate / a ** 2, rate / a ** 2):
+                    bound = math.exp(log_c + 0.5 * a * a * y * y)
+                    assert _line_integral(spec, sign, a, y) <= bound * (1 + 1e-12)
+
+    big = u[np.abs(u) >= 1e-3]
+    phases = sum(amp * np.exp(1j * mu * big) for amp, mu in spec.phases)
+    if spec.phases:
+        size = sum(abs(amp) for amp, _ in spec.phases) / np.abs(big)
+        gap = np.abs(1j / big * phases - psi_hat_conj(spec, big))
+        assert np.all(gap <= 4.0 * np.finfo(float).eps * size)
+    else:
+        assert kind != WaveletKind.Haar
+
+    grid = np.linspace(0.01, 20.0, 20_000)
+    for sign, features in zip((1, -1), spec.side_features):
+        peak = grid[np.argmax(np.abs(psi_hat_conj(spec, sign * grid)))]
+        assert min((abs(peak - f) for f in features), default=peak - grid[0]) <= 0.01
+
+
+@pytest.mark.parametrize("kind", list(WaveletKind))
+def test_l1_norm_is_the_integral_of_abs_psi(kind):
+    """``l1_norm``, which weighs the time remainder's series error, is the
+    exact integral of |psi|, against a 30-digit quadrature."""
+    spec = make_wavelet(kind)
+    with mp.workdps(30):
+        if kind == WaveletKind.Haar:
+            want = 1.0
+        elif kind == WaveletKind.MexicanHat:
+            want = float(mp.quad(lambda t: abs(1 - t * t) * mp.exp(-t * t / 2),
+                                 [-mp.inf, -1, 1, mp.inf]))
+        else:
+            want = float(mp.quad(lambda t: mp.exp(-t * t / 2), [-mp.inf, mp.inf]))
+    assert spec.l1_norm == pytest.approx(want, rel=1e-15)
 
 
 def test_contour_extraction_validation():
