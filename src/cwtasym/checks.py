@@ -23,7 +23,7 @@ from .mellin import MellinError, MellinMethod, mellin_morlet_time, mellin_transf
 from .oracle import cwt_fourier, cwt_time
 from .quadrature import QuadratureConfig, _cut_radius, _envelope_tail_bound, integrate
 from .signals import SignalKind, make_h, make_signal, time_coefficient_table
-from .specfun import _EPS, gamma_complex, parabolic_cylinder_D
+from .specfun import _EPS, _TWO_PI, gamma_complex, parabolic_cylinder_D
 from .wavelets import (
     WaveletKind,
     make_wavelet,
@@ -31,7 +31,6 @@ from .wavelets import (
     small_u_coefficients_numeric,
 )
 
-_TWO_PI = 2.0 * math.pi
 _LN2 = math.log(2.0)
 # Measured against 40-digit references over 0 < nu <= 60, the elementary
 # time moments are within 4.3 ulp (Mexican hat) and 1.8 ulp (Haar).

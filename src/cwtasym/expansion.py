@@ -73,8 +73,8 @@ from .signals import (
     time_coefficient_table,
     time_coefficients,
 )
-from .specfun import (_EPS, _TINY, SpecFunError, oscillatory_power_tails,
-                      taylor_tail)
+from .specfun import (_EPS, _TAIL_TERMS, _TINY, _TWO_PI, SpecFunError,
+                      oscillatory_power_tails, taylor_tail)
 from .wavelets import (
     WaveletSpec,
     psi_conj,
@@ -82,7 +82,6 @@ from .wavelets import (
     small_u_coefficients,
 )
 
-_TWO_PI = 2.0 * math.pi
 _TAIL_CUTOVER = 0.25
 # Least number of first panels over the folded frequency head [0, upper]
 # of a fast-decaying signal: the half period pi/|b| alone is 1,571 wide at
@@ -269,8 +268,7 @@ def remainder_frequency(
     _check_dilation(a)
     cfg = config if config is not None else QuadratureConfig()
     h = make_h(signal, b)
-    cs = small_u_coefficients(wavelet, n).coefficients
-    psi_tail, cutover, series_err = psi_hat_tail_evaluator(wavelet, n)
+    psi_tail, cutover, series_err, cs = psi_hat_tail_evaluator(wavelet, n)
     tails, err = 0.0 + 0.0j, series_err * _TWO_PI * signal.sup_time
 
     if math.isfinite(signal.tail_beta):
@@ -372,31 +370,6 @@ def _time_moment_quadrature(
     return res.value, res.abs_error_estimate
 
 
-def _taylor_remainder_factory(signal: SignalSpec, b: float, n: int):
-    """Evaluator for f(b+x) - (first n Taylor terms), stable near x = 0.
-
-    ``specfun.taylor_tail`` with the signal's Taylor coefficients at b:
-    below the cutover it sums the series, above it subtracts directly.
-    The cutover scales with the signal's time scale, as the series' radius
-    does, and stays below 0.45 of the distance to a kink; where the
-    coefficients past the n-th do not exist (at a kink), every argument
-    takes the direct subtraction.  Returns the evaluator, the cutover and
-    the bound on the series' truncation error below it.
-    """
-    cutover = _TAIL_CUTOVER * signal.time_scale
-    for k in signal.kinks:
-        gap = abs(b - k)
-        if gap > 0.0:
-            cutover = min(cutover, 0.45 * gap)
-    evaluate, omitted = taylor_tail(
-        lambda x: signal.f_time(b + x),
-        lambda m: time_coefficients(signal, b, m),
-        n,
-        cutover,
-    )
-    return evaluate, cutover, omitted
-
-
 def _steep_conditioning(
     signal: SignalSpec, b: float, step: float, lo: float, hi: float
 ):
@@ -428,8 +401,29 @@ def _remainder_time(
     at a rounded argument carries the relative error of
     ``f_time_conditioning``, which the quadrature counts in its roundoff
     floors; it matters where f is steep in units of its time scale.
+
+    f_tail(x) = f(b + x) less its first n Taylor terms is
+    ``specfun.taylor_tail`` on one table of the signal's coefficients at b,
+    whose first n also size the line's tail bound.  Below the cutover it
+    sums the series, above it subtracts directly.  The cutover scales with
+    the signal's time scale, as the series' radius does, and stays below
+    0.45 of the distance to a kink.  Where the coefficients past the n-th
+    do not exist (the two-sided exponential at its kink, or a scaled
+    signal whose longer table leaves the float range), the table holds n
+    and every argument takes the direct subtraction.
     """
-    f_tail, cutover, series_err = _taylor_remainder_factory(signal, b, n)
+    try:
+        cs = time_coefficients(signal, b, n + _TAIL_TERMS)
+    except ValueError:
+        cs = time_coefficients(signal, b, n)
+    cutover = _TAIL_CUTOVER * signal.time_scale
+    for k in signal.kinks:
+        gap = abs(b - k)
+        if gap > 0.0:
+            cutover = min(cutover, 0.45 * gap)
+    f_tail, series_err = taylor_tail(
+        lambda x: signal.f_time(b + x), cs, n, cutover
+    )
 
     def integrand(s):
         s = np.asarray(s, dtype=float)
@@ -441,7 +435,7 @@ def _remainder_time(
         (lo, hi), tail_bound = wavelet.time_support, 0.0
         breakpoints.append(0.5)  # the step wavelet's jump
     else:
-        cs_abs = float(np.sum(np.abs(time_coefficients(signal, b, n))))
+        cs_abs = float(np.sum(np.abs(cs[:n])))
         hi, per_side = _poly_tail_cut(
             wavelet.time_envelope, signal.sup_time + cs_abs, a, n - 1,
             0.5 * cfg.abs_tol,

@@ -40,15 +40,14 @@ from .quadrature import (
 )
 from .signals import HSpec, SignalKind
 from .specfun import (
+    _EPS,
+    _SQRT_2PI,
     SpecFunError,
     gamma_complex,
     oscillatory_power_tails,
     parabolic_cylinder_D,
     upper_incomplete_gamma,
 )
-
-_EPS = 2.220446049250313e-16
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class MellinMethod(Enum):

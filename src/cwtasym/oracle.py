@@ -63,14 +63,12 @@ from .quadrature import (
     _cut_radius,
     _envelope_tail_bound,
     integrate,
+    within_tolerance,
     worst_status,
 )
 from .signals import SignalSpec
-from .specfun import horner, oscillatory_power_tails
+from .specfun import _SQRT_2PI, _TWO_PI, horner, oscillatory_power_tails
 from .wavelets import WaveletSpec, psi_conj, psi_hat_conj
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-_TWO_PI = 2.0 * math.pi
 
 # Least split radius for signals whose transform decays algebraically.  The
 # step wavelet's three closed-form phases cancel to about (aR)^2 of their
@@ -171,13 +169,12 @@ def _cwt_time_block(
     for a, r in zip(dilations, res):
         root_a = math.sqrt(a)
         value, err = r.value * root_a, r.abs_error_estimate * root_a
-        target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
         out.append(QuadratureResult(
             value,
             err,
             r.n_evaluations,
             r.n_panels,
-            r.converged and err <= 10.0 * target,
+            r.converged and within_tolerance(value, err, cfg),
             r.status,
         ))
     return out
@@ -629,12 +626,12 @@ def cwt_fourier(
         + sum(t.abs_error_estimate + split[1] for t in tails)
     ) * factor
     parts = (head, *tails)
-    target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
     return QuadratureResult(
         value=value,
         abs_error_estimate=err,
         n_evaluations=sum(p.n_evaluations for p in parts),
         n_panels=sum(p.n_panels for p in parts),
-        converged=all(p.converged for p in parts) and err <= 10.0 * target,
+        converged=(all(p.converged for p in parts)
+                   and within_tolerance(value, err, cfg)),
         status=worst_status("tolerance", *(p.status for p in parts)),
     )

@@ -48,7 +48,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-_EPS = 2.220446049250313e-16
+from .specfun import _EPS
 
 # 15-point Kronrod nodes (positive half) and weights; the embedded 7-point
 # Gauss rule lives on the odd-index nodes.  Full-precision values of QUADPACK's
@@ -154,6 +154,13 @@ class QuadratureResults(tuple):
 def worst_status(*statuses: str) -> str:
     """The least favourable of the given termination statuses."""
     return max(statuses, key=STATUSES.index)
+
+
+def within_tolerance(value, err: float, cfg: QuadratureConfig) -> bool:
+    """The one ``converged`` rule on an estimate: ``err`` is within ten
+    times the target max(abs_tol, rel_tol*|value|), in the units of
+    ``value``."""
+    return bool(err <= 10.0 * max(cfg.abs_tol, cfg.rel_tol * abs(value)))
 
 
 Integrand = Callable[[np.ndarray], np.ndarray]
@@ -540,13 +547,12 @@ def integrate(
     results = []
     for value, err, status in totals:
         total_err = err + tail_bound
-        target = max(cfg.abs_tol, cfg.rel_tol * abs(value))
         results.append(QuadratureResult(
             value=complex(value),
             abs_error_estimate=float(total_err),
             n_evaluations=neval,
             n_panels=npanels,
-            converged=bool(total_err <= 10.0 * target)
+            converged=within_tolerance(value, total_err, cfg)
             and status not in ("budget", "nonfinite"),
             status=status,
         ))

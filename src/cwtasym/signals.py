@@ -20,9 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .quadrature import _scaled_envelope
-from .specfun import _EPS, _TINY, gaussian_taylor
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+from .specfun import _EPS, _SQRT_2PI, _TINY, gaussian_taylor
 
 
 class SignalKind(Enum):

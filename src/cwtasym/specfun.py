@@ -25,6 +25,7 @@ import numpy as np
 _EPS = 2.220446049250313e-16
 _TINY = 5e-324  # the least subnormal: the absolute rounding of an underflow
 _SQRT_PI = math.sqrt(math.pi)
+_TWO_PI = 2.0 * math.pi
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -348,7 +349,7 @@ def gaussian_taylor(x: float, n: int, scale: float = 1.0):
     return values.astype(complex), np.where(he != 0.0, errors, 0.0)  # exact zeros
 
 
-# Taylor coefficients past the n-th that ``taylor_tail`` draws for its series.
+# Taylor coefficients past the n-th in the tables that ``taylor_tail`` sums.
 _TAIL_TERMS = 40
 
 
@@ -363,21 +364,19 @@ def horner(coeffs, x) -> np.ndarray:
 def taylor_tail(full, coefficients, n: int, cutover: float):
     """Evaluator of full(x) less its first n Taylor terms, stable near x = 0.
 
-    ``coefficients(m)`` gives the Taylor coefficients c_0..c_(m-1) of full
-    at 0; it is asked for n + _TAIL_TERMS of them and may raise ValueError,
-    and then for n.  Below the cutover the tail is summed from c_n,
-    c_(n+1), ..., stopping where the omitted terms, each at its largest
-    |c_k| cutover^k, add up to less than eps times the kept ones; above it
-    (everywhere, without the extra coefficients) it is full(x) less the
-    polynomial.  Returns the evaluator and that sum of omitted terms, which
-    bounds the series' truncation error anywhere below the cutover.  Terms
-    past the ones drawn are not counted; callers choose the cutover well
-    inside the series' radius, so they are negligible.
+    ``coefficients`` is the array of full's Taylor coefficients c_0, c_1,
+    ... at 0, at least n of them; callers build it with n + _TAIL_TERMS
+    where those exist, and take their own first n from it.  Below the
+    cutover the tail is summed from c_n, c_(n+1), ..., stopping where the
+    omitted terms, each at its largest |c_k| cutover^k, add up to less than
+    eps times the kept ones; above it (everywhere, when the array holds
+    only n) it is full(x) less the polynomial.  Returns the evaluator and
+    that sum of omitted terms, which bounds the series' truncation error
+    anywhere below the cutover.  Terms past the array are not counted;
+    callers choose the cutover well inside the series' radius, so they are
+    negligible.
     """
-    try:
-        cs = np.asarray(coefficients(n + _TAIL_TERMS))
-    except ValueError:
-        cs = np.asarray(coefficients(n))
+    cs = np.asarray(coefficients)
     head, tail = cs[:n], cs[n:]
     series, omitted = tail, 0.0
     if tail.size == 0:

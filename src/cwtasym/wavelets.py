@@ -17,11 +17,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .specfun import gaussian_taylor, horner, taylor_tail
+from .specfun import (_EPS, _SQRT_2PI, _TAIL_TERMS, _TWO_PI, gaussian_taylor,
+                      horner, taylor_tail)
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-_TWO_PI = 2.0 * math.pi
-_EPS = 2.220446049250313e-16
 _I_POW = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
 
 # The modulated Gaussian's |psi(t)| is e^{-t^2/2}; computed, it exceeds
@@ -295,16 +293,15 @@ def small_u_coefficients_numeric(
 def psi_hat_tail_evaluator(spec: WaveletSpec, n: int):
     """``psi_hat_tail(spec, n, .)`` with its coefficient table built once.
 
-    Returns the evaluator, its series cutover and the bound on the series'
-    truncation error below that cutover (see ``specfun.taylor_tail``).
+    Returns the evaluator, its series cutover, the bound on the series'
+    truncation error below that cutover (see ``specfun.taylor_tail``) and
+    the first n coefficients c_s, the head of the same table.
     """
+    cs = small_u_coefficients(spec, n + _TAIL_TERMS).coefficients
     evaluate, omitted = taylor_tail(
-        lambda u: psi_hat_conj(spec, u),
-        lambda m: small_u_coefficients(spec, m).coefficients,
-        n,
-        _TAIL_SERIES_CUT,
+        lambda u: psi_hat_conj(spec, u), cs, n, _TAIL_SERIES_CUT
     )
-    return evaluate, _TAIL_SERIES_CUT, omitted
+    return evaluate, _TAIL_SERIES_CUT, omitted, cs[:n]
 
 
 def psi_hat_tail(spec: WaveletSpec, n: int, u) -> np.ndarray:

@@ -89,21 +89,47 @@ def test_cwt_json_reports_status(capsys):
     assert all(r["converged"] for r in routes.values())
 
 
-@pytest.mark.parametrize("wavelet", ["haar", "morlet", "mexhat"])
-def test_cwt_scaled_signal_from_config(wavelet, tmp_path, capsys):
-    # A config with amplitude/time_scale builds a scaled copy of the base
-    # signal; its two oracle routes agree within their printed estimates.
+_SCALED = {"amplitude": -2, "time_scale": 0.2}
+
+
+@pytest.mark.parametrize("config,signal,wavelet,a,b,least", [
+    pytest.param(_SCALED, "two_sided_exp", wavelet, "0.05", "0.6", 1e-8,
+                 id=wavelet)
+    for wavelet in ("haar", "morlet", "mexhat")
+] + [
+    # |W| is about 4e-25, far below abs_tol, so the single cut of the
+    # Morlet line sets the time route's estimate
+    pytest.param(_SCALED, "gaussian", "morlet", "0.045", "1.93", 1e-26,
+                 id="tiny-valued"),
+    # a unit config gives the built-in signal itself
+    pytest.param({"amplitude": 1, "time_scale": 1}, "two_sided_exp", "mexhat",
+                 "0.05", "0.6", 1e-8, id="unit-mexhat"),
+] + [
+    # the transform's poles at +-i/s place the Fourier head's octave mesh
+    pytest.param({"time_scale": scale}, "two_sided_exp", wavelet, "0.01",
+                 "0.6", 1e-8, id=f"time-scale-{scale}-{wavelet}")
+    for scale in (0.2, 5) for wavelet in ("morlet", "mexhat", "haar")
+])
+def test_cwt_scaled_signal_from_config(config, signal, wavelet, a, b, least,
+                                       tmp_path, capsys):
+    """A config with amplitude/time_scale builds a scaled copy of the base
+    signal.  Both oracle routes converge (exit 0) and agree within their
+    printed estimates, and the fold keeps a real wavelet's Fourier value
+    exactly real."""
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"amplitude": -2, "time_scale": 0.2}))
-    code = main(["cwt", "--signal", "two_sided_exp", "--wavelet", wavelet,
-                 "--a", "0.05", "--b", "0.6", "--oracle", "both",
+    cfg.write_text(json.dumps(config))
+    code = main(["cwt", "--signal", signal, "--wavelet", wavelet,
+                 "--a", a, "--b", b, "--oracle", "both",
                  "--config", str(cfg), "--format", "json"])
     assert code == 0
     routes = json.loads(capsys.readouterr().out)["routes"]
+    assert sorted(routes) == ["fourier", "time"]
     time, fourier = routes["time"], routes["fourier"]
     diff = abs(complex(*time["value"]) - complex(*fourier["value"]))
     assert diff <= time["abs_error_estimate"] + fourier["abs_error_estimate"]
-    assert abs(complex(*time["value"])) > 1e-8
+    assert abs(complex(*time["value"])) > least
+    if wavelet != "morlet":
+        assert fourier["value"][1] == 0.0
 
 
 def test_expand_scaled_signal_time_route(tmp_path, capsys):
@@ -280,10 +306,21 @@ def test_no_subcommand_takes_a_mellin_method(command, tmp_path, capsys):
     ("two_sided_exp", "split_tail_analytic"),
 ])
 def test_mellin_reports_the_route_its_signal_chooses(signal, route, capsys):
-    for mirror in ([], ["--mirror"]):
-        assert main(["mellin", "--signal", signal, "--b", "0.6", "--z", "1.5",
-                     "--format", "json", *mirror]) == 0
-        assert json.loads(capsys.readouterr().out)["method"] == route
+    """Each signal's tail picks its route, with and without --mirror.  Every
+    built-in signal is real and even, so h(-u) = conj(h(u)), and at real z
+    the mirror moment is the conjugate of the plus moment within their
+    summed estimates."""
+    for z in ("1.5", "3"):
+        rows = []
+        for mirror in ([], ["--mirror"]):
+            assert main(["mellin", "--signal", signal, "--b", "0.6", "--z", z,
+                         "--format", "json", *mirror]) == 0
+            rows.append(json.loads(capsys.readouterr().out))
+        plus, minus = rows
+        assert plus["method"] == minus["method"] == route
+        assert (plus["mirror"], minus["mirror"]) == (False, True)
+        gap = abs(complex(*minus["value"]) - complex(*plus["value"]).conjugate())
+        assert gap <= plus["abs_error_estimate"] + minus["abs_error_estimate"]
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
@@ -410,8 +447,7 @@ def test_sweep_on_a_grid_of_one_dilation_prints_nan_order(grid, a_values,
     assert captured.err == ""
     lines = captured.out.splitlines()
     assert [float(ln.split(",")[0]) for ln in lines[1:-1]] == a_values
-    order = lines[-1].split(",")
-    assert order[0] == "order" and order[5] == "nan"
+    assert lines[-1] == "order,,,,,nan,,2,"
 
 
 def test_sweep_jobs_starts_a_pool_only_for_the_fourier_oracle(monkeypatch,
@@ -550,6 +586,10 @@ def test_invalid_flag_values_exit_2(argv, config, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+    # argparse prints its usage first; every other refusal is one line
+    lines = captured.err.splitlines()
+    if not lines[0].startswith("usage: "):
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -29,11 +30,13 @@ from cwtasym.oracle import (
     cwt_time,
 )
 from cwtasym.quadrature import QuadratureConfig, integrate
+from cwtasym.specfun import _TAIL_TERMS
 from cwtasym.signals import (
     SignalKind,
     h_eval,
     make_h,
     make_signal,
+    time_coefficient_table,
     time_coefficients,
 )
 from cwtasym.wavelets import (
@@ -82,6 +85,11 @@ def test_odd_terms_vanish_at_zero_offset():
         (SignalKind.Lorentzian, WaveletKind.Morlet, 1.0, 1.0, 0.1, 0.0, 3),
         (SignalKind.Gaussian, WaveletKind.MexicanHat, 1.0, 1.0, 0.2, 0.0, 4),
         (SignalKind.TwoSidedExp, WaveletKind.Morlet, 1.0, 1.0, 0.1, 2.0, 3),
+        (SignalKind.TwoSidedExp, WaveletKind.Haar, -2.0, 0.2, 0.05, 0.6, 4),
+        # b/sigma past the parabolic cylinder series' range
+        (SignalKind.Gaussian, WaveletKind.Morlet, 1.0, 0.03, 0.01, 1.9, 4),
+        # so near the kink that the closed-form Mellin moments cancel
+        (SignalKind.TwoSidedExp, WaveletKind.MexicanHat, 1.0, 1.0, 0.02, 1e-4, 4),
     ] + [
         # every signal x wavelet pair, fast-decay and split, unit and scaled
         (kind, wav_kind, amplitude, scale, a, b, 4)
@@ -214,6 +222,33 @@ def test_folded_morlet_remainder_is_the_pair_bit_for_bit(monkeypatch, kind):
         assert x.min() >= 0.0
         got = np.asarray(integrand(x), dtype=complex)
         assert got.tobytes() == (g(x) + g(-x)).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 9])
+def test_a_longer_table_starts_with_the_shorter_bit_for_bit(n):
+    """Each remainder takes its first n coefficients from the n + 40 table
+    that its Taylor tail sums.  That gives the bits of the n table only
+    because no entry depends on the table's length: checked for every
+    wavelet and every signal, plain and scaled with a nonzero residual of
+    b/sigma, values and rounding bounds alike."""
+    longer = n + _TAIL_TERMS
+    wavelets = [make_wavelet(WaveletKind.Morlet, u0) for u0 in (2.0, 5.0, 12.0)]
+    wavelets += [make_wavelet(WaveletKind.MexicanHat),
+                 make_wavelet(WaveletKind.Haar)]
+    for wav in wavelets:
+        short, long = small_u_coefficients(wav, n), small_u_coefficients(wav, longer)
+        assert long.coefficients[:n].tobytes() == short.coefficients.tobytes()
+        assert long.error_estimates[:n].tobytes() == short.error_estimates.tobytes()
+    for kind in SignalKind:
+        for amplitude, scale in ((1.0, 1.0), (-2.0, 0.2), (1.3, 3.0)):
+            sig = make_signal(kind, amplitude, scale)
+            for b in (0.37, -0.61, 1.95, 7.1):
+                if scale != 1.0:
+                    assert Fraction(b) / Fraction(scale) != Fraction(b / scale)
+                short = time_coefficient_table(sig, b, n)
+                long = time_coefficient_table(sig, b, longer)
+                for got, want in zip(long, short):
+                    assert got[:n].tobytes() == want.tobytes(), (kind, scale, b)
 
 
 @pytest.mark.parametrize("domain,kind,wav_kind", [
@@ -360,8 +395,8 @@ def test_time_remainder_reconstructs_transform():
     assert diff <= budget
 
 
-@pytest.mark.parametrize("amplitude,time_scale", [(1.0, 0.2), (0.5, 0.05),
-                                                  (-1.0, 3.0)])
+@pytest.mark.parametrize("amplitude,time_scale", [(1.0, 1.0), (1.0, 0.2),
+                                                  (0.5, 0.05), (-1.0, 3.0)])
 @pytest.mark.parametrize("wav_kind", list(WaveletKind))
 @pytest.mark.parametrize("kind", [SignalKind.Lorentzian, SignalKind.TwoSidedExp,
                                   SignalKind.Gaussian])

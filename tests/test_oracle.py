@@ -289,23 +289,32 @@ def test_error_estimates_and_counters():
     assert res.n_evaluations >= 15 * res.n_panels
 
 
-def test_time_route_stops_at_the_roundoff_floor():
-    # The error estimate reaches the panels' roundoff floor (50 eps int|f|)
-    # above the 1e-14 target; bisecting to the budget's end would cost
-    # 61,080 evaluations without lowering it.
-    sig = make_signal(SignalKind.Lorentzian)
-    wav = make_wavelet(WaveletKind.Morlet, u0=5.0)
-    a = 0.01
-    res = cwt_time(sig, wav, a, 0.0)
+@pytest.mark.parametrize("kind,wavelet,a,b", [
+    (SignalKind.Lorentzian, "morlet", 0.01, 0.0),
+    (SignalKind.Gaussian, "morlet", 0.001, 0.37),
+    (SignalKind.Gaussian, "mexhat", 0.001, 0.37),
+])
+def test_time_route_stops_at_the_roundoff_floor(kind, wavelet, a, b):
+    # The summed roundoff floors (50 eps int|f| per panel) sit above the
+    # 1e-14 target, so the route stops after one pass on the wavelet-scale
+    # mesh; for the Lorentzian, bisecting to the budget's end would cost
+    # 61,080 evaluations without lowering the estimate.  The Fourier route
+    # converges and agrees within the summed estimates.
+    sig = make_signal(kind)
+    wav = _WAVELETS[wavelet]
+    res = cwt_time(sig, wav, a, b)
     assert res.status == "roundoff" and res.converged
     assert res.n_evaluations <= 5000
+    f, psi_at = _MP_SIGNALS[kind], _mp_wavelet(wav.kind, wav.u0)
     with mp.workdps(30):
-        am = mp.mpf(a)
-        ref = mp.sqrt(am) * mp.quad(
-            lambda s: mp.exp(-5j * s - s * s / 2) / (1 + (am * s) ** 2),
-            mp.linspace(-14, 14, 29),
-        )
+        am, bm = mp.mpf(a), mp.mpf(b)
+        ref = mp.sqrt(am) * mp.quad(lambda s: f(bm + am * s) * psi_at(s),
+                                    mp.linspace(-14, 14, 29))
     assert abs(res.value - complex(ref)) <= res.abs_error_estimate
+    fourier = cwt_fourier(sig, wav, a, b)
+    assert fourier.converged
+    gap = abs(res.value - fourier.value)
+    assert gap <= res.abs_error_estimate + fourier.abs_error_estimate
 
 
 # Both routes over every built-in signal x wavelet at three small dilations
