@@ -2,8 +2,8 @@
 
 The package evaluates the wavelet transform W(b, a) two independent ways — a
 ground-truth adaptive quadrature oracle (time domain and Fourier domain) and a
-truncated small-a expansion built from wavelet coefficient tables and
-regularized Mellin moments — and provides the diagnostics that compare them.
+truncated small-a expansion built from two closed-form Taylor tables, the
+signal's and the wavelet's — and provides the diagnostics that compare them.
 """
 
 from .quadrature import (

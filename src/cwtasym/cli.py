@@ -13,11 +13,9 @@ Subcommands::
 ``ExpansionPlan``) and its terms at the whole grid in one array evaluation
 (``plan.terms``).  Its default oracle, the time route, is one vector-valued
 quadrature over the whole grid (``cwt_time`` given the grid); ``--oracle
-fourier`` integrates each point on its own, and ``--jobs`` splits only
-those per-point calls over threads; with the time oracle ``--jobs`` has no
-per-point work to split and the sweep runs on one thread.  The ``order``
-row is the least-squares slope of log error against log a, ``nan`` where
-it is undefined.  ``cwt`` and
+fourier`` integrates each point on its own.  ``--jobs`` takes only ``1``
+and changes nothing.  The ``order`` row is the least-squares slope of log
+error against log a, ``nan`` where it is undefined.  ``cwt`` and
 ``sweep`` both default to the time route: ``cwt_fourier`` shares its
 analytic tails with the frequency-route expansion it would judge,
 ``cwt_time`` only the transform's definition.
@@ -29,7 +27,7 @@ has that flag, and ``amplitude``/``time_scale`` by every subcommand that
 builds a signal), as are config entries of the wrong JSON type or outside
 the choices of the subcommand's matching flag, and, from either source, a
 non-finite ``a``, ``b``, ``u0``, ``a_min``, ``a_max``, ``tol``,
-``amplitude``, ``time_scale`` or ``z`` and a ``jobs`` below 1.  Exit codes:
+``amplitude``, ``time_scale`` or ``z``.  Exit codes:
 0 success, 1 runtime/validation failure, 2 invalid arguments, 3 ``cwt`` or
 ``sweep`` produced non-converged quadrature results.  ``cwt --format json`` also
 reports why each route's quadrature stopped (``status``).
@@ -51,7 +49,6 @@ import cmath
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -86,7 +83,6 @@ class RunConfig:
     format: str = "csv"
     out: Optional[str] = None
     config: Optional[str] = None
-    jobs: int = 1
     tol: Optional[float] = None
     remainder: str = "none"
     z: str = "1.5"
@@ -154,7 +150,7 @@ _FINITE_FIELDS = ("a", "b", "u0", "a_min", "a_max", "tol", "amplitude",
 
 
 def _check_inputs(rc: RunConfig) -> None:
-    """Reject non-finite numbers and worker counts below one."""
+    """Reject non-finite numbers."""
     for name in _FINITE_FIELDS:
         value = getattr(rc, name)
         if value is not None and not math.isfinite(value):
@@ -162,8 +158,6 @@ def _check_inputs(rc: RunConfig) -> None:
             raise ValueError(f"{flag} must be finite, got {value!r}")
     if not cmath.isfinite(complex(rc.z)):
         raise ValueError(f"--z must be finite, got {rc.z!r}")
-    if rc.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {rc.jobs!r}")
 
 
 def _quad_config(rc: RunConfig) -> QuadratureConfig:
@@ -368,18 +362,12 @@ def _cmd_sweep(rc: RunConfig) -> int:
     terms, _ = plan.terms(a_values)
     partials = terms.sum(axis=1).tolist()
     # The time route is one quadrature over the whole grid; the Fourier
-    # route integrates each point on its own, in the worker threads.
+    # route integrates each point on its own.
     if rc.oracle == "time":
         oracles = cwt_time(sig, wav, a_values, rc.b, qcfg)
     else:
-        def point(a: float):
-            return cwt_fourier(sig, wav, a, rc.b, qcfg)
-
-        if rc.jobs > 1:
-            with ThreadPoolExecutor(max_workers=rc.jobs) as pool:
-                oracles = list(pool.map(point, a_values.tolist()))
-        else:
-            oracles = [point(a) for a in a_values.tolist()]
+        oracles = [cwt_fourier(sig, wav, a, rc.b, qcfg)
+                   for a in a_values.tolist()]
 
     points = []
     for a, oracle, partial in zip(a_values.tolist(), oracles, partials):
@@ -509,14 +497,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="error table over a dilation grid")
     add_common(p, grid=True, point=False)
-    p.add_argument("--domain", choices=["frequency", "time"])
+    p.add_argument("--domain", choices=["frequency", "time"],
+                   help="the plan's remainder route; a sweep prints no "
+                   "remainder, so its output is the same either way")
     p.add_argument("--oracle", choices=["time", "fourier"],
                    help="reference route (default: time, one quadrature over "
                    "the whole grid; fourier integrates each point on its own)")
-    p.add_argument("--jobs", type=int,
-                   help="worker threads for --oracle fourier's per-point "
-                   "oracle calls (default: 1; the time oracle and the "
-                   "expansion take the whole grid at once, on one thread)")
+    p.add_argument("--jobs", type=int, choices=[1],
+                   help="accepted and ignored; the sweep runs on one thread")
 
     for name, p in sub.choices.items():
         # The keys a config file may give (the subcommand's flags, plus the

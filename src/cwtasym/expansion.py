@@ -48,7 +48,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .mellin import MellinError, _cpow
 from .oracle import (
     _alg_tail,
     _fold_hints,
@@ -74,7 +73,7 @@ from .signals import (
     time_coefficients,
 )
 from .specfun import (_EPS, _TAIL_TERMS, _TINY, _TWO_PI, SpecFunError,
-                      oscillatory_power_tails, taylor_tail)
+                      _cpow, oscillatory_power_tails, taylor_tail)
 from .wavelets import (
     WaveletSpec,
     psi_conj,
@@ -200,7 +199,7 @@ def _analytic_tail_side(
             top + 1.0 - signal.tail_beta, top - min(by_order) + 1, rate, radius
         )
     except SpecFunError as exc:
-        raise MellinError(f"remainder tail term diverges: {exc}") from None
+        raise SpecFunError(f"remainder tail term diverges: {exc}") from None
     for k, coef in by_order.items():
         term, term_err = tails[top - k]
         value -= coef * term
@@ -466,8 +465,8 @@ class ExpansionPlan:
     :meth:`terms` evaluates every term at a whole grid of dilations in one
     array product, and :meth:`at`, the full result at one dilation, takes
     its terms from the same formula; ``domain`` picks only the remainder
-    and the empirical oracle.  The arrays are read-only, so threads can
-    share one plan.
+    and the empirical oracle.  The arrays are read-only, so a caller
+    cannot change a plan's terms.
     """
 
     domain: str

@@ -43,6 +43,7 @@ from .specfun import (
     _EPS,
     _SQRT_2PI,
     SpecFunError,
+    _cpow,
     gamma_complex,
     oscillatory_power_tails,
     parabolic_cylinder_D,
@@ -65,13 +66,6 @@ class MellinValue:
     value: complex
     abs_error_estimate: float
     method: MellinMethod
-
-
-def _cpow(x: np.ndarray, zm1: complex) -> np.ndarray:
-    """x**zm1 for x > 0 with complex exponent, vectorized."""
-    if zm1 == 0:
-        return np.ones(x.shape, dtype=complex)
-    return np.exp(zm1 * np.log(x))
 
 
 def _integrand(h: HSpec, z: complex, mirror: bool):

@@ -272,16 +272,10 @@ def _refine(
         if not open_:
             stop = "tolerance"
             break
-        if len(open_) == 1:
-            errs_j = errs[open_[0]]
-            above = np.flatnonzero(errs_j > floors[open_[0]])
-            # One target does not change the order; skip the division.
-            score = errs_j[above]
-        else:
-            splits = errs[open_] > floors[open_]
-            above = np.flatnonzero(splits.any(axis=0))
-            ratios = errs[open_][:, above] / np.array(targets)[open_][:, None]
-            score = np.where(splits[:, above], ratios, 0.0).max(axis=0)
+        splits = errs[open_] > floors[open_]
+        above = np.flatnonzero(splits.any(axis=0))
+        ratios = errs[open_][:, above] / np.array(targets)[open_][:, None]
+        score = np.where(splits[:, above], ratios, 0.0).max(axis=0)
         if used >= budget:
             stop = "budget"
             break

@@ -361,6 +361,13 @@ def horner(coeffs, x) -> np.ndarray:
     return acc
 
 
+def _cpow(x: np.ndarray, zm1: complex) -> np.ndarray:
+    """x**zm1 for x > 0 with complex exponent, vectorized."""
+    if zm1 == 0:
+        return np.ones(x.shape, dtype=complex)
+    return np.exp(zm1 * np.log(x))
+
+
 def taylor_tail(full, coefficients, n: int, cutover: float):
     """Evaluator of full(x) less its first n Taylor terms, stable near x = 0.
 

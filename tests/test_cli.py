@@ -402,16 +402,15 @@ def test_default_sweep_oracle_matches_the_fourier_route(capsys):
         assert printed == t.value and row[8] == "true"
         f = cwt_fourier(sig, wav, float(a), 0.03)
         assert abs(printed - f.value) <= t.abs_error_estimate + f.abs_error_estimate
-    # --oracle fourier keeps the per-point route, threads and all
-    assert main(argv + ["--oracle", "fourier", "--jobs", "2"]) == 0
+    # --oracle fourier keeps the per-point route
+    assert main(argv + ["--oracle", "fourier"]) == 0
     rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:-1]]
     for row, a in zip(rows, grid):
         f = cwt_fourier(sig, wav, float(a), 0.03)
         assert complex(float(row[1]), float(row[2])) == f.value
 
 
-@pytest.mark.parametrize("oracle", [["--oracle", "time"],
-                                    ["--oracle", "fourier", "--jobs", "2"]])
+@pytest.mark.parametrize("oracle", [["--oracle", "time"], ["--oracle", "fourier"]])
 def test_sweep_csv_and_json_carry_the_same_numbers(oracle, capsys):
     argv = ["sweep", "--signal", "two_sided_exp", "--wavelet", "morlet",
             "--b", "0.2", "--a-min", "0.01", "--a-max", "0.2", "--a-count", "5",
@@ -450,31 +449,19 @@ def test_sweep_on_a_grid_of_one_dilation_prints_nan_order(grid, a_values,
     assert lines[-1] == "order,,,,,nan,,2,"
 
 
-def test_sweep_jobs_starts_a_pool_only_for_the_fourier_oracle(monkeypatch,
-                                                             capsys):
-    """With the default grid oracle nothing is left per point but
-    arithmetic on the grid, which costs less than a pool; --jobs then runs
-    the sweep on one thread and prints the same bytes as --jobs 1."""
-    import cwtasym.cli as cli
-
-    pools = []
-    real_pool = cli.ThreadPoolExecutor
-
-    def counting_pool(*args, **kwargs):
-        pools.append(kwargs)
-        return real_pool(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", counting_pool)
-    argv = ["sweep", "--signal", "gaussian", "--wavelet", "haar", "--b", "0.4",
-            "--a-min", "0.01", "--a-max", "0.2", "--a-count", "6", "--log",
-            "--n", "3"]
+@pytest.mark.parametrize("oracle", ["time", "fourier"])
+def test_sweep_jobs_takes_only_1_and_changes_no_byte(oracle, capsys):
+    """--jobs 1, kept because the benchmark passes it, prints the bytes of no
+    --jobs; any other count gets argparse's usage and one error line."""
+    argv = ["sweep", "--signal", "gaussian", "--wavelet", "haar", "--oracle", oracle]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
     assert main(argv + ["--jobs", "1"]) == 0
-    one = capsys.readouterr().out
-    assert main(argv + ["--jobs", "2"]) == 0
-    assert capsys.readouterr().out == one
-    assert pools == []
-    assert main(argv + ["--jobs", "2", "--oracle", "fourier"]) == 0
-    assert pools == [{"max_workers": 2}]
+    assert capsys.readouterr().out == plain
+    assert main(argv + ["--jobs", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: ") and err.count("error: ") == 1
+    assert "argument --jobs: invalid choice" in err
 
 
 def test_cwt_defaults_to_the_time_route(capsys):
@@ -526,10 +513,10 @@ def test_validate_unknown_check(capsys):
                      id="mellin-z-imag-inf"),
         pytest.param(["expand", "--b", "inf"], None, "--b must be finite",
                      id="expand-b-inf"),
-        pytest.param(["sweep", "--jobs", "0"], None,
-                     "--jobs must be at least 1", id="sweep-jobs-0"),
-        pytest.param(["sweep", "--jobs", "-1"], None,
-                     "--jobs must be at least 1", id="sweep-jobs-negative"),
+        pytest.param(["sweep", "--jobs", "0"], None, "invalid choice",
+                     id="sweep-jobs-0"),
+        pytest.param(["sweep", "--jobs", "-1"], None, "invalid choice",
+                     id="sweep-jobs-negative"),
         pytest.param(["sweep", "--a-max", "inf", "--log"], None,
                      "--a-max must be finite", id="sweep-a-max-inf"),
         pytest.param(["expand"], {"u0": math.inf}, "--u0 must be finite",
@@ -540,7 +527,7 @@ def test_validate_unknown_check(capsys):
                      "--time-scale must be finite", id="config-time-scale-inf"),
         pytest.param(["sweep"], {"a_min": math.nan}, "--a-min must be finite",
                      id="config-a-min-nan"),
-        pytest.param(["sweep"], {"jobs": 0}, "--jobs must be at least 1",
+        pytest.param(["sweep"], {"jobs": 0}, "unknown config keys: jobs",
                      id="config-jobs-0"),
         pytest.param(["cwt"], {"b": "1"}, "must be real number",
                      id="config-b-string"),
