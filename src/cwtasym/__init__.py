@@ -39,7 +39,6 @@ from .wavelets import (
     psi_hat_conj,
     small_u_coefficients,
     small_u_coefficients_numeric,
-    psi_hat_tail,
 )
 from .oracle import cwt_time, cwt_fourier
 from .mellin import (
@@ -53,7 +52,6 @@ from .expansion import (
     ExpansionPlan,
     ExpansionResult,
     RemainderKind,
-    remainder_frequency,
     convergence_order,
     expansion_plan,
 )
@@ -88,7 +86,6 @@ __all__ = [
     "psi_hat_conj",
     "small_u_coefficients",
     "small_u_coefficients_numeric",
-    "psi_hat_tail",
     "cwt_time",
     "cwt_fourier",
     "MellinError",
@@ -99,7 +96,6 @@ __all__ = [
     "ExpansionPlan",
     "ExpansionResult",
     "RemainderKind",
-    "remainder_frequency",
     "convergence_order",
     "expansion_plan",
     "available_checks",

@@ -16,9 +16,7 @@ quadrature over the whole grid (``cwt_time`` given the grid); ``--oracle
 fourier`` integrates each point on its own.  ``--jobs`` takes only ``1``
 and changes nothing.  The ``order`` row is the least-squares slope of log
 error against log a, ``nan`` where it is undefined.  ``cwt`` and
-``sweep`` both default to the time route: ``cwt_fourier`` shares its
-analytic tails with the frequency-route expansion it would judge,
-``cwt_time`` only the transform's definition.
+``sweep`` both default to the time route.
 
 Options may come from flags or from a JSON config file (``--config``);
 flags win over the file, the file wins over defaults.  Config keys that
@@ -33,13 +31,16 @@ non-finite ``a``, ``b``, ``u0``, ``a_min``, ``a_max``, ``tol``,
 reports why each route's quadrature stopped (``status``).
 
 ``expand`` and ``sweep`` build their expansion one way, from the signal's
-and the wavelet's Taylor coefficients; ``--domain`` picks the remainder and
-the empirical oracle.  ``mellin`` prints ``mellin_transform``'s ``"auto"``
-moment, whose route the signal's tail decides (the split tail for the
-two-sided exponential, direct quadrature otherwise) and whose ``method``
-column names it; the ``mellin_method_agreement`` check compares the split
-tail with the closed form.  The argument parser is built once per process,
-on the first ``main`` call.
+and the wavelet's Taylor coefficients, and ``expand`` its remainder one
+way, the Taylor tail of the signal against the wavelet (its empirical
+remainder from ``cwt_time``).  ``--domain`` changes no byte of either
+command's CSV; it is accepted for scripts that pass it, and ``expand
+--format json`` echoes it, but nothing past the parser reads it.  ``mellin`` prints ``mellin_transform``'s
+``"auto"`` moment, whose route the signal's tail decides (the split tail
+for the two-sided exponential, direct quadrature otherwise) and whose
+``method`` column names it; the ``mellin_method_agreement`` check compares
+the split tail with the closed form.  The argument parser is built once
+per process, on the first ``main`` call.
 """
 
 from __future__ import annotations
@@ -288,8 +289,7 @@ def _cmd_expand(rc: RunConfig) -> int:
     sig = _build_signal(rc)
     wav = _build_wavelet(rc)
     qcfg = _quad_config(rc)
-    res = expansion_plan(sig, wav, rc.b, rc.n, rc.domain, qcfg).at(
-        rc.a, rc.remainder)
+    res = expansion_plan(sig, wav, rc.b, rc.n, qcfg).at(rc.a, rc.remainder)
     rows = [
         (f"term_{s}", _g(t.real), _g(t.imag), _g(e))
         for s, (t, e) in enumerate(zip(res.terms, res.term_error_estimates))
@@ -315,14 +315,11 @@ def _cmd_expand(rc: RunConfig) -> int:
             "prediction",
             _g(res.prediction.real),
             _g(res.prediction.imag),
-            _g(
-                res.abs_error_estimate
-                + res.remainder_scale * res.remainder_error_estimate
-            ),
+            _g(res.abs_error_estimate + res.remainder_error_estimate),
         )
     )
     obj = {
-        "domain": res.domain,
+        "domain": rc.domain,
         "a": res.a,
         "b": res.b,
         "n": res.n,
@@ -334,7 +331,6 @@ def _cmd_expand(rc: RunConfig) -> int:
             res.remainder_estimate.real,
             res.remainder_estimate.imag,
         ],
-        "remainder_scale": res.remainder_scale,
         "prediction": [res.prediction.real, res.prediction.imag],
     }
     _emit(rc, ("field", "value_re", "value_im", "abs_error_estimate"), rows, obj)
@@ -358,7 +354,7 @@ def _cmd_sweep(rc: RunConfig) -> int:
     wav = _build_wavelet(rc)
     qcfg = _quad_config(rc)
     a_values = _sweep_grid(rc)
-    plan = expansion_plan(sig, wav, rc.b, rc.n, rc.domain, qcfg)
+    plan = expansion_plan(sig, wav, rc.b, rc.n, qcfg)
     terms, _ = plan.terms(a_values)
     partials = terms.sum(axis=1).tolist()
     # The time route is one quadrature over the whole grid; the Fourier
@@ -492,14 +488,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="truncated expansion at one dilation")
     add_common(p)
-    p.add_argument("--domain", choices=["frequency", "time"])
+    p.add_argument("--domain", choices=["frequency", "time"],
+                   help="accepted and echoed in --format json; every "
+                   "remainder takes the time route, so the CSV is the same "
+                   "either way")
     p.add_argument("--remainder", choices=["none", "integral_m0", "empirical"])
 
     p = sub.add_parser("sweep", help="error table over a dilation grid")
     add_common(p, grid=True, point=False)
     p.add_argument("--domain", choices=["frequency", "time"],
-                   help="the plan's remainder route; a sweep prints no "
-                   "remainder, so its output is the same either way")
+                   help="accepted and ignored; a sweep prints no remainder, "
+                   "so its output is the same either way")
     p.add_argument("--oracle", choices=["time", "fourier"],
                    help="reference route (default: time, one quadrature over "
                    "the whole grid; fourier integrates each point on its own)")

@@ -1,6 +1,6 @@
-"""Small-dilation asymptotic expansion of the CWT with computable remainders.
+"""Small-dilation asymptotic expansion of the CWT with its exact remainder.
 
-Both routes expand W(b, a) = sqrt(a) int f(b + a t) conj(psi)(t) dt as
+The expansion writes W(b, a) = sqrt(a) int f(b + a t) conj(psi)(t) dt as
 sum_s P_s a^(s + 1/2) with P_s = s! (-i)^s c^f_s(b) c^psi_s, from the
 signal's Taylor coefficients at b (``signals.time_coefficient_table``)
 and the conjugated wavelet transform's at zero
@@ -8,29 +8,20 @@ and the conjugated wavelet transform's at zero
 moment int t^s conj(psi)(t) dt, the time route's; s! (-i)^s c^f_s(b) is
 (1/2pi) int u^s e^{ibu} f_hat(u) du, the frequency route's Mellin moment
 of h(u) = e^{ibu} f_hat(u) plus its mirror (Wong's Mellin-convolution
-technique).  So the routes differ only in their remainders and empirical
-oracles; the moments (``mellin_transform``, ``checks._time_moment_closed``,
-``_time_moment_quadrature``) stay as references for the checks
-(``checks.moment_products``) and tests.  Each P_s carries an a-priori
-bound on its rounding, from the tables' bounds (which count the Hermite
-recurrence's conditioning at large |b| or u0 and the scaled signal's
-residual step) and the product's own roundings.
+technique).  The moments (``mellin_transform``,
+``checks._time_moment_closed``, ``_time_moment_quadrature``) stay as
+references for the checks (``checks.moment_products``) and tests.  Each
+P_s carries an a-priori bound on its rounding, from the tables' bounds
+(which count the Hermite recurrence's conditioning at large |b| or u0 and
+the scaled signal's residual step) and the product's own roundings.
 
-Each exact remainder integrates the Taylor tail of one factor (from
-``specfun.taylor_tail``) against the other in one quadrature whose first
-mesh is at its integrand's scale, so that one GK15 pass usually meets the
-target: the time route over the wavelet's support or its truncated line,
-the frequency route over a truncated line folded onto one half-line, as
-``cwt_fourier`` folds it, which keeps the remainder of a real signal
-against a real wavelet exactly real.  When the signal transform decays
-only algebraically (the two-sided exponential), the frequency remainder is
-a conditionally convergent Mellin-convolution tail, so
-``remainder_frequency`` integrates only up to |w| = R, a radius past which
-the transform's inverse-power series converges, and adds on each side
-closed-form incomplete-gamma tails for the Taylor polynomial and the
-wavelet's own tail from the oracle's analytic-tail engine, the same one
-``cwt_fourier`` uses.  The remainder can also be estimated empirically
-against the brute-force oracle.
+The exact remainder delta_n(a), W(b, a) less the n terms, is computed one
+way (``_remainder_time``): the Taylor tail of f (from
+``specfun.taylor_tail``) against the wavelet, in one quadrature over the
+wavelet's support or its truncated line whose first mesh is at its
+integrand's scale, so that one GK15 pass usually meets the target.  The
+remainder can also be estimated empirically against the time-domain
+oracle ``cwt_time``.
 
 ``expansion_plan`` computes the products, which do not depend on the
 dilation, once; ``ExpansionPlan.terms`` evaluates the terms at a whole grid
@@ -48,16 +39,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .oracle import (
-    _alg_tail,
-    _fold_hints,
-    _fold_integrand,
-    _pole_mesh,
-    _side_coeffs,
-    _split_radius,
-    cwt_fourier,
-    cwt_time,
-)
+from .oracle import cwt_time
 from .quadrature import (
     QuadratureConfig,
     _cut_radius,
@@ -67,26 +49,13 @@ from .quadrature import (
 from .signals import (
     SignalSpec,
     f_time_conditioning,
-    h_eval,
-    make_h,
     time_coefficient_table,
     time_coefficients,
 )
-from .specfun import (_EPS, _TAIL_TERMS, _TINY, _TWO_PI, SpecFunError,
-                      _cpow, oscillatory_power_tails, taylor_tail)
-from .wavelets import (
-    WaveletSpec,
-    psi_conj,
-    psi_hat_tail_evaluator,
-    small_u_coefficients,
-)
+from .specfun import _EPS, _TAIL_TERMS, _TINY, _cpow, taylor_tail
+from .wavelets import WaveletSpec, psi_conj, small_u_coefficients
 
 _TAIL_CUTOVER = 0.25
-# Least number of first panels over the folded frequency head [0, upper]
-# of a fast-decaying signal: the half period pi/|b| alone is 1,571 wide at
-# b = 0.002, and such a mesh bisects, while a fixed width cap of 1 doubles
-# the Lorentzian's nodes.
-_HEAD_PANELS = 16
 # (-i)^s by s mod 4: multiplying by one of these is exact
 _MINUS_I_POW = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
 
@@ -122,14 +91,12 @@ class ExpansionResult:
 
     ``terms[s]`` is the complete s-th term including prefactors and the
     dilation power; ``partial_sum`` is their sum.  ``remainder_estimate``
-    holds the unscaled remainder integral delta_n, so the reconstruction is
-    ``partial_sum + remainder_scale * remainder_estimate``
-    (``remainder_scale`` is 1/(2*pi) for the frequency route, 1 for the time
-    route).  ``abs_error_estimate`` bounds the numerical error of
-    ``partial_sum`` alone.
+    holds the remainder delta_n (zero when none was asked for), so the
+    reconstruction is ``partial_sum + remainder_estimate``.
+    ``abs_error_estimate`` bounds the numerical error of ``partial_sum``
+    alone.
     """
 
-    domain: str
     a: float
     b: float
     n: int
@@ -140,12 +107,11 @@ class ExpansionResult:
     remainder_kind: RemainderKind
     remainder_estimate: complex
     remainder_error_estimate: float
-    remainder_scale: float
 
     @property
     def prediction(self) -> complex:
-        """partial_sum plus the scaled remainder (when one was computed)."""
-        return self.partial_sum + self.remainder_scale * self.remainder_estimate
+        """partial_sum plus the remainder (when one was computed)."""
+        return self.partial_sum + self.remainder_estimate
 
 
 def _poly_tail_cut(env: tuple, k_const: float, a: float, deg: int, delta: float):
@@ -158,161 +124,6 @@ def _poly_tail_cut(env: tuple, k_const: float, a: float, deg: int, delta: float)
              ((kind, c * k_const * a ** deg, p), float(deg)))
     cut = max(_cut_radius(e, delta, power) for e, power in terms)
     return cut, sum(_envelope_tail_bound(e, cut, power) for e, power in terms)
-
-
-def _analytic_tail_side(
-    signal: SignalSpec,
-    wavelet: WaveletSpec,
-    cs: np.ndarray,
-    sign: int,
-    a: float,
-    b: float,
-    radius: float,
-    cfg: QuadratureConfig,
-) -> tuple[complex, float]:
-    """The remainder's two Abel tails past ``radius`` on one side (see the
-    caller): the wavelet tail from the oracle's analytic-tail engine plus
-    the closed-form polynomial tail, and their error; the series
-    truncation is the caller's to add."""
-    tail = _alg_tail(signal, wavelet, sign, a, b, radius, cfg)
-    value, err = tail.value, tail.abs_error_estimate
-
-    # -sum_s c_s (sign*a)^s int_radius^inf v^s h(sign*v) dv, with h's tail
-    # e^{i*rate*v} sum_r b_r v^-(r+beta): the products share an exponent
-    # whenever s - r does, and the orders k + 1 - beta, k = s - r, are one
-    # integer ladder from the top k down, so the side takes one batched call.
-    rate = sign * b
-    side_coeffs = _side_coeffs(signal, sign)
-    by_order: dict = {}
-    for s, c_s in enumerate(cs):
-        if c_s == 0.0:
-            continue
-        weight = c_s * (sign * a) ** s
-        for r, b_r in enumerate(side_coeffs):
-            if b_r != 0.0:
-                by_order[s - r] = by_order.get(s - r, 0.0) + weight * b_r
-    if not by_order:
-        return value, err
-    top = max(by_order)
-    try:
-        tails = oscillatory_power_tails(
-            top + 1.0 - signal.tail_beta, top - min(by_order) + 1, rate, radius
-        )
-    except SpecFunError as exc:
-        raise SpecFunError(f"remainder tail term diverges: {exc}") from None
-    for k, coef in by_order.items():
-        term, term_err = tails[top - k]
-        value -= coef * term
-        err += abs(coef) * term_err
-    return value, err
-
-
-def remainder_frequency(
-    signal: SignalSpec,
-    wavelet: WaveletSpec,
-    a: float,
-    b: float,
-    n: int,
-    config: Optional[QuadratureConfig] = None,
-) -> tuple[complex, float]:
-    """The exact frequency-domain remainder delta_n(a) and its error estimate.
-
-    delta_n(a) = sqrt(a) * int psi_tail(a*w) h(w) dw over the real line,
-    where psi_tail is the wavelet transform less its first n Taylor terms
-    c_s u^s and h(w) = e^{ibw} f_hat(w).
-
-    The line is folded: with g(w) = psi_tail(a*w) h(w), one quadrature of
-    g(x) + g(-x) over [0, upper] covers both sides, with the oracle's fold
-    (``oracle._fold_integrand``).  For a real wavelet (``wavelet.real``:
-    the Mexican hat, the step) against a real signal that is 2 Re g(x), one
-    evaluation per node, and the remainder is exactly real; for the
-    modulated Gaussian, g is evaluated once on the nodes and their mirrors.
-    The breakpoints are both sides' features (``oracle._fold_hints``) and
-    cutover/a, where psi_tail's series branch ends; the first panels are no
-    wider than the helper's half period of the phase, about pi/|b|, and
-    upper/16, except where f_hat decays algebraically: there the head
-    takes the Fourier oracle's first mesh (``oracle._pole_mesh``), an edge
-    at each octave from half the poles' distance and Gaussian-wavelet
-    panels at most 1.5/a wide, in place of the upper/16 cap.  On the
-    perfbench ``remainder`` lists of seeds 5 and 201 (seconds 10, 57
-    two-sided-exponential frequency tasks per wavelet) that took the head
-    from 1.02-1.26 GK15 passes and 248-261 nodes per task to 1.00 and
-    165-181; the octave edges with the cap kept took it to 1.00 passes
-    but 286-295 nodes.
-
-    When the signal transform decays faster than algebraically, upper is the
-    cut of both sides, with their tail bound.  When it decays
-    algebraically, the integral converges only in the Abel sense, and the
-    line is split at upper = R >= cutover/a, past which h's inverse-power
-    series converges:
-
-    * the head, int_{-R}^{R} psi_tail(a*w) h(w) dw, by the folded quadrature;
-    * on each side sign = +-1, the polynomial tail,
-      -sum_s c_s (sign*a)^s int_R^inf v^s h(sign*v) dv, from the series in
-      closed-form oscillatory power integrals;
-    * on each side, the wavelet tail,
-      int_R^inf conj(psi_hat)(sign*a*v) h(sign*v) dv, from the series by
-      the oracle's analytic-tail engine (``oracle._alg_tail``): closed form
-      for the step wavelet, a steepest-descent ray for the Gaussian ones.
-
-    For the real wavelets the - side's two tails are the conjugate of the
-    + side's (``oracle._fold_integrand``), so only the + side is computed.
-
-    R is doubled from there until the bound on truncating the series (in
-    both tails) is below half the absolute tolerance; that bound is part of
-    the returned error estimate, as is the bound on truncating psi_tail's
-    own series, against int |h| = 2*pi*|f(0)| (every built-in's transform
-    is nonnegative, so that is at most 2*pi*sup_time).
-    """
-    _check_dilation(a)
-    cfg = config if config is not None else QuadratureConfig()
-    h = make_h(signal, b)
-    psi_tail, cutover, series_err, cs = psi_hat_tail_evaluator(wavelet, n)
-    tails, err = 0.0 + 0.0j, series_err * _TWO_PI * signal.sup_time
-
-    if math.isfinite(signal.tail_beta):
-        weights = [(abs(c) * a ** s, s) for s, c in enumerate(cs) if c != 0.0]
-        weights.append((wavelet.hat_sup, 0))  # the wavelet tail's series
-        upper, truncation, q = _split_radius(signal, weights, cutover / a, cfg)
-        tail_bound = 0.0
-        for sign in (1, -1):
-            if sign < 0 and wavelet.real:
-                value = value.conjugate()  # with the + side's error
-            else:
-                value, side_err = _analytic_tail_side(
-                    signal, wavelet, cs, sign, a, b, upper, cfg
-                )
-            tails += value
-            err += side_err + truncation
-    else:
-        k_const = wavelet.hat_sup + float(np.sum(np.abs(cs)))
-        upper, per_side = _poly_tail_cut(
-            signal.freq_envelope, k_const, a, n - 1, 0.5 * cfg.abs_tol
-        )
-        tail_bound = 2.0 * per_side
-
-    # psi_tail keeps the transform's symmetry through its Taylor
-    # coefficients, so the real wavelets' fold of g is 2 Re g as well.
-    def g(w):
-        return psi_tail(a * w) * h_eval(h, w)
-
-    breakpoints, width = _fold_hints(wavelet, a, b)
-    breakpoints.append(cutover / a)
-    if math.isfinite(signal.tail_beta):
-        breakpoints, width = _pole_mesh(breakpoints, width, wavelet, a, q, upper)
-    else:
-        cap = upper / _HEAD_PANELS
-        width = cap if width is None else min(width, cap)
-    head = integrate(
-        _fold_integrand(g, wavelet),
-        (0.0, upper),
-        cfg,
-        breakpoints=breakpoints,
-        panel_width=width,
-        tail_bound=tail_bound,
-    )
-    root_a = math.sqrt(a)
-    return root_a * (head.value + tails), root_a * (head.abs_error_estimate + err)
 
 
 def _time_route_panel_width(wavelet: WaveletSpec) -> Optional[float]:
@@ -389,7 +200,7 @@ def _remainder_time(
     n: int,
     cfg: QuadratureConfig,
 ) -> tuple[complex, float]:
-    """Exact time-domain remainder: the Taylor tail of f against the wavelet.
+    """The exact remainder delta_n(a): f's Taylor tail against the wavelet.
 
     sqrt(a) * int f_tail(a*s) conj(psi)(s) ds, one quadrature over the
     wavelet's support, or over (-cut, cut) with the tail bound of both
@@ -459,17 +270,15 @@ def _remainder_time(
 class ExpansionPlan:
     """The dilation-independent part of an n-term expansion of W(b, a).
 
-    Term s at dilation a is ``products[s] * a**(s + 1/2)`` on both routes,
-    with products[s] = P_s = s! (-i)^s c^f_s(b) c^psi_s, and
+    Term s at dilation a is ``products[s] * a**(s + 1/2)``, with
+    products[s] = P_s = s! (-i)^s c^f_s(b) c^psi_s, and
     ``product_errors[s]`` bounds its rounding.  Neither depends on a, so
     :meth:`terms` evaluates every term at a whole grid of dilations in one
     array product, and :meth:`at`, the full result at one dilation, takes
-    its terms from the same formula; ``domain`` picks only the remainder
-    and the empirical oracle.  The arrays are read-only, so a caller
+    its terms from the same formula.  The arrays are read-only, so a caller
     cannot change a plan's terms.
     """
 
-    domain: str
     signal: SignalSpec
     wavelet: WaveletSpec
     b: float
@@ -499,7 +308,6 @@ class ExpansionPlan:
     ) -> ExpansionResult:
         """The expansion at dilation a, with an optional remainder."""
         kind = _as_remainder_kind(remainder)
-        frequency = self.domain == "frequency"
         rows, err_rows = self.terms((a,))
         terms, term_errs = rows[0], err_rows[0]
         # ndarray.sum's reduction without its Python wrapper: the same bits
@@ -508,21 +316,16 @@ class ExpansionPlan:
 
         rem_val, rem_err = 0.0 + 0.0j, 0.0
         if kind == RemainderKind.IntegralM0:
-            remainder_fn = remainder_frequency if frequency else _remainder_time
-            rem_val, rem_err = remainder_fn(
+            rem_val, rem_err = _remainder_time(
                 self.signal, self.wavelet, a, self.b, self.n, self.config
             )
         elif kind == RemainderKind.Empirical:
-            oracle_fn = cwt_fourier if frequency else cwt_time
-            oracle = oracle_fn(self.signal, self.wavelet, a, self.b, self.config)
+            oracle = cwt_time(self.signal, self.wavelet, a, self.b,
+                              self.config)
             rem_val = oracle.value - partial
             rem_err = oracle.abs_error_estimate + part_err
-            if frequency:
-                rem_val *= _TWO_PI
-                rem_err *= _TWO_PI
 
         return ExpansionResult(
-            domain=self.domain,
             a=float(a),
             b=float(self.b),
             n=self.n,
@@ -533,7 +336,6 @@ class ExpansionPlan:
             remainder_kind=kind,
             remainder_estimate=rem_val,
             remainder_error_estimate=rem_err,
-            remainder_scale=1.0 / _TWO_PI if frequency else 1.0,
         )
 
 
@@ -542,24 +344,18 @@ def expansion_plan(
     wavelet: WaveletSpec,
     b: float,
     n: int,
-    domain: str = "frequency",
     config: Optional[QuadratureConfig] = None,
 ) -> ExpansionPlan:
     """The n products P_s = s! (-i)^s c^f_s(b) c^psi_s of an expansion, once.
 
     P_s's bound is s! (e^f |c^psi| + |c^f| e^psi + e^f e^psi), from the
     tables' bounds e^f and e^psi, plus 2 eps |P_s| and one least subnormal
-    for its own roundings, or 0 where a factor is an exact zero.  ``domain``
-    ("frequency" or "time") selects only the remainder and the empirical
-    oracle.  At a kink of the signal (the two-sided exponential at b = 0)
-    the coefficients past order zero do not exist: n > 1 raises ValueError.
+    for its own roundings, or 0 where a factor is an exact zero.  At a kink
+    of the signal (the two-sided exponential at b = 0) the coefficients
+    past order zero do not exist: n > 1 raises ValueError.
     """
     if n < 1:
         raise ValueError("need at least one expansion term")
-    if domain not in ("frequency", "time"):
-        raise ValueError(
-            f"unknown expansion domain {domain!r} (choices: frequency, time)"
-        )
     cf, ef = time_coefficient_table(signal, b, n)
     table = small_u_coefficients(wavelet, n)
     # s! c^psi_s, the s-th derivative of conj(psi_hat) at 0, is of moderate
@@ -573,8 +369,8 @@ def expansion_plan(
     for arr in (products, product_errors):
         arr.flags.writeable = False
     cfg = config if config is not None else QuadratureConfig()
-    return ExpansionPlan(domain=domain, signal=signal, wavelet=wavelet, b=b,
-                         n=n, products=products, product_errors=product_errors,
+    return ExpansionPlan(signal=signal, wavelet=wavelet, b=b, n=n,
+                         products=products, product_errors=product_errors,
                          config=cfg)
 
 

@@ -119,7 +119,7 @@ def _split_tail_analytic(h, z, mirror, cfg) -> MellinValue:
     closed form.
 
     The cut does not come from the series' truncation bound
-    (``oracle._split_radius``, which the oracle and the remainder use).
+    (``oracle._split_radius``, which the Fourier oracle uses).
     For a two-sided exponential of time scale 0.2, that bound at abs_tol
     with weight u^{Re z - 1} pushed the cut to 160-640 for z >= 3.  There
     the head integrand u^{z-1} h(u) grows and cancels, and a moment took up
@@ -151,7 +151,7 @@ def _split_tail_analytic(h, z, mirror, cfg) -> MellinValue:
         largest = max(abs(terms[r]) for r in nonzero)
         if trunc_err < 1e-12 * max(largest, 1e-300) or cut >= 0.5 * TRUNCATION_RADIUS:
             break
-    q, _ = _series_truncation(sig, [])
+    q, _ = _series_truncation(sig)
     head = integrate(
         _integrand(h, z, mirror),
         (0.0, cut),

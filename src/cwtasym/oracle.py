@@ -18,7 +18,7 @@ engine ``_alg_tail`` integrates the series against the wavelet.
 The two-sided exponential of time scale s, the one such built-in, has the
 transform 2s/(1 + s^2 w^2) with poles at +-i/s, and q = 1/s is their
 distance from the real line.  The folded head's first mesh, split or not,
-has edges at q/2 and q 2^k below its upper end (``_pole_mesh``): no panel
+has edges at q/2 and q 2^k below its upper end (``_octaves``): no panel
 is wider than its distance from the poles, and one GK15 pass usually meets
 the target.  In the tail:
 
@@ -38,12 +38,9 @@ A real wavelet's - side tail is the conjugate of its + side's, so only
 the + side's is computed (``_fold_integrand`` states where conjugate
 symmetry holds).  The truncation bound, the horizontal-line bound and
 every quadrature's estimate are added to the result's error estimate, and
-the quadratures' counts and worst status are carried into it.  The
-frequency-domain remainder (``expansion.remainder_frequency``) takes its
-radius by the same rule, its tails from the same engine, and its fold and
-first mesh from the same helpers (``_fold_integrand``, ``_fold_hints``,
-``_pole_mesh``), with one folded head quadrature over [0, R] for both
-sides.
+the quadratures' counts and worst status are carried into it.  This
+module is the one owner of the Fourier tail engine: no other module
+integrates a split line's tail against the wavelet.
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ import numpy as np
 
 from .quadrature import (
     QuadratureConfig,
-    QuadratureError,
     QuadratureResult,
     TRUNCATION_RADIUS,
     _cut_radius,
@@ -77,7 +73,7 @@ from .wavelets import WaveletSpec, psi_conj, psi_hat_conj
 _SPLIT_START = 16.0
 
 # Widest first panel of a Gaussian wavelet's transform on a head meshed by
-# octaves (``_pole_mesh``), in units of 1/a, the transform's own scale in
+# octaves (``cwt_fourier``), in units of 1/a, the transform's own scale in
 # w.  On the perfbench ``oracle`` lists of seeds 5 and 201, the two-sided
 # exponential's Morlet and Mexican-hat heads took at most 1.01 GK15 passes
 # per task with it, up to 1.06 with 2.5 and up to 1.11 with no cap.
@@ -197,17 +193,6 @@ def _fourier_side_hints(wavelet: WaveletSpec, sign: int, a: float, b: float):
     return breakpoints, width
 
 
-def _fold_hints(wavelet: WaveletSpec, a: float, b: float):
-    """Panel breakpoints and widest first panel for a folded integrand
-    g(x) + g(-x), x >= 0: both sides' features from ``_fourier_side_hints``
-    as distances from 0, and their common panel width (both sides have the
-    period of e^{ibw}).  Callers add their own extra breakpoints to the
-    returned list."""
-    breakpoints, width = _fourier_side_hints(wavelet, 1, a, b)
-    mirrored, _ = _fourier_side_hints(wavelet, -1, a, b)
-    return breakpoints + mirrored, width
-
-
 def _fold_integrand(g, wavelet: WaveletSpec):
     """The folded integrand g(x) + g(-x), x >= 0, of a line integral of g.
 
@@ -215,11 +200,10 @@ def _fold_integrand(g, wavelet: WaveletSpec):
     mirrors: one call on 2N nodes costs less than two on N, and the sums
     are the same bits.  Where conjugate symmetry holds, the one place it is
     stated: every built-in signal is real and even, so f_hat is real, and
-    against a real wavelet (``wavelet.real``) the Fourier integrand, and the
-    remainder's through its Taylor coefficients, has g(-w) = conj(g(w)):
-    the pair is 2 Re g(x), exactly real, from one evaluation per node, and
-    a split line's - side Abel tail is the conjugate of its + side's
-    (``cwt_fourier``, ``expansion.remainder_frequency``).
+    against a real wavelet (``wavelet.real``) the Fourier integrand has
+    g(-w) = conj(g(w)): the pair is 2 Re g(x), exactly real, from one
+    evaluation per node, and a split line's - side Abel tail is the
+    conjugate of its + side's (``cwt_fourier``).
     """
     if not wavelet.real:
 
@@ -262,60 +246,49 @@ def _gauss_wavelet_cut(
     return (_cut_radius(envelope, delta, power) + shift) / a, t_w
 
 
-def _series_truncation(signal: SignalSpec, weights) -> tuple:
-    """Radius-dependent bound on truncating f_hat's inverse-power series.
+def _series_truncation(signal: SignalSpec) -> tuple[float, float]:
+    """The stored inverse-power series of f_hat and what it omits.
 
     With K = len(tail_coeffs) stored terms and the first nonzero one b_r0,
     the stored terms fix an apparent convergence radius
     q = max_r (|b_r|/|b_r0|)^(1/(r - r0)).  Assuming the omitted terms keep
     |b_r| <= |b_r0| q^(r - r0), past |v| >= 2q (complex v too) they sum to
-    at most 2 |b_r0| q^(K - r0) |v|^-(K + beta).  ``weights`` lists (w, s)
-    pairs of the powers w * v^s that multiply that error.  Returns q and a
-    function giving the bound on the integral of that product over
-    (R, inf), valid for R >= 2q.
+    at most 2 |b_r0| q^(K - r0) |v|^-(K + beta).  Returns q and that
+    factor 2 |b_r0| q^(K - r0).
     """
     coeffs = signal.tail_coeffs
     nonzero = [r for r, c in enumerate(coeffs) if c != 0.0]
-    q, omitted = 0.0, 0.0  # an all-zero series (zero amplitude) is exact
-    if nonzero:
-        r0 = nonzero[0]
-        b0 = abs(coeffs[r0])
-        q = max(
-            ((abs(coeffs[r]) / b0) ** (1.0 / (r - r0)) for r in nonzero[1:]),
-            default=0.0,
-        )
-        omitted = 2.0 * b0 * q ** (len(coeffs) - r0)
-    decay = len(coeffs) + signal.tail_beta
-    for _, s in weights:
-        if decay - s - 1.0 <= 0.0:
-            raise QuadratureError(
-                f"a tail term of order {s} needs more than the "
-                f"{len(coeffs)} stored tail coefficients of this signal"
-            )
-
-    def bound(radius: float) -> float:
-        return omitted * sum(
-            w * radius ** (s + 1.0 - decay) / (decay - s - 1.0)
-            for w, s in weights
-        )
-
-    return q, bound
+    if not nonzero:
+        return 0.0, 0.0  # an all-zero series (zero amplitude) is exact
+    r0 = nonzero[0]
+    b0 = abs(coeffs[r0])
+    q = max(
+        ((abs(coeffs[r]) / b0) ** (1.0 / (r - r0)) for r in nonzero[1:]),
+        default=0.0,
+    )
+    return q, 2.0 * b0 * q ** (len(coeffs) - r0)
 
 
 def _split_radius(
-    signal: SignalSpec, weights, start: float, cfg: QuadratureConfig
+    signal: SignalSpec, weight: float, start: float, cfg: QuadratureConfig
 ) -> tuple[float, float, float]:
     """Radius past which f_hat is replaced by its inverse-power series.
 
     Starts at max(start, 2q) (see ``_series_truncation``) and doubles until
-    the truncation bound for ``weights`` is below half the absolute
-    tolerance or the radius reaches the truncation cap.  Returns the radius,
-    that bound and q: for the two-sided exponential of time scale s, whose
-    transform 2s/(1 + s^2 w^2) has poles at +-i/s, q = 1/s is the poles'
-    distance from the real line, the scale of the head's first mesh below
-    the radius (``_pole_mesh``).
+    the bound on the integral over (R, inf) of ``weight`` times the
+    series' truncation error is below half the absolute tolerance or the
+    radius reaches the truncation cap.  Returns the radius, that bound and
+    q: for the two-sided exponential of time scale s, whose transform
+    2s/(1 + s^2 w^2) has poles at +-i/s, q = 1/s is the poles' distance
+    from the real line, the scale of the head's octave mesh below the
+    radius (``cwt_fourier``).
     """
-    q, truncation = _series_truncation(signal, weights)
+    q, omitted = _series_truncation(signal)
+    decay = len(signal.tail_coeffs) + signal.tail_beta
+
+    def truncation(radius: float) -> float:
+        return omitted * (weight * radius ** (1.0 - decay) / (decay - 1.0))
+
     radius = max(start, 2.0 * q)
     while truncation(radius) > 0.5 * cfg.abs_tol and radius < TRUNCATION_RADIUS:
         radius = min(2.0 * radius, TRUNCATION_RADIUS)
@@ -339,32 +312,6 @@ def _octaves(start: float, end: float) -> list:
         edges.append(edge)
         edge *= 2.0
     return edges
-
-
-def _pole_mesh(
-    breakpoints: list,
-    width: Optional[float],
-    wavelet: WaveletSpec,
-    a: float,
-    q: float,
-    upper: float,
-) -> tuple[list, Optional[float]]:
-    """The first mesh of a folded head over [0, upper] whose signal
-    transform has poles at distance q from the real line (``_split_radius``).
-
-    Adds edges at q/2 and q 2^k below ``upper`` (``_octaves``) to the
-    caller's ``breakpoints``, so no panel is wider than its distance from
-    the poles, and caps a Gaussian wavelet's first panels at
-    ``_WAVELET_PANEL``/a, the transform's own scale: ``integrate`` splits
-    every panel evenly only on a mesh of fewer than eight, so the octave
-    edges alone would leave the wavelet's flanks on single wide panels at
-    dilations of order one.  Returns the breakpoints and the widest first
-    panel.
-    """
-    breakpoints = breakpoints + _octaves(0.5 * q, upper)
-    if wavelet.gauss_power is not None:
-        width = min(width or math.inf, _WAVELET_PANEL / a)
-    return breakpoints, width
 
 
 def _side_coeffs(signal: SignalSpec, sign: int) -> list:
@@ -554,12 +501,12 @@ def cwt_fourier(
     one analytic tail, whose counts the result carries once.
 
     The fold's first mesh has the breakpoints of both sides
-    (``_fold_hints``) and of ``wavelet.head_features``, and panels at most
-    half a period of e^{ibw}; for an algebraically decaying signal, split
-    or not, it also has an edge at each octave q 2^k from q/2 below L, q
-    from ``_split_radius`` (for the two-sided exponential, the distance of
-    f_hat's poles from the real line), and a Gaussian wavelet's first
-    panels are at most ``_WAVELET_PANEL``/a wide (``_pole_mesh``).
+    (``_fourier_side_hints``) and of ``wavelet.head_features``, and panels
+    at most half a period of e^{ibw}; for an algebraically decaying signal,
+    split or not, it also has an edge at each octave q 2^k from q/2 below
+    L (``_octaves``), q from ``_split_radius`` (for the two-sided
+    exponential, the distance of f_hat's poles from the real line), and a
+    Gaussian wavelet's first panels are at most ``_WAVELET_PANEL``/a wide.
 
     A result is ``converged`` when its quadratures converged and, in the
     units returned (after the factor sqrt(a)/(2 pi)), its whole estimate,
@@ -571,9 +518,7 @@ def cwt_fourier(
     cfg = config if config is not None else QuadratureConfig()
     split = None
     if math.isfinite(signal.tail_beta):
-        split = _split_radius(
-            signal, [(wavelet.hat_sup, 0)], _SPLIT_START, cfg
-        )
+        split = _split_radius(signal, wavelet.hat_sup, _SPLIT_START, cfg)
     f_freq = signal.f_freq
 
     def g(w):
@@ -584,8 +529,11 @@ def cwt_fourier(
     kind, c_f, p_f = signal.freq_envelope
     env_f = (kind, c_f * wavelet.hat_sup, p_f)
     signal_cut = (_cut_radius(env_f, delta), lambda u: _envelope_tail_bound(env_f, u))
-    breakpoints, width = _fold_hints(wavelet, a, b)
-    breakpoints += [u / a for u in wavelet.head_features]
+    # both sides' features as distances from 0; both have the period of
+    # e^{ibw}, so one panel width
+    breakpoints, width = _fourier_side_hints(wavelet, 1, a, b)
+    mirrored, _ = _fourier_side_hints(wavelet, -1, a, b)
+    breakpoints += mirrored + [u / a for u in wavelet.head_features]
     reach, tail_bound, tails = 0.0, 0.0, []
     for sign in (1, -1):
         cuts = [signal_cut]
@@ -608,9 +556,14 @@ def cwt_fourier(
 
     upper = split[0] if tails else reach
     if split is not None:
-        breakpoints, width = _pole_mesh(
-            breakpoints, width, wavelet, a, split[2], upper
-        )
+        # no panel wider than its distance from the poles; a Gaussian
+        # wavelet's first panels at most its transform's own scale, since
+        # ``integrate`` splits every panel evenly only on a mesh of fewer
+        # than eight and the octave edges alone would leave its flanks on
+        # single wide panels at dilations of order one
+        breakpoints += _octaves(0.5 * split[2], upper)
+        if wavelet.gauss_power is not None:
+            width = min(width or math.inf, _WAVELET_PANEL / a)
     head = integrate(
         _fold_integrand(g, wavelet),
         (0.0, upper),

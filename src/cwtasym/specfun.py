@@ -10,7 +10,7 @@ differ by integers, from one incomplete Gamma and its recurrence.
 signal's Taylor coefficients, from the probabilists' Hermite polynomials,
 with bounds on their rounding, and
 ``taylor_tail`` is the one evaluator of a function less its Taylor
-polynomial, behind both exact remainders.
+polynomial, behind the exact remainder.
 """
 
 from __future__ import annotations

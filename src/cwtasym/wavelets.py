@@ -4,8 +4,7 @@ Each wavelet carries its conjugated time-domain form (``psi_conj``) and
 Fourier transform (``psi_hat_conj``), the one definition of each that every
 integrand in the package evaluates; the Taylor coefficients of that
 transform about zero (closed form and an independent numeric extractor
-based on contour moments); and the exact tail left after removing a
-truncated Taylor polynomial.
+based on contour moments).
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .specfun import (_EPS, _SQRT_2PI, _TAIL_TERMS, _TWO_PI, gaussian_taylor,
-                      horner, taylor_tail)
+from .specfun import _EPS, _SQRT_2PI, _TWO_PI, gaussian_taylor, horner
 
 _I_POW = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
 
@@ -27,7 +25,6 @@ _I_POW = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
 _MORLET_ENVELOPE_C = 1.0 + 4.0 * _EPS
 
 _HAAR_SERIES_CUT = 1e-3
-_TAIL_SERIES_CUT = 0.25
 
 
 class WaveletKind(Enum):
@@ -288,26 +285,3 @@ def small_u_coefficients_numeric(
             "not analytic enough on the contour"
         )
     return CoefficientTable(coefficients=combined, error_estimates=errs)
-
-
-def psi_hat_tail_evaluator(spec: WaveletSpec, n: int):
-    """``psi_hat_tail(spec, n, .)`` with its coefficient table built once.
-
-    Returns the evaluator, its series cutover, the bound on the series'
-    truncation error below that cutover (see ``specfun.taylor_tail``) and
-    the first n coefficients c_s, the head of the same table.
-    """
-    cs = small_u_coefficients(spec, n + _TAIL_TERMS).coefficients
-    evaluate, omitted = taylor_tail(
-        lambda u: psi_hat_conj(spec, u), cs, n, _TAIL_SERIES_CUT
-    )
-    return evaluate, _TAIL_SERIES_CUT, omitted, cs[:n]
-
-
-def psi_hat_tail(spec: WaveletSpec, n: int, u) -> np.ndarray:
-    """The transform with its first n Taylor terms removed.
-
-    For small arguments the direct subtraction cancels catastrophically, so
-    the tail is summed from the higher-order coefficients instead.
-    """
-    return psi_hat_tail_evaluator(spec, n)[0](u)

@@ -464,6 +464,36 @@ def test_sweep_jobs_takes_only_1_and_changes_no_byte(oracle, capsys):
     assert "argument --jobs: invalid choice" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["expand", "--remainder", "none"],
+    ["expand", "--remainder", "integral_m0"],
+    ["expand", "--remainder", "empirical"],
+    ["sweep", "--oracle", "fourier"],
+], ids=["expand-none", "expand-integral_m0", "expand-empirical", "sweep"])
+def test_domain_changes_no_byte(argv, capsys):
+    """--domain, kept because the benchmark passes it, is read by nothing
+    past the parser: each domain prints the same CSV, and ``expand --format
+    json`` differs only in the echoed ``domain``."""
+    for signal in ("lorentzian", "two_sided_exp", "gaussian"):
+        for wavelet in ("morlet", "mexhat", "haar"):
+            point = ["--signal", signal, "--wavelet", wavelet, "--b", "0.37"]
+            outs = {}
+            for domain in ("time", "frequency"):
+                assert main(argv + point + ["--domain", domain]) == 0
+                outs[domain] = capsys.readouterr().out
+            assert outs["time"] == outs["frequency"], (signal, wavelet)
+            if argv[0] != "expand":
+                continue
+            objs = {}
+            for domain in ("time", "frequency"):
+                assert main(argv + point + ["--domain", domain,
+                                            "--format", "json"]) == 0
+                objs[domain] = json.loads(capsys.readouterr().out)
+            assert objs["frequency"].pop("domain") == "frequency"
+            assert objs["time"].pop("domain") == "time"
+            assert objs["time"] == objs["frequency"], (signal, wavelet)
+
+
 def test_cwt_defaults_to_the_time_route(capsys):
     assert main(["cwt", "--a", "0.05", "--b", "0.4"]) == 0
     rows = capsys.readouterr().out.splitlines()

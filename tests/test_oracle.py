@@ -18,6 +18,7 @@ from cwtasym.oracle import _phase_alg_tail, cwt_fourier, cwt_time
 from cwtasym.quadrature import QuadratureConfig, _cut_radius
 from cwtasym.signals import SignalKind, make_signal
 from cwtasym.wavelets import WaveletKind, make_wavelet, psi_hat_conj
+from mp_reference import MP_SIGNALS, mp_wavelet
 
 
 def test_gaussian_morlet_closed_form():
@@ -63,30 +64,6 @@ def test_morlet_gaussian_offset_vs_highprec():
     assert abs(got.value - complex(ref)) <= got.abs_error_estimate
 
 
-# 30-digit formulas of the built-in signals and Gaussian wavelets, for the
-# seeded audits of both routes' estimates.
-_MP_SIGNALS = {
-    SignalKind.Lorentzian: lambda t: 1 / (1 + t * t),
-    SignalKind.TwoSidedExp: lambda t: mp.exp(-abs(t)),
-    SignalKind.Gaussian: lambda t: mp.exp(-t * t / 2),
-}
-
-
-def _mp_wavelet(kind, u0):
-    """conj(psi)(s) of a Gaussian wavelet in mpmath, its values kept across
-    the calls of one audit, which share most nodes."""
-    psi = {}
-
-    def psi_at(s):
-        if s not in psi:
-            gauss = mp.exp(-s * s / 2)
-            psi[s] = (mp.expj(-u0 * s) * gauss if kind == WaveletKind.Morlet
-                      else (1 - s * s) * gauss)
-        return psi[s]
-
-    return psi_at
-
-
 @pytest.mark.parametrize("kind,u0", [(WaveletKind.Morlet, 2.0),
                                      (WaveletKind.Morlet, 5.0),
                                      (WaveletKind.MexicanHat, 0.0)])
@@ -99,8 +76,8 @@ def test_time_route_estimate_covers_its_error(kind, u0):
     estimate is checked too."""
     wav = make_wavelet(kind, u0) if u0 else make_wavelet(kind)
     rng = random.Random(f"cwt_time audit {kind.value} {u0}")
-    psi_at = _mp_wavelet(kind, u0)
-    for sig_kind, f in _MP_SIGNALS.items():
+    psi_at = mp_wavelet(kind, u0)
+    for sig_kind, f in MP_SIGNALS.items():
         for _ in range(8):
             a, b = 10.0 ** rng.uniform(-3.0, 0.0), rng.uniform(-2.0, 2.0)
             got = cwt_time(make_signal(sig_kind), wav, a, b)
@@ -133,11 +110,11 @@ def test_fourier_route_estimate_covers_its_error(wavelet):
     falls inside."""
     wav = _WAVELETS[wavelet]
     rng = random.Random(f"cwt_fourier audit {wavelet}")
-    psi_at = _mp_wavelet(wav.kind, wav.u0)
-    cases = [(kind, 1.0) for kind in _MP_SIGNALS]
+    psi_at = mp_wavelet(wav.kind, wav.u0)
+    cases = [(kind, 1.0) for kind in MP_SIGNALS]
     cases += [(SignalKind.TwoSidedExp, 0.2), (SignalKind.TwoSidedExp, 5.0)]
     for sig_kind, scale in cases:
-        f = _MP_SIGNALS[sig_kind]
+        f = MP_SIGNALS[sig_kind]
         for _ in range(3):
             a, b = 10.0 ** rng.uniform(-3.0, 0.0), rng.uniform(-2.0, 2.0)
             got = cwt_fourier(make_signal(sig_kind, time_scale=scale), wav, a, b)
@@ -224,7 +201,7 @@ _HEAD_STILL_BISECTS = {
 def test_two_sided_exp_fourier_head_is_one_pass(monkeypatch, wavelet, scale):
     """The two-sided exponential's transform 2s/(1 + s^2 w^2) has poles at
     +-i/s.  The head's first mesh has an edge at each octave from 1/(2s)
-    (``_pole_mesh``), so no panel is wider than its distance from the pole,
+    (``_octaves``), so no panel is wider than its distance from the pole,
     and one GK15 pass meets the target at 12 seeded points, a log-uniform
     on [1e-3, 1] and b uniform on [-2, 2]; the parent's panels of width 2
     to 5 from 0 bisected at 82 of these 108 points."""
@@ -305,7 +282,7 @@ def test_time_route_stops_at_the_roundoff_floor(kind, wavelet, a, b):
     res = cwt_time(sig, wav, a, b)
     assert res.status == "roundoff" and res.converged
     assert res.n_evaluations <= 5000
-    f, psi_at = _MP_SIGNALS[kind], _mp_wavelet(wav.kind, wav.u0)
+    f, psi_at = MP_SIGNALS[kind], mp_wavelet(wav.kind, wav.u0)
     with mp.workdps(30):
         am, bm = mp.mpf(a), mp.mpf(b)
         ref = mp.sqrt(am) * mp.quad(lambda s: f(bm + am * s) * psi_at(s),
@@ -694,6 +671,33 @@ def test_real_transforms_stay_exactly_real(monkeypatch, kind, amplitude, time_sc
                 x = np.concatenate(nodes)
                 got = np.asarray(integrand(x), dtype=complex)
                 assert got.tobytes() == (g(x) + g(-x)).tobytes()
+
+
+@pytest.mark.parametrize("kind", list(SignalKind))
+def test_folded_morlet_integrand_is_the_pair_bit_for_bit(monkeypatch, kind):
+    """The modulated Gaussian's fold evaluates g once on the nodes and their
+    mirrors; node by node its sum is g(x) + g(-x) from two separate calls."""
+    sig, wav = make_signal(kind), _WAVELETS["morlet"]
+    calls = []
+    real = oracle.integrate
+
+    def spy(integrand, *args, **kwargs):
+        calls.append(integrand)
+        return real(integrand, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "integrate", spy)
+    for a, b in ((0.01, 0.37), (0.2, -1.3), (0.05, 0.002)):
+
+        def g(w):
+            return (np.exp(1j * b * w) * sig.f_freq(w)
+                    * psi_hat_conj(wav, a * w))
+
+        calls.clear()
+        cwt_fourier(sig, wav, a, b)
+        x = np.linspace(0.0, 40.0, 301)
+        # the folded quadrature runs after any tail's
+        got = np.asarray(calls[-1](x), dtype=complex)
+        assert got.tobytes() == (g(x) + g(-x)).tobytes()
 
 
 @pytest.mark.parametrize("a,b", [(0.05, 0.6), (0.01, -1.3), (0.02, 1.95)])

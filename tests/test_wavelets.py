@@ -1,4 +1,4 @@
-"""Analyzing wavelets: transforms, small-argument coefficients, tails."""
+"""Analyzing wavelets: transforms and small-argument coefficients."""
 
 import math
 
@@ -12,7 +12,6 @@ from cwtasym.wavelets import (
     make_wavelet,
     psi_conj,
     psi_hat_conj,
-    psi_hat_tail,
     small_u_coefficients,
     small_u_coefficients_numeric,
 )
@@ -162,39 +161,34 @@ def test_haar_series_cutover_continuity():
             assert abs(got - complex(ref)) < 1e-18
 
 
+def _mp_transform(spec, u):
+    """conj(psi_hat)(u) of the wavelet at the working mpmath precision."""
+    if spec.kind == WaveletKind.Morlet:
+        return mp.sqrt(2 * mp.pi) * mp.exp(-(u - mp.mpf(spec.u0)) ** 2 / 2)
+    if spec.kind == WaveletKind.MexicanHat:
+        return mp.sqrt(2 * mp.pi) * u ** 2 * mp.exp(-u ** 2 / 2)
+    return -4j * mp.exp(0.5j * u) * mp.sin(u / 4) ** 2 / u
+
+
 @pytest.mark.parametrize("u", [0.2, 3.0])
-def test_morlet_tail_vs_highprec(u):
-    spec = make_wavelet(WaveletKind.Morlet, u0=2.0)
-    n = 2
-    cs = small_u_coefficients(spec, n).coefficients
+@pytest.mark.parametrize("spec", _specs(), ids=lambda s: f"{s.kind.value}-u0={s.u0:g}")
+def test_transform_vs_highprec(spec, u):
+    got = psi_hat_conj(spec, np.array([u]))[0]
     with mp.workdps(40):
-        full = mp.sqrt(2 * mp.pi) * mp.exp(-mp.mpf(u - 2.0) ** 2 / 2)
-        ref = full - (cs[0].real + cs[1].real * u)
-    got = psi_hat_tail(spec, n, np.array([u]))[0]
-    assert abs(got - complex(ref)) < 5e-14 * abs(complex(ref))
+        ref = complex(_mp_transform(spec, mp.mpf(u)))
+    assert abs(got - ref) < 5e-14 * abs(ref)
 
 
 @pytest.mark.parametrize("spec", _specs(), ids=lambda s: f"{s.kind.value}-u0={s.u0:g}")
-@pytest.mark.parametrize("n", [1, 3])
-def test_tail_leading_order(spec, n):
-    # psi_hat_tail(u) ~ c_n u^n as u -> 0 (next nonzero coefficient if c_n = 0)
-    cs = small_u_coefficients(spec, n + 8).coefficients
-    u = 1e-5
-    got = psi_hat_tail(spec, n, np.array([u]))[0]
-    want = sum(cs[s] * u ** s for s in range(n, n + 8))
-    assert abs(got - want) < 1e-12 * max(abs(want), 1e-30)
-
-
-def test_tail_branch_values_at_switch():
-    """Series and direct-subtraction branches both match high precision."""
-    spec = make_wavelet(WaveletKind.MexicanHat)
-    with mp.workdps(40):
-        for u in (0.2499, 0.2501):
-            um = mp.mpf(u)
-            full = mp.sqrt(2 * mp.pi) * um ** 2 * mp.exp(-um ** 2 / 2)
-            ref = full - mp.sqrt(2 * mp.pi) * um ** 2  # n = 3 removes only c_2
-            got = psi_hat_tail(spec, 3, np.array([u]))[0]
-            assert abs(got - complex(ref)) < 1e-10 * abs(complex(ref))
+def test_taylor_series_sums_to_the_transform(spec):
+    """Thirty-two closed-form coefficients sum to the 40-digit transform on
+    both sides of the origin, where the higher orders still count."""
+    cs = small_u_coefficients(spec, 32).coefficients
+    for u in (0.5, -0.5):
+        got = sum(cs[s] * u ** s for s in range(32))
+        with mp.workdps(40):
+            ref = complex(_mp_transform(spec, mp.mpf(u)))
+        assert abs(got - ref) < 1e-14 * abs(ref), u
 
 
 def test_make_wavelet_validation():
